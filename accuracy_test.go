@@ -165,10 +165,31 @@ func TestAccuracyPropertySBM(t *testing.T) {
 	}
 }
 
+// float32 keeps ~7 significant digits; with unit total mass spread over
+// 400 nodes the rounding contributes ≪ 1e-4 in L1 — orders of magnitude
+// under the Theorem-2 bound, but asserted explicitly so a precision
+// regression (e.g. accumulating in float32) fails loudly.
+const f32Slack, f32MassTol = 1e-4, 1e-4
+
+// accuracyVariants is the layout × precision matrix every engine-level
+// equivalence check runs over.
+var accuracyVariants = []struct {
+	name           string
+	order          string
+	prec           tpa.Precision
+	slack, massTol float64
+}{
+	{"degree-f64", "degree", tpa.Float64, 0, 1e-6},
+	{"bfs-f64", "bfs", tpa.Float64, 0, 1e-6},
+	{"natural-f32", "", tpa.Float32, f32Slack, f32MassTol},
+	{"degree-f32", "degree", tpa.Float32, f32Slack, f32MassTol},
+	{"hubspoke-f32", "hubspoke", tpa.Float32, f32Slack, f32MassTol},
+}
+
 // TestAccuracyVariants holds the layout- and precision-aware engines to the
 // same guarantees as the baseline: every combination of build-time ordering
-// (degree, BFS, hub/spoke), index precision (float64, float32) and kernel
-// tiling must meet the Theorem-2 bound against exact RWR on the ORIGINAL
+// (degree, BFS, hub/spoke) and index precision (float64, float32) must
+// meet the Theorem-2 bound against exact RWR on the ORIGINAL
 // (external-id) graph — within explicit float32 tolerances where the index
 // is rounded — both statically and after a mutation batch. The exact
 // reference never sees the permutation, so any id leak in the remapping
@@ -206,29 +227,11 @@ func TestAccuracyVariants(t *testing.T) {
 	}
 	refG := natComp.Graph()
 
-	// float32 keeps ~7 significant digits; with unit total mass spread over
-	// 400 nodes the rounding contributes ≪ 1e-4 in L1 — orders of magnitude
-	// under the Theorem-2 bound, but asserted explicitly so a precision
-	// regression (e.g. accumulating in float32) fails loudly.
-	const f32Slack, f32MassTol = 1e-4, 1e-4
-	variants := []struct {
-		name           string
-		order          string
-		prec           tpa.Precision
-		tile           int
-		slack, massTol float64
-	}{
-		{"degree-f64", "degree", tpa.Float64, 0, 0, 1e-6},
-		{"bfs-f64-tiled", "bfs", tpa.Float64, -1, 0, 1e-6},
-		{"natural-f32", "", tpa.Float32, 0, f32Slack, f32MassTol},
-		{"degree-f32", "degree", tpa.Float32, 0, f32Slack, f32MassTol},
-		{"hubspoke-f32-tiled", "hubspoke", tpa.Float32, -1, f32Slack, f32MassTol},
-	}
 	seeds := []int{3, 141, 255, 399}
-	for _, v := range variants {
+	for _, v := range accuracyVariants {
 		t.Run(v.name, func(t *testing.T) {
 			vo := tpa.Defaults()
-			vo.Order, vo.Precision, vo.Tile = v.order, v.prec, v.tile
+			vo.Order, vo.Precision = v.order, v.prec
 			eng, err := tpa.New(g, vo)
 			if err != nil {
 				t.Fatal(err)

@@ -146,3 +146,56 @@ func TestDeadlineTopKMatchesQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlineMatchesPlainAcrossVariants pins precision × deadline: with a
+// budget that never expires, the deadline entry points must return exactly
+// what the plain ones do on the same engine, whatever its layout and
+// serving precision — both run the one online phase on the same kernels.
+func TestDeadlineMatchesPlainAcrossVariants(t *testing.T) {
+	g := tpa.RandomSBMGraph(400, 4, 6, 0.85, 31)
+	for _, v := range accuracyVariants {
+		t.Run(v.name, func(t *testing.T) {
+			o := tpa.Defaults()
+			o.Order, o.Precision = v.order, v.prec
+			eng, err := tpa.New(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []int{3, 141, 399} {
+				plain, err := eng.Query(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, meta, err := eng.QueryDeadline(context.Background(), seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if meta.Partial || meta.EffectiveS != o.S {
+					t.Errorf("seed %d: unbounded query reports %+v", seed, meta)
+				}
+				diff := 0
+				for i := range plain {
+					if got[i] != plain[i] {
+						diff++
+					}
+				}
+				if diff > 0 {
+					t.Errorf("seed %d: QueryDeadline differs from Query on %d of %d nodes", seed, diff, len(plain))
+				}
+				top, err := eng.TopK(seed, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				topD, _, err := eng.TopKDeadline(context.Background(), seed, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range top {
+					if topD[i] != top[i] {
+						t.Errorf("seed %d: TopKDeadline[%d] = %+v, TopK = %+v", seed, i, topD[i], top[i])
+					}
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -16,15 +17,15 @@ import (
 // TopKBatch) or exactly the returned result (Query, QueryBatch). The TPA
 // state is read-only during queries, so any number of workers can share it.
 
-// queryScratch holds the working vectors of one in-flight query: the seed /
-// iterate vector q, the propagation buffer, and an output vector for top-k
+// queryScratch holds the working vectors of one in-flight query, in the
+// engine's serving width only: the seed / iterate vector and the
+// propagation buffer (q, buf — or q32, buf32 plus the family accumulator
+// fam32 on the float32 kernels), and a float64 output vector for top-k
 // paths that never hand a full score vector back to the caller. Scratches
 // are pooled on the TPA (see TPA.scratch).
 type queryScratch struct {
-	q, buf, out sparse.Vector
-	// q32/buf32/fam32 are the float32 counterparts, allocated only for
-	// Float32 engines (see precision.go): seed/iterate, propagation buffer
-	// and family accumulator of the reduced-precision online phase.
+	out               sparse.Vector
+	q, buf            sparse.Vector
 	q32, buf32, fam32 sparse.Vector32
 }
 
@@ -32,15 +33,15 @@ type queryScratch struct {
 // precision), reusing a pooled one when available.
 func (t *TPA) getScratch() *queryScratch {
 	f32 := t.useF32()
-	if sc, ok := t.scratch.Get().(*queryScratch); ok && len(sc.q) == t.walk.N() && (sc.q32 != nil) == f32 {
+	if sc, ok := t.scratch.Get().(*queryScratch); ok && len(sc.out) == t.walk.N() && (sc.q32 != nil) == f32 {
 		return sc
 	}
 	n := t.walk.N()
-	sc := &queryScratch{q: sparse.NewVector(n), buf: sparse.NewVector(n), out: sparse.NewVector(n)}
+	sc := &queryScratch{out: sparse.NewVector(n)}
 	if f32 {
-		sc.q32 = sparse.NewVector32(n)
-		sc.buf32 = sparse.NewVector32(n)
-		sc.fam32 = sparse.NewVector32(n)
+		sc.q32, sc.buf32, sc.fam32 = sparse.NewVector32(n), sparse.NewVector32(n), sparse.NewVector32(n)
+	} else {
+		sc.q, sc.buf = sparse.NewVector(n), sparse.NewVector(n)
 	}
 	return sc
 }
@@ -58,30 +59,56 @@ func (t *TPA) checkSeeds(seeds []int) error {
 	return nil
 }
 
-// queryInto runs the online phase for the (already validated, non-empty)
-// seed set, writing the combined r_TPA into dst using sc for all
-// intermediate state. It is the allocation-free core of Query, QueryBatch
-// and TopKBatch.
-func (t *TPA) queryInto(seeds []int, dst sparse.Vector, sc *queryScratch) {
+// queryInto runs the online phase (Algorithm 3) for the (already validated,
+// non-empty) seed set on the kernels of the serving precision, writing the
+// combined r_TPA into dst (length N) using sc for all intermediate state.
+// It is the allocation-free core of every query entry point. A nil ctx runs
+// all S-1 propagation steps; otherwise ctx is checked between steps and an
+// expired one leaves a reduced-S answer, described by the returned meta
+// (see deadline.go).
+func (t *TPA) queryInto(ctx context.Context, seeds []int, dst sparse.Vector, sc *queryScratch) QueryMeta {
 	if t.useF32() {
-		t.queryInto32(seeds, dst, sc)
-		return
+		return onlinePhase(ctx, t, t.walk32.MulT32, t.stranger32, seeds, sc.q32, sc.buf32, sc.fam32, dst)
 	}
-	sc.q.Zero()
-	share := 1 / float64(len(seeds))
+	// In float64 the family part accumulates straight into dst.
+	return onlinePhase(ctx, t, t.walk.MulT, t.stranger, seeds, sc.q, sc.buf, dst, dst)
+}
+
+// onlinePhase is queryInto in one float width: q and buf are iterate
+// scratch, fam receives the family head, and stranger is the served index
+// in that width; the combined answer always lands in float64 dst.
+func onlinePhase[T sparse.Float](ctx context.Context, t *TPA, mulT func(x, y sparse.Vec[T]) sparse.Vec[T],
+	stranger sparse.Vec[T], seeds []int, q, buf, fam sparse.Vec[T], dst sparse.Vector) QueryMeta {
+	q.Zero()
+	share := 1 / T(len(seeds))
 	for _, s := range seeds {
-		sc.q[s] += share
+		q[s] += share
 	}
-	cpiInto(t.walk, t.cfg, 0, t.params.S-1, sc.q, sc.buf, dst)
-	// dst now holds r_family; fold in the scaled neighbor estimate and the
-	// shared stranger vector in one pass (Lemma 2 scaling, Algorithm 3).
-	famMass, neighMass, _ := PartMasses(t.cfg.C, t.params.S, t.params.T)
+	fam.Zero()
+	_, _, steps, converged := cpiLoop(ctx, mulT, t.cfg, 0, t.params.S-1, q.Scale(T(t.cfg.C)), buf, fam)
+	// Stopping after S' < S accumulated iterations is exactly a TPA
+	// instance with split point S'; a head that converged early is exact
+	// to ε, the same contract as the full S.
+	effS := steps + 1
+	if converged {
+		effS = t.params.S
+	}
+	// fam holds the S'-step r_family; fold in the scaled neighbor estimate
+	// (Lemma-2 masses for S') and the shared stranger vector in one pass,
+	// as Algorithm 3 does for the full S.
+	famMass, neighMass, _ := PartMasses(t.cfg.C, effS, t.params.T)
 	scale := 1.0
 	if famMass > 0 {
 		scale = 1 + neighMass/famMass
 	}
-	for i, f := range dst {
-		dst[i] = f*scale + t.stranger[i]
+	for i, f := range fam {
+		dst[i] = float64(f)*scale + float64(stranger[i])
+	}
+	return QueryMeta{
+		Partial:    effS < t.params.S,
+		EffectiveS: effS,
+		Steps:      effS - 1,
+		Bound:      TheoremTwoBound(t.cfg.C, effS),
 	}
 }
 
@@ -96,7 +123,7 @@ func (t *TPA) QueryInto(seed int, dst sparse.Vector) (sparse.Vector, error) {
 		return nil, fmt.Errorf("core: dst length %d, want %d", len(dst), t.walk.N())
 	}
 	sc := t.getScratch()
-	t.queryInto([]int{seed}, dst, sc)
+	t.queryInto(nil, []int{seed}, dst, sc)
 	t.putScratch(sc)
 	return dst, nil
 }
@@ -126,7 +153,7 @@ func (t *TPA) QueryBatch(seeds []int, parallelism int) ([]sparse.Vector, error) 
 	out := make([]sparse.Vector, len(seeds))
 	t.runBatch(seeds, parallelism, func(i int, sc *queryScratch) {
 		dst := sparse.NewVector(n)
-		t.queryInto(seeds[i:i+1], dst, sc)
+		t.queryInto(nil, seeds[i:i+1], dst, sc)
 		out[i] = dst
 	})
 	return out, nil
@@ -144,7 +171,7 @@ func (t *TPA) QueryBatchEach(seeds []int, parallelism int, emit func(i int, r sp
 		return err
 	}
 	t.runBatch(seeds, parallelism, func(i int, sc *queryScratch) {
-		t.queryInto(seeds[i:i+1], sc.out, sc)
+		t.queryInto(nil, seeds[i:i+1], sc.out, sc)
 		emit(i, sc.out)
 	})
 	return nil
@@ -160,7 +187,7 @@ func (t *TPA) TopKBatch(seeds []int, k, parallelism int) ([][]sparse.Entry, erro
 	}
 	out := make([][]sparse.Entry, len(seeds))
 	t.runBatch(seeds, parallelism, func(i int, sc *queryScratch) {
-		t.queryInto(seeds[i:i+1], sc.out, sc)
+		t.queryInto(nil, seeds[i:i+1], sc.out, sc)
 		out[i] = sc.out.TopK(k)
 	})
 	return out, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tpa/internal/sparse"
@@ -132,25 +133,34 @@ func TestQueryIntoMatchesQuery(t *testing.T) {
 // entries pseudo-randomly, both forcing occasional scratch re-allocations.
 // This assertion is deterministic under both runtimes.
 func TestQueryIntoAllocationFree(t *testing.T) {
-	tp, _ := preprocessed(t, 54, DefaultParams())
-	dst := sparse.NewVector(tp.Walk().N())
-	sc := tp.getScratch()
-	defer tp.putScratch(sc)
-	seeds := []int{5}
-	allocs := testing.AllocsPerRun(200, func() {
-		tp.queryInto(seeds, dst, sc)
-	})
-	if allocs != 0 {
-		t.Errorf("queryInto allocates %.2f objects/op, want exactly 0", allocs)
-	}
-	// The pooled public wrapper must produce the same answer (its own
-	// allocation behavior is the pool's business, not asserted here).
-	want, err := tp.QueryInto(5, sparse.NewVector(tp.Walk().N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := want.L1Dist(dst); d != 0 {
-		t.Errorf("scratch-held queryInto deviates from QueryInto by %g", d)
+	for _, prec := range []Precision{Float64, Float32} {
+		tp, _ := preprocessed(t, 54, DefaultParams())
+		if err := tp.SetPrecision(prec); err != nil {
+			t.Fatal(err)
+		}
+		dst := sparse.NewVector(tp.Walk().N())
+		sc := tp.getScratch()
+		seeds := []int{5}
+		// nil is the plain entry points' context, Background the deadline
+		// ones': the one loop must stay allocation-free under both.
+		for _, ctx := range []context.Context{nil, context.Background()} {
+			allocs := testing.AllocsPerRun(200, func() {
+				tp.queryInto(ctx, seeds, dst, sc)
+			})
+			if allocs != 0 {
+				t.Errorf("%v ctx=%v: queryInto allocates %.2f objects/op, want exactly 0", prec, ctx, allocs)
+			}
+		}
+		tp.putScratch(sc)
+		// The pooled public wrapper must produce the same answer (its own
+		// allocation behavior is the pool's business, not asserted here).
+		want, err := tp.QueryInto(5, sparse.NewVector(tp.Walk().N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := want.L1Dist(dst); d != 0 {
+			t.Errorf("%v: scratch-held queryInto deviates from QueryInto by %g", prec, d)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -55,20 +56,27 @@ func CPI(w rwr.Operator, seeds []int, cfg rwr.Config, startIter, termIter int) (
 		return nil, err
 	}
 	r := sparse.NewVector(n)
-	iters, converged := cpiInto(w, cfg, startIter, termIter, q, sparse.NewVector(n), r)
+	_, _, iters, converged := cpiLoop(nil, w.MulT, cfg, startIter, termIter, q.Scale(cfg.C), sparse.NewVector(n), r)
 	return &CPIResult{Scores: r, Iters: iters, Converged: converged}, nil
 }
 
-// cpiInto is the CPI loop with caller-provided storage, shared by CPI and
-// the pooled-scratch query path (see batch.go): q must hold the seed
-// distribution and is consumed as the iterate vector, buf is propagation
-// scratch, and r receives the accumulated scores (it is zeroed here). All
-// three must have length w.N(). It performs no allocations itself.
-func cpiInto(w rwr.Operator, cfg rwr.Config, startIter, termIter int, q, buf, r sparse.Vector) (iters int, converged bool) {
-	x := q.Scale(cfg.C) // x(0)
-	r.Zero()
-	if startIter == 0 {
-		r.Add(x)
+// cpiLoop is Algorithm 1 with caller-provided storage, in either float
+// width: the one propagation loop of this package. CPI, the online phase
+// (with and without a deadline, see batch.go) and both phases of Reindex
+// are calls of it.
+//
+// x holds x(0), already scaled by c; it and buf (propagation scratch) are
+// consumed as the ping-pong pair of the iteration x(i) = (1-c)·Ãᵀ·x(i-1),
+// and come back as last (the final iterate) and spare (the other buffer).
+// acc, when non-nil, has x(i) added for every executed startIter ≤ i; the
+// caller zeroes or pre-loads it. The loop stops after iteration termIter
+// (termIter < 0: the analytic bound, or cfg.MaxIter), as soon as
+// ‖x(i)‖₁ < ε (converged), or — with a non-nil ctx — before the first step
+// that would start after ctx expired. It allocates nothing.
+func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) sparse.Vec[T], cfg rwr.Config,
+	startIter, termIter int, x, buf, acc sparse.Vec[T]) (last, spare sparse.Vec[T], iters int, converged bool) {
+	if startIter == 0 && acc != nil {
+		acc.Add(x)
 	}
 	limit := termIter
 	if limit < 0 {
@@ -77,19 +85,23 @@ func cpiInto(w rwr.Operator, cfg rwr.Config, startIter, termIter int, q, buf, r 
 			limit = cfg.MaxIter
 		}
 	}
+	decay := T(1 - cfg.C)
 	for i := 1; i <= limit; i++ {
-		w.MulT(x, buf)
-		buf.Scale(1 - cfg.C)
+		if ctx != nil && ctx.Err() != nil {
+			break
+		}
+		mulT(x, buf)
+		buf.Scale(decay)
 		x, buf = buf, x
 		iters = i
-		if i >= startIter {
-			r.Add(x)
+		if acc != nil && i >= startIter {
+			acc.Add(x)
 		}
 		if x.L1() < cfg.Eps {
-			return iters, true
+			return x, buf, iters, true
 		}
 	}
-	return iters, false
+	return x, buf, iters, false
 }
 
 // ExactRWR computes the full RWR vector by CPI run to convergence. It is

@@ -34,55 +34,6 @@ type QueryMeta struct {
 	Bound float64
 }
 
-// queryIntoDeadline is queryInto with a context check between propagation
-// steps. It writes the combined (possibly reduced-S) r_TPA into dst and
-// reports the realized split point. The seed distribution must already be
-// in sc.q; dst and the scratch vectors must have length N.
-func (t *TPA) queryIntoDeadline(ctx context.Context, seeds []int, dst sparse.Vector, sc *queryScratch) QueryMeta {
-	sc.q.Zero()
-	share := 1 / float64(len(seeds))
-	for _, s := range seeds {
-		sc.q[s] += share
-	}
-	x := sc.q.Scale(t.cfg.C) // x(0)
-	buf := sc.buf
-	dst.Zero()
-	dst.Add(x)
-	effS := 1
-	for i := 1; i <= t.params.S-1; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		t.walk.MulT(x, buf)
-		buf.Scale(1 - t.cfg.C)
-		x, buf = buf, x
-		dst.Add(x)
-		effS = i + 1
-		if x.L1() < t.cfg.Eps {
-			// Converged early: the head is exact to ε, same contract as the
-			// full query path.
-			effS = t.params.S
-			break
-		}
-	}
-	// Rescale the S'-step head by the Lemma-2 masses for S' and fold in the
-	// stranger tail, exactly as Algorithm 3 does for the full S.
-	famMass, neighMass, _ := PartMasses(t.cfg.C, effS, t.params.T)
-	scale := 1.0
-	if famMass > 0 {
-		scale = 1 + neighMass/famMass
-	}
-	for i, f := range dst {
-		dst[i] = f*scale + t.stranger[i]
-	}
-	return QueryMeta{
-		Partial:    effS < t.params.S,
-		EffectiveS: effS,
-		Steps:      effS - 1,
-		Bound:      TheoremTwoBound(t.cfg.C, effS),
-	}
-}
-
 // QueryDeadline is Query honoring ctx: if the context expires mid-query the
 // head computed so far is returned as a valid reduced-S approximation,
 // flagged Partial with its own Theorem-2 bound. A context that is already
@@ -94,7 +45,7 @@ func (t *TPA) QueryDeadline(ctx context.Context, seed int) (sparse.Vector, Query
 	}
 	dst := sparse.NewVector(t.walk.N())
 	sc := t.getScratch()
-	meta := t.queryIntoDeadline(ctx, []int{seed}, dst, sc)
+	meta := t.queryInto(ctx, []int{seed}, dst, sc)
 	t.putScratch(sc)
 	return dst, meta, nil
 }
@@ -106,7 +57,7 @@ func (t *TPA) TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, Qu
 		return nil, QueryMeta{}, err
 	}
 	sc := t.getScratch()
-	meta := t.queryIntoDeadline(ctx, []int{seed}, sc.out, sc)
+	meta := t.queryInto(ctx, []int{seed}, sc.out, sc)
 	top := sc.out.TopK(k)
 	t.putScratch(sc)
 	return top, meta, nil
@@ -123,7 +74,7 @@ func (t *TPA) QuerySetDeadline(ctx context.Context, seeds []int) (sparse.Vector,
 	}
 	dst := sparse.NewVector(t.walk.N())
 	sc := t.getScratch()
-	meta := t.queryIntoDeadline(ctx, seeds, dst, sc)
+	meta := t.queryInto(ctx, seeds, dst, sc)
 	t.putScratch(sc)
 	return dst, meta, nil
 }
@@ -139,7 +90,7 @@ func (t *TPA) TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism
 	out := make([][]sparse.Entry, len(seeds))
 	metas := make([]QueryMeta, len(seeds))
 	t.runBatch(seeds, parallelism, func(i int, sc *queryScratch) {
-		metas[i] = t.queryIntoDeadline(ctx, seeds[i:i+1], sc.out, sc)
+		metas[i] = t.queryInto(ctx, seeds[i:i+1], sc.out, sc)
 		out[i] = sc.out.TopK(k)
 	})
 	return out, metas, nil

@@ -142,7 +142,7 @@ func ReadIndex(r io.Reader, w rwr.Operator) (*TPA, error) {
 		// its widening (the full-precision original is not in the file).
 		tp.stranger32 = sparse.NewVector32(int(n))
 		d.F32s(tp.stranger32)
-		tp.stranger = tp.stranger32.Widen(sparse.NewVector(int(n)))
+		tp.stranger = sparse.Convert(tp.stranger32, sparse.NewVector(int(n)))
 	} else {
 		tp.stranger = sparse.NewVector(int(n))
 		d.F64s(tp.stranger)

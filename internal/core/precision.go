@@ -17,12 +17,12 @@ import (
 // of the Theorem-2 bound.
 //
 // Preprocessing always runs in float64 and the float64 master state is kept
-// alongside: incremental reindexing (reindex.go) and deadline queries run
-// on it, and the float32 state is re-derived whenever the master changes.
-// Only the hot single/batch query path switches kernels, and only when the
-// operator natively supports float32 application (rwr.Operator32 — the
-// in-memory graph.Walk does, a DeltaWalk overlay or streaming operator does
-// not and falls back to float64 transparently).
+// alongside: incremental reindexing (reindex.go) runs on it, and the
+// float32 state is re-derived whenever the master changes. Every query
+// entry point, deadline-bounded or not, switches kernels together, and only
+// when the operator natively supports float32 application (rwr.Operator32 —
+// the in-memory graph.Walk does, a DeltaWalk overlay or streaming operator
+// does not and falls back to float64 transparently).
 
 // Precision selects the storage precision of the served index and the
 // online-phase kernels.
@@ -91,55 +91,3 @@ func (t *TPA) applyPrecision() {
 
 // useF32 reports whether the hot query path should run the float32 kernels.
 func (t *TPA) useF32() bool { return t.prec == Float32 && t.walk32 != nil }
-
-// cpiInto32 is cpiInto over float32 storage: q must hold the seed
-// distribution and is consumed as the iterate, buf is propagation scratch,
-// r receives the accumulated scores (zeroed here). Norm checks accumulate
-// in float64 (see sparse.Vector32.L1).
-func cpiInto32(w rwr.Operator32, cfg rwr.Config, startIter, termIter int, q, buf, r sparse.Vector32) (iters int, converged bool) {
-	x := q.Scale(float32(cfg.C)) // x(0)
-	r.Zero()
-	if startIter == 0 {
-		r.Add(x)
-	}
-	limit := termIter
-	if limit < 0 {
-		limit = cfg.IterBound() + 8
-		if cfg.MaxIter > 0 {
-			limit = cfg.MaxIter
-		}
-	}
-	for i := 1; i <= limit; i++ {
-		w.MulT32(x, buf)
-		buf.Scale(float32(1 - cfg.C))
-		x, buf = buf, x
-		iters = i
-		if i >= startIter {
-			r.Add(x)
-		}
-		if x.L1() < cfg.Eps {
-			return iters, true
-		}
-	}
-	return iters, false
-}
-
-// queryInto32 is queryInto on the float32 kernels: the family head runs
-// entirely in float32 scratch and only the final combine writes the float64
-// result. Callers must have checked useF32.
-func (t *TPA) queryInto32(seeds []int, dst sparse.Vector, sc *queryScratch) {
-	sc.q32.Zero()
-	share := float32(1) / float32(len(seeds))
-	for _, s := range seeds {
-		sc.q32[s] += share
-	}
-	cpiInto32(t.walk32, t.cfg, 0, t.params.S-1, sc.q32, sc.buf32, sc.fam32)
-	famMass, neighMass, _ := PartMasses(t.cfg.C, t.params.S, t.params.T)
-	scale := 1.0
-	if famMass > 0 {
-		scale = 1 + neighMass/famMass
-	}
-	for i, f := range sc.fam32 {
-		dst[i] = float64(f)*scale + float64(t.stranger32[i])
-	}
-}

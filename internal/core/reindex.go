@@ -108,17 +108,12 @@ func Reindex(t *TPA, w rwr.Operator, workers int, maxResidual float64) (*TPA, Re
 
 	// Head: x'(0) = c·q uniform, then T propagation steps to x'(T). These
 	// are the CPI iterations the dirty rows of a delta actually change.
+	// (Should the head fall below ε before T, x'(T) is below ε too and the
+	// iterate it stopped at stands in for it, like every truncated CPI.)
 	x := sparse.NewVector(n)
-	for i := range x {
-		x[i] = cfg.C / float64(n)
-	}
-	buf := sparse.NewVector(n)
-	for i := 1; i <= params.T; i++ {
-		op.MulT(x, buf)
-		buf.Scale(1 - cfg.C)
-		x, buf = buf, x
-	}
-	stats.HeadIters = params.T
+	x.Fill(cfg.C / float64(n))
+	x, buf, headIters, _ := cpiLoop(nil, op.MulT, cfg, 0, params.T, x, sparse.NewVector(n), nil)
+	stats.HeadIters = headIters
 
 	// Residual ρ = x'(T) + (1-c)·P'·s − s, reusing buf for P'·s.
 	op.MulT(t.stranger, buf)
@@ -144,19 +139,9 @@ func Reindex(t *TPA, w rwr.Operator, workers int, maxResidual float64) (*TPA, Re
 	// Correction CPI: s' = s + Σ_k ((1-c)·P')^k · ρ, truncated at ε like
 	// every other CPI in this package. P' is (sub)stochastic, so the terms
 	// shrink by at least (1-c) per step and the loop terminates.
-	s2 := t.stranger.Clone()
-	s2.Add(rho)
-	limit := cfg.IterBound() + 8
-	if cfg.MaxIter > 0 {
-		limit = cfg.MaxIter
-	}
-	cur := rho
-	for k := 1; k <= limit && cur.L1() >= cfg.Eps; k++ {
-		op.MulT(cur, buf)
-		buf.Scale(1 - cfg.C)
-		cur, buf = buf, cur
-		s2.Add(cur)
-		stats.CorrectionIters = k
+	s2 := t.stranger.Clone().Add(rho)
+	if resid >= cfg.Eps {
+		_, _, stats.CorrectionIters, _ = cpiLoop(nil, op.MulT, cfg, 1, -1, rho, buf, s2)
 	}
 	nt := &TPA{walk: w, cfg: cfg, params: params, stranger: s2, prec: t.prec, preIters: t.preIters}
 	// The stranger vector changed, so the float32 copy is re-derived from

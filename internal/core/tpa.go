@@ -44,7 +44,7 @@ type TPA struct {
 	params Params
 	// stranger is the PageRank tail Σ_{i≥T} x'(i), shared by all seeds.
 	// It is the float64 master copy regardless of serving precision:
-	// reindexing and deadline queries always run on it.
+	// reindexing always runs on it.
 	stranger sparse.Vector
 	// prec is the serving precision; stranger32/walk32 are the derived
 	// float32 state, non-nil only under Float32 (see precision.go).
@@ -148,7 +148,7 @@ func (t *TPA) QuerySet(seeds []int) (sparse.Vector, error) {
 	}
 	dst := sparse.NewVector(t.walk.N())
 	sc := t.getScratch()
-	t.queryInto(seeds, dst, sc)
+	t.queryInto(nil, seeds, dst, sc)
 	t.putScratch(sc)
 	return dst, nil
 }

@@ -17,9 +17,9 @@ type Walk struct {
 	policy DanglingPolicy
 	// invdeg[u] = 1/outdeg(u), 0 for dangling nodes (policy handles them).
 	invdeg []float64
-	// invdeg32 mirrors invdeg in float32 for the reduced-precision kernels
-	// (see kernel32.go); kept alongside so either precision can gather
-	// without a conversion pass.
+	// invdeg32 mirrors invdeg in float32 for the reduced-precision kernels;
+	// kept alongside so either precision can gather without a conversion
+	// pass.
 	invdeg32 []float32
 	// dangling lists the nodes with no out-edges in ascending order, so
 	// block-parallel application can compute the dangling mass cheaply.
@@ -56,16 +56,33 @@ func (w *Walk) InvOutDegree(u int) float64 { return w.invdeg[u] }
 
 // MulT computes y = Ãᵀ·x into the provided buffer y (which is zeroed first)
 // and returns y. len(y) must equal len(x) == N.
-func (w *Walk) MulT(x, y sparse.Vector) sparse.Vector {
+func (w *Walk) MulT(x, y sparse.Vector) sparse.Vector { return mulT(w, w.invdeg, x, y) }
+
+// MulT32 is MulT over float32 storage (rwr.Operator32). Halving the element
+// size halves the random-access working set (x[u] and invdeg[u] per edge),
+// which is where the hot path spends its time once the vectors outgrow L2.
+// Sums accumulate in float32; the precision loss is covered by the explicit
+// float32 tolerance the accuracy suite asserts on top of the Theorem-2
+// bound.
+func (w *Walk) MulT32(x, y sparse.Vector32) sparse.Vector32 { return mulT(w, w.invdeg32, x, y) }
+
+// mulT is the push kernel behind MulT and MulT32: every nonzero x[u]
+// scatters its share along u's out-edges, so a sparse x (the first hops of
+// a query) skips the rows it does not touch. invdeg is w's normalization in
+// the element width of x and y.
+func mulT[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T]) sparse.Vec[T] {
 	y.Zero()
-	n := w.g.NumNodes()
-	var danglingMass float64
+	// The CSR arrays are hoisted out of w.g: with the extra generic
+	// arguments live, reloading them per row cost ~5% on a dense x.
+	outPtr, outIdx := w.g.outPtr, w.g.outIdx
+	n := w.g.n
+	var danglingMass T
 	for u := 0; u < n; u++ {
 		xu := x[u]
 		if xu == 0 {
 			continue
 		}
-		ns := w.g.OutNeighbors(u)
+		ns := outIdx[outPtr[u]:outPtr[u+1]]
 		if len(ns) == 0 {
 			switch w.policy {
 			case DanglingSelfLoop:
@@ -77,13 +94,13 @@ func (w *Walk) MulT(x, y sparse.Vector) sparse.Vector {
 			}
 			continue
 		}
-		share := xu * w.invdeg[u]
+		share := xu * invdeg[u]
 		for _, v := range ns {
 			y[v] += share
 		}
 	}
 	if danglingMass != 0 {
-		u := danglingMass / float64(n)
+		u := danglingMass / T(n)
 		for i := range y {
 			y[i] += u
 		}

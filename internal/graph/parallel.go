@@ -1,44 +1,58 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-
-	"tpa/internal/sparse"
-)
+import "tpa/internal/sparse"
 
 // MulTPrep is the serial prologue of one blockwise application of Ãᵀ to x:
 // it reduces the per-application state every block needs — here the uniform
 // dangling term under DanglingUniform (0 for the other policies). Callers
 // run it once per matvec and hand the result to every MulTBlock call for
 // that x, so the dangling list is scanned once rather than once per block.
-func (w *Walk) MulTPrep(x sparse.Vector) float64 {
+func (w *Walk) MulTPrep(x sparse.Vector) float64 { return mulTPrep(w, x) }
+
+// MulTPrep32 is MulTPrep over float32 storage.
+func (w *Walk) MulTPrep32(x sparse.Vector32) float32 { return mulTPrep(w, x) }
+
+// mulTPrep is the prologue behind MulTPrep and MulTPrep32.
+func mulTPrep[T sparse.Float](w *Walk, x sparse.Vec[T]) T {
 	if w.policy != DanglingUniform {
 		return 0
 	}
-	var mass float64
+	var mass T
 	for _, u := range w.dangling {
 		mass += x[u]
 	}
-	return mass / float64(w.g.NumNodes())
+	return mass / T(w.g.NumNodes())
 }
 
 // MulTBlock computes the destination rows y[lo:hi) of y = Ãᵀ·x, leaving the
 // rest of y untouched. uniform must be the value MulTPrep returned for this
 // x. A block gathers over the in-adjacency (CSC), so disjoint blocks share
 // no output entries and can run concurrently without locking; this is the
-// row-block sharding of the CSR sparse-matvec that ParallelWalk and
-// rwr.Sharded fan out over goroutines. Summation order within each row is
+// row-block sharding of the CSR sparse-matvec that rwr.Sharded and
+// shard.Operator fan out over goroutines. Summation order within each row is
 // fixed (ascending in-neighbor id), so results are deterministic for a given
 // block partition — though they may differ from the serial scatter-order
 // MulT in the last bits.
 func (w *Walk) MulTBlock(x, y sparse.Vector, lo, hi int, uniform float64) {
+	mulTBlock(w, w.invdeg, x, y, lo, hi, uniform)
+}
+
+// MulTBlock32 is MulTBlock over float32 storage; uniform must come from
+// MulTPrep32.
+func (w *Walk) MulTBlock32(x, y sparse.Vector32, lo, hi int, uniform float32) {
+	mulTBlock(w, w.invdeg32, x, y, lo, hi, uniform)
+}
+
+// mulTBlock is the pull kernel behind MulTBlock and MulTBlock32 (CSC arrays
+// hoisted for the same reason as in mulT).
+func mulTBlock[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T], lo, hi int, uniform T) {
+	inPtr, inIdx := w.g.inPtr, w.g.inIdx
 	for v := lo; v < hi; v++ {
-		var s float64
-		for _, u := range w.g.InNeighbors(v) {
-			s += x[u] * w.invdeg[u]
+		var s T
+		for _, u := range inIdx[inPtr[v]:inPtr[v+1]] {
+			s += x[u] * invdeg[u]
 		}
-		if w.policy == DanglingSelfLoop && w.invdeg[v] == 0 {
+		if w.policy == DanglingSelfLoop && invdeg[v] == 0 {
 			s += x[v]
 		}
 		y[v] = s + uniform
@@ -72,70 +86,4 @@ func (w *Walk) BlockBounds(workers int) []int {
 	}
 	bounds[workers] = n
 	return bounds
-}
-
-// ParallelWalk is a Walk whose MulT fans the propagation out over worker
-// goroutines. Each worker owns a contiguous *destination* block of the
-// in-adjacency (see MulTBlock), so no two workers ever write the same output
-// entry and no locking is needed on the hot path. Results are deterministic
-// run-to-run for a fixed worker count.
-//
-// This is the "scalable" leg of the paper's title at the implementation
-// level: CPI and TPA accept any rwr.Operator, so swapping NewParallelWalk
-// for NewWalk parallelizes preprocessing and queries without other change.
-type ParallelWalk struct {
-	*Walk
-	workers int
-	// bounds is the edge-balanced destination partition, one block per
-	// worker (see Walk.BlockBounds).
-	bounds []int
-}
-
-// NewParallelWalk wraps g with the given dangling policy and worker count
-// (0 means GOMAXPROCS).
-func NewParallelWalk(g *Graph, policy DanglingPolicy, workers int) *ParallelWalk {
-	return NewWalk(g, policy).Parallel(workers)
-}
-
-// Parallel returns a sharded view of w running MulT across workers
-// goroutines (0 means GOMAXPROCS). The view shares w's normalization state;
-// w itself stays valid and serial.
-func (w *Walk) Parallel(workers int) *ParallelWalk {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := w.g.NumNodes()
-	if workers > n && n > 0 {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &ParallelWalk{Walk: w, workers: workers, bounds: w.BlockBounds(workers)}
-}
-
-// Workers returns the effective worker count.
-func (w *ParallelWalk) Workers() int { return w.workers }
-
-// MulT computes y = Ãᵀ·x in parallel over destination blocks.
-func (w *ParallelWalk) MulT(x, y sparse.Vector) sparse.Vector {
-	uniform := w.MulTPrep(x)
-	if w.workers == 1 {
-		w.MulTBlock(x, y, 0, w.N(), uniform)
-		return y
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < w.workers; wk++ {
-		lo, hi := w.bounds[wk], w.bounds[wk+1]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			w.MulTBlock(x, y, lo, hi, uniform)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return y
 }

@@ -7,60 +7,6 @@ import (
 	"tpa/internal/sparse"
 )
 
-func TestParallelWalkMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, policy := range []DanglingPolicy{DanglingSelfLoop, DanglingDrop, DanglingUniform} {
-		for _, workers := range []int{1, 2, 4, 7} {
-			g := randomGraph(rng, 120, 700)
-			serial := NewWalk(g, policy)
-			parallel := NewParallelWalk(g, policy, workers)
-			if parallel.Workers() != workers {
-				t.Fatalf("workers = %d, want %d", parallel.Workers(), workers)
-			}
-			for trial := 0; trial < 5; trial++ {
-				x := sparse.NewVector(120)
-				for i := range x {
-					x[i] = rng.NormFloat64()
-				}
-				want := serial.MulT(x, sparse.NewVector(120))
-				got := parallel.MulT(x, sparse.NewVector(120))
-				if want.L1Dist(got) > 1e-12 {
-					t.Fatalf("policy %v workers %d: parallel deviates by %g",
-						policy, workers, want.L1Dist(got))
-				}
-			}
-		}
-	}
-}
-
-func TestParallelWalkDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	g := randomGraph(rng, 200, 1500)
-	w := NewParallelWalk(g, DanglingSelfLoop, 4)
-	x := sparse.NewVector(200)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	a := w.MulT(x, sparse.NewVector(200))
-	b := w.MulT(x, sparse.NewVector(200))
-	if a.L1Dist(b) != 0 {
-		t.Fatal("parallel MulT not deterministic")
-	}
-}
-
-func TestParallelWalkDefaultsWorkers(t *testing.T) {
-	g := diamond()
-	w := NewParallelWalk(g, DanglingSelfLoop, 0)
-	if w.Workers() < 1 {
-		t.Fatalf("workers = %d", w.Workers())
-	}
-	// More workers than nodes must clamp.
-	w2 := NewParallelWalk(g, DanglingSelfLoop, 99)
-	if w2.Workers() > g.NumNodes() {
-		t.Fatalf("workers %d exceed nodes", w2.Workers())
-	}
-}
-
 func TestMulTBlockCoversMulT(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, policy := range []DanglingPolicy{DanglingSelfLoop, DanglingDrop, DanglingUniform} {
@@ -101,14 +47,8 @@ func TestBlockBounds(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestParallelWalkTinyGraph(t *testing.T) {
-	g := FromEdges(1, nil) // single isolated node
-	w := NewParallelWalk(g, DanglingSelfLoop, 3)
-	x := sparse.Vector{1}
-	y := w.MulT(x, sparse.NewVector(1))
-	if y[0] != 1 {
-		t.Fatalf("y = %v", y)
+	// More workers than nodes must clamp to one block per node.
+	if bounds := NewWalk(diamond(), DanglingSelfLoop).BlockBounds(99); len(bounds) != diamond().NumNodes()+1 {
+		t.Fatalf("99 workers on %d nodes: bounds %v", diamond().NumNodes(), bounds)
 	}
 }

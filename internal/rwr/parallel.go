@@ -71,18 +71,32 @@ func (s *sharded) N() int { return s.op.N() }
 // operator's serial per-matvec prologue.
 func (s *sharded) MulT(x, y sparse.Vector) sparse.Vector {
 	prep := s.op.MulTPrep(x)
+	ForEachBlock(s.bounds, func(lo, hi int) { s.op.MulTBlock(x, y, lo, hi, prep) })
+	return y
+}
+
+// ForEachBlock runs fn(lo, hi) for every non-empty block
+// [bounds[i], bounds[i+1]) of an ascending partition, one goroutine per
+// block, and returns when all have finished. It is the one place the
+// repository fans a matvec out over destination row blocks: fn must write
+// only rows of its own block, so no further synchronization is needed. A
+// single-block partition runs on the caller's goroutine.
+func ForEachBlock(bounds []int, fn func(lo, hi int)) {
+	if len(bounds) == 2 {
+		fn(bounds[0], bounds[1])
+		return
+	}
 	var wg sync.WaitGroup
-	for i := 0; i+1 < len(s.bounds); i++ {
-		lo, hi := s.bounds[i], s.bounds[i+1]
+	for i := 0; i+1 < len(bounds); i++ {
+		lo, hi := bounds[i], bounds[i+1]
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			s.op.MulTBlock(x, y, lo, hi, prep)
-		}(lo, hi)
+			fn(lo, hi)
+		}()
 	}
 	wg.Wait()
-	return y
 }

@@ -23,6 +23,7 @@ import (
 
 	"tpa/internal/graph"
 	"tpa/internal/reorder"
+	"tpa/internal/rwr"
 	"tpa/internal/sparse"
 )
 
@@ -154,9 +155,9 @@ type Stats struct {
 // Operator evaluates a walk's Ãᵀ by scatter-gather over fixed contiguous
 // shard ranges: MulT runs the serial per-matvec prologue once, then one
 // goroutine per shard fills its own destination range with the gather
-// kernel. It implements rwr.Operator and rwr.Operator32 for the query path,
-// and rwr.BlockOperator with BlockBounds returning the shard partition, so
-// rwr.Sharded-driven preprocessing fans out across the same shards.
+// kernel. It implements rwr.Operator and rwr.Operator32; it is deliberately
+// not an rwr.BlockOperator, so rwr.Sharded leaves it as it is and
+// preprocessing fans out across the same shards as queries do.
 type Operator struct {
 	w      *graph.Walk
 	bounds []int
@@ -208,7 +209,7 @@ func (o *Operator) ShardStats() []Stats {
 // runs once, then each shard's destination range is filled concurrently.
 func (o *Operator) MulT(x, y sparse.Vector) sparse.Vector {
 	prep := o.w.MulTPrep(x)
-	o.scatter(func(lo, hi int) { o.w.MulTBlock(x, y, lo, hi, prep) })
+	rwr.ForEachBlock(o.bounds, func(lo, hi int) { o.w.MulTBlock(x, y, lo, hi, prep) })
 	return y
 }
 
@@ -216,46 +217,6 @@ func (o *Operator) MulT(x, y sparse.Vector) sparse.Vector {
 // keep the reduced-precision online path.
 func (o *Operator) MulT32(x, y sparse.Vector32) sparse.Vector32 {
 	prep := o.w.MulTPrep32(x)
-	o.scatter(func(lo, hi int) { o.w.MulTBlock32(x, y, lo, hi, prep) })
+	rwr.ForEachBlock(o.bounds, func(lo, hi int) { o.w.MulTBlock32(x, y, lo, hi, prep) })
 	return y
-}
-
-// MulTPrep and MulTBlock expose the underlying block kernel
-// (rwr.BlockOperator), letting rwr.Sharded drive preprocessing over the
-// shard partition below.
-func (o *Operator) MulTPrep(x sparse.Vector) float64 { return o.w.MulTPrep(x) }
-
-// MulTBlock fills y[lo:hi) with the gather kernel.
-func (o *Operator) MulTBlock(x, y sparse.Vector, lo, hi int, prep float64) {
-	o.w.MulTBlock(x, y, lo, hi, prep)
-}
-
-// BlockBounds returns the shard partition regardless of the requested
-// worker count: the shards ARE the unit of parallel work, so preprocessing
-// fan-out matches query fan-out.
-func (o *Operator) BlockBounds(workers int) []int { return o.bounds }
-
-// scatter runs fn over every non-empty shard range concurrently and waits.
-func (o *Operator) scatter(fn func(lo, hi int)) {
-	shards := o.NumShards()
-	if shards == 1 {
-		fn(o.bounds[0], o.bounds[1])
-		return
-	}
-	done := make(chan struct{}, shards)
-	live := 0
-	for i := 0; i < shards; i++ {
-		lo, hi := o.bounds[i], o.bounds[i+1]
-		if lo >= hi {
-			continue
-		}
-		live++
-		go func(lo, hi int) {
-			fn(lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for ; live > 0; live-- {
-		<-done
-	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"tpa/internal/gen"
@@ -218,25 +219,110 @@ func TestNewOperatorRejectsBadBounds(t *testing.T) {
 	}
 }
 
-// TestOperatorFloat32 mirrors the float64 identity for the f32 path used by
-// Float32-precision engines.
-func TestOperatorFloat32(t *testing.T) {
-	g := gen.SBM(gen.SBMConfig{Nodes: 90, Communities: 3, AvgOutDeg: 5, PIn: 0.8, Seed: 21})
-	w := graph.NewWalk(g, graph.DanglingSelfLoop)
-	n := g.NumNodes()
-	x := sparse.NewVector32(n)
-	for i := range x {
-		x[i] = float32(1 / math.Sqrt(float64(i+2)))
+// kernelSet is the Ãᵀ kernel family in one float width: the push kernel,
+// the pull kernel with its prologue, and the scatter-gather fan-out.
+type kernelSet[T sparse.Float] struct {
+	push  func(*graph.Walk, sparse.Vec[T], sparse.Vec[T]) sparse.Vec[T]
+	prep  func(*graph.Walk, sparse.Vec[T]) T
+	block func(*graph.Walk, sparse.Vec[T], sparse.Vec[T], int, int, T)
+	fan   func(*Operator, sparse.Vec[T], sparse.Vec[T]) sparse.Vec[T]
+}
+
+// TestKernelsMatchDenseReference checks every kernel, in both widths and
+// under every dangling policy, against y = M·x with M the explicitly
+// materialized n×n column-normalized matrix: {float32, float64} ×
+// {SelfLoop, Uniform, Drop} × {push, pull in 3 uneven blocks, fan-out}.
+func TestKernelsMatchDenseReference(t *testing.T) {
+	t.Run("float64", func(t *testing.T) {
+		testKernels(t, 1e-12, kernelSet[float64]{(*graph.Walk).MulT, (*graph.Walk).MulTPrep, (*graph.Walk).MulTBlock, (*Operator).MulT})
+	})
+	t.Run("float32", func(t *testing.T) {
+		testKernels(t, 1e-5, kernelSet[float32]{(*graph.Walk).MulT32, (*graph.Walk).MulTPrep32, (*graph.Walk).MulTBlock32, (*Operator).MulT32})
+	})
+}
+
+func testKernels[T sparse.Float](t *testing.T, tol float64, k kernelSet[T]) {
+	rng := rand.New(rand.NewSource(21))
+	// Sources stop short of n, so the last nodes are dangling; the second
+	// graph is a single isolated node.
+	b := graph.NewBuilderN(120)
+	for i := 0; i < 700; i++ {
+		b.AddEdge(rng.Intn(110), rng.Intn(120))
 	}
-	want := w.MulT32(x, sparse.NewVector32(n))
-	op, err := NewOperator(w, []int{0, n / 3, 2 * n / 3, n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := op.MulT32(x, sparse.NewVector32(n))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d differs: %g vs %g", i, got[i], want[i])
+	graphs := []*graph.Graph{b.Build(), graph.FromEdges(1, nil)}
+	for _, policy := range []graph.DanglingPolicy{graph.DanglingSelfLoop, graph.DanglingUniform, graph.DanglingDrop} {
+		for _, g := range graphs {
+			n := g.NumNodes()
+			w := graph.NewWalk(g, policy)
+			x := make(sparse.Vec[T], n)
+			for i := range x {
+				if rng.Intn(4) > 0 { // leave zeros for the push kernel to skip
+					x[i] = T(rng.NormFloat64())
+				}
+			}
+			want := denseMulT(g, policy, x)
+			check := func(kernel string, got sparse.Vec[T]) {
+				t.Helper()
+				for i := range want {
+					if d := math.Abs(float64(got[i]) - want[i]); d > tol {
+						t.Fatalf("policy %v n=%d %s: row %d off by %g", policy, n, kernel, i, d)
+					}
+				}
+			}
+			check("push", k.push(w, x, make(sparse.Vec[T], n)))
+
+			pull := make(sparse.Vec[T], n)
+			prep := k.prep(w, x)
+			for _, cut := range [][2]int{{0, n / 7}, {n / 7, n / 2}, {n / 2, n}} {
+				k.block(w, x, pull, cut[0], cut[1], prep)
+			}
+			check("pull", pull)
+
+			op, err := NewOperator(w, []int{0, n / 3, n / 3, 2 * n / 3, n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fan := k.fan(op, x, make(sparse.Vec[T], n))
+			check("fan-out", fan)
+			// The fan-out only schedules the pull kernel: same bits.
+			for i := range pull {
+				if fan[i] != pull[i] {
+					t.Fatalf("policy %v n=%d: fan-out row %d differs from the serial pull: %g vs %g", policy, n, i, fan[i], pull[i])
+				}
+			}
 		}
 	}
+}
+
+// denseMulT is the naive reference: it materializes the dense n×n matrix
+// Ãᵀ under the dangling policy and multiplies it by x in float64.
+func denseMulT[T sparse.Float](g *graph.Graph, policy graph.DanglingPolicy, x sparse.Vec[T]) []float64 {
+	n := g.NumNodes()
+	m := make([][]float64, n) // m[v][u]: share of x[u] that lands on v
+	for v := range m {
+		m[v] = make([]float64, n)
+	}
+	for u := 0; u < n; u++ {
+		ns := g.OutNeighbors(u)
+		for _, v := range ns {
+			m[v][u] = 1 / float64(len(ns))
+		}
+		if len(ns) == 0 {
+			switch policy {
+			case graph.DanglingSelfLoop:
+				m[u][u] = 1
+			case graph.DanglingUniform:
+				for v := range m {
+					m[v][u] = 1 / float64(n)
+				}
+			}
+		}
+	}
+	y := make([]float64, n)
+	for v := range m {
+		for u, a := range m[v] {
+			y[v] += a * float64(x[u])
+		}
+	}
+	return y
 }

@@ -4,7 +4,8 @@
 // LU decomposition for the block-elimination methods (BEAR-APPROX, BePI,
 // NB-LIN), and a truncated SVD for NB-LIN's low-rank approximation.
 //
-// Everything is float64 and stdlib-only.
+// Everything is stdlib-only, and float64 except the dense vector, which is
+// generic over the element width (see Vec).
 package sparse
 
 import (
@@ -13,75 +14,106 @@ import (
 	"sort"
 )
 
-// Vector is a dense float64 vector. It is the workhorse value for CPI
-// iterations and RWR score vectors.
-type Vector []float64
+// Float is the element constraint of dense vectors and of the propagation
+// kernels built on them.
+type Float interface{ float32 | float64 }
 
-// NewVector returns a zero vector of length n.
+// Vec is a dense vector over either float width. Every operation has one
+// body for both; reductions (norms, sums, dot products) accumulate in
+// float64 whatever the storage width, so convergence checks keep full
+// precision even over long float32 vectors.
+type Vec[T Float] []T
+
+// Vector is the dense float64 vector: the workhorse value for CPI
+// iterations and RWR score vectors.
+type Vector = Vec[float64]
+
+// Vector32 is the dense float32 vector: the storage type of the
+// reduced-precision online phase. Halving the element size roughly doubles
+// how much of a score vector fits in each cache level, which is what the
+// float32 query path is for.
+type Vector32 = Vec[float32]
+
+// NewVector returns a zero float64 vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
+// NewVector32 returns a zero float32 vector of length n.
+func NewVector32(n int) Vector32 { return make(Vector32, n) }
+
+// Convert fills dst with src converted element-wise to dst's width and
+// returns dst. It panics if lengths differ.
+func Convert[D, S Float](src Vec[S], dst Vec[D]) Vec[D] {
+	checkLen("convert", len(src), len(dst))
+	for i, x := range src {
+		dst[i] = D(x)
+	}
+	return dst
+}
+
+// Round32 fills dst with v rounded to float32 and returns dst. It panics if
+// lengths differ.
+func Round32(v Vector, dst Vector32) Vector32 { return Convert(v, dst) }
+
+func checkLen(op string, a, b int) {
+	if a != b {
+		panic(fmt.Sprintf("sparse: %s length mismatch %d vs %d", op, a, b))
+	}
+}
+
 // Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	w := make(Vector, len(v))
+func (v Vec[T]) Clone() Vec[T] {
+	w := make(Vec[T], len(v))
 	copy(w, v)
 	return w
 }
 
 // Zero sets all entries of v to 0 in place.
-func (v Vector) Zero() {
+func (v Vec[T]) Zero() {
 	for i := range v {
 		v[i] = 0
 	}
 }
 
 // Fill sets all entries of v to x in place.
-func (v Vector) Fill(x float64) {
+func (v Vec[T]) Fill(x T) {
 	for i := range v {
 		v[i] = x
 	}
 }
 
 // L1 returns the L1 norm (sum of absolute values) of v.
-func (v Vector) L1() float64 {
+func (v Vec[T]) L1() float64 {
 	var s float64
 	for _, x := range v {
-		s += math.Abs(x)
+		s += math.Abs(float64(x))
 	}
 	return s
 }
 
 // L2 returns the Euclidean norm of v.
-func (v Vector) L2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
+func (v Vec[T]) L2() float64 { return math.Sqrt(v.Dot(v)) }
 
 // Sum returns the plain sum of the entries of v.
-func (v Vector) Sum() float64 {
+func (v Vec[T]) Sum() float64 {
 	var s float64
 	for _, x := range v {
-		s += x
+		s += float64(x)
 	}
 	return s
 }
 
 // Dot returns the inner product of v and w. It panics if lengths differ.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("sparse: dot length mismatch %d vs %d", len(v), len(w)))
-	}
+func (v Vec[T]) Dot(w Vec[T]) float64 {
+	checkLen("dot", len(v), len(w))
 	var s float64
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x) * float64(w[i])
 	}
 	return s
 }
 
 // Scale multiplies every entry of v by a in place and returns v.
-func (v Vector) Scale(a float64) Vector {
+func (v Vec[T]) Scale(a T) Vec[T] {
 	for i := range v {
 		v[i] *= a
 	}
@@ -89,47 +121,49 @@ func (v Vector) Scale(a float64) Vector {
 }
 
 // Axpy computes v += a*w in place and returns v. It panics if lengths differ.
-func (v Vector) Axpy(a float64, w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("sparse: axpy length mismatch %d vs %d", len(v), len(w)))
-	}
+func (v Vec[T]) Axpy(a T, w Vec[T]) Vec[T] {
+	checkLen("axpy", len(v), len(w))
 	for i, x := range w {
 		v[i] += a * x
 	}
 	return v
 }
 
-// Add computes v += w in place and returns v.
-func (v Vector) Add(w Vector) Vector { return v.Axpy(1, w) }
+// Add computes v += w in place and returns v. It panics if lengths differ.
+func (v Vec[T]) Add(w Vec[T]) Vec[T] {
+	checkLen("add", len(v), len(w))
+	for i, x := range w {
+		v[i] += x
+	}
+	return v
+}
 
-// Sub computes v -= w in place and returns v.
-func (v Vector) Sub(w Vector) Vector { return v.Axpy(-1, w) }
+// Sub computes v -= w in place and returns v. It panics if lengths differ.
+func (v Vec[T]) Sub(w Vec[T]) Vec[T] { return v.Axpy(-1, w) }
 
 // L1Dist returns the L1 norm of v-w without allocating. It panics if lengths
 // differ.
-func (v Vector) L1Dist(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("sparse: l1dist length mismatch %d vs %d", len(v), len(w)))
-	}
+func (v Vec[T]) L1Dist(w Vec[T]) float64 {
+	checkLen("l1dist", len(v), len(w))
 	var s float64
 	for i, x := range v {
-		s += math.Abs(x - w[i])
+		s += math.Abs(float64(x) - float64(w[i]))
 	}
 	return s
 }
 
 // Normalize1 scales v in place so that its L1 norm is 1 and returns v.
 // A zero vector is left untouched.
-func (v Vector) Normalize1() Vector {
+func (v Vec[T]) Normalize1() Vec[T] {
 	n := v.L1()
 	if n == 0 {
 		return v
 	}
-	return v.Scale(1 / n)
+	return v.Scale(T(1 / n))
 }
 
 // Max returns the maximum entry and its index. It panics on an empty vector.
-func (v Vector) Max() (int, float64) {
+func (v Vec[T]) Max() (int, T) {
 	if len(v) == 0 {
 		panic("sparse: Max of empty vector")
 	}
@@ -155,7 +189,7 @@ type Entry struct {
 //
 // Selection runs in O(n log k) with a bounded min-heap: for the k ≪ n
 // regime of top-k RWR queries this avoids sorting the whole score vector.
-func (v Vector) TopK(k int) []Entry {
+func (v Vec[T]) TopK(k int) []Entry {
 	if k > len(v) {
 		k = len(v)
 	}
@@ -202,7 +236,7 @@ func (v Vector) TopK(k int) []Entry {
 		}
 	}
 	for i, x := range v {
-		e := Entry{Index: i, Score: x}
+		e := Entry{Index: i, Score: float64(x)}
 		if len(heap) < k {
 			heap = append(heap, e)
 			siftUp(len(heap) - 1)

@@ -48,13 +48,55 @@ func TestVectorAxpyScale(t *testing.T) {
 	}
 }
 
-func TestVectorAxpyPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
+// Every binary operation panics on a length mismatch, in both widths.
+func TestVectorLengthMismatchPanics(t *testing.T) {
+	t.Run("float64", mismatchPanics[float64])
+	t.Run("float32", mismatchPanics[float32])
+}
+
+func mismatchPanics[T Float](t *testing.T) {
+	for name, op := range map[string]func(a, b Vec[T]){
+		"Add":     func(a, b Vec[T]) { a.Add(b) },
+		"Sub":     func(a, b Vec[T]) { a.Sub(b) },
+		"Axpy":    func(a, b Vec[T]) { a.Axpy(2, b) },
+		"Dot":     func(a, b Vec[T]) { a.Dot(b) },
+		"L1Dist":  func(a, b Vec[T]) { a.L1Dist(b) },
+		"Convert": func(a, b Vec[T]) { Convert(a, b) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on length mismatch", name)
+				}
+			}()
+			op(Vec[T]{1}, Vec[T]{1, 2})
+		}()
+	}
+}
+
+// The float32 vector runs the same bodies as the float64 one, with
+// reductions accumulated in float64.
+func TestVector32MatchesVector(t *testing.T) {
+	v := Vector{0.1, -2.5, 3.25, 1e-3}
+	v32 := Round32(v, NewVector32(len(v)))
+	wide := Convert(v32, NewVector(len(v)))
+	for i := range v {
+		if float32(v[i]) != v32[i] || wide[i] != float64(v32[i]) {
+			t.Fatalf("entry %d: %g rounds to %g, widens to %g", i, v[i], v32[i], wide[i])
 		}
-	}()
-	Vector{1}.Axpy(1, Vector{1, 2})
+	}
+	if got, want := v32.L1(), wide.L1(); got != want {
+		t.Errorf("L1 = %v, want the float64 accumulation %v", got, want)
+	}
+	v32.Scale(2).Add(v32)
+	for i := range v32 {
+		if want := float32(v[i]) * 4; v32[i] != want {
+			t.Fatalf("entry %d after Scale+Add = %g, want %g", i, v32[i], want)
+		}
+	}
+	if top := v32.TopK(1); top[0].Index != 2 || top[0].Score != 13 {
+		t.Errorf("TopK = %+v", top)
+	}
 }
 
 func TestVectorDot(t *testing.T) {

@@ -6,10 +6,9 @@
 //	go test -bench 'MulT|QueryBatchOrdered' -benchtime 200ms
 //
 // The orderings matter to the gather kernel because they cluster in-links:
-// after a degree or BFS permutation the hot source nodes share cache lines,
-// and the tiled kernel additionally bounds the gather window to L2. The
-// float32 kernel halves the bytes per gathered element. CI records these in
-// BENCH_ci.json and diffs against BENCH_baseline.json, so a kernel
+// after a degree or BFS permutation the hot source nodes share cache lines.
+// The float32 kernel halves the bytes per gathered element. CI records
+// these in BENCH_ci.json and diffs against BENCH_baseline.json, so a kernel
 // regression fails the bench job rather than landing silently.
 package tpa
 
@@ -59,12 +58,12 @@ func kernelWalks(b *testing.B) map[string]*graph.Walk {
 }
 
 // BenchmarkMulT times one full Ãᵀ·x application per kernel variant × node
-// ordering: plain (the serial scatter), tiled (the L2-tiled gather), and
-// f32 (the float32 scatter). edges/s is the cross-variant comparable rate.
+// ordering: plain (the serial float64 scatter) and f32 (the same kernel
+// over float32 storage). edges/s is the cross-variant comparable rate.
 func BenchmarkMulT(b *testing.B) {
 	walks := kernelWalks(b)
 	edges := float64(kernelBench.g.NumEdges())
-	for _, kind := range []string{"plain", "tiled", "f32"} {
+	for _, kind := range []string{"plain", "f32"} {
 		for _, ord := range []string{"natural", "degree", "bfs"} {
 			w := walks[ord]
 			b.Run(kind+"-"+ord, func(b *testing.B) {
@@ -80,11 +79,6 @@ func BenchmarkMulT(b *testing.B) {
 				case "plain":
 					for i := 0; i < b.N; i++ {
 						w.MulT(x, y)
-					}
-				case "tiled":
-					tw := w.Tiled(0)
-					for i := 0; i < b.N; i++ {
-						tw.MulT(x, y)
 					}
 				case "f32":
 					x32 := sparse.Round32(x, sparse.NewVector32(n))
@@ -119,15 +113,13 @@ func orderedBenchEngines(b *testing.B) map[string]*Engine {
 			name  string
 			order string
 			prec  Precision
-			tile  int
 		}{
-			{"natural-f64", "", Float64, 0},
-			{"degree-f64", "degree", Float64, 0},
-			{"degree-f32", "degree", Float32, 0},
-			{"degree-f32-tiled", "degree", Float32, -1},
+			{"natural-f64", "", Float64},
+			{"degree-f64", "degree", Float64},
+			{"degree-f32", "degree", Float32},
 		} {
 			o := Defaults()
-			o.Order, o.Precision, o.Tile = v.order, v.prec, v.tile
+			o.Order, o.Precision = v.order, v.prec
 			eng, err := New(kernelBench.g, o)
 			if err != nil {
 				panic(err)
@@ -147,7 +139,7 @@ func BenchmarkQueryBatchOrdered(b *testing.B) {
 	for i := range seeds {
 		seeds[i] = (i * 104729) % kernelBenchNodes
 	}
-	for _, name := range []string{"natural-f64", "degree-f64", "degree-f32", "degree-f32-tiled"} {
+	for _, name := range []string{"natural-f64", "degree-f64", "degree-f32"} {
 		eng := engs[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -26,8 +26,7 @@ const shardLPRounds = 10
 // gather kernel computes every destination row independently, so the
 // partition changes scheduling, not arithmetic. shards ≤ 1 builds a plain
 // engine. Sharding supplies its own layout, so it cannot combine with
-// Options.Order or Options.Tile, and sharded engines reject ApplyEdges —
-// rebuild to mutate.
+// Options.Order, and sharded engines reject ApplyEdges — rebuild to mutate.
 func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 	if shards <= 1 {
 		return New(g, o)
@@ -36,9 +35,6 @@ func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 		return nil, fmt.Errorf("tpa: %w", err)
 	} else if ord != reorder.OrderNatural {
 		return nil, fmt.Errorf("tpa: Options.Order %q cannot combine with sharding (the shard plan is the ordering)", o.Order)
-	}
-	if o.Tile != 0 {
-		return nil, fmt.Errorf("tpa: Options.Tile cannot combine with sharding (shards already block the gather)")
 	}
 	cfg, params := o.split()
 	plan, err := shard.PlanShards(g, shards, shardLPRounds)

@@ -65,18 +65,17 @@ func TestSnapshotPermutationRoundTrip(t *testing.T) {
 		name  string
 		order string
 		prec  Precision
-		tile  int
 		tol   float64 // vs the natural engine, per element
 	}{
 		// Reordering only changes float summation order in f64.
-		{"degree-f64", "degree", Float64, 0, 1e-12},
-		{"bfs-f64-tiled", "bfs", Float64, -1, 1e-12},
+		{"degree-f64", "degree", Float64, 1e-12},
+		{"bfs-f64", "bfs", Float64, 1e-12},
 		// float32 adds rounding of the stored index and the propagation.
-		{"hubspoke-f32", "hubspoke", Float32, 0, 2e-4},
+		{"hubspoke-f32", "hubspoke", Float32, 2e-4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := Defaults()
-			o.Order, o.Precision, o.Tile = tc.order, tc.prec, tc.tile
+			o.Order, o.Precision = tc.order, tc.prec
 			eng, err := New(g, o)
 			if err != nil {
 				t.Fatal(err)

@@ -131,11 +131,6 @@ type Options struct {
 	// reindexing, so mutation accuracy is unaffected). The Theorem-2 bound
 	// still holds up to float32 rounding (~1e-4 L1 at default parameters).
 	Precision Precision
-	// Tile enables the cache-tiled gather kernel with the given source-tile
-	// width in nodes: 0 disables tiling (the default), negative selects
-	// graph.DefaultTile (32Ki nodes ≈ 512 KiB window). Worthwhile on graphs
-	// whose vectors outgrow L2, especially combined with Order.
-	Tile int
 }
 
 // Precision is the storage precision of the CPI index (see
@@ -201,9 +196,6 @@ type Engine struct {
 	// order is the Options.Order the engine was built with ("" for
 	// natural-order and snapshot-loaded engines).
 	order string
-	// tile is the Options.Tile in effect (propagated through ApplyEdges and
-	// Compact so mutated engines keep the kernel configuration).
-	tile int
 	// shardOp is the scatter-gather operator of a sharded engine (nil
 	// otherwise); walk stays the base walk so snapshots, stats and
 	// ?method= keep working unchanged.
@@ -258,17 +250,6 @@ func applyOrdering(g *Graph, order string) (*Graph, []int32, []int32, string, er
 	return pg, perm, graph.InvertPermutation(perm), string(ord), nil
 }
 
-// tiledOp returns the operator the core layer should drive: w itself, or a
-// cache-tiled view of it when tile requests one (see Options.Tile). The
-// engine's walk field always stays the base walk — snapshotting and method
-// building need the concrete in-memory operator.
-func tiledOp(w *graph.Walk, tile int) rwr.Operator {
-	if tile == 0 {
-		return w
-	}
-	return w.Tiled(tile)
-}
-
 // applyMutationOpts resolves the dynamic-update thresholds from o.
 func (e *Engine) applyMutationOpts(o Options) {
 	e.compactAfter = o.CompactAfter
@@ -292,7 +273,7 @@ func New(g *Graph, o Options) (*Engine, error) {
 		return nil, err
 	}
 	w := graph.NewWalk(pg, graph.DanglingSelfLoop)
-	tp, err := core.PreprocessParallel(tiledOp(w, o.Tile), cfg, params, o.Workers)
+	tp, err := core.PreprocessParallel(w, cfg, params, o.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("tpa: preprocessing: %w", err)
 	}
@@ -300,7 +281,7 @@ func New(g *Graph, o Options) (*Engine, error) {
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
 	e := &Engine{tpa: tp, walk: w, workers: o.Workers,
-		perm: perm, inv: inv, order: order, tile: o.Tile}
+		perm: perm, inv: inv, order: order}
 	e.applyMutationOpts(o)
 	return e, nil
 }
@@ -330,7 +311,7 @@ func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine
 	if err != nil {
 		return nil, fmt.Errorf("tpa: tuning: %w", err)
 	}
-	tp, err := core.PreprocessParallel(tiledOp(w, o.Tile), cfg, params, o.Workers)
+	tp, err := core.PreprocessParallel(w, cfg, params, o.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("tpa: preprocessing: %w", err)
 	}
@@ -338,7 +319,7 @@ func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
 	e := &Engine{tpa: tp, walk: w, workers: o.Workers,
-		perm: perm, inv: inv, order: order, tile: o.Tile}
+		perm: perm, inv: inv, order: order}
 	e.applyMutationOpts(o)
 	return e, nil
 }
@@ -675,11 +656,11 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	}
 
 	ne := &Engine{workers: e.workers, compactAfter: e.compactAfter, maxResidual: e.maxResidual,
-		perm: e.perm, inv: e.inv, order: e.order, tile: e.tile}
+		perm: e.perm, inv: e.inv, order: e.order}
 	var op rwr.Operator
 	if d.Staleness() >= e.compactAfter {
 		ne.walk = graph.NewWalk(d.Compact(), policy)
-		op = tiledOp(ne.walk, e.tile)
+		op = ne.walk
 		stats.Compacted = true
 	} else {
 		ne.dwalk = graph.NewDeltaWalk(d, policy)
@@ -709,13 +690,13 @@ func (e *Engine) Compact() (*Engine, error) {
 		return e, nil
 	}
 	w := graph.NewWalk(e.dwalk.Delta().Compact(), e.dwalk.Policy())
-	tp, err := e.tpa.WithOperator(tiledOp(w, e.tile))
+	tp, err := e.tpa.WithOperator(w)
 	if err != nil {
 		return nil, fmt.Errorf("tpa: compacting: %w", err)
 	}
 	return &Engine{tpa: tp, walk: w, workers: e.workers,
 		compactAfter: e.compactAfter, maxResidual: e.maxResidual,
-		perm: e.perm, inv: e.inv, order: e.order, tile: e.tile}, nil
+		perm: e.perm, inv: e.inv, order: e.order}, nil
 }
 
 // SaveIndex serializes the preprocessed state so it can be shipped to query
@@ -851,9 +832,6 @@ func NewFromEdgeFile(path string, o Options) (*Engine, error) {
 	}
 	if o.Precision != Float64 {
 		return nil, fmt.Errorf("tpa: Options.Precision float32 requires an in-memory graph (the streaming operator has no float32 kernel)")
-	}
-	if o.Tile != 0 {
-		return nil, fmt.Errorf("tpa: Options.Tile requires an in-memory graph (the streaming operator is already sequential)")
 	}
 	ef, err := stream.Open(path)
 	if err != nil {
