@@ -1,12 +1,15 @@
 package tpa_test
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"tpa"
+	"tpa/internal/gen"
 )
 
 // Property-based accuracy regression suite: on random SBM graphs of varying
@@ -322,5 +325,92 @@ func TestAccuracySharded(t *testing.T) {
 			checkAccuracy(t, tag+"/mmap", loaded, g, seed, o)
 		}
 		loaded.Close()
+	}
+}
+
+// TestShardedMidQuerySwitch covers the query a sharded engine answers with
+// both kernels: on a graph dense enough (average out-degree 50) that the
+// frontier outgrows the push kernel's share of the edges two hops from the
+// seed, the first hops push and the rest pull. 2- and 3-shard engines must
+// still match the unsharded engine of the same precision — float64 to
+// 1e-12, float32 within the suite's float32 slack, both in L1 — through
+// Query, TopKBatch on several workers, and TopKDeadline.
+func TestShardedMidQuerySwitch(t *testing.T) {
+	const nodes, k = 2000, 10
+	g := gen.ErdosRenyi(nodes, 50*nodes, 41)
+	seeds := []int{0, 7, 1234, nodes - 1}
+	for _, v := range []struct {
+		name string
+		prec tpa.Precision
+		tol  float64
+	}{
+		{"float64", tpa.Float64, 1e-12},
+		{"float32", tpa.Float32, f32Slack},
+	} {
+		o := tpa.Defaults()
+		o.Precision = v.prec
+		base, err := tpa.New(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]float64, len(seeds))
+		for i, seed := range seeds {
+			if want[i], err = base.Query(seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// checkTop holds a top-k answer to the unsharded scores without
+		// demanding an order between near-ties: every entry carries its
+		// node's score, and the i-th best score is the unsharded i-th best.
+		checkTop := func(tag string, i int, top []tpa.Entry) {
+			t.Helper()
+			ref := tpa.TopKOf(want[i], k)
+			if len(top) != len(ref) {
+				t.Fatalf("%s seed %d: %d entries, want %d", tag, seeds[i], len(top), len(ref))
+			}
+			for j, e := range top {
+				if math.Abs(e.Score-want[i][e.Index]) > v.tol || math.Abs(e.Score-ref[j].Score) > v.tol {
+					t.Fatalf("%s seed %d: entry %d = %+v, unsharded has %g there and %+v at that rank",
+						tag, seeds[i], j, e, want[i][e.Index], ref[j])
+				}
+			}
+		}
+		for _, shards := range []int{2, 3} {
+			tag := fmt.Sprintf("%s/%d shards", v.name, shards)
+			eng, err := tpa.NewSharded(g, shards, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			push0, pull0 := eng.ShardMatvecs()
+			for i, seed := range seeds {
+				got, err := eng.Query(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := l1dist(got, want[i]); d > v.tol {
+					t.Fatalf("%s seed %d: Query is %g from the unsharded engine in L1, tolerance %g", tag, seed, d, v.tol)
+				}
+			}
+			push1, pull1 := eng.ShardMatvecs()
+			if push1 == push0 || pull1 == pull0 {
+				t.Fatalf("%s: %d pushed and %d pulled applications over %d queries; the graph no longer makes a query switch kernels",
+					tag, push1-push0, pull1-pull0, len(seeds))
+			}
+			tops, err := eng.TopKBatch(seeds, k, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range seeds {
+				checkTop(tag+" TopKBatch", i, tops[i])
+				top, meta, err := eng.TopKDeadline(context.Background(), seeds[i], k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if meta.Partial {
+					t.Fatalf("%s seed %d: TopKDeadline without a deadline came back partial: %+v", tag, seeds[i], meta)
+				}
+				checkTop(tag+" TopKDeadline", i, top)
+			}
+		}
 	}
 }

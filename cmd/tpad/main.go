@@ -141,7 +141,7 @@ func cmdBuild(args []string) error {
 	graphPath := fs.String("graph", "", "edge-list file (required, .gz supported)")
 	out := fs.String("o", "", "output snapshot file (default: graph path with .tpas extension, .tpam with -mmap)")
 	workers := fs.Int("workers", 0, "goroutines for the preprocessing matvec (0 = all CPUs)")
-	shards := fs.Int("shards", 0, "partition into N community-aligned shards and scatter-gather queries across them (0/1 = unsharded)")
+	shards := fs.Int("shards", 0, "partition into N community-aligned shards and scatter-gather preprocessing and dense query hops across them (0/1 = unsharded)")
 	mmapOut := fs.Bool("mmap", false, "write a memory-mappable .tpam snapshot (zero-copy cold start) instead of .tpas")
 	o := tpaOpts(fs)
 	if err := fs.Parse(args); err != nil {

@@ -8,13 +8,15 @@ import (
 )
 
 // Reduced-precision serving. The online phase is bandwidth-bound: S-1
-// gathers over the in-adjacency, each reading x[u] and 1/outdeg(u) per
-// in-edge. Storing the served index (the stranger vector) and the query
-// iterates as float32 halves that working set, which is worth more than the
-// lost mantissa — the approximation error is already 2(1-c)^S ≈ 0.9 at the
-// defaults, while float32 rounding contributes ~1e-7 per entry. The
-// accuracy suite pins this down with an explicit float32 tolerance on top
-// of the Theorem-2 bound.
+// applications of Ãᵀ — a scatter along the frontier's out-edges while it is
+// sparse, a gather over the in-adjacency once a sharded operator sees it go
+// dense — each reading x[u] and 1/outdeg(u) per edge, between full passes
+// over the iterates. Storing the served index (the stranger vector) and
+// the query iterates as float32 halves that working set, which is worth
+// more than the lost mantissa — the approximation error is already
+// 2(1-c)^S ≈ 0.9 at the defaults, while float32 rounding contributes ~1e-7
+// per entry. The accuracy suite pins this down with an explicit float32
+// tolerance on top of the Theorem-2 bound.
 //
 // Preprocessing always runs in float64 and the float64 master state is kept
 // alongside: incremental reindexing (reindex.go) runs on it, and the

@@ -149,9 +149,9 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 
 	// Shard and storage layout (sharded / memory-mapped engines). Shard
 	// count and storage split are reported for every graph (1 shard / all
-	// heap when the engine has no layout to speak of); the per-shard series
-	// carry a shard label and appear only for actually sharded engines,
-	// under always-present family headers.
+	// heap when the engine has no layout to speak of); the per-shard and
+	// per-kernel series carry a shard or kernel label and appear only for
+	// actually sharded engines, under always-present family headers.
 	graphGauge("tpa_shard_count", "Scatter-gather shards the graph's engine fans queries across (1 = unsharded).",
 		func(st *engineState) float64 {
 			if se, ok := st.eng.(shardInfo); ok {
@@ -159,24 +159,36 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 			}
 			return 1
 		})
-	shardSeries := func(name, help string, get func(nodes int, edges int64) float64) {
-		p.header(name, help, "gauge")
+	eachSharded := func(fn func(graphLabel string, se shardInfo)) {
 		for _, e := range entries {
-			se, ok := e.state.Load().eng.(shardInfo)
-			if !ok || se.NumShards() <= 1 {
-				continue
-			}
-			nodes, edges := se.ShardLayout()
-			for i := range nodes {
-				p.sample(name, promLabel("graph", e.name)+","+promLabel("shard", strconv.Itoa(i)),
-					get(nodes[i], edges[i]))
+			if se, ok := e.state.Load().eng.(shardInfo); ok && se.NumShards() > 1 {
+				fn(promLabel("graph", e.name), se)
 			}
 		}
+	}
+	shardSeries := func(name, help string, get func(nodes int, edges int64) float64) {
+		p.header(name, help, "gauge")
+		eachSharded(func(gl string, se shardInfo) {
+			nodes, edges := se.ShardLayout()
+			for i := range nodes {
+				p.sample(name, gl+","+promLabel("shard", strconv.Itoa(i)), get(nodes[i], edges[i]))
+			}
+		})
 	}
 	shardSeries("tpa_shard_nodes", "Nodes per shard of each sharded graph.",
 		func(nodes int, _ int64) float64 { return float64(nodes) })
 	shardSeries("tpa_shard_edges", "Out-edges per shard of each sharded graph.",
 		func(_ int, edges int64) float64 { return float64(edges) })
+	// Which kernel answered: a sharded engine pushes sparse inputs serially
+	// and fans the pull kernel out across shards for dense ones, so a pull
+	// count that rises with query traffic marks a graph whose queries go
+	// dense. Preprocessing's (dense) applications are included.
+	p.header("tpa_shard_matvec_total", "Operator applications of each sharded graph by the kernel that answered: push (sparse input, serial) or pull (dense input, fanned out across shards).", "counter")
+	eachSharded(func(gl string, se shardInfo) {
+		push, pull := se.ShardMatvecs()
+		p.sample("tpa_shard_matvec_total", gl+","+promLabel("kernel", "push"), float64(push))
+		p.sample("tpa_shard_matvec_total", gl+","+promLabel("kernel", "pull"), float64(pull))
+	})
 	storageGauge := func(name, help string, get func(mapped, heap int64) float64) {
 		p.header(name, help, "gauge")
 		for _, e := range entries {

@@ -118,12 +118,14 @@ var goldenMetrics = map[string]string{
 
 	// Shard / storage layout (sharded and memory-mapped engines). Count and
 	// byte-split samples appear for every graph; the per-shard node/edge
-	// series appear only under sharded engines, headers always.
-	"tpa_shard_count":      "gauge",
-	"tpa_shard_nodes":      "gauge",
-	"tpa_shard_edges":      "gauge",
-	"tpa_shard_mmap_bytes": "gauge",
-	"tpa_shard_heap_bytes": "gauge",
+	// and per-kernel matvec series appear only under sharded engines,
+	// headers always.
+	"tpa_shard_count":        "gauge",
+	"tpa_shard_nodes":        "gauge",
+	"tpa_shard_edges":        "gauge",
+	"tpa_shard_matvec_total": "counter",
+	"tpa_shard_mmap_bytes":   "gauge",
+	"tpa_shard_heap_bytes":   "gauge",
 
 	// Durable-ingest pipeline (EnableIngest): queue depth, WAL lag and
 	// auto-compaction visibility. Headers are always present; samples

@@ -288,6 +288,8 @@ func (h *Handler) graphStats(w http.ResponseWriter, r *http.Request) {
 		if nodes, edges := se.ShardLayout(); nodes != nil {
 			shards["nodes"] = nodes
 			shards["edges"] = edges
+			push, pull := se.ShardMatvecs()
+			shards["matvecs"] = map[string]int64{"push": push, "pull": pull}
 		}
 		resp["shards"] = shards
 	}

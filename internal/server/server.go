@@ -62,12 +62,15 @@ type DeadlineEngine interface {
 }
 
 // shardInfo is the optional capability interface for scatter-gather
-// engines: how many shards queries fan out across and the node/edge split
-// between them. *tpa.Engine implements it (reporting one shard when built
-// unsharded); engines without it are treated as single-shard.
+// engines: how many shards dense operator applications fan out across, the
+// node/edge split between them, and how many applications went to the
+// serial push kernel (sparse input) and to the pull fan-out (dense input).
+// *tpa.Engine implements it (reporting one shard when built unsharded);
+// engines without it are treated as single-shard.
 type shardInfo interface {
 	NumShards() int
 	ShardLayout() (nodes []int, edges []int64)
+	ShardMatvecs() (push, pull int64)
 }
 
 // storageInfo is the optional capability interface for engines that know

@@ -42,6 +42,14 @@ func TestShardStorageObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One query per graph, so the kernel counters below have something to
+	// show: a seed's first hops are answered by the push kernel.
+	for _, graph := range []string{"default", "sharded", "mapped"} {
+		if rec, _ := get(t, h, "/graphs/"+graph+"/topk?seed=1&k=3"); rec.Code != 200 {
+			t.Fatalf("%s topk = %d: %s", graph, rec.Code, rec.Body.String())
+		}
+	}
+
 	samples, _ := scrapeMetrics(t, h)
 	pick := func(name, graph string) []promSample {
 		var out []promSample
@@ -94,6 +102,25 @@ func TestShardStorageObservability(t *testing.T) {
 		}
 	}
 
+	// Kernel counters: none for the plain engine; a sharded one has pushed
+	// the query's sparse hops, and the one built here (not loaded) pulled
+	// all through preprocessing.
+	if ss := pick("tpa_shard_matvec_total", "default"); len(ss) != 0 {
+		t.Errorf("plain engine has %d matvec samples, want 0", len(ss))
+	}
+	for _, graph := range []string{"sharded", "mapped"} {
+		byKernel := map[string]float64{}
+		for _, s := range pick("tpa_shard_matvec_total", graph) {
+			byKernel[s.labels["kernel"]] = s.value
+		}
+		if len(byKernel) != 2 || byKernel["push"] <= 0 {
+			t.Errorf("%s: tpa_shard_matvec_total by kernel = %v, want push > 0 and a pull series", graph, byKernel)
+		}
+		if graph == "sharded" && byKernel["pull"] <= 0 {
+			t.Errorf("%s: no pulled applications although preprocessing ran", graph)
+		}
+	}
+
 	// Storage split: heap engines report heap bytes only; the mapped engine
 	// moves its bytes into the mmap series (when the platform actually maps
 	// — the heap-decode fallback keeps them on the heap).
@@ -133,6 +160,9 @@ func TestShardStorageObservability(t *testing.T) {
 	}
 	if nodes := shards["nodes"].([]interface{}); len(nodes) != 3 {
 		t.Errorf("shards.nodes has %d entries, want 3", len(nodes))
+	}
+	if mv, ok := shards["matvecs"].(map[string]interface{}); !ok || len(mv) != 2 || mv["push"].(float64) <= 0 {
+		t.Errorf("shards.matvecs = %v, want push > 0 beside a pull count after one query", shards["matvecs"])
 	}
 
 	rec, body = get(t, h, "/graphs/default/stats")

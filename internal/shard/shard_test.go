@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tpa/internal/gen"
@@ -160,9 +161,13 @@ func TestMergePartsBalance(t *testing.T) {
 	}
 }
 
-// TestOperatorMatchesWalk pins the numerical crux: the scatter-gather MulT
-// is bit-identical to the base walk's, for any shard bounds, because each
-// destination row is gathered independently in the same order.
+// TestOperatorMatchesWalk pins the numerical crux: on a dense input the
+// scatter-gather MulT is bit-identical for any shard bounds, because each
+// destination row is gathered independently in ascending in-neighbor order.
+// That it also matches the base walk's push kernel bit for bit holds only
+// where no dangling self-loop term reorders a row's sum (the pull kernel
+// adds x[v] last, the push kernel in v's id order) — a property of this
+// graph and input, not of the kernels.
 func TestOperatorMatchesWalk(t *testing.T) {
 	g := gen.SBM(gen.SBMConfig{Nodes: 150, Communities: 3, AvgOutDeg: 6, PIn: 0.8, Seed: 13})
 	w := graph.NewWalk(g, graph.DanglingSelfLoop)
@@ -202,6 +207,53 @@ func TestOperatorMatchesWalk(t *testing.T) {
 	}
 }
 
+// TestOperatorConcurrentApplications is the batch worker pool's use of one
+// Operator: several goroutines apply it at once, each to its own vectors,
+// some inputs pushed and some pulled. Every result must equal the serial
+// one bit for bit and the kernel counters must account for every
+// application (run under -race in CI).
+func TestOperatorConcurrentApplications(t *testing.T) {
+	g := gen.SBM(gen.SBMConfig{Nodes: 300, Communities: 3, AvgOutDeg: 6, PIn: 0.8, Seed: 9})
+	n := g.NumNodes()
+	op, err := NewOperator(graph.NewWalk(g, graph.DanglingSelfLoop), []int{0, n / 3, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparseX, denseX := sparse.NewVector(n), sparse.NewVector(n)
+	sparseX[5] = 1
+	denseX.Fill(1 / float64(n))
+	wantSparse := op.MulT(sparseX, sparse.NewVector(n))
+	wantDense := op.MulT(denseX, sparse.NewVector(n))
+	if push, pull := op.MatvecCounts(); push != 1 || pull != 1 {
+		t.Fatalf("one-hot and uniform inputs counted as %d pushed, %d pulled; want 1 and 1", push, pull)
+	}
+
+	const workers, rounds = 4, 25
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y := sparse.NewVector(n)
+			for r := 0; r < rounds; r++ {
+				for _, c := range []struct{ x, want sparse.Vector }{{sparseX, wantSparse}, {denseX, wantDense}} {
+					op.MulT(c.x, y)
+					for j := range y {
+						if y[j] != c.want[j] {
+							t.Errorf("concurrent application differs from the serial one at row %d", j)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if push, pull := op.MatvecCounts(); push != 1+workers*rounds || pull != 1+workers*rounds {
+		t.Fatalf("counters read %d pushed, %d pulled; want %d each", push, pull, 1+workers*rounds)
+	}
+}
+
 func TestNewOperatorRejectsBadBounds(t *testing.T) {
 	g := gen.ErdosRenyi(20, 60, 2)
 	w := graph.NewWalk(g, graph.DanglingSelfLoop)
@@ -231,7 +283,10 @@ type kernelSet[T sparse.Float] struct {
 // TestKernelsMatchDenseReference checks every kernel, in both widths and
 // under every dangling policy, against y = M·x with M the explicitly
 // materialized n×n column-normalized matrix: {float32, float64} ×
-// {SelfLoop, Uniform, Drop} × {push, pull in 3 uneven blocks, fan-out}.
+// {SelfLoop, Uniform, Drop} × {push, pull in 3 uneven blocks, Operator} ×
+// {a dense x, a one-hot x and its next two iterates, and a pair of inputs
+// one row apart that straddle the Operator's kernel switch}, so both
+// branches of Operator.MulT/MulT32 meet the reference.
 func TestKernelsMatchDenseReference(t *testing.T) {
 	t.Run("float64", func(t *testing.T) {
 		testKernels(t, 1e-12, kernelSet[float64]{(*graph.Walk).MulT, (*graph.Walk).MulTPrep, (*graph.Walk).MulTBlock, (*Operator).MulT})
@@ -250,44 +305,101 @@ func testKernels[T sparse.Float](t *testing.T, tol float64, k kernelSet[T]) {
 		b.AddEdge(rng.Intn(110), rng.Intn(120))
 	}
 	graphs := []*graph.Graph{b.Build(), graph.FromEdges(1, nil)}
+	// wantPush is the branch an input must take; anyKernel leaves it open.
+	const (
+		anyKernel = iota
+		wantPush
+		wantPull
+	)
+	type input struct {
+		name   string
+		x      sparse.Vec[T]
+		kernel int
+	}
 	for _, policy := range []graph.DanglingPolicy{graph.DanglingSelfLoop, graph.DanglingUniform, graph.DanglingDrop} {
 		for _, g := range graphs {
 			n := g.NumNodes()
 			w := graph.NewWalk(g, policy)
-			x := make(sparse.Vec[T], n)
-			for i := range x {
-				if rng.Intn(4) > 0 { // leave zeros for the push kernel to skip
-					x[i] = T(rng.NormFloat64())
-				}
-			}
-			want := denseMulT(g, policy, x)
-			check := func(kernel string, got sparse.Vec[T]) {
-				t.Helper()
-				for i := range want {
-					if d := math.Abs(float64(got[i]) - want[i]); d > tol {
-						t.Fatalf("policy %v n=%d %s: row %d off by %g", policy, n, kernel, i, d)
-					}
-				}
-			}
-			check("push", k.push(w, x, make(sparse.Vec[T], n)))
-
-			pull := make(sparse.Vec[T], n)
-			prep := k.prep(w, x)
-			for _, cut := range [][2]int{{0, n / 7}, {n / 7, n / 2}, {n / 2, n}} {
-				k.block(w, x, pull, cut[0], cut[1], prep)
-			}
-			check("pull", pull)
-
 			op, err := NewOperator(w, []int{0, n / 3, n / 3, 2 * n / 3, n})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fan := k.fan(op, x, make(sparse.Vec[T], n))
-			check("fan-out", fan)
-			// The fan-out only schedules the pull kernel: same bits.
-			for i := range pull {
-				if fan[i] != pull[i] {
-					t.Fatalf("policy %v n=%d: fan-out row %d differs from the serial pull: %g vs %g", policy, n, i, fan[i], pull[i])
+
+			dense := make(sparse.Vec[T], n)
+			for i := range dense {
+				if rng.Intn(4) > 0 { // leave zeros for the push kernel to skip
+					dense[i] = T(rng.NormFloat64())
+				}
+			}
+			hop1 := make(sparse.Vec[T], n)
+			hop1[0] = 1
+			hop2 := k.push(w, hop1, make(sparse.Vec[T], n))
+			hop3 := k.push(w, hop2, make(sparse.Vec[T], n))
+			// under fills rows in id order while their out-edges stay below
+			// the switch volume; over is under plus the row that reaches it.
+			under, over := make(sparse.Vec[T], n), make(sparse.Vec[T], n)
+			budget := g.NumEdges() / pushVolumeDiv
+			var volume int64
+			for u := 0; u < n; u++ {
+				over[u] = T(rng.NormFloat64())
+				if volume += int64(g.OutDegree(u)); volume >= budget {
+					break
+				}
+				under[u] = over[u]
+			}
+
+			denseKernel := wantPull
+			if g.NumEdges() == 0 {
+				denseKernel = anyKernel // the lone node's entry may be a drawn zero
+			}
+			for _, in := range []input{
+				{"dense", dense, denseKernel},
+				{"one-hot", hop1, anyKernel},
+				{"hop 2", hop2, anyKernel},
+				{"hop 3", hop3, anyKernel},
+				{"under the switch", under, wantPush},
+				{"over the switch", over, wantPull},
+			} {
+				want := denseMulT(g, policy, in.x)
+				check := func(kernel string, got sparse.Vec[T]) {
+					t.Helper()
+					for i := range want {
+						if d := math.Abs(float64(got[i]) - want[i]); d > tol {
+							t.Fatalf("policy %v n=%d %s x, %s: row %d off by %g", policy, n, in.name, kernel, i, d)
+						}
+					}
+				}
+				check("push", k.push(w, in.x, make(sparse.Vec[T], n)))
+
+				pull := make(sparse.Vec[T], n)
+				prep := k.prep(w, in.x)
+				for _, cut := range [][2]int{{0, n / 7}, {n / 7, n / 2}, {n / 2, n}} {
+					k.block(w, in.x, pull, cut[0], cut[1], prep)
+				}
+				check("pull", pull)
+
+				pushes, pulls := op.MatvecCounts()
+				got := k.fan(op, in.x, make(sparse.Vec[T], n))
+				check("operator", got)
+				pushes2, pulls2 := op.MatvecCounts()
+				if pushes2+pulls2 != pushes+pulls+1 {
+					t.Fatalf("policy %v n=%d %s x: one application moved the counters by %d", policy, n, in.name, pushes2+pulls2-pushes-pulls)
+				}
+				pulled := pulls2 > pulls
+				if in.kernel != anyKernel && pulled != (in.kernel == wantPull) {
+					t.Fatalf("policy %v n=%d %s x: operator pulled=%v", policy, n, in.name, pulled)
+				}
+				if !pulled {
+					continue
+				}
+				// The fan-out only schedules the pull kernel: same bits. (A
+				// pushed application sums a dangling self-loop term in id
+				// order rather than last, so it is held to the reference
+				// alone.)
+				for i := range pull {
+					if got[i] != pull[i] {
+						t.Fatalf("policy %v n=%d %s x: fan-out row %d differs from the serial pull: %g vs %g", policy, n, in.name, i, got[i], pull[i])
+					}
 				}
 			}
 		}

@@ -13,11 +13,15 @@
 package tpa
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"tpa/internal/graph"
 	"tpa/internal/reorder"
+	"tpa/internal/rwr"
+	"tpa/internal/shard"
 	"tpa/internal/sparse"
 )
 
@@ -95,6 +99,46 @@ func BenchmarkMulT(b *testing.B) {
 	}
 }
 
+// BenchmarkShardMulT is the density sweep behind shard.Operator's kernel
+// switch: one float32 Ãᵀ·x on the natural-order SBM at increasing shares of
+// non-zero rows, answered by the serial push kernel, by the 2-shard pull
+// fan-out, and by Operator.MulT32, which must track the cheaper of the two
+// away from the crossing (plus its scan of x: all of it for a sparse x,
+// the first quarter of the edge volume for a dense one).
+func BenchmarkShardMulT(b *testing.B) {
+	w := kernelWalks(b)["natural"]
+	n := w.N()
+	bounds := []int{0, n / 2, n}
+	op, err := shard.NewOperator(w, bounds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	y := sparse.NewVector32(n)
+	for _, pct := range []float64{0.1, 1, 6, 25, 100} {
+		x := sparse.NewVector32(n)
+		for _, u := range rand.New(rand.NewSource(3)).Perm(n)[:int(float64(n)*pct/100)] {
+			x[u] = 1 / float32(n)
+		}
+		for _, k := range []struct {
+			name string
+			mul  func()
+		}{
+			{"push", func() { w.MulT32(x, y) }},
+			{"pull", func() {
+				prep := w.MulTPrep32(x)
+				rwr.ForEachBlock(bounds, func(lo, hi int) { w.MulTBlock32(x, y, lo, hi, prep) })
+			}},
+			{"operator", func() { op.MulT32(x, y) }},
+		} {
+			b.Run(fmt.Sprintf("nonzero=%g%%/%s", pct, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.mul()
+				}
+			})
+		}
+	}
+}
+
 var orderedBench struct {
 	once sync.Once
 	engs map[string]*Engine
@@ -102,25 +146,28 @@ var orderedBench struct {
 
 // orderedBenchEngines builds the QueryBatch acceptance matrix on the kernel
 // SBM graph: the natural-order float64 baseline against layout/precision
-// variants. All engines answer in external ids, so the workload is
-// identical by construction.
+// variants and a 2-shard float32 engine (the shape the batch-f32-mmap
+// serving workload runs). All engines answer in external ids, so the
+// workload is identical by construction.
 func orderedBenchEngines(b *testing.B) map[string]*Engine {
 	b.Helper()
 	kernelWalks(b) // force graph generation outside the timer
 	orderedBench.once.Do(func() {
 		orderedBench.engs = map[string]*Engine{}
 		for _, v := range []struct {
-			name  string
-			order string
-			prec  Precision
+			name   string
+			order  string
+			prec   Precision
+			shards int
 		}{
-			{"natural-f64", "", Float64},
-			{"degree-f64", "degree", Float64},
-			{"degree-f32", "degree", Float32},
+			{"natural-f64", "", Float64, 1},
+			{"degree-f64", "degree", Float64, 1},
+			{"degree-f32", "degree", Float32, 1},
+			{"shards2-f32", "", Float32, 2},
 		} {
 			o := Defaults()
 			o.Order, o.Precision = v.order, v.prec
-			eng, err := New(kernelBench.g, o)
+			eng, err := NewSharded(kernelBench.g, v.shards, o)
 			if err != nil {
 				panic(err)
 			}
@@ -132,14 +179,16 @@ func orderedBenchEngines(b *testing.B) map[string]*Engine {
 
 // BenchmarkQueryBatchOrdered is the acceptance benchmark for the layout +
 // precision work: the degree-ordered float32 engine must clearly beat the
-// natural-order float64 baseline on the same 100k-node SBM workload.
+// natural-order float64 baseline on the same 100k-node SBM workload, and
+// the sharded float32 engine — whose sparse hops push like a plain
+// engine's — must stay beside them rather than pay a dense pull per hop.
 func BenchmarkQueryBatchOrdered(b *testing.B) {
 	engs := orderedBenchEngines(b)
 	seeds := make([]int, batchBenchSize)
 	for i := range seeds {
 		seeds[i] = (i * 104729) % kernelBenchNodes
 	}
-	for _, name := range []string{"natural-f64", "degree-f64", "degree-f32"} {
+	for _, name := range []string{"natural-f64", "degree-f64", "degree-f32", "shards2-f32"} {
 		eng := engs[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

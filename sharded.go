@@ -15,18 +15,23 @@ import (
 const shardLPRounds = 10
 
 // NewSharded is New with the graph partitioned into shards contiguous node
-// ranges that every Ãᵀ application scatter-gathers across: preprocessing
-// and queries fan out one goroutine per shard, each filling only its own
-// destination range. Shard boundaries follow community structure (label
-// propagation, merged into exactly shards balanced groups), so each shard's
-// working set stays dense — node ids remain the caller's, remapped at the
-// API boundary exactly like Options.Order.
+// ranges that dense Ãᵀ applications scatter-gather across: preprocessing,
+// and any query hop whose frontier has grown past a quarter of the edges,
+// fan out one goroutine per shard, each filling only its own destination
+// range. The sparse hops of a query — normally all of them — push serially
+// on the calling goroutine, touching only the frontier's out-edges, so
+// query parallelism comes from the batch worker pool (QueryBatch,
+// TopKBatch), not from the shards. Shard boundaries follow community
+// structure (label propagation, merged into exactly shards balanced
+// groups), so each shard's working set stays dense — node ids remain the
+// caller's, remapped at the API boundary exactly like Options.Order.
 //
-// Answers agree with an unsharded engine to float-summation order: the
-// gather kernel computes every destination row independently, so the
-// partition changes scheduling, not arithmetic. shards ≤ 1 builds a plain
-// engine. Sharding supplies its own layout, so it cannot combine with
-// Options.Order, and sharded engines reject ApplyEdges — rebuild to mutate.
+// Answers agree with an unsharded engine to float-summation order: either
+// kernel evaluates the same product, so the partition and the choice of
+// kernel change scheduling and the order of a row's sum, not the
+// arithmetic. shards ≤ 1 builds a plain engine. Sharding supplies its own
+// layout, so it cannot combine with Options.Order, and sharded engines
+// reject ApplyEdges — rebuild to mutate.
 func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 	if shards <= 1 {
 		return New(g, o)
@@ -68,7 +73,7 @@ func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 }
 
 // NumShards returns the number of scatter-gather shards the engine fans
-// queries across: 1 for unsharded engines.
+// dense applications across: 1 for unsharded engines.
 func (e *Engine) NumShards() int {
 	if e.shardOp == nil {
 		return 1
@@ -91,4 +96,16 @@ func (e *Engine) ShardLayout() (nodes []int, edges []int64) {
 		edges[i] = s.Edges
 	}
 	return nodes, edges
+}
+
+// ShardMatvecs reports how many Ãᵀ applications of a sharded engine —
+// preprocessing and queries alike — were answered by the serial push kernel
+// (sparse input) and by the pull fan-out across shards (dense input) since
+// it was built or loaded; both are 0 for unsharded engines. A pull count
+// that grows with query traffic marks a graph whose queries go dense.
+func (e *Engine) ShardMatvecs() (push, pull int64) {
+	if e.shardOp == nil {
+		return 0, 0
+	}
+	return e.shardOp.MatvecCounts()
 }
