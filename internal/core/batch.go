@@ -180,17 +180,10 @@ func (t *TPA) QueryBatchEach(seeds []int, parallelism int, emit func(i int, r sp
 // TopKBatch answers a top-k query per seed with a worker pool, like
 // QueryBatch, but keeps the full score vectors in pooled scratch and returns
 // only the k best entries per seed — the shape a batch serving endpoint
-// wants.
+// wants. It is TopKBatchDeadline under a context that never expires.
 func (t *TPA) TopKBatch(seeds []int, k, parallelism int) ([][]sparse.Entry, error) {
-	if err := t.checkSeeds(seeds); err != nil {
-		return nil, err
-	}
-	out := make([][]sparse.Entry, len(seeds))
-	t.runBatch(seeds, parallelism, func(i int, sc *queryScratch) {
-		t.queryInto(nil, seeds[i:i+1], sc.out, sc)
-		out[i] = sc.out.TopK(k)
-	})
-	return out, nil
+	tops, _, err := t.TopKBatchDeadline(context.Background(), seeds, k, parallelism)
+	return tops, err
 }
 
 // runBatch runs job(i, scratch) for every index of seeds on a pool of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -125,32 +126,21 @@ func (t *TPA) IndexBytes() int64 {
 // Query runs TPA's online phase (Algorithm 3) for the given seed node:
 // compute r_family with S-1 propagation steps of CPI, scale it by
 // ‖r_neighbor‖₁/‖r_family‖₁ to estimate the neighbor part, and add the
-// precomputed stranger vector. All working vectors come from the scratch
-// pool, so the only allocation is the returned result.
+// precomputed stranger vector. It is QueryDeadline under a context that
+// never expires.
 func (t *TPA) Query(seed int) (sparse.Vector, error) {
-	dst := sparse.NewVector(t.walk.N())
-	if _, err := t.QueryInto(seed, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	r, _, err := t.QueryDeadline(context.Background(), seed)
+	return r, err
 }
 
 // QuerySet computes approximate personalized PageRank for a *set* of seed
 // nodes (uniform restart over the set), the multi-seed generalization
 // §II-C notes CPI supports. The family part starts from the uniform seed
 // vector; the stranger part is unchanged (it never depended on the seed).
+// It is QuerySetDeadline under a context that never expires.
 func (t *TPA) QuerySet(seeds []int) (sparse.Vector, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("core: empty seed set")
-	}
-	if err := t.checkSeeds(seeds); err != nil {
-		return nil, err
-	}
-	dst := sparse.NewVector(t.walk.N())
-	sc := t.getScratch()
-	t.queryInto(nil, seeds, dst, sc)
-	t.putScratch(sc)
-	return dst, nil
+	r, _, err := t.QuerySetDeadline(context.Background(), seeds)
+	return r, err
 }
 
 // QueryParts is Query exposing the three components separately; the
@@ -197,13 +187,11 @@ func (p *Parts) Combine() sparse.Vector {
 }
 
 // TopK returns the k highest-scoring nodes for the seed, the operation most
-// RWR applications (e.g. "Who to Follow") actually run.
+// RWR applications (e.g. "Who to Follow") actually run. It is TopKDeadline
+// under a context that never expires.
 func (t *TPA) TopK(seed, k int) ([]sparse.Entry, error) {
-	r, err := t.Query(seed)
-	if err != nil {
-		return nil, err
-	}
-	return r.TopK(k), nil
+	top, _, err := t.TopKDeadline(context.Background(), seed, k)
+	return top, err
 }
 
 // ErrorBound returns the a-priori L1 error guarantee of Theorem 2 for this

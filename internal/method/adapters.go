@@ -26,8 +26,8 @@ import (
 //     value of every field derives the engine package's defaults from the
 //     graph at Preprocess time.
 //   - cfg.C is the platform-wide restart probability: adapters overwrite
-//     any per-package C option with it, so "?method=fora" answers the same
-//     RWR problem the default TPA engine answers.
+//     any per-package C option with it, so every method answers the same
+//     RWR problem the TPA engine answers.
 //   - Declared bounds (Stats().Bound): deterministic methods report their
 //     analytic bound; sampling and truncating methods report the envelope
 //     their defaults meet at conformance scale (a few hundred to a few
@@ -103,10 +103,6 @@ func (m *TPAMethod) TopK(seed, k int) ([]sparse.Entry, QueryMeta, error) {
 
 func (m *TPAMethod) Stats() Stats { return m.stats }
 
-// ConcurrentQueries declares the adapter concurrency-safe: a preprocessed
-// core.TPA is read-only at query time (scratch comes from a sync.Pool).
-func (m *TPAMethod) ConcurrentQueries() bool { return true }
-
 // ---------------------------------------------------------------- Exact
 
 // ExactMethod adapts cumulative power iteration run to convergence — the
@@ -147,10 +143,6 @@ func (m *ExactMethod) TopK(seed, k int) ([]sparse.Entry, QueryMeta, error) {
 }
 
 func (m *ExactMethod) Stats() Stats { return m.stats }
-
-// ConcurrentQueries declares the adapter concurrency-safe: every query is
-// a stateless CPI run allocating its own vectors.
-func (m *ExactMethod) ConcurrentQueries() bool { return true }
 
 // ---------------------------------------------------------------- MC
 

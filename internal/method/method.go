@@ -8,10 +8,9 @@
 //
 //	Preprocess(w, cfg) → Query(seed) / TopK(seed, k) → Stats()
 //
-// so the experiment harness, the HTTP server (?method=fora) and the
-// benchmark arena (`tpad arena`) can drive any engine interchangeably:
-// the repo's serving layer becomes a self-benchmarking RWR platform rather
-// than a TPA-only server.
+// so the experiment harness and the benchmark arena (`tpad arena`) can
+// drive any engine interchangeably: the paper's offline comparison of TPA
+// against its competitors. The HTTP server serves TPA only.
 //
 // Adapters are deliberately thin: they translate shapes and account
 // preprocessing time/index size, but never reimplement an algorithm. Each
@@ -22,7 +21,7 @@
 //
 // Method instances are NOT safe for concurrent queries unless documented
 // otherwise: several engines own PRNGs or scratch state. Callers that share
-// an instance across goroutines (the HTTP server) must serialize queries.
+// an instance across goroutines must serialize queries.
 package method
 
 import (
@@ -44,12 +43,6 @@ var ErrSeedOutOfRange = rwr.ErrSeedOutOfRange
 // ErrNotPreprocessed is returned by Query/TopK/Stats when Preprocess has
 // not run (or failed) on the method instance.
 var ErrNotPreprocessed = errors.New("method: not preprocessed")
-
-// ErrUnavailable is wrapped by providers that cannot build alternative
-// methods at all for their current state — e.g. a streaming engine or one
-// carrying an uncompacted mutation overlay, with no in-memory CSR graph to
-// preprocess over. The HTTP server maps it to 501.
-var ErrUnavailable = errors.New("method: alternative methods unavailable")
 
 // QueryMeta describes how one query was answered.
 type QueryMeta struct {
@@ -100,22 +93,6 @@ type Method interface {
 	TopK(seed, k int) ([]sparse.Entry, QueryMeta, error)
 	// Stats describes the preprocessed instance.
 	Stats() Stats
-}
-
-// Concurrent is the optional capability a Method implements to declare
-// that, after a successful Preprocess, its Query/TopK calls are safe for
-// concurrent use from multiple goroutines. Methods owning PRNGs or shared
-// scratch must not implement it (or must return false); the HTTP server
-// serializes those behind a per-instance mutex and routes concurrency-safe
-// methods around it.
-type Concurrent interface {
-	ConcurrentQueries() bool
-}
-
-// IsConcurrent reports whether m declares concurrency-safe queries.
-func IsConcurrent(m Method) bool {
-	c, ok := m.(Concurrent)
-	return ok && c.ConcurrentQueries()
 }
 
 // topKViaQuery derives TopK from a full Query — the default for adapters

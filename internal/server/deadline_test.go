@@ -1,79 +1,16 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"tpa"
 	"tpa/internal/core"
-	"tpa/internal/sparse"
 )
-
-// fakeDeadlineEngine implements both Engine and DeadlineEngine. Its deadline
-// methods report partial answers on demand and record how they were invoked,
-// so the HTTP plumbing (header parsing, routing, caching policy, counters)
-// can be tested without real timing.
-type fakeDeadlineEngine struct {
-	slowEngine
-	partial       bool         // deadline methods report Partial when set
-	deadlineCalls atomic.Int64 // times any *Deadline method ran
-	lastBudget    atomic.Int64 // ctx time-to-deadline in ns at last call
-}
-
-func newFakeDeadlineEngine(partial bool) *fakeDeadlineEngine {
-	f := &fakeDeadlineEngine{partial: partial}
-	// Unblock slowEngine's plain TopK for tests that hit the non-deadline path.
-	f.entered = make(chan struct{}, 64)
-	f.release = make(chan struct{})
-	close(f.release)
-	return f
-}
-
-func (f *fakeDeadlineEngine) meta() core.QueryMeta {
-	if f.partial {
-		return core.QueryMeta{Partial: true, EffectiveS: 2, Steps: 1, Bound: 0.5}
-	}
-	return core.QueryMeta{EffectiveS: 5, Steps: 4, Bound: 0.01}
-}
-
-func (f *fakeDeadlineEngine) record(ctx context.Context) {
-	f.deadlineCalls.Add(1)
-	if dl, ok := ctx.Deadline(); ok {
-		f.lastBudget.Store(int64(time.Until(dl)))
-	}
-}
-
-func (f *fakeDeadlineEngine) QueryDeadline(ctx context.Context, seed int) ([]float64, core.QueryMeta, error) {
-	f.record(ctx)
-	return []float64{0.25, 0.75}, f.meta(), nil
-}
-
-func (f *fakeDeadlineEngine) QuerySetDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error) {
-	f.record(ctx)
-	return []float64{0.25, 0.75}, f.meta(), nil
-}
-
-func (f *fakeDeadlineEngine) TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error) {
-	f.record(ctx)
-	return []sparse.Entry{{Index: seed, Score: 1}}, f.meta(), nil
-}
-
-func (f *fakeDeadlineEngine) TopKBatchDeadline(ctx context.Context, seeds []int, k, p int) ([][]sparse.Entry, []core.QueryMeta, error) {
-	f.record(ctx)
-	tops := make([][]sparse.Entry, len(seeds))
-	metas := make([]core.QueryMeta, len(seeds))
-	for i, s := range seeds {
-		tops[i] = []sparse.Entry{{Index: s, Score: 1}}
-		metas[i] = f.meta()
-	}
-	return tops, metas, nil
-}
 
 func deadlineGet(t *testing.T, h http.Handler, path, headerMS string) (*httptest.ResponseRecorder, map[string]interface{}) {
 	t.Helper()
@@ -98,29 +35,55 @@ func decodeBody(t *testing.T, rec *httptest.ResponseRecorder, path string) map[s
 	return body
 }
 
+// TestDeadlineHeaderInvalid is the header table: malformed values and
+// budgets too large for a time.Duration are 400s; the largest budget that
+// fits reaches the engine intact instead of wrapping around to a short (or
+// negative) one.
 func TestDeadlineHeaderInvalid(t *testing.T) {
-	h := NewWith(newFakeDeadlineEngine(false), Info{Name: "test"}, Options{})
-	for _, bad := range []string{"abc", "-5", "1.5", ""} {
-		if bad == "" {
+	const century = 100 * 365 * 24 * time.Hour
+	for _, tc := range []struct {
+		header string
+		code   int
+	}{
+		{"abc", http.StatusBadRequest},
+		{"-5", http.StatusBadRequest},
+		{"1.5", http.StatusBadRequest},
+		{"18446744073710", http.StatusBadRequest}, // would wrap to 448µs
+		{"18446744073709", http.StatusBadRequest}, // would wrap negative: no deadline
+		{"9223372036854", http.StatusOK},          // math.MaxInt64 ns, in ms
+	} {
+		eng := &fakeEngine{}
+		h := NewWith(eng, Info{Name: "test"}, Options{})
+		rec, body := deadlineGet(t, h, "/topk?seed=1&k=1", tc.header)
+		if rec.Code != tc.code {
+			t.Errorf("header %q: code %d, want %d", tc.header, rec.Code, tc.code)
 			continue
 		}
-		rec, _ := deadlineGet(t, h, "/topk?seed=1&k=1", bad)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("header %q: code %d, want 400", bad, rec.Code)
+		if tc.code != http.StatusOK {
+			if eng.calls.Load() != 0 {
+				t.Errorf("header %q: rejected request reached the engine", tc.header)
+			}
+			continue
+		}
+		if b := time.Duration(eng.lastBudget.Load()); b < 2*century {
+			t.Errorf("header %q: engine ctx budget %v, want the full ~292 years", tc.header, b)
+		}
+		if body["partial"] != false || body["effective_s"].(float64) != 5 {
+			t.Errorf("header %q: partial %v effective_s %v, want a complete answer", tc.header, body["partial"], body["effective_s"])
 		}
 	}
 }
 
 func TestDeadlineHeaderRoutesAndAnnotates(t *testing.T) {
-	eng := newFakeDeadlineEngine(true)
+	eng := &fakeEngine{partial: true}
 	h := NewWith(eng, Info{Name: "test"}, Options{CacheSize: 16})
 
 	rec, body := deadlineGet(t, h, "/topk?seed=1&k=1", "50")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d: %s", rec.Code, rec.Body.String())
 	}
-	if eng.deadlineCalls.Load() != 1 {
-		t.Fatalf("deadline path not taken (%d calls)", eng.deadlineCalls.Load())
+	if eng.calls.Load() != 1 {
+		t.Fatalf("%d engine calls, want 1", eng.calls.Load())
 	}
 	if b := time.Duration(eng.lastBudget.Load()); b <= 0 || b > 50*time.Millisecond {
 		t.Errorf("ctx budget %v, want (0, 50ms]", b)
@@ -139,8 +102,8 @@ func TestDeadlineHeaderRoutesAndAnnotates(t *testing.T) {
 	// request goes back to the engine rather than being served a stale
 	// truncation.
 	deadlineGet(t, h, "/topk?seed=1&k=1", "50")
-	if eng.deadlineCalls.Load() != 2 {
-		t.Errorf("partial answer was cached (calls=%d)", eng.deadlineCalls.Load())
+	if eng.calls.Load() != 2 {
+		t.Errorf("partial answer was cached (calls=%d)", eng.calls.Load())
 	}
 
 	// Both responses carried partial answers; the counter must agree.
@@ -152,7 +115,7 @@ func TestDeadlineHeaderRoutesAndAnnotates(t *testing.T) {
 }
 
 func TestDeadlineCompleteAnswerIsCached(t *testing.T) {
-	eng := newFakeDeadlineEngine(false)
+	eng := &fakeEngine{}
 	h := NewWith(eng, Info{Name: "test"}, Options{CacheSize: 16})
 
 	rec, body := deadlineGet(t, h, "/topk?seed=3&k=2", "50")
@@ -160,58 +123,44 @@ func TestDeadlineCompleteAnswerIsCached(t *testing.T) {
 		t.Fatalf("code %d partial %v", rec.Code, body["partial"])
 	}
 	// Cache hit: engine not consulted again, response still annotated as a
-	// complete answer at the engine's own S (slowEngine.Params = 5, 10).
+	// complete answer at the engine's own S and bound (see fakeEngine).
 	rec, body = deadlineGet(t, h, "/topk?seed=3&k=2", "50")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d", rec.Code)
 	}
-	if eng.deadlineCalls.Load() != 1 {
-		t.Errorf("cache not consulted before deadline path (calls=%d)", eng.deadlineCalls.Load())
+	if eng.calls.Load() != 1 {
+		t.Errorf("cache not consulted before the engine (calls=%d)", eng.calls.Load())
 	}
-	if body["partial"] != false || body["effective_s"].(float64) != 5 {
-		t.Errorf("cache-hit meta = partial %v effective_s %v, want false/5", body["partial"], body["effective_s"])
+	if body["partial"] != false || body["effective_s"].(float64) != 5 || body["residual_bound"].(float64) != 0.44 {
+		t.Errorf("cache-hit meta = partial %v effective_s %v residual_bound %v, want false/5/0.44 (the engine's own S and bound)",
+			body["partial"], body["effective_s"], body["residual_bound"])
 	}
 }
 
 func TestDeadlineDefaultAndOptOut(t *testing.T) {
-	eng := newFakeDeadlineEngine(false)
+	eng := &fakeEngine{}
 	h := NewWith(eng, Info{Name: "test"}, Options{DefaultDeadline: 100 * time.Millisecond})
 
 	// No header: the server default applies.
 	deadlineGet(t, h, "/topk?seed=1&k=1", "")
-	if eng.deadlineCalls.Load() != 1 {
-		t.Fatalf("default deadline not applied (calls=%d)", eng.deadlineCalls.Load())
+	if b := time.Duration(eng.lastBudget.Load()); eng.calls.Load() != 1 || b <= 0 || b > 100*time.Millisecond {
+		t.Fatalf("default deadline not applied (calls=%d, budget %v)", eng.calls.Load(), b)
 	}
 	// Explicit 0 opts this request out of the default.
 	rec, body := deadlineGet(t, h, "/topk?seed=2&k=1", "0")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d", rec.Code)
 	}
-	if eng.deadlineCalls.Load() != 1 {
-		t.Errorf("header 0 still took deadline path (calls=%d)", eng.deadlineCalls.Load())
+	if eng.calls.Load() != 2 || eng.lastBudget.Load() != -1 {
+		t.Errorf("header 0: calls=%d, ctx budget %v; want one more call with no deadline", eng.calls.Load(), time.Duration(eng.lastBudget.Load()))
 	}
 	if _, present := body["partial"]; present {
 		t.Errorf("opt-out response carries deadline fields: %v", body)
 	}
 }
 
-func TestDeadlineHeaderIgnoredByPlainEngine(t *testing.T) {
-	// An engine without DeadlineEngine must keep serving full answers; the
-	// header degrades to a no-op rather than a 500.
-	eng := &slowEngine{entered: make(chan struct{}, 8), release: make(chan struct{})}
-	close(eng.release)
-	h := NewWith(eng, Info{Name: "test"}, Options{})
-	rec, body := deadlineGet(t, h, "/topk?seed=1&k=1", "5")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("code %d", rec.Code)
-	}
-	if _, present := body["partial"]; present {
-		t.Errorf("plain engine response carries deadline fields: %v", body)
-	}
-}
-
 func TestDeadlineAllEndpoints(t *testing.T) {
-	eng := newFakeDeadlineEngine(true)
+	eng := &fakeEngine{partial: true}
 	h := NewWith(eng, Info{Name: "test"}, Options{})
 
 	if _, body := deadlineGet(t, h, "/score?seed=0&node=1", "50"); body["partial"] != true {
@@ -247,6 +196,76 @@ func postJSONDeadline(t *testing.T, h http.Handler, path, body, headerMS string)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec, decodeBody(t, rec, path)
+}
+
+// queryRequests is one request per query endpoint, in both its bare and
+// /graphs/default/ forms.
+var queryRequests = []struct{ method, path, body string }{
+	{http.MethodGet, "/topk?seed=1&k=1", ""},
+	{http.MethodGet, "/graphs/default/topk?seed=1&k=1", ""},
+	{http.MethodGet, "/score?seed=1&node=1", ""},
+	{http.MethodGet, "/graphs/default/score?seed=1&node=1", ""},
+	{http.MethodPost, "/batch", `{"seeds":[1,0],"k":1}`},
+	{http.MethodPost, "/graphs/default/batch", `{"seeds":[1,0],"k":1}`},
+	{http.MethodPost, "/queryset", `{"seeds":[1,0],"k":1}`},
+	{http.MethodPost, "/graphs/default/queryset", `{"seeds":[1,0],"k":1}`},
+}
+
+func serveQuery(h http.Handler, method, path, body, headerMS string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	if headerMS != "" {
+		req.Header.Set(DeadlineHeader, headerMS)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestOneEngineCallPerRequest pins the single serving path: every query
+// endpoint makes exactly one engine call per request, whose context has no
+// deadline when neither the header nor Options.DefaultDeadline sets one,
+// and the request's budget when one does.
+func TestOneEngineCallPerRequest(t *testing.T) {
+	for _, q := range queryRequests {
+		for _, header := range []string{"", "50"} {
+			eng := &fakeEngine{}
+			h := NewWith(eng, Info{Name: "test"}, Options{})
+			rec := serveQuery(h, q.method, q.path, q.body, header)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s header %q: code %d (%s)", q.path, header, rec.Code, rec.Body.String())
+			}
+			if n := eng.calls.Load(); n != 1 {
+				t.Errorf("%s header %q: %d engine calls, want 1", q.path, header, n)
+			}
+			b := time.Duration(eng.lastBudget.Load())
+			if header == "" && b != -1 {
+				t.Errorf("%s without a budget: engine ctx has a deadline %v away", q.path, b)
+			}
+			if header != "" && (b <= 0 || b > 50*time.Millisecond) {
+				t.Errorf("%s under a 50ms budget: engine ctx budget %v", q.path, b)
+			}
+		}
+	}
+}
+
+// TestNoBudgetWireFormat pins the exact response of every query endpoint
+// for a request without a budget: no partial, effective_s, residual_bound
+// or partial_count keys.
+func TestNoBudgetWireFormat(t *testing.T) {
+	want := map[string]string{
+		"topk":     `{"results":[{"node":1,"score":1}],"seed":1}`,
+		"score":    `{"node":1,"score":0.75,"seed":1}`,
+		"batch":    `{"k":1,"results":[{"seed":1,"results":[{"node":1,"score":1}]},{"seed":0,"results":[{"node":0,"score":1}]}]}`,
+		"queryset": `{"results":[{"node":1,"score":0.75}],"seeds":[1,0]}`,
+	}
+	h := NewWith(&fakeEngine{}, Info{Name: "test"}, Options{})
+	for _, q := range queryRequests {
+		endpoint, _, _ := strings.Cut(q.path[strings.LastIndex(q.path, "/")+1:], "?")
+		rec := serveQuery(h, q.method, q.path, q.body, "")
+		if got := strings.TrimSuffix(rec.Body.String(), "\n"); got != want[endpoint] {
+			t.Errorf("%s: body\n  %s\nwant\n  %s", q.path, got, want[endpoint])
+		}
+	}
 }
 
 // TestTightDeadlineOnLargeGraphReturnsPartial is the end-to-end guarantee:

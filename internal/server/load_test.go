@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tpa/internal/core"
 	"tpa/internal/loadgen"
 	"tpa/internal/sparse"
 )
@@ -14,25 +15,18 @@ import (
 // paceEngine answers real-shaped top-k results after a fixed delay, giving
 // the soak test a server with a known capacity: MaxInFlight / delay QPS.
 type paceEngine struct {
+	fakeEngine
 	delay time.Duration
 }
 
-func (p *paceEngine) TopK(seed, k int) ([]sparse.Entry, error) {
+func (p *paceEngine) TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error) {
 	time.Sleep(p.delay)
 	out := make([]sparse.Entry, k)
 	for i := range out {
 		out[i] = sparse.Entry{Index: (seed + i) % 1000, Score: 1 / float64(i+1)}
 	}
-	return out, nil
+	return out, p.meta(), nil
 }
-func (p *paceEngine) Query(seed int) ([]float64, error)       { return []float64{1}, nil }
-func (p *paceEngine) QuerySet(seeds []int) ([]float64, error) { return []float64{1}, nil }
-func (p *paceEngine) TopKBatch(seeds []int, k, w int) ([][]sparse.Entry, error) {
-	return make([][]sparse.Entry, len(seeds)), nil
-}
-func (p *paceEngine) Params() (int, int)  { return 5, 10 }
-func (p *paceEngine) IndexBytes() int64   { return 8 }
-func (p *paceEngine) ErrorBound() float64 { return 0.44 }
 
 // TestServeUnderLoad is the soak test: an open-loop load run at roughly 2x
 // the server's admission capacity. The contract under overload:

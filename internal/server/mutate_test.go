@@ -88,7 +88,7 @@ func TestMutateErrors(t *testing.T) {
 	if err := h.Register("live", eng, Info{Nodes: 50, Edges: g.NumEdges()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Register("fake", &slowEngine{}, Info{Nodes: 1, Edges: 0}); err != nil {
+	if err := h.Register("fake", &fakeEngine{}, Info{Nodes: 1, Edges: 0}); err != nil {
 		t.Fatal(err)
 	}
 

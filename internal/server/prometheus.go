@@ -227,43 +227,6 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	cacheStat("tpa_cache_capacity", "Top-k cache capacity per graph (0 = caching disabled).", "gauge",
 		func(_, _ int64, _, capacity int) float64 { return float64(capacity) })
 
-	// Per-method serving state (?method=…): one series per alternative
-	// method actually built on a graph's current serving state. The native
-	// TPA engine is covered by the tpa_graph_* series above.
-	type methodSample struct {
-		graph, method string
-		queries       float64
-		indexBytes    float64
-		prepSeconds   float64
-	}
-	var methodSamples []methodSample
-	for _, e := range entries {
-		for _, me := range e.state.Load().methods.loaded() {
-			if !me.done.Load() || me.err != nil {
-				continue // never built, or build failed
-			}
-			st := me.m.Stats()
-			methodSamples = append(methodSamples, methodSample{
-				graph: e.name, method: me.name,
-				queries:     float64(me.queries.Load()),
-				indexBytes:  float64(st.IndexBytes),
-				prepSeconds: st.PreprocessTime.Seconds(),
-			})
-		}
-	}
-	methodMetric := func(name, help, typ string, get func(s methodSample) float64) {
-		p.header(name, help, typ)
-		for _, s := range methodSamples {
-			p.sample(name, promLabel("graph", s.graph)+","+promLabel("method", s.method), get(s))
-		}
-	}
-	methodMetric("tpa_method_queries_total", "Queries served per alternative method (?method=) per graph.", "counter",
-		func(s methodSample) float64 { return s.queries })
-	methodMetric("tpa_method_index_bytes", "Preprocessed index size per alternative method per graph.", "gauge",
-		func(s methodSample) float64 { return s.indexBytes })
-	methodMetric("tpa_method_preprocess_seconds", "Preprocessing cost per alternative method per graph.", "gauge",
-		func(s methodSample) float64 { return s.prepSeconds })
-
 	// Durable-ingest pipeline state (EnableIngest). Family headers are
 	// always emitted so dashboards see a stable surface; samples appear
 	// only for graphs with ingest enabled.

@@ -94,27 +94,24 @@ func parseProm(t *testing.T, body string) ([]promSample, map[string]string) {
 // dashboard scraping this server — if this test fails, you are making a
 // breaking change; update the docs and dashboards deliberately.
 var goldenMetrics = map[string]string{
-	"tpa_requests_total":            "counter",
-	"tpa_request_errors_total":      "counter",
-	"tpa_requests_shed_total":       "counter",
-	"tpa_partial_answers_total":     "counter",
-	"tpa_request_duration_seconds":  "histogram",
-	"tpa_in_flight_requests":        "gauge",
-	"tpa_max_in_flight":             "gauge",
-	"tpa_graph_queries_total":       "counter",
-	"tpa_graph_reloads_total":       "counter",
-	"tpa_graph_mutations_total":     "counter",
-	"tpa_graph_nodes":               "gauge",
-	"tpa_graph_edges":               "gauge",
-	"tpa_graph_index_bytes":         "gauge",
-	"tpa_graph_error_bound":         "gauge",
-	"tpa_cache_hits_total":          "counter",
-	"tpa_cache_misses_total":        "counter",
-	"tpa_cache_entries":             "gauge",
-	"tpa_cache_capacity":            "gauge",
-	"tpa_method_queries_total":      "counter",
-	"tpa_method_index_bytes":        "gauge",
-	"tpa_method_preprocess_seconds": "gauge",
+	"tpa_requests_total":           "counter",
+	"tpa_request_errors_total":     "counter",
+	"tpa_requests_shed_total":      "counter",
+	"tpa_partial_answers_total":    "counter",
+	"tpa_request_duration_seconds": "histogram",
+	"tpa_in_flight_requests":       "gauge",
+	"tpa_max_in_flight":            "gauge",
+	"tpa_graph_queries_total":      "counter",
+	"tpa_graph_reloads_total":      "counter",
+	"tpa_graph_mutations_total":    "counter",
+	"tpa_graph_nodes":              "gauge",
+	"tpa_graph_edges":              "gauge",
+	"tpa_graph_index_bytes":        "gauge",
+	"tpa_graph_error_bound":        "gauge",
+	"tpa_cache_hits_total":         "counter",
+	"tpa_cache_misses_total":       "counter",
+	"tpa_cache_entries":            "gauge",
+	"tpa_cache_capacity":           "gauge",
 
 	// Shard / storage layout (sharded and memory-mapped engines). Count and
 	// byte-split samples appear for every graph; the per-shard node/edge
@@ -285,7 +282,7 @@ func TestMetricsHistogramInvariants(t *testing.T) {
 // Shed requests must tick the shed counter but stay out of the latency
 // histogram.
 func TestMetricsShedAccounting(t *testing.T) {
-	eng := &slowEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	eng := &fakeEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	h := NewWith(eng, Info{Name: "test"}, Options{MaxInFlight: 1, CacheSize: 0})
 	done := make(chan struct{})
 	go func() {

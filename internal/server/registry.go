@@ -1,14 +1,15 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"tpa/internal/core"
 	"tpa/internal/ingest"
-	"tpa/internal/method"
 	"tpa/internal/sparse"
 )
 
@@ -28,28 +29,23 @@ type engineState struct {
 	info     Info
 	cache    *topkCache // nil when Options.CacheSize == 0
 	loadedAt time.Time
-	// methods caches lazily built alternative engines (?method=) for this
-	// state. Tied to the state on purpose: a reload or mutation swap
-	// discards it, so methods are rebuilt against the new graph.
-	methods *methodState
 }
 
-// cachedTopK answers a top-k query through this state's cache partition,
-// falling back to the engine on a miss.
-func (st *engineState) cachedTopK(seed, k int) ([]sparse.Entry, error) {
+// cachedTopK answers a top-k query through this state's cache partition. A
+// hit is a complete answer at the engine's own S. A miss runs the engine
+// under ctx, and only complete answers enter the cache: the next request
+// may have a healthier budget and deserves the full answer.
+func (st *engineState) cachedTopK(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error) {
 	if st.cache != nil {
 		if top, ok := st.cache.Get(seed, k); ok {
-			return top, nil
+			return top, fullMeta(st.eng), nil
 		}
 	}
-	top, err := st.eng.TopK(seed, k)
-	if err != nil {
-		return nil, err
-	}
-	if st.cache != nil {
+	top, meta, err := st.eng.TopKDeadline(ctx, seed, k)
+	if err == nil && !meta.Partial && st.cache != nil {
 		st.cache.Put(seed, k, top)
 	}
-	return top, nil
+	return top, meta, err
 }
 
 // graphEntry is one named graph in the registry. The entry itself is
@@ -97,10 +93,7 @@ func (e *graphEntry) acquireSwap(timeout time.Duration) error {
 func (e *graphEntry) releaseSwap() { <-e.swap }
 
 func (h *Handler) newState(eng Engine, info Info) *engineState {
-	st := &engineState{
-		eng: eng, info: info, loadedAt: time.Now(),
-		methods: &methodState{entries: make(map[string]*methodEntry)},
-	}
+	st := &engineState{eng: eng, info: info, loadedAt: time.Now()}
 	if h.opts.CacheSize > 0 {
 		st.cache = newTopkCache(h.opts.CacheSize)
 	}
@@ -238,14 +231,9 @@ func (h *Handler) listGraphs(w http.ResponseWriter, r *http.Request) {
 			"mutations":  e.mutations.Load(),
 			"reloadable": e.loader != nil,
 			"loaded_at":  st.loadedAt.UTC().Format(time.RFC3339),
-			"methods":    methodsJSON(st),
 		}
 	}
-	writeJSON(w, map[string]interface{}{
-		"count":             len(graphs),
-		"graphs":            graphs,
-		"methods_available": method.Names(),
-	})
+	writeJSON(w, map[string]interface{}{"count": len(graphs), "graphs": graphs})
 }
 
 // graphStats serves GET /graphs/{name}/stats: the engine metadata and
@@ -273,7 +261,6 @@ func (h *Handler) graphStats(w http.ResponseWriter, r *http.Request) {
 		"reloadable":  e.loader != nil,
 		"loaded_at":   st.loadedAt.UTC().Format(time.RFC3339),
 		"cache":       cache,
-		"methods":     methodsJSON(st),
 	}
 	if se, ok := st.eng.(storageInfo); ok {
 		mapped, heap := se.StorageBytes()
@@ -297,19 +284,6 @@ func (h *Handler) graphStats(w http.ResponseWriter, r *http.Request) {
 		resp["ingest"] = ingestJSON(in)
 	}
 	writeJSON(w, resp)
-}
-
-// methodsJSON summarizes the state's lazily built alternative methods:
-// name → per-method counters. The native TPA engine is not listed — its
-// stats are the graph's own (index_bytes, error_bound, queries).
-func methodsJSON(st *engineState) map[string]interface{} {
-	out := map[string]interface{}{}
-	for _, me := range st.methods.loaded() {
-		if snap := me.snapshot(); snap != nil {
-			out[me.name] = snap
-		}
-	}
-	return out
 }
 
 // reloadGraph serves POST /graphs/{name}/reload: rebuild the engine via

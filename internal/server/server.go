@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -37,28 +38,20 @@ import (
 )
 
 // Engine is the query interface the server fronts. *tpa.Engine satisfies
-// it.
+// it. Every query runs under a context: one that never expires for a
+// request without a budget (the answer is then always complete), one cut
+// off at the request's deadline otherwise. A context that expires
+// mid-query yields the head computed so far as a valid reduced-S
+// approximation with its own Theorem-2 bound, flagged Partial in the
+// returned core.QueryMeta; it degrades accuracy, never availability.
 type Engine interface {
-	Query(seed int) ([]float64, error)
-	QuerySet(seeds []int) ([]float64, error)
-	TopK(seed, k int) ([]sparse.Entry, error)
-	TopKBatch(seeds []int, k, parallelism int) ([][]sparse.Entry, error)
-	Params() (s, t int)
-	IndexBytes() int64
-	ErrorBound() float64
-}
-
-// DeadlineEngine is the optional capability interface for SLO-driven
-// serving: engines implementing it accept a per-query context and, when it
-// expires mid-computation, return the head computed so far as a valid
-// reduced-S approximation with its own Theorem-2 bound (see
-// core.QueryMeta). *tpa.Engine implements it; engines that don't simply
-// ignore deadlines and always answer in full.
-type DeadlineEngine interface {
 	QueryDeadline(ctx context.Context, seed int) ([]float64, core.QueryMeta, error)
 	QuerySetDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error)
 	TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error)
 	TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int) ([][]sparse.Entry, []core.QueryMeta, error)
+	Params() (s, t int)
+	IndexBytes() int64
+	ErrorBound() float64
 }
 
 // shardInfo is the optional capability interface for scatter-gather
@@ -87,6 +80,10 @@ type storageInfo interface {
 // disables the deadline for that request.
 const DeadlineHeader = "X-TPA-Deadline-Ms"
 
+// maxDeadlineMS is the largest DeadlineHeader value whose budget fits a
+// time.Duration; larger values would wrap around.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Info describes a served graph for the /stats and /graphs endpoints.
 type Info struct {
 	Nodes int    `json:"nodes"`
@@ -114,8 +111,7 @@ type Options struct {
 	MaxBatch int
 	// DefaultDeadline is the per-query budget applied when a request does
 	// not carry the DeadlineHeader. 0 means no default; queries run to
-	// completion. Requires the graph's engine to implement DeadlineEngine
-	// to have any effect.
+	// completion.
 	DefaultDeadline time.Duration
 }
 
@@ -212,10 +208,11 @@ func NewRegistry(opts Options) *Handler {
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
-// handle registers a query endpoint behind the concurrency limiter and the
-// latency instrumentation. The bare and /graphs/{name}/ forms of a route
-// share one stats entry: they are the same operation.
-func (h *Handler) handle(pattern, name string, fn http.HandlerFunc) {
+// handle registers a query endpoint behind the concurrency limiter, the
+// shared request options and the latency instrumentation; fn runs with the
+// request's deadline budget (0 = none). The bare and /graphs/{name}/ forms
+// of a route share one stats entry: they are the same operation.
+func (h *Handler) handle(pattern, name string, fn func(w http.ResponseWriter, r *http.Request, budget time.Duration)) {
 	st := h.endpoints[name]
 	if st == nil {
 		st = &endpointStats{}
@@ -236,12 +233,50 @@ func (h *Handler) handle(pattern, name string, fn http.HandlerFunc) {
 		defer h.inFlight.Add(-1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		fn(sw, r)
+		if budget, err := h.queryOptions(r); err != nil {
+			httpError(sw, http.StatusBadRequest, err.Error())
+		} else {
+			fn(sw, r, budget)
+		}
 		st.observe(time.Since(start), sw.code)
 		if sw.partial {
 			st.partial.Add(1)
 		}
 	})
+}
+
+// queryOptions checks the request options every query endpoint shares and
+// returns the request's deadline budget:
+//
+//   - method: TPA is the only engine served. Any other name is rejected
+//     rather than silently answered by TPA; the paper's comparison with the
+//     other methods runs offline in `tpad arena`.
+//   - DeadlineHeader: when present it overrides Options.DefaultDeadline (an
+//     explicit 0 disables the deadline for this request).
+func (h *Handler) queryOptions(r *http.Request) (time.Duration, error) {
+	if m := r.URL.Query().Get("method"); m != "" && !strings.EqualFold(m, "tpa") {
+		return 0, fmt.Errorf("method %q is not served: tpa is the only engine behind this API (compare methods offline with `tpad arena`)", m)
+	}
+	v := r.Header.Get(DeadlineHeader)
+	if v == "" {
+		return h.opts.DefaultDeadline, nil
+	}
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms < 0 || ms > maxDeadlineMS {
+		return 0, fmt.Errorf("invalid %s header %q: want an integer in [0, %d]", DeadlineHeader, v, maxDeadlineMS)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
+// queryContext is the context a query runs under: r's context cut off
+// after budget, or, without a budget, one that never expires. It must not
+// be r's context then: a response without a budget carries no deadline
+// fields to flag a partial answer, so its answer must always be complete.
+func queryContext(r *http.Request, budget time.Duration) (context.Context, context.CancelFunc) {
+	if budget == 0 {
+		return context.Background(), func() {}
+	}
+	return context.WithTimeout(r.Context(), budget)
 }
 
 // markPartial flags the in-flight response as carrying a deadline-partial
@@ -252,44 +287,27 @@ func markPartial(w http.ResponseWriter) {
 	}
 }
 
-// requestDeadline resolves the per-query budget for r: the DeadlineHeader
-// when present (an explicit 0 disables the deadline for this request),
-// Options.DefaultDeadline otherwise.
-func (h *Handler) requestDeadline(r *http.Request) (time.Duration, error) {
-	if v := r.Header.Get(DeadlineHeader); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
-			return 0, fmt.Errorf("invalid %s header %q: want a non-negative integer", DeadlineHeader, v)
-		}
-		return time.Duration(ms) * time.Millisecond, nil
-	}
-	return h.opts.DefaultDeadline, nil
-}
-
-// deadlineFor couples requestDeadline with the engine capability check: it
-// returns the deadline-aware engine and a live budget context when both
-// sides support it, or ok=false for the plain query path.
-func deadlineFor(st *engineState, budget time.Duration) (DeadlineEngine, bool) {
-	if budget <= 0 {
-		return nil, false
-	}
-	de, ok := st.eng.(DeadlineEngine)
-	return de, ok
-}
-
-// fullMeta is the QueryMeta of an answer that did not go through the
-// deadline path (e.g. a cache hit): complete at the engine's own S.
+// fullMeta is the QueryMeta of a complete answer at the engine's own S (a
+// cache hit, say).
 func fullMeta(eng Engine) core.QueryMeta {
 	s, _ := eng.Params()
 	return core.QueryMeta{EffectiveS: s, Steps: s - 1, Bound: eng.ErrorBound()}
 }
 
-// metaJSON appends the deadline fields to a response map.
-func metaJSON(resp map[string]interface{}, meta core.QueryMeta) map[string]interface{} {
-	resp["partial"] = meta.Partial
-	resp["effective_s"] = meta.EffectiveS
-	resp["residual_bound"] = meta.Bound
-	return resp
+// writeAnswer writes a single-answer response. Under a budget it carries
+// the deadline fields of meta; without one the answer is always complete
+// and the response has none. A partial answer ticks the endpoint's partial
+// counter.
+func writeAnswer(w http.ResponseWriter, resp map[string]interface{}, budget time.Duration, meta core.QueryMeta) {
+	if meta.Partial {
+		markPartial(w)
+	}
+	if budget > 0 {
+		resp["partial"] = meta.Partial
+		resp["effective_s"] = meta.EffectiveS
+		resp["residual_bound"] = meta.Bound
+	}
+	writeJSON(w, resp)
 }
 
 // entryJSON is the wire form of a scored node.
@@ -306,7 +324,7 @@ func toJSON(es []sparse.Entry) []entryJSON {
 	return out
 }
 
-func (h *Handler) topk(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) topk(w http.ResponseWriter, r *http.Request, budget time.Duration) {
 	e, st, ok := h.resolve(w, r)
 	if !ok {
 		return
@@ -322,55 +340,17 @@ func (h *Handler) topk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.queries.Add(1)
-	me, ok := h.methodFor(w, r, st)
-	if !ok {
-		return
-	}
-	if me != nil {
-		h.methodTopK(w, r, e, st, me, seed, k)
-		return
-	}
-	budget, err := h.requestDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	de, ok := deadlineFor(st, budget)
-	if !ok {
-		top, err := st.cachedTopK(seed, k)
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		writeJSON(w, map[string]interface{}{"seed": seed, "results": toJSON(top)})
-		return
-	}
-	// Deadline path. A cache hit is a complete answer that beats any
-	// partial one, so the cache is still consulted first.
-	if st.cache != nil {
-		if top, hit := st.cache.Get(seed, k); hit {
-			writeJSON(w, metaJSON(map[string]interface{}{"seed": seed, "results": toJSON(top)}, fullMeta(st.eng)))
-			return
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	ctx, cancel := queryContext(r, budget)
 	defer cancel()
-	top, meta, err := de.TopKDeadline(ctx, seed, k)
+	top, meta, err := st.cachedTopK(ctx, seed, k)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	if meta.Partial {
-		markPartial(w)
-	} else if st.cache != nil {
-		// Partial answers never enter the cache: the next request may have
-		// a healthier budget and deserves the full answer.
-		st.cache.Put(seed, k, top)
-	}
-	writeJSON(w, metaJSON(map[string]interface{}{"seed": seed, "results": toJSON(top)}, meta))
+	writeAnswer(w, map[string]interface{}{"seed": seed, "results": toJSON(top)}, budget, meta)
 }
 
-func (h *Handler) score(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) score(w http.ResponseWriter, r *http.Request, budget time.Duration) {
 	e, st, ok := h.resolve(w, r)
 	if !ok {
 		return
@@ -386,40 +366,9 @@ func (h *Handler) score(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.queries.Add(1)
-	me, ok := h.methodFor(w, r, st)
-	if !ok {
-		return
-	}
-	if me != nil {
-		h.methodScore(w, r, e, st, me, seed, node)
-		return
-	}
-	budget, err := h.requestDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var scores []float64
-	if de, ok := deadlineFor(st, budget); ok {
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
-		var meta core.QueryMeta
-		scores, meta, err = de.QueryDeadline(ctx, seed)
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		if node >= len(scores) {
-			httpError(w, http.StatusUnprocessableEntity, "node out of range")
-			return
-		}
-		if meta.Partial {
-			markPartial(w)
-		}
-		writeJSON(w, metaJSON(map[string]interface{}{"seed": seed, "node": node, "score": scores[node]}, meta))
-		return
-	}
-	scores, err = st.eng.Query(seed)
+	ctx, cancel := queryContext(r, budget)
+	defer cancel()
+	scores, meta, err := st.eng.QueryDeadline(ctx, seed)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
@@ -428,7 +377,7 @@ func (h *Handler) score(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "node out of range")
 		return
 	}
-	writeJSON(w, map[string]interface{}{"seed": seed, "node": node, "score": scores[node]})
+	writeAnswer(w, map[string]interface{}{"seed": seed, "node": node, "score": scores[node]}, budget, meta)
 }
 
 // batchRequest is the POST /batch body.
@@ -450,7 +399,7 @@ type seedResult struct {
 // batch answers one top-k query per seed, checking the graph's cache
 // partition per seed and fanning the misses out over the engine's worker
 // pool in a single TopKBatch call.
-func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Duration) {
 	e, st, ok := h.resolve(w, r)
 	if !ok {
 		return
@@ -473,19 +422,6 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		req.K = 10
 	}
 	e.queries.Add(1)
-	me, ok := h.methodFor(w, r, st)
-	if !ok {
-		return
-	}
-	if me != nil {
-		h.methodBatch(w, r, e, st, me, req.Seeds, req.K)
-		return
-	}
-	budget, err := h.requestDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	out := make([]seedResult, len(req.Seeds))
 	var missSeeds, missPos []int
 	for i, s := range req.Seeds {
@@ -500,24 +436,18 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 	}
 	partialCount := 0
 	if len(missSeeds) > 0 {
-		var tops [][]sparse.Entry
-		var metas []core.QueryMeta
-		if de, ok := deadlineFor(st, budget); ok {
-			// The whole batch shares one budget; each seed degrades
-			// independently as it runs out (see TPA.TopKBatchDeadline).
-			ctx, cancel := context.WithTimeout(r.Context(), budget)
-			defer cancel()
-			tops, metas, err = de.TopKBatchDeadline(ctx, missSeeds, req.K, h.opts.Workers)
-		} else {
-			tops, err = st.eng.TopKBatch(missSeeds, req.K, h.opts.Workers)
-		}
+		// The whole batch shares one budget; each seed degrades
+		// independently as it runs out (see TPA.TopKBatchDeadline).
+		ctx, cancel := queryContext(r, budget)
+		defer cancel()
+		tops, metas, err := st.eng.TopKBatchDeadline(ctx, missSeeds, req.K, h.opts.Workers)
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		}
 		for j, top := range tops {
 			res := seedResult{Seed: missSeeds[j], Results: toJSON(top)}
-			if metas != nil && metas[j].Partial {
+			if metas[j].Partial {
 				res.Partial = true
 				res.EffectiveS = metas[j].EffectiveS
 				res.ResidualBound = metas[j].Bound
@@ -544,7 +474,7 @@ type querySetRequest struct {
 	K     int   `json:"k"`
 }
 
-func (h *Handler) querySet(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) querySet(w http.ResponseWriter, r *http.Request, budget time.Duration) {
 	e, st, ok := h.resolve(w, r)
 	if !ok {
 		return
@@ -567,40 +497,15 @@ func (h *Handler) querySet(w http.ResponseWriter, r *http.Request) {
 		req.K = 10
 	}
 	e.queries.Add(1)
-	// Multi-seed restart distributions are a TPA-engine feature; the
-	// Method interface is single-seed by design.
-	if m := r.URL.Query().Get("method"); m != "" && !strings.EqualFold(m, "tpa") {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("queryset supports only the native tpa engine, not method %q", m))
-		return
-	}
-	budget, err := h.requestDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if de, ok := deadlineFor(st, budget); ok {
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
-		scores, meta, err := de.QuerySetDeadline(ctx, req.Seeds)
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		if meta.Partial {
-			markPartial(w)
-		}
-		top := sparse.Vector(scores).TopK(req.K)
-		writeJSON(w, metaJSON(map[string]interface{}{"seeds": req.Seeds, "results": toJSON(top)}, meta))
-		return
-	}
-	scores, err := st.eng.QuerySet(req.Seeds)
+	ctx, cancel := queryContext(r, budget)
+	defer cancel()
+	scores, meta, err := st.eng.QuerySetDeadline(ctx, req.Seeds)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	top := sparse.Vector(scores).TopK(req.K)
-	writeJSON(w, map[string]interface{}{"seeds": req.Seeds, "results": toJSON(top)})
+	writeAnswer(w, map[string]interface{}{"seeds": req.Seeds, "results": toJSON(top)}, budget, meta)
 }
 
 // stats serves the global counters. When a default graph is set its

@@ -2,14 +2,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tpa"
+	"tpa/internal/core"
 	"tpa/internal/sparse"
 )
 
@@ -286,28 +291,133 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// slowEngine blocks TopK until released, to pin requests in flight.
-type slowEngine struct {
-	entered chan struct{}
-	release chan struct{}
+// checkMethodParam pins the method parameter on one query request: no
+// parameter, method=tpa and method=TPA get byte-identical answers, and any
+// other name is a 400 pointing at the offline arena, never a TPA answer.
+func checkMethodParam(t *testing.T, h http.Handler, method, path, body string) {
+	t.Helper()
+	sep := "?"
+	if strings.Contains(path, "?") {
+		sep = "&"
+	}
+	plain := serveQuery(h, method, path, body, "")
+	if plain.Code != http.StatusOK {
+		t.Fatalf("%s: code %d (%s)", path, plain.Code, plain.Body.String())
+	}
+	for _, m := range []string{"tpa", "TPA"} {
+		rec := serveQuery(h, method, path+sep+"method="+m, body, "")
+		if rec.Code != http.StatusOK || rec.Body.String() != plain.Body.String() {
+			t.Errorf("%s method=%s: code %d body %s, want the plain answer %s", path, m, rec.Code, rec.Body.String(), plain.Body.String())
+		}
+	}
+	for _, m := range []string{"fora", "exact", "no-such-engine"} {
+		rec := serveQuery(h, method, path+sep+"method="+m, body, "")
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "tpad arena") {
+			t.Errorf("%s method=%s: code %d body %s, want 400 naming tpad arena", path, m, rec.Code, rec.Body.String())
+		}
+	}
 }
 
-func (s *slowEngine) TopK(seed, k int) ([]sparse.Entry, error) {
-	s.entered <- struct{}{}
-	<-s.release
-	return []sparse.Entry{{Index: seed, Score: 1}}, nil
+func TestMethodTopK(t *testing.T) {
+	h := testHandler(t)
+	for _, path := range []string{"/topk?seed=5&k=4", "/graphs/default/topk?seed=5&k=4"} {
+		checkMethodParam(t, h, http.MethodGet, path, "")
+	}
 }
-func (s *slowEngine) Query(seed int) ([]float64, error)       { return []float64{1}, nil }
-func (s *slowEngine) QuerySet(seeds []int) ([]float64, error) { return []float64{1}, nil }
-func (s *slowEngine) TopKBatch(seeds []int, k, p int) ([][]sparse.Entry, error) {
-	return make([][]sparse.Entry, len(seeds)), nil
+
+func TestMethodScoreAndBatch(t *testing.T) {
+	h := testHandler(t)
+	for _, prefix := range []string{"", "/graphs/default"} {
+		checkMethodParam(t, h, http.MethodGet, prefix+"/score?seed=5&node=9", "")
+		checkMethodParam(t, h, http.MethodPost, prefix+"/batch", `{"seeds":[5,9],"k":3}`)
+		checkMethodParam(t, h, http.MethodPost, prefix+"/queryset", `{"seeds":[5,9],"k":3}`)
+	}
 }
-func (s *slowEngine) Params() (int, int)  { return 5, 10 }
-func (s *slowEngine) IndexBytes() int64   { return 8 }
-func (s *slowEngine) ErrorBound() float64 { return 0.44 }
+
+// TestMethodErrors: a rejected method never reaches the engine, whatever
+// budget the request carries, and counts as an endpoint error.
+func TestMethodErrors(t *testing.T) {
+	eng := &fakeEngine{}
+	h := NewWith(eng, Info{Name: "test"}, Options{DefaultDeadline: time.Second})
+	for _, header := range []string{"", "0", "50"} {
+		if rec := serveQuery(h, http.MethodGet, "/topk?seed=1&method=fora", "", header); rec.Code != http.StatusBadRequest {
+			t.Errorf("header %q: code %d, want 400", header, rec.Code)
+		}
+	}
+	if n := eng.calls.Load(); n != 0 {
+		t.Errorf("rejected method requests made %d engine calls", n)
+	}
+	_, stats := get(t, h, "/stats")
+	ep := stats["endpoints"].(map[string]interface{})["topk"].(map[string]interface{})
+	if ep["errors"].(float64) != 3 {
+		t.Errorf("topk errors = %v, want 3", ep["errors"])
+	}
+}
+
+// fakeEngine is the server tests' engine double. Every query records the
+// call and the context it ran under, so tests can see which engine calls a
+// request made and with what budget. When entered is set, TopKDeadline
+// signals it and then blocks until release is closed, pinning a request in
+// flight. Answers report a partial meta when partial is set.
+type fakeEngine struct {
+	entered, release chan struct{}
+	partial          bool
+	calls            atomic.Int64 // query calls of every shape
+	lastBudget       atomic.Int64 // ns from the last call to its ctx deadline; -1 when it had none
+}
+
+func (f *fakeEngine) record(ctx context.Context) {
+	f.calls.Add(1)
+	budget := int64(-1)
+	if dl, ok := ctx.Deadline(); ok {
+		budget = int64(time.Until(dl))
+	}
+	f.lastBudget.Store(budget)
+}
+
+func (f *fakeEngine) meta() core.QueryMeta {
+	if f.partial {
+		return core.QueryMeta{Partial: true, EffectiveS: 2, Steps: 1, Bound: 0.5}
+	}
+	return core.QueryMeta{EffectiveS: 5, Steps: 4, Bound: 0.01}
+}
+
+func (f *fakeEngine) QueryDeadline(ctx context.Context, seed int) ([]float64, core.QueryMeta, error) {
+	f.record(ctx)
+	return []float64{0.25, 0.75}, f.meta(), nil
+}
+
+func (f *fakeEngine) QuerySetDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error) {
+	f.record(ctx)
+	return []float64{0.25, 0.75}, f.meta(), nil
+}
+
+func (f *fakeEngine) TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error) {
+	f.record(ctx)
+	if f.entered != nil {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+	return []sparse.Entry{{Index: seed, Score: 1}}, f.meta(), nil
+}
+
+func (f *fakeEngine) TopKBatchDeadline(ctx context.Context, seeds []int, k, p int) ([][]sparse.Entry, []core.QueryMeta, error) {
+	f.record(ctx)
+	tops := make([][]sparse.Entry, len(seeds))
+	metas := make([]core.QueryMeta, len(seeds))
+	for i, s := range seeds {
+		tops[i] = []sparse.Entry{{Index: s, Score: 1}}
+		metas[i] = f.meta()
+	}
+	return tops, metas, nil
+}
+
+func (f *fakeEngine) Params() (int, int)  { return 5, 10 }
+func (f *fakeEngine) IndexBytes() int64   { return 8 }
+func (f *fakeEngine) ErrorBound() float64 { return 0.44 }
 
 func TestConcurrencyLimitSheds503(t *testing.T) {
-	eng := &slowEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	eng := &fakeEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	h := NewWith(eng, Info{Name: "test"}, Options{MaxInFlight: 1, CacheSize: 0})
 	done := make(chan int, 1)
 	go func() {

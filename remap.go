@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"tpa/internal/graph"
-	"tpa/internal/method"
-	"tpa/internal/rwr"
 	"tpa/internal/sparse"
 )
 
@@ -95,59 +93,4 @@ func (e *Engine) toInternalEdges(edges [][2]int) ([][2]int, error) {
 		out[i] = [2]int{int(e.inv[u]), int(e.inv[v])}
 	}
 	return out, nil
-}
-
-// remapMethod decorates an alternative method built over the reordered
-// graph so its answers speak external ids, same as the native engine.
-type remapMethod struct {
-	m         method.Method
-	perm, inv []int32
-}
-
-func (r *remapMethod) Name() string { return r.m.Name() }
-
-func (r *remapMethod) Preprocess(w *graph.Walk, cfg rwr.Config) error {
-	return r.m.Preprocess(w, cfg)
-}
-
-func (r *remapMethod) Stats() method.Stats { return r.m.Stats() }
-
-// ConcurrentQueries forwards the inner method's concurrency capability
-// (see method.IsConcurrent): the decorator adds only per-call local state.
-func (r *remapMethod) ConcurrentQueries() bool { return method.IsConcurrent(r.m) }
-
-func (r *remapMethod) mapSeed(seed int) int {
-	if seed < 0 || seed >= len(r.inv) {
-		return seed // out of range: let the method report its typed error
-	}
-	return int(r.inv[seed])
-}
-
-func (r *remapMethod) Query(seed int) (sparse.Vector, method.QueryMeta, error) {
-	v, meta, err := r.m.Query(r.mapSeed(seed))
-	if err != nil {
-		return nil, meta, err
-	}
-	out := make(sparse.Vector, len(v))
-	for i, x := range v {
-		out[r.perm[i]] = x
-	}
-	return out, meta, nil
-}
-
-func (r *remapMethod) TopK(seed, k int) ([]sparse.Entry, method.QueryMeta, error) {
-	top, meta, err := r.m.TopK(r.mapSeed(seed), k)
-	if err != nil {
-		return nil, meta, err
-	}
-	for i := range top {
-		top[i].Index = int(r.perm[top[i].Index])
-	}
-	sort.Slice(top, func(a, b int) bool {
-		if top[a].Score != top[b].Score {
-			return top[a].Score > top[b].Score
-		}
-		return top[a].Index < top[b].Index
-	})
-	return top, meta, nil
 }

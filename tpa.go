@@ -33,7 +33,6 @@ import (
 	"tpa/internal/core"
 	"tpa/internal/gen"
 	"tpa/internal/graph"
-	"tpa/internal/method"
 	"tpa/internal/mmapio"
 	"tpa/internal/reorder"
 	"tpa/internal/rwr"
@@ -197,8 +196,8 @@ type Engine struct {
 	// natural-order and snapshot-loaded engines).
 	order string
 	// shardOp is the scatter-gather operator of a sharded engine (nil
-	// otherwise); walk stays the base walk so snapshots, stats and
-	// ?method= keep working unchanged.
+	// otherwise); walk stays the base walk so snapshots and stats keep
+	// working unchanged.
 	shardOp *shard.Operator
 	// snap pins the memory-mapped snapshot an mmap-loaded engine serves
 	// from (nil for heap engines); Close releases the mapping.
@@ -325,24 +324,20 @@ func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine
 }
 
 // Query returns the approximate RWR score vector for the seed node
-// (length = number of nodes, sums to ≈1).
+// (length = number of nodes, sums to ≈1). It is QueryDeadline under a
+// context that never expires.
 func (e *Engine) Query(seed int) ([]float64, error) {
-	r, err := e.tpa.Query(e.toInternal(seed))
-	if err != nil {
-		return nil, err
-	}
-	return e.toExternalVec(r), nil
+	r, _, err := e.QueryDeadline(context.Background(), seed)
+	return r, err
 }
 
 // QuerySet returns approximate personalized PageRank for a set of seed
 // nodes (the walk restarts uniformly over the set) — e.g. a user's whole
-// reading history rather than a single item.
+// reading history rather than a single item. It is QuerySetDeadline under a
+// context that never expires.
 func (e *Engine) QuerySet(seeds []int) ([]float64, error) {
-	r, err := e.tpa.QuerySet(e.toInternalSeeds(seeds))
-	if err != nil {
-		return nil, err
-	}
-	return e.toExternalVec(r), nil
+	r, _, err := e.QuerySetDeadline(context.Background(), seeds)
+	return r, err
 }
 
 // QueryBatch answers one query per seed, fanned out over a pool of
@@ -383,17 +378,11 @@ func (e *Engine) QueryBatch(seeds []int, parallelism int) ([][]float64, error) {
 
 // TopKBatch answers a top-k query per seed with the same worker pool as
 // QueryBatch, returning only the k best entries per seed — full score
-// vectors never leave the scratch pool. This is the call production batch
-// endpoints should use.
+// vectors never leave the scratch pool. It is TopKBatchDeadline under a
+// context that never expires.
 func (e *Engine) TopKBatch(seeds []int, k, parallelism int) ([][]Entry, error) {
-	tops, err := e.tpa.TopKBatch(e.toInternalSeeds(seeds), k, e.batchWorkers(parallelism))
-	if err != nil {
-		return nil, err
-	}
-	for i := range tops {
-		tops[i] = e.toExternalEntries(tops[i])
-	}
-	return tops, nil
+	tops, _, err := e.TopKBatchDeadline(context.Background(), seeds, k, parallelism)
+	return tops, err
 }
 
 func (e *Engine) batchWorkers(parallelism int) int {
@@ -407,46 +396,12 @@ func (e *Engine) batchWorkers(parallelism int) int {
 }
 
 // TopK returns the k nodes most relevant to the seed, highest score first.
+// The full score vector never leaves the engine's scratch pool, so a call
+// allocates only its k entries. It is TopKDeadline under a context that
+// never expires.
 func (e *Engine) TopK(seed, k int) ([]Entry, error) {
-	top, err := e.tpa.TopK(e.toInternal(seed), k)
-	if err != nil {
-		return nil, err
-	}
-	return e.toExternalEntries(top), nil
-}
-
-// NewMethod builds a named alternative engine (see the internal/method
-// registry: "fora", "bear", "mc", "exact", ...) preprocessed over this
-// engine's graph with this engine's RWR configuration, so its answers
-// address the same problem the TPA index answers. This is the capability
-// the HTTP server's ?method= parameter serves through. It fails for
-// engines without an in-memory CSR graph (streaming engines and engines
-// carrying an uncompacted mutation overlay; errors.Is
-// method.ErrUnavailable) and for unregistered names (errors.Is
-// method.ErrUnknownMethod).
-//
-// Preprocessing cost is the named method's own — potentially far above
-// TPA's. The returned Method is NOT safe for concurrent queries unless it
-// declares the method.Concurrent capability ("tpa" and "exact" do);
-// callers must serialize the rest (the server does).
-func (e *Engine) NewMethod(name string) (method.Method, error) {
-	if e.walk == nil {
-		return nil, fmt.Errorf("tpa: engine has no in-memory CSR graph (streaming or uncompacted overlay): %w", method.ErrUnavailable)
-	}
-	m, err := method.New(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Preprocess(e.walk, e.tpa.Config()); err != nil {
-		return nil, err
-	}
-	if e.perm != nil {
-		// Alternative methods preprocess over the reordered (internal) graph
-		// for the same locality win as the native engine; the decorator keeps
-		// their answers in external ids.
-		return &remapMethod{m: m, perm: e.perm, inv: e.inv}, nil
-	}
-	return m, nil
+	top, _, err := e.TopKDeadline(context.Background(), seed, k)
+	return top, err
 }
 
 // QueryMeta describes how a deadline-aware query completed: whether the

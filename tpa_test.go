@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -232,5 +233,56 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// minAllocBytes is the fewest heap bytes one call of fn allocates, over
+// runs calls. The minimum, not the mean: an occasional scratch
+// (re)allocation — GC empties the sync.Pool, and the race detector drops
+// pooled entries at random — is not the steady state, while an allocation
+// every call makes still shows.
+func minAllocBytes(runs int, fn func()) uint64 {
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestTopKAllocationIndependentOfN: a top-k answer costs O(k) heap bytes,
+// whatever n is. The full score vector lives and dies in the engine's
+// pooled scratch, on natural and reordered engines in both precisions.
+func TestTopKAllocationIndependentOfN(t *testing.T) {
+	const n, k = 20000, 10
+	const perAnswer = 4 << 10 // an n-vector here is 160 KiB
+	g := RandomCommunityGraph(n, 8*n, 8, 5)
+	seeds := []int{1, 77, 4096, 19999}
+	for _, order := range []string{"", "degree"} {
+		for _, prec := range []Precision{Float64, Float32} {
+			o := Defaults()
+			o.Order, o.Precision = order, prec
+			eng, err := New(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("order=%q %v", order, prec)
+			var err1, err2 error
+			one := minAllocBytes(21, func() { _, err1 = eng.TopK(seeds[2], k) })
+			batch := minAllocBytes(21, func() { _, err2 = eng.TopKBatch(seeds, k, 2) })
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			t.Logf("%s: TopK %d B/call, TopKBatch(%d seeds) %d B/call", name, one, len(seeds), batch)
+			if one > perAnswer {
+				t.Errorf("%s: TopK allocates %d B/call, want ≤ %d (O(k), not O(n))", name, one, perAnswer)
+			}
+			if batch > uint64(len(seeds))*perAnswer {
+				t.Errorf("%s: TopKBatch allocates %d B/call for %d seeds, want ≤ %d per seed", name, batch, len(seeds), perAnswer)
+			}
+		}
 	}
 }
