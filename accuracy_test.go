@@ -17,9 +17,8 @@ import (
 // ‖r_exact − r_TPA‖₁ ≤ 2(1-c)^S (Theorem 2), unit total mass, and a top-k
 // head consistent with exact RWR wherever the error budget allows ranks to
 // be distinguished at all. The same properties are asserted again after
-// dynamic edge mutations, both on the uncompacted overlay and after
-// compaction, so the incremental reindex path is held to the same bound as
-// fresh preprocessing.
+// dynamic edge mutations, so the incremental reindex path is held to the
+// same bound as fresh preprocessing.
 
 func l1dist(a, b []float64) float64 {
 	var d float64
@@ -125,7 +124,6 @@ func TestAccuracyPropertySBM(t *testing.T) {
 		pin := 0.7 + rng.Float64()*0.25
 		g := tpa.RandomSBMGraph(nodes, comms, deg, pin, rng.Int63())
 		o := tpa.Defaults()
-		o.CompactAfter = 0.5 // keep small batches on the overlay below
 		eng, err := tpa.New(g, o)
 		if err != nil {
 			t.Fatal(err)
@@ -144,26 +142,16 @@ func TestAccuracyPropertySBM(t *testing.T) {
 				removes = append(removes, [2]int{u, int(ns[rng.Intn(len(ns))])})
 			}
 		}
-		mutated, stats, err := eng.ApplyEdges(adds, removes)
+		mutated, _, err := eng.ApplyEdges(adds, removes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compacted, err := mutated.Compact()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mg := compacted.Graph()
+		mg := mutated.Graph()
 		if mg == nil {
-			t.Fatal("compacted engine lost its graph")
+			t.Fatal("mutated engine has no graph")
 		}
 		for _, seed := range seeds {
-			// The overlay engine and the compacted engine serve the same
-			// mutated graph; both must stay within the bound of exact RWR
-			// on that graph.
-			if !stats.Compacted {
-				checkAccuracy(t, "overlay", mutated, mg, seed, o)
-			}
-			checkAccuracy(t, "compacted", compacted, mg, seed, o)
+			checkAccuracy(t, "mutated", mutated, mg, seed, o)
 		}
 	}
 }
@@ -224,11 +212,7 @@ func TestAccuracyVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	natComp, err := natMut.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refG := natComp.Graph()
+	refG := natMut.Graph()
 
 	seeds := []int{3, 141, 255, 399}
 	for _, v := range accuracyVariants {
@@ -246,29 +230,22 @@ func TestAccuracyVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compacted, err := mutated.Compact()
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, seed := range seeds {
 				checkAccuracyTol(t, "mutated/"+v.name, mutated, refG, seed, vo, v.slack, v.massTol)
-				checkAccuracyTol(t, "compacted/"+v.name, compacted, refG, seed, vo, v.slack, v.massTol)
 			}
 		})
 	}
 }
 
-// TestAccuracyAfterMutationStorm chains many mutation batches (crossing
-// compaction and possibly full-rebuild thresholds) and asserts the final
-// engine still meets the Theorem-2 bound against exact RWR on the final
-// graph — the regression test for error drift in stacked incremental
-// reindexes.
+// TestAccuracyAfterMutationStorm chains many mutation batches (possibly
+// crossing the full-rebuild threshold) and asserts the final engine still
+// meets the Theorem-2 bound against exact RWR on the final graph — the
+// regression test for error drift in stacked incremental reindexes.
 func TestAccuracyAfterMutationStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const nodes = 250
 	g := tpa.RandomSBMGraph(nodes, 3, 5, 0.85, 41)
 	o := tpa.Defaults()
-	o.CompactAfter = 0.03
 	eng, err := tpa.New(g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -284,12 +261,8 @@ func TestAccuracyAfterMutationStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	final, err := cur.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, seed := range []int{0, 17, 123, 249} {
-		checkAccuracy(t, "storm", final, final.Graph(), seed, o)
+		checkAccuracy(t, "storm", cur, cur.Graph(), seed, o)
 	}
 }
 

@@ -285,8 +285,7 @@ func cmdServe(args []string) error {
 	ingestMode := fs.String("ingest-mode", "block", "backpressure when the ingest queue is full: block, drop, or reject (429)")
 	batchEdges := fs.Int("ingest-batch-edges", 4096, "max edges coalesced into one apply batch")
 	batchAge := fs.Duration("ingest-batch-age", 25*time.Millisecond, "max time an admitted edge event waits before its batch is applied")
-	compactStaleness := fs.Float64("compact-staleness", 0, "auto-compact when the mutation overlay exceeds this fraction of the base graph (0 = off)")
-	compactWALBytes := fs.Int64("compact-wal-bytes", 128<<20, "auto-compact (and truncate the WAL) when live WAL bytes exceed this (0 = off)")
+	compactWALBytes := fs.Int64("compact-wal-bytes", 128<<20, "auto-compact (rewrite the snapshot and truncate the WAL) when live WAL bytes exceed this (0 = off)")
 	o := tpaOpts(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -315,12 +314,11 @@ func cmdServe(args []string) error {
 			root: *walRoot,
 			wal:  ingest.WALOptions{Fsync: fsync},
 			queue: ingest.Options{
-				QueueSize:        *ingestQueue,
-				MaxBatchEdges:    *batchEdges,
-				MaxBatchAge:      *batchAge,
-				Mode:             mode,
-				CompactStaleness: *compactStaleness,
-				CompactWALBytes:  *compactWALBytes,
+				QueueSize:       *ingestQueue,
+				MaxBatchEdges:   *batchEdges,
+				MaxBatchAge:     *batchAge,
+				Mode:            mode,
+				CompactWALBytes: *compactWALBytes,
 			},
 		}
 	}
@@ -523,8 +521,6 @@ func edgeListLoader(path string, o tpa.Options) server.Loader {
 }
 
 func engineInfo(eng *tpa.Engine, path string) server.Info {
-	// NumNodes/NumEdges, not Graph(): an engine carrying an uncompacted
-	// mutation overlay (e.g. right after a WAL replay) has no base CSR.
 	return server.Info{Nodes: eng.NumNodes(), Edges: eng.NumEdges(), Name: path}
 }
 

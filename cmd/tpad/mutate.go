@@ -216,7 +216,6 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 			Added        int     `json:"added"`
 			Removed      int     `json:"removed"`
 			Edges        int64   `json:"edges"`
-			Compacted    bool    `json:"compacted"`
 			Incremental  bool    `json:"incremental"`
 			ReindexIters int     `json:"reindex_iters"`
 			ElapsedMS    float64 `json:"elapsed_ms"`
@@ -227,9 +226,6 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 		mode := "incremental"
 		if !summary.Incremental {
 			mode = "full rebuild"
-		}
-		if summary.Compacted {
-			mode += ", compacted"
 		}
 		fmt.Printf("applied +%d -%d edges (now %d) in %.1fms — reindex: %s, %d iters\n",
 			summary.Added, summary.Removed, summary.Edges, summary.ElapsedMS, mode, summary.ReindexIters)

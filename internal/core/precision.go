@@ -23,8 +23,10 @@ import (
 // float32 state is re-derived whenever the master changes. Every query
 // entry point, deadline-bounded or not, switches kernels together, and only
 // when the operator natively supports float32 application (rwr.Operator32 —
-// the in-memory graph.Walk does, a DeltaWalk overlay or streaming operator
-// does not and falls back to float64 transparently).
+// the in-memory graph.Walk and shard.Operator do; an operator without it
+// runs the float64 kernels). Engine.ApplyEdges reindexes onto a compacted
+// graph.Walk, so a float32 engine keeps its float32 kernels across writes;
+// float32 engines cannot be streaming ones.
 
 // Precision selects the storage precision of the served index and the
 // online-phase kernels.

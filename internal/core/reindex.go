@@ -60,9 +60,9 @@ type ReindexStats struct {
 func (s ReindexStats) Iters() int { return s.HeadIters + s.CorrectionIters }
 
 // WithOperator returns a copy of t bound to w, which must be a semantically
-// identical operator over the same graph (e.g. the Walk of a compacted CSR
-// replacing a DeltaWalk overlay). The preprocessed state is shared; only
-// the binding changes.
+// identical operator over the same graph (e.g. the same Walk behind an
+// instrumenting wrapper). The preprocessed state is shared; only the
+// binding changes.
 func (t *TPA) WithOperator(w rwr.Operator) (*TPA, error) {
 	if w.N() != t.walk.N() {
 		return nil, fmt.Errorf("core: operator has %d nodes but index has %d", w.N(), t.walk.N())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -114,7 +115,7 @@ func TestReindexRepeated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Rebind each generation to the compacted walk, as Engine does.
+		// Rebind each generation to the compacted walk.
 		walk = graph.NewWalk(compacted, w.Policy())
 		cur, err = cur.WithOperator(walk)
 		if err != nil {
@@ -127,6 +128,103 @@ func TestReindexRepeated(t *testing.T) {
 	}
 	if d := cur.StrangerVector().L1Dist(full.StrangerVector()); d > 1e-5 {
 		t.Errorf("8 stacked increments drifted %g from a fresh preprocess", d)
+	}
+}
+
+// TestReindexOnCompactedWalkMatchesOverlay chains SBM batches of 500 adds
+// and 500 removes two ways: Reindex through one growing DeltaWalk overlay
+// over the original CSR, and Reindex on a freshly compacted Walk after every
+// batch, as Engine.ApplyEdges does. Both operators are the same matrix, so
+// the two chains must take the same path (same iteration counts, same
+// fallbacks) and their stranger vectors must agree to 1e-12 after every
+// batch: only the float summation order differs.
+func TestReindexOnCompactedWalkMatchesOverlay(t *testing.T) {
+	const nodes, batches, churn = 10000, 20, 500
+	sbm := func(seed int64) *graph.Graph {
+		return gen.SBM(gen.SBMConfig{Nodes: nodes, Communities: 5, AvgOutDeg: 10, PIn: 0.9, Seed: seed})
+	}
+	g, pool := sbm(11), sbm(12) // adds come from a second draw of the same model
+	policy := graph.DanglingSelfLoop
+	viaOverlay, err := PreprocessParallel(graph.NewWalk(g, policy), cfg(), DefaultParams(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaCSR := viaOverlay
+	overlay := graph.NewDelta(g)
+	cur := g
+	rng := rand.New(rand.NewSource(13))
+	pick := func(from *graph.Graph) [2]int {
+		for {
+			u := rng.Intn(nodes)
+			if ns := from.OutNeighbors(u); len(ns) > 0 {
+				return [2]int{u, int(ns[rng.Intn(len(ns))])}
+			}
+		}
+	}
+	incremental, worst := 0, 0.0
+	for b := 0; b < batches; b++ {
+		var adds, removes [][2]int
+		for i := 0; i < churn; i++ {
+			adds = append(adds, pick(pool))
+			removes = append(removes, pick(cur))
+		}
+		if _, _, err := overlay.Apply(adds, removes); err != nil {
+			t.Fatal(err)
+		}
+		d := graph.NewDelta(cur)
+		if _, _, err := d.Apply(adds, removes); err != nil {
+			t.Fatal(err)
+		}
+		cur = d.Compact()
+
+		var so, sc ReindexStats
+		if viaOverlay, so, err = Reindex(viaOverlay, graph.NewDeltaWalk(overlay, policy), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if viaCSR, sc, err = Reindex(viaCSR, graph.NewWalk(cur, policy), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if so.Full != sc.Full || so.Iters() != sc.Iters() {
+			t.Fatalf("batch %d: the overlay chain took %+v, the compacted chain %+v", b, so, sc)
+		}
+		if !sc.Full {
+			incremental++
+		}
+		dist := viaOverlay.StrangerVector().L1Dist(viaCSR.StrangerVector())
+		if dist > 1e-12 {
+			t.Fatalf("batch %d: stranger vectors differ by %g in L1", b, dist)
+		}
+		worst = math.Max(worst, dist)
+	}
+	if incremental == 0 {
+		t.Fatal("every batch fell back to full preprocessing; the chain never exercised the incremental path")
+	}
+	t.Logf("%d of %d batches incremental; largest L1 gap %g", incremental, batches, worst)
+}
+
+// TestReindexKeepsFloat32Kernels: a float32 index reindexed onto a CSR Walk
+// keeps serving on the float32 kernels. An operator without MulT32, such as
+// the DeltaWalk overlay, drops it to the float64 kernels, which is why
+// Engine.ApplyEdges reindexes on the compacted Walk.
+func TestReindexKeepsFloat32Kernels(t *testing.T) {
+	tp, w := preprocessed(t, 73, DefaultParams())
+	if err := tp.SetPrecision(Float32); err != nil {
+		t.Fatal(err)
+	}
+	dw, compacted := mutate(t, w, rand.New(rand.NewSource(10)), 3)
+	onCSR, _, err := Reindex(tp, graph.NewWalk(compacted, w.Policy()), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !onCSR.useF32() {
+		t.Error("a float32 index reindexed onto a CSR Walk lost its float32 kernels")
+	}
+	onOverlay, _, err := Reindex(tp, dw, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onOverlay.useF32() {
+		t.Error("a DeltaWalk has no MulT32, yet the reindexed index claims the float32 kernels")
 	}
 }
 

@@ -76,11 +76,8 @@ type Hooks struct {
 	// Apply applies one coalesced batch to the engine. It runs on the
 	// batcher goroutine, strictly in WAL order.
 	Apply func(adds, removes [][2]int) error
-	// Staleness reports the engine's overlay staleness (Delta ops over
-	// base edges); used with Options.CompactStaleness.
-	Staleness func() float64
-	// Compact folds the overlay into the engine and rewrites the durable
-	// snapshot. The Ingestor truncates the WAL only after it returns nil.
+	// Compact rewrites the durable snapshot from the engine's current
+	// state. The Ingestor truncates the WAL only after it returns nil.
 	Compact func() error
 }
 
@@ -97,11 +94,8 @@ type Options struct {
 	MaxBatchAge time.Duration
 	// Mode is the backpressure mode (default ModeBlock).
 	Mode Mode
-	// CompactStaleness triggers auto-compaction once overlay staleness
-	// reaches this value. Zero disables the staleness trigger.
-	CompactStaleness float64
 	// CompactWALBytes triggers auto-compaction once the live WAL exceeds
-	// this many bytes. Zero disables the size trigger.
+	// this many bytes. Zero disables auto-compaction.
 	CompactWALBytes int64
 }
 
@@ -445,9 +439,9 @@ func (in *Ingestor) run() {
 	}
 }
 
-// maybeCompact runs the auto-compaction cycle when a trigger fires:
-// block admission, drain and apply everything already logged, fold the
-// overlay + rewrite the snapshot (hook), then truncate the WAL. Order
+// maybeCompact runs the auto-compaction cycle once the live WAL reaches
+// CompactWALBytes: block admission, drain and apply everything already
+// logged, rewrite the snapshot (hook), then truncate the WAL. Order
 // matters — the WAL is only truncated after the snapshot is durable, and
 // both crash windows are safe: new snapshot + old WAL replays as no-ops
 // (edge mutations are set-semantic), old snapshot + old WAL replays
@@ -455,18 +449,7 @@ func (in *Ingestor) run() {
 // apply failure is outstanding, since then the WAL holds batches the
 // engine state — and thus the snapshot — would not include.
 func (in *Ingestor) maybeCompact() {
-	if in.hooks.Compact == nil {
-		return
-	}
-	trigger := false
-	if in.opts.CompactStaleness > 0 && in.hooks.Staleness != nil &&
-		in.hooks.Staleness() >= in.opts.CompactStaleness {
-		trigger = true
-	}
-	if in.opts.CompactWALBytes > 0 && in.wal.LagBytes() >= in.opts.CompactWALBytes {
-		trigger = true
-	}
-	if !trigger {
+	if in.hooks.Compact == nil || in.opts.CompactWALBytes <= 0 || in.wal.LagBytes() < in.opts.CompactWALBytes {
 		return
 	}
 	in.admit.Lock()

@@ -276,29 +276,6 @@ func TestIngestorAutoCompaction(t *testing.T) {
 	}
 }
 
-func TestIngestorCompactionStalenessTrigger(t *testing.T) {
-	eng := newFakeEngine()
-	in := testIngestor(t, eng, Options{
-		MaxBatchAge:      time.Millisecond,
-		CompactStaleness: 0.5,
-	}, Hooks{
-		Apply:     eng.apply,
-		Staleness: func() float64 { return 0.9 },
-		Compact:   func() error { return nil },
-	})
-	if _, err := in.Enqueue(context.Background(), edges(0, 1), nil); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for in.Stats().Compactions == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("staleness-triggered compaction never fired")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
 func TestIngestorCompactionFailureKeepsWAL(t *testing.T) {
 	eng := newFakeEngine()
 	boom := errors.New("disk full")

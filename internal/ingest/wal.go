@@ -6,7 +6,7 @@
 //
 // The package is deliberately engine-agnostic: it knows how to make edge
 // batches durable, how to replay them, and when to compact — the actual
-// ApplyEdges/Compact/snapshot calls are injected as hooks (see Ingestor),
+// ApplyEdges and snapshot calls are injected as hooks (see Ingestor),
 // so the tpa and server layers stay the only importers of each other.
 package ingest
 

@@ -5,9 +5,11 @@ import "tpa/internal/sparse"
 // Operator32 is an optional capability of an Operator: applying Ãᵀ to
 // float32 vectors natively, without widening to float64 first. The
 // reduced-precision online phase (core's float32 query path) type-asserts
-// for it and falls back to the float64 kernels when the operator does not
-// provide it (e.g. a DeltaWalk overlay or a disk-streamed operator), so
-// precision is a per-operator capability, never a correctness requirement.
+// for it and runs the float64 kernels when the operator does not provide
+// it, so precision is a per-operator capability, never a correctness
+// requirement. graph.Walk and shard.Operator provide it; the engine only
+// serves those two in float32 (it reindexes every write onto a compacted
+// Walk and refuses float32 streaming engines).
 type Operator32 interface {
 	Operator
 	// MulT32 computes y = Ãᵀ·x over float32 storage into the provided

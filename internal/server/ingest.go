@@ -28,7 +28,7 @@ type IngestConfig struct {
 	// WAL configures fsync policy and segment rotation.
 	WAL ingest.WALOptions
 	// Queue configures queue capacity, batching, backpressure mode, and
-	// the auto-compaction triggers.
+	// the auto-compaction trigger.
 	Queue ingest.Options
 	// SnapshotPath, when non-empty, is rewritten (atomically, via
 	// SaveSnapshotFile) on every auto-compaction before the WAL is
@@ -78,12 +78,6 @@ func (h *Handler) EnableIngest(name string, cfg IngestConfig) error {
 		},
 		Apply: func(adds, removes [][2]int) error {
 			return h.applyForIngest(e, adds, removes)
-		},
-		Staleness: func() float64 {
-			if eng, ok := e.state.Load().eng.(*tpa.Engine); ok {
-				return eng.Staleness()
-			}
-			return 0
 		},
 		Compact: func() error {
 			return h.compactForIngest(e, cfg.SnapshotPath)
@@ -163,34 +157,30 @@ func (h *Handler) applyForIngest(e *graphEntry, adds, removes [][2]int) error {
 		e.state.Store(h.newState(next, info))
 	}
 	e.mutations.Add(1)
+	e.reindexIters.Add(int64(stats.ReindexIters))
 	return nil
 }
 
-// compactForIngest is the auto-compaction hook: fold the overlay into a
-// fresh CSR, swap it in, and rewrite the durable snapshot. The ingest
-// layer truncates the WAL only after this returns nil, so a crash at any
-// point leaves a (snapshot, WAL) pair that replays to the same state.
+// compactForIngest is the auto-compaction hook: rewrite the durable
+// snapshot from the served engine, which ApplyEdges keeps compacted. The
+// served state is not swapped, so the graph's cache partition stays warm.
+// The ingest layer truncates the WAL only after this returns nil, so a
+// crash at any point leaves a (snapshot, WAL) pair that replays to the
+// same state.
 func (h *Handler) compactForIngest(e *graphEntry, snapshotPath string) error {
+	if snapshotPath == "" {
+		return nil
+	}
+	// Serialized against reloads, like the apply hook.
 	if err := e.acquireSwap(swapTimeout); err != nil {
 		return err
 	}
 	defer e.releaseSwap()
-	st := e.state.Load()
-	eng, ok := st.eng.(*tpa.Engine)
+	eng, ok := e.state.Load().eng.(*tpa.Engine)
 	if !ok {
 		return fmt.Errorf("graph %q no longer served by a tpa engine: %w", e.name, tpa.ErrNotMutable)
 	}
-	next, err := eng.Compact()
-	if err != nil {
-		return err
-	}
-	if next != eng {
-		e.state.Store(h.newState(next, st.info))
-	}
-	if snapshotPath != "" {
-		return next.SaveSnapshotFile(snapshotPath)
-	}
-	return nil
+	return eng.SaveSnapshotFile(snapshotPath)
 }
 
 // ingestMutate serves POST /graphs/{name}/edges for an ingest-enabled

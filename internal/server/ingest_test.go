@@ -200,6 +200,75 @@ func TestIngestAutoCompactionRewritesSnapshot(t *testing.T) {
 	}
 }
 
+// TestIngestAutoCompactionKeepsCache: ApplyEdges leaves every engine
+// compacted, so an auto-compaction only rewrites the snapshot and never
+// swaps the served state — a warm cache partition survives it. The ingest
+// apply path also feeds the reindex work counter.
+func TestIngestAutoCompactionKeepsCache(t *testing.T) {
+	base := testEngine(t)
+	var absent [][2]int
+	for u := 0; len(absent) < 2; u++ {
+		if v := (u + 101) % 200; !base.Graph().HasEdge(u, v) {
+			absent = append(absent, [2]int{u, v})
+		}
+	}
+	// Serve an engine that has already taken a write, as a live one has.
+	eng, _, err := base.ApplyEdges(absent[:1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewWith(eng, Info{Nodes: 200, Edges: eng.NumEdges(), Name: "test"}, DefaultOptions())
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "test.tpas")
+	if err := h.EnableIngest("default", IngestConfig{
+		Dir:          filepath.Join(dir, "wal"),
+		WAL:          ingest.WALOptions{Fsync: ingest.FsyncOff},
+		Queue:        ingest.Options{MaxBatchAge: time.Millisecond, CompactWALBytes: 1},
+		SnapshotPath: snap,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	get(t, h, "/topk?seed=3&k=5")
+	get(t, h, "/topk?seed=3&k=5")
+	if hits := graphMetric(t, h, "tpa_cache_hits_total", "default"); hits != 1 {
+		t.Fatalf("cache hits = %v before compaction, want 1", hits)
+	}
+	// Re-adding the served edge is a no-op batch, but it is logged, so it
+	// still pushes the WAL over the threshold.
+	body := fmt.Sprintf(`{"add":[[%d,%d]]}`, absent[0][0], absent[0][1])
+	if rec, _ := postJSON(t, h, "/graphs/default/edges", body); rec.Code != http.StatusAccepted {
+		t.Fatalf("code = %d", rec.Code)
+	}
+	waitIngest(t, h, func(ing map[string]interface{}) bool {
+		return ing["compactions"].(float64) >= 1
+	})
+	get(t, h, "/topk?seed=3&k=5")
+	if hits := graphMetric(t, h, "tpa_cache_hits_total", "default"); hits != 2 {
+		t.Fatalf("cache hits = %v after compaction, want 2: the compaction dropped the warm partition", hits)
+	}
+	loaded, err := tpa.LoadSnapshotFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.NumEdges() != eng.NumEdges() {
+		t.Fatalf("snapshot has %d edges, want %d", loaded.NumEdges(), eng.NumEdges())
+	}
+	if iters := graphMetric(t, h, "tpa_graph_reindex_iters_total", "default"); iters != 0 {
+		t.Fatalf("no-op batch counted %v reindex iterations", iters)
+	}
+	body = fmt.Sprintf(`{"add":[[%d,%d]]}`, absent[1][0], absent[1][1])
+	if rec, _ := postJSON(t, h, "/graphs/default/edges", body); rec.Code != http.StatusAccepted {
+		t.Fatalf("code = %d", rec.Code)
+	}
+	waitIngest(t, h, func(ing map[string]interface{}) bool {
+		return ing["applied_edges"].(float64) >= 2
+	})
+	if iters := graphMetric(t, h, "tpa_graph_reindex_iters_total", "default"); iters < 1 {
+		t.Fatalf("tpa_graph_reindex_iters_total = %v after an applied write, want ≥ 1", iters)
+	}
+}
+
 func TestIngestSurvivesReloadConflict(t *testing.T) {
 	// The apply hook must wait out a transient reload instead of dropping
 	// a durably logged batch.

@@ -104,13 +104,13 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		info.Edges = stats.Edges
 		e.state.Store(h.newState(next, info))
 	}
+	e.reindexIters.Add(int64(stats.ReindexIters))
 	writeJSON(w, map[string]interface{}{
 		"graph":         name,
 		"added":         stats.Added,
 		"removed":       stats.Removed,
 		"nodes":         stats.Nodes,
 		"edges":         stats.Edges,
-		"pending_ops":   stats.PendingOps,
 		"compacted":     stats.Compacted,
 		"incremental":   stats.Incremental,
 		"residual":      stats.Residual,

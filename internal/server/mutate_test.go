@@ -38,8 +38,20 @@ func TestMutateAddsAndRemovesEdges(t *testing.T) {
 	if want := float64(g.NumEdges() + 1); body["edges"].(float64) != want {
 		t.Errorf("edges = %v, want %v", body["edges"], want)
 	}
-	if body["incremental"] != true {
-		t.Errorf("small batch not incremental: %v", body)
+	if body["incremental"] != true || body["compacted"] != true {
+		t.Errorf("small batch not incremental and compacted: %v", body)
+	}
+	if _, ok := body["pending_ops"]; ok {
+		t.Errorf("answer still carries pending_ops: %v", body)
+	}
+	// The reindex work is exported as a counter, equal to what the answer
+	// reported.
+	iters := body["reindex_iters"].(float64)
+	if iters < 1 {
+		t.Errorf("reindex_iters = %v, want ≥ 1", iters)
+	}
+	if got := graphMetric(t, h, "tpa_graph_reindex_iters_total", "live"); got != iters {
+		t.Errorf("tpa_graph_reindex_iters_total = %v, want %v", got, iters)
 	}
 	// The stats reflect the swap: edge count updated, cache partition fresh,
 	// mutation counter bumped.
@@ -69,8 +81,11 @@ func TestMutateAddsAndRemovesEdges(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("no-op mutate: %d (%v)", rec.Code, body)
 	}
-	if body["added"].(float64) != 0 || body["removed"].(float64) != 0 {
-		t.Errorf("no-op batch reported %v/%v mutations", body["added"], body["removed"])
+	if body["added"].(float64) != 0 || body["removed"].(float64) != 0 || body["compacted"] != false {
+		t.Errorf("no-op batch reported %v/%v mutations, compacted %v", body["added"], body["removed"], body["compacted"])
+	}
+	if got := graphMetric(t, h, "tpa_graph_reindex_iters_total", "live"); got != iters {
+		t.Errorf("no-op batch moved tpa_graph_reindex_iters_total to %v, want %v", got, iters)
 	}
 	_, stats = get(t, h, "/graphs/live/stats")
 	if entries := stats["cache"].(map[string]interface{})["entries"].(float64); entries == 0 {

@@ -131,6 +131,8 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		func(e *graphEntry) float64 { return float64(e.reloads.Load()) })
 	graphCounter("tpa_graph_mutations_total", "Completed edge-mutation batches per graph.",
 		func(e *graphEntry) float64 { return float64(e.mutations.Load()) })
+	graphCounter("tpa_graph_reindex_iters_total", "Propagation steps (dense operator applications) spent reindexing after edge mutations, per graph.",
+		func(e *graphEntry) float64 { return float64(e.reindexIters.Load()) })
 
 	graphGauge := func(name, help string, get func(st *engineState) float64) {
 		p.header(name, help, "gauge")
@@ -256,7 +258,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		func(st ingestStats) float64 { return float64(st.ApplyErrors) })
 	ingestMetric("tpa_ingest_wal_lag_bytes", "Live write-ahead-log volume a restart would replay, per graph.", "gauge",
 		func(st ingestStats) float64 { return float64(st.WALLagBytes) })
-	ingestMetric("tpa_ingest_compactions_total", "Completed auto-compactions (overlay fold + snapshot rewrite + WAL truncation), per graph.", "counter",
+	ingestMetric("tpa_ingest_compactions_total", "Completed auto-compactions (snapshot rewrite + WAL truncation), per graph.", "counter",
 		func(st ingestStats) float64 { return float64(st.Compactions) })
 	ingestMetric("tpa_ingest_compact_errors_total", "Failed auto-compaction attempts (WAL kept), per graph.", "counter",
 		func(st ingestStats) float64 { return float64(st.CompactErrors) })

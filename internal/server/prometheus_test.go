@@ -94,24 +94,25 @@ func parseProm(t *testing.T, body string) ([]promSample, map[string]string) {
 // dashboard scraping this server — if this test fails, you are making a
 // breaking change; update the docs and dashboards deliberately.
 var goldenMetrics = map[string]string{
-	"tpa_requests_total":           "counter",
-	"tpa_request_errors_total":     "counter",
-	"tpa_requests_shed_total":      "counter",
-	"tpa_partial_answers_total":    "counter",
-	"tpa_request_duration_seconds": "histogram",
-	"tpa_in_flight_requests":       "gauge",
-	"tpa_max_in_flight":            "gauge",
-	"tpa_graph_queries_total":      "counter",
-	"tpa_graph_reloads_total":      "counter",
-	"tpa_graph_mutations_total":    "counter",
-	"tpa_graph_nodes":              "gauge",
-	"tpa_graph_edges":              "gauge",
-	"tpa_graph_index_bytes":        "gauge",
-	"tpa_graph_error_bound":        "gauge",
-	"tpa_cache_hits_total":         "counter",
-	"tpa_cache_misses_total":       "counter",
-	"tpa_cache_entries":            "gauge",
-	"tpa_cache_capacity":           "gauge",
+	"tpa_requests_total":            "counter",
+	"tpa_request_errors_total":      "counter",
+	"tpa_requests_shed_total":       "counter",
+	"tpa_partial_answers_total":     "counter",
+	"tpa_request_duration_seconds":  "histogram",
+	"tpa_in_flight_requests":        "gauge",
+	"tpa_max_in_flight":             "gauge",
+	"tpa_graph_queries_total":       "counter",
+	"tpa_graph_reloads_total":       "counter",
+	"tpa_graph_mutations_total":     "counter",
+	"tpa_graph_reindex_iters_total": "counter",
+	"tpa_graph_nodes":               "gauge",
+	"tpa_graph_edges":               "gauge",
+	"tpa_graph_index_bytes":         "gauge",
+	"tpa_graph_error_bound":         "gauge",
+	"tpa_cache_hits_total":          "counter",
+	"tpa_cache_misses_total":        "counter",
+	"tpa_cache_entries":             "gauge",
+	"tpa_cache_capacity":            "gauge",
 
 	// Shard / storage layout (sharded and memory-mapped engines). Count and
 	// byte-split samples appear for every graph; the per-shard node/edge
@@ -151,6 +152,20 @@ func scrapeMetrics(t *testing.T, h *Handler) ([]promSample, map[string]string) {
 		t.Fatalf("/metrics content type %q", ct)
 	}
 	return parseProm(t, rec.Body.String())
+}
+
+// graphMetric scrapes /metrics and returns the sample of family name for
+// graph, failing the test when there is none.
+func graphMetric(t *testing.T, h *Handler, name, graph string) float64 {
+	t.Helper()
+	samples, _ := scrapeMetrics(t, h)
+	for _, s := range samples {
+		if s.name == name && s.labels["graph"] == graph {
+			return s.value
+		}
+	}
+	t.Fatalf("no %s sample for graph %q", name, graph)
+	return 0
 }
 
 func TestMetricsGoldenFormat(t *testing.T) {

@@ -48,16 +48,9 @@ func TestApplyEdgesServesMutatedGraph(t *testing.T) {
 	// The new engine answers queries over the mutated graph within the
 	// theoretical bound.
 	o := tpa.Defaults()
-	next2, err := next.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated := next2.Graph()
-	if mutated == nil {
-		t.Fatal("compacted engine has no graph")
-	}
+	mutated := next.Graph()
 	if !mutated.HasEdge(0, 199) || !mutated.HasEdge(5, 100) {
-		t.Error("added edges missing from compacted graph")
+		t.Error("added edges missing from the mutated graph")
 	}
 	approx, err := next.Query(0)
 	if err != nil {
@@ -80,68 +73,101 @@ func TestApplyEdgesServesMutatedGraph(t *testing.T) {
 	}
 }
 
-func TestApplyEdgesCompactionThreshold(t *testing.T) {
-	o := tpa.Defaults()
-	o.CompactAfter = 0.5 // generous: small batches stay on the overlay
-	eng, _ := buildMutableEngine(t, 150, o)
-
+// TestApplyEdgesAlwaysCompacts pins the write contract: every batch that
+// changes the graph leaves an engine serving a fresh CSR, which snapshots
+// like a freshly built one, and an all-no-op batch returns the receiver.
+func TestApplyEdgesAlwaysCompacts(t *testing.T) {
+	eng, _ := buildMutableEngine(t, 150, tpa.Defaults())
 	next, stats, err := eng.ApplyEdges([][2]int{{1, 2}, {2, 3}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Compacted {
-		t.Error("tiny batch compacted despite the 0.5 threshold")
+	if stats.Added == 0 {
+		t.Fatal("test premise broken: both edges already exist")
 	}
-	if stats.PendingOps == 0 {
-		t.Error("pending ops not reported for an uncompacted overlay")
+	if !stats.Compacted {
+		t.Error("a batch that changed the graph did not compact")
 	}
-	if next.Graph() != nil {
-		t.Error("overlay engine claims a materialized graph")
+	if next.Graph() == nil {
+		t.Fatal("mutated engine has no graph")
 	}
-	// Snapshotting with pending mutations must fail until Compact.
-	if err := next.SaveSnapshot(&bytes.Buffer{}); err == nil {
-		t.Error("snapshot of an engine with pending mutations accepted")
+	var buf bytes.Buffer
+	if err := next.SaveSnapshot(&buf); err != nil {
+		t.Fatalf("SaveSnapshot right after a write: %v", err)
 	}
-	c, err := next.Compact()
+	if err := next.SaveSnapshotMmap(filepath.Join(t.TempDir(), "g.tpam")); err != nil {
+		t.Fatalf("SaveSnapshotMmap right after a write: %v", err)
+	}
+	// The snapshot round-trips to the same answers.
+	loaded, err := tpa.LoadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Graph() == nil {
-		t.Fatal("compacted engine still has no graph")
-	}
-	if err := c.SaveSnapshot(&bytes.Buffer{}); err != nil {
-		t.Errorf("snapshot after Compact: %v", err)
-	}
-	// Compaction is representation-only: answers are bit-identical.
 	a, err := next.Query(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Query(7)
+	b, err := loaded.Query(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("compaction changed answers at node %d: %g vs %g", i, a[i], b[i])
-		}
+	if d := l1dist(a, b); d != 0 {
+		t.Errorf("snapshot of a mutated engine answers %g away in L1", d)
 	}
 
-	// A batch past the threshold compacts automatically.
-	var big [][2]int
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < int(eng.NumEdges())*2; i++ {
-		big = append(big, [2]int{rng.Intn(150), rng.Intn(150)})
-	}
-	_, stats, err = next.ApplyEdges(big, nil)
+	again, stats, err := next.ApplyEdges([][2]int{{1, 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Compacted {
-		t.Errorf("large batch did not compact (pending %d)", stats.PendingOps)
+	if again != next || stats.Compacted || stats.ReindexIters != 0 {
+		t.Errorf("all-no-op batch did work: same engine %v, %+v", again == next, stats)
 	}
-	if stats.PendingOps != 0 {
-		t.Errorf("pending ops = %d after compaction", stats.PendingOps)
+}
+
+// TestApplyEdgesKeepsFloat32Kernels: a float32 engine keeps serving on the
+// float32 kernels after a write. Its answers differ from a float64 engine
+// that took the same write by float32 rounding — a float32 engine that fell
+// back to the float64 kernels would match it to float64 rounding — and stay
+// within f32Slack of a float32 engine built from scratch on the mutated
+// graph.
+func TestApplyEdgesKeepsFloat32Kernels(t *testing.T) {
+	o32 := tpa.Defaults()
+	o32.Precision = tpa.Float32
+	eng32, g := buildMutableEngine(t, 300, o32)
+	eng64, _ := buildMutableEngine(t, 300, tpa.Defaults())
+	adds := [][2]int{{0, 299}, {7, 150}, {42, 3}}
+	removes := [][2]int{{1, int(g.OutNeighbors(1)[0])}}
+	next32, _, err := eng32.ApplyEdges(adds, removes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next64, _, err := eng64.ApplyEdges(adds, removes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh32, err := tpa.New(next64.Graph(), o32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int{0, 7, 150} {
+		got, err := next32.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide, err := next64.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := fresh32.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := l1dist(got, wide); d < 1e-12 {
+			t.Errorf("seed %d: the float32 engine answers %g in L1 from float64 after a write: it runs the float64 kernels", seed, d)
+		}
+		if d := l1dist(got, fresh); d > f32Slack {
+			t.Errorf("seed %d: %g in L1 from a float32 engine built on the mutated graph, tolerance %g", seed, d, f32Slack)
+		}
 	}
 }
 
@@ -231,11 +257,9 @@ func TestApplyEdgesStreamingNotMutable(t *testing.T) {
 }
 
 func TestApplyEdgesChainAcrossCompactions(t *testing.T) {
-	// Mutate repeatedly through several compaction cycles and check the
-	// final engine agrees with a from-scratch engine on the final graph.
-	o := tpa.Defaults()
-	o.CompactAfter = 0.02
-	eng, _ := buildMutableEngine(t, 150, o)
+	// Mutate repeatedly and check the final engine agrees with a
+	// from-scratch engine on the final graph.
+	eng, _ := buildMutableEngine(t, 150, tpa.Defaults())
 	rng := rand.New(rand.NewSource(5))
 	cur := eng
 	for step := 0; step < 6; step++ {
@@ -249,15 +273,11 @@ func TestApplyEdgesChainAcrossCompactions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	final, err := cur.Compact()
+	fresh, err := tpa.New(cur.Graph(), tpa.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := tpa.New(final.Graph(), tpa.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := final.Query(3)
+	a, err := cur.Query(3)
 	if err != nil {
 		t.Fatal(err)
 	}

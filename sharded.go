@@ -66,10 +66,8 @@ func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 	if err := tp.SetPrecision(o.Precision); err != nil {
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
-	e := &Engine{tpa: tp, walk: w, shardOp: op, workers: o.Workers,
-		perm: plan.Perm, inv: inv}
-	e.applyMutationOpts(o)
-	return e, nil
+	return &Engine{tpa: tp, walk: w, shardOp: op, workers: o.Workers,
+		perm: plan.Perm, inv: inv}, nil
 }
 
 // NumShards returns the number of scatter-gather shards the engine fans

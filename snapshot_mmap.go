@@ -78,13 +78,9 @@ const (
 )
 
 // SaveSnapshotMmap writes the engine as a memory-mappable TPAM snapshot to
-// path (atomically, via a temporary file). The restrictions of SaveSnapshot
-// apply: streaming engines cannot snapshot, engines with pending mutations
-// must Compact first.
+// path (atomically, via a temporary file). Like SaveSnapshot, it refuses
+// streaming engines.
 func (e *Engine) SaveSnapshotMmap(path string) error {
-	if e.dwalk != nil {
-		return fmt.Errorf("tpa: engine has pending mutations; Compact() before snapshotting")
-	}
 	if e.walk == nil {
 		return fmt.Errorf("tpa: streaming engines cannot be snapshotted")
 	}
@@ -319,9 +315,7 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 		inv = graph.InvertPermutation(perm)
 	}
 
-	e := &Engine{tpa: tp, walk: walk, shardOp: sop, perm: perm, inv: inv, snap: s}
-	e.applyMutationOpts(Options{})
-	return e, nil
+	return &Engine{tpa: tp, walk: walk, shardOp: sop, perm: perm, inv: inv, snap: s}, nil
 }
 
 // Close releases resources the engine holds beyond the heap — today the
@@ -354,8 +348,6 @@ func (e *Engine) StorageBytes() (mapped, heap int64) {
 		g := e.walk.Graph()
 		invdeg, invdeg32, dangling := e.walk.RawNormalization()
 		heap = g.Bytes() + int64(len(invdeg))*8 + int64(len(invdeg32))*4 + int64(len(dangling))*4
-	} else if e.dwalk != nil {
-		heap = e.dwalk.Delta().Base().Bytes()
 	}
 	return 0, heap + e.IndexBytes()
 }

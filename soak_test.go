@@ -73,7 +73,7 @@ func TestIngestSoakCrashResume(t *testing.T) {
 	serve := func() *exec.Cmd {
 		cmd := exec.Command(bin, "serve", "-graph", snap, "-addr", addr,
 			"-wal", walRoot, "-fsync", "batch", "-ingest-batch-age", "5ms",
-			"-compact-staleness", "0", "-compact-wal-bytes", "0")
+			"-compact-wal-bytes", "0")
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting tpad: %v", err)

@@ -106,11 +106,6 @@ type Options struct {
 	// preprocessing matvec over this many row blocks, and QueryBatch/
 	// TopKBatch default to this pool size. 0 means GOMAXPROCS.
 	Workers int
-	// CompactAfter is the staleness fraction (mutations since the last
-	// compaction relative to the base edge count) at which ApplyEdges
-	// compacts the delta overlay into a fresh CSR. 0 means the default
-	// (0.1); negative compacts on every batch.
-	CompactAfter float64
 	// MaxResidual is the L1 reindex residual above which ApplyEdges
 	// abandons the incremental index correction and reruns full
 	// preprocessing. 0 means the default (core.DefaultMaxResidual);
@@ -160,10 +155,6 @@ func Orders() []string {
 // S = 5, T = 10.
 func Defaults() Options { return Options{C: 0.15, Eps: 1e-9, S: 5, T: 10} }
 
-// defaultCompactAfter is the Options.CompactAfter default: compact once
-// pending mutations reach 10% of the base edges.
-const defaultCompactAfter = 0.1
-
 func (o Options) split() (rwr.Config, core.Params) {
 	return rwr.Config{C: o.C, Eps: o.Eps}, core.Params{S: o.S, T: o.T}
 }
@@ -174,20 +165,13 @@ func (o Options) split() (rwr.Config, core.Params) {
 // old one, so a server can swap engines atomically under live traffic.
 type Engine struct {
 	tpa *core.TPA
-	// walk retains the in-memory operator when the engine serves a plain
-	// CSR (nil for streaming engines and for engines carrying an
-	// uncompacted mutation overlay).
+	// walk is the in-memory CSR operator (nil for streaming engines).
 	walk *graph.Walk
-	// dwalk is the overlay operator of an engine with pending (uncompacted)
-	// edge mutations; exactly one of walk/dwalk is non-nil for in-memory
-	// engines, both are nil for streaming engines.
-	dwalk *graph.DeltaWalk
 	// workers is the default parallelism for batch queries (0 = GOMAXPROCS).
 	workers int
-	// compactAfter / maxResidual are the mutation thresholds, resolved from
-	// Options (snapshot- and index-loaded engines use the defaults).
-	compactAfter float64
-	maxResidual  float64
+	// maxResidual is Options.MaxResidual, handed to core.Reindex as is
+	// (0, the value of snapshot- and index-loaded engines, is the default).
+	maxResidual float64
 	// perm/inv are the build-time ordering maps (perm[internal] = external,
 	// inv[external] = internal), both nil on natural-order engines. See
 	// remap.go: they are applied only at this API boundary.
@@ -249,18 +233,6 @@ func applyOrdering(g *Graph, order string) (*Graph, []int32, []int32, string, er
 	return pg, perm, graph.InvertPermutation(perm), string(ord), nil
 }
 
-// applyMutationOpts resolves the dynamic-update thresholds from o.
-func (e *Engine) applyMutationOpts(o Options) {
-	e.compactAfter = o.CompactAfter
-	if e.compactAfter == 0 {
-		e.compactAfter = defaultCompactAfter
-	}
-	e.maxResidual = o.MaxResidual
-	if e.maxResidual == 0 {
-		e.maxResidual = core.DefaultMaxResidual
-	}
-}
-
 // New runs TPA's preprocessing phase on g and returns a queryable Engine.
 // The preprocessing sparse-matvec is sharded over Options.Workers row-block
 // goroutines (0 = GOMAXPROCS); the online phase stays serial per query, with
@@ -279,10 +251,8 @@ func New(g *Graph, o Options) (*Engine, error) {
 	if err := tp.SetPrecision(o.Precision); err != nil {
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
-	e := &Engine{tpa: tp, walk: w, workers: o.Workers,
-		perm: perm, inv: inv, order: order}
-	e.applyMutationOpts(o)
-	return e, nil
+	return &Engine{tpa: tp, walk: w, workers: o.Workers, maxResidual: o.MaxResidual,
+		perm: perm, inv: inv, order: order}, nil
 }
 
 // AutoTune selects S and T for the graph (sampling a few exact queries)
@@ -317,10 +287,8 @@ func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine
 	if err := tp.SetPrecision(o.Precision); err != nil {
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
-	e := &Engine{tpa: tp, walk: w, workers: o.Workers,
-		perm: perm, inv: inv, order: order}
-	e.applyMutationOpts(o)
-	return e, nil
+	return &Engine{tpa: tp, walk: w, workers: o.Workers, maxResidual: o.MaxResidual,
+		perm: perm, inv: inv, order: order}, nil
 }
 
 // Query returns the approximate RWR score vector for the seed node
@@ -386,7 +354,7 @@ func (e *Engine) TopKBatch(seeds []int, k, parallelism int) ([][]Entry, error) {
 }
 
 func (e *Engine) batchWorkers(parallelism int) int {
-	if e.walk == nil && e.dwalk == nil {
+	if e.walk == nil {
 		return 1 // streaming operator: single shared file cursor
 	}
 	if parallelism <= 0 {
@@ -475,10 +443,9 @@ func (e *Engine) ErrorBound() float64 { return e.tpa.ErrorBound() }
 func (e *Engine) IndexBytes() int64 { return e.tpa.IndexBytes() }
 
 // Graph returns the in-memory CSR graph the engine serves, or nil for
-// streaming engines and for engines carrying uncompacted mutations (call
-// Compact first to materialize those as a fresh CSR). For reordered
-// engines (Options.Order) this is the INTERNAL, permuted graph; use
-// Permutation to translate its node ids back to external ones.
+// streaming engines. For reordered engines (Options.Order) this is the
+// INTERNAL, permuted graph; use Permutation to translate its node ids back
+// to external ones.
 func (e *Engine) Graph() *Graph {
 	if e.walk == nil {
 		return nil
@@ -489,27 +456,13 @@ func (e *Engine) Graph() *Graph {
 // NumNodes returns the node count of the served graph.
 func (e *Engine) NumNodes() int { return e.tpa.Walk().N() }
 
-// Staleness reports the pending mutation overlay's size relative to the
-// base CSR (see graph.Delta.Staleness): 0 for engines with no uncompacted
-// mutations. Auto-compaction policies (internal/ingest) trigger on it.
-func (e *Engine) Staleness() float64 {
-	if e.dwalk == nil {
-		return 0
-	}
-	return e.dwalk.Delta().Staleness()
-}
-
-// NumEdges returns the edge count of the served graph, including pending
-// (uncompacted) mutations; -1 when unknown (streaming engines).
+// NumEdges returns the edge count of the served graph; -1 when unknown
+// (streaming engines).
 func (e *Engine) NumEdges() int64 {
-	switch {
-	case e.dwalk != nil:
-		return e.dwalk.Delta().NumEdges()
-	case e.walk != nil:
-		return e.walk.Graph().NumEdges()
-	default:
+	if e.walk == nil {
 		return -1
 	}
+	return e.walk.Graph().NumEdges()
 }
 
 // MutationStats reports what one ApplyEdges call did.
@@ -520,11 +473,9 @@ type MutationStats struct {
 	// Nodes and Edges describe the mutated graph the new engine serves.
 	Nodes int
 	Edges int64
-	// PendingOps is the overlay mutation count still awaiting compaction
-	// (0 right after a compacting batch).
-	PendingOps int64
-	// Compacted reports that this batch pushed staleness past CompactAfter
-	// and the overlay was merged into a fresh CSR.
+	// Compacted reports that the batch changed the graph and the new engine
+	// serves a freshly compacted CSR: true for every batch but an all-no-op
+	// one.
 	Compacted bool
 	// Incremental reports the index was corrected incrementally rather
 	// than rebuilt by full preprocessing.
@@ -553,12 +504,14 @@ var ErrBadEdge = graph.ErrBadEdge
 // atomically swap the returned engine in with zero dropped requests — the
 // same discipline as snapshot reload.
 //
-// Mutations ride on a delta overlay over the immutable CSR; once the
-// accumulated staleness passes Options.CompactAfter the overlay is merged
-// into a fresh CSR. The preprocessed index is corrected incrementally (a
-// T-step head recomputation plus a residual CPI — see core.Reindex), falling
-// back to full preprocessing when the residual exceeds Options.MaxResidual.
-// A batch whose every edge is a no-op returns the receiver itself with no
+// The batch is applied to a delta overlay over the immutable CSR, which is
+// compacted straight into a fresh CSR: every reindex propagation runs on
+// the plain CSR kernels, which are cheaper than the overlay's by more than
+// the O(n+m) compaction costs, and keep float32 engines on their float32
+// kernels. The preprocessed index is corrected incrementally (a T-step head
+// recomputation plus a residual CPI — see core.Reindex), falling back to
+// full preprocessing when the residual exceeds Options.MaxResidual. A batch
+// whose every edge is a no-op returns the receiver itself with no
 // reindexing: the graph did not change.
 //
 // Edges must reference existing nodes — a bad id fails the whole batch
@@ -573,18 +526,10 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	if e.shardOp != nil {
 		return nil, stats, fmt.Errorf("sharded engine (the shard plan is fixed at build time): %w", ErrNotMutable)
 	}
-	var d *graph.Delta
-	var policy graph.DanglingPolicy
-	switch {
-	case e.dwalk != nil:
-		d = e.dwalk.Delta().Clone()
-		policy = e.dwalk.Policy()
-	case e.walk != nil:
-		d = graph.NewDelta(e.walk.Graph())
-		policy = e.walk.Policy()
-	default:
+	if e.walk == nil {
 		return nil, stats, fmt.Errorf("streaming engine: %w", ErrNotMutable)
 	}
+	d := graph.NewDelta(e.walk.Graph())
 	adds, err := e.toInternalEdges(adds)
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: applying edges: %w", err)
@@ -604,54 +549,21 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 		// receiver is the mutated engine. No reindex, no swap needed.
 		stats.Incremental = true
 		stats.Edges = e.NumEdges()
-		if e.dwalk != nil {
-			stats.PendingOps = e.dwalk.Delta().Ops()
-		}
 		return e, stats, nil
 	}
 
-	ne := &Engine{workers: e.workers, compactAfter: e.compactAfter, maxResidual: e.maxResidual,
-		perm: e.perm, inv: e.inv, order: e.order}
-	var op rwr.Operator
-	if d.Staleness() >= e.compactAfter {
-		ne.walk = graph.NewWalk(d.Compact(), policy)
-		op = ne.walk
-		stats.Compacted = true
-	} else {
-		ne.dwalk = graph.NewDeltaWalk(d, policy)
-		op = ne.dwalk
-		stats.PendingOps = d.Ops()
-	}
-	tp, rs, err := core.Reindex(e.tpa, op, e.workers, e.maxResidual)
+	w := graph.NewWalk(d.Compact(), e.walk.Policy())
+	tp, rs, err := core.Reindex(e.tpa, w, e.workers, e.maxResidual)
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: reindexing: %w", err)
 	}
-	ne.tpa = tp
+	stats.Compacted = true
 	stats.Incremental = !rs.Full
 	stats.Residual = rs.Residual
 	stats.ReindexIters = rs.Iters()
-	stats.Edges = ne.NumEdges()
-	return ne, stats, nil
-}
-
-// Compact returns an engine serving the same graph with any pending
-// mutation overlay merged into a fresh CSR (restoring Graph() and snapshot
-// support). The index is reused as-is — compaction changes the
-// representation, not the operator — so this is cheap: one O(n+m) CSR
-// rebuild, no reindexing. Engines without pending mutations are returned
-// unchanged.
-func (e *Engine) Compact() (*Engine, error) {
-	if e.dwalk == nil {
-		return e, nil
-	}
-	w := graph.NewWalk(e.dwalk.Delta().Compact(), e.dwalk.Policy())
-	tp, err := e.tpa.WithOperator(w)
-	if err != nil {
-		return nil, fmt.Errorf("tpa: compacting: %w", err)
-	}
-	return &Engine{tpa: tp, walk: w, workers: e.workers,
-		compactAfter: e.compactAfter, maxResidual: e.maxResidual,
-		perm: e.perm, inv: e.inv, order: e.order}, nil
+	stats.Edges = w.Graph().NumEdges()
+	return &Engine{tpa: tp, walk: w, workers: e.workers, maxResidual: e.maxResidual,
+		perm: e.perm, inv: e.inv, order: e.order}, stats, nil
 }
 
 // SaveIndex serializes the preprocessed state so it can be shipped to query
@@ -665,9 +577,7 @@ func LoadIndex(r io.Reader, g *Graph) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tpa: loading index: %w", err)
 	}
-	e := &Engine{tpa: tp, walk: w}
-	e.applyMutationOpts(Options{})
-	return e, nil
+	return &Engine{tpa: tp, walk: w}, nil
 }
 
 // ErrBadSnapshot is wrapped by every snapshot/index decode failure caused
@@ -679,12 +589,8 @@ var ErrBadSnapshot = graph.ErrBadSnapshot
 // SaveSnapshot writes a combined binary snapshot of the graph and the
 // preprocessed index, so LoadSnapshot cold-starts an identical engine with
 // two sequential reads — no edge-list parsing and no re-preprocessing.
-// Streaming engines (NewFromEdgeFile) cannot snapshot; engines with pending
-// mutations must Compact first.
+// Streaming engines (NewFromEdgeFile) cannot snapshot.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
-	if e.dwalk != nil {
-		return fmt.Errorf("tpa: engine has pending mutations; Compact() before snapshotting")
-	}
 	if e.walk == nil {
 		return fmt.Errorf("tpa: streaming engines cannot be snapshotted")
 	}
@@ -702,7 +608,6 @@ func LoadSnapshot(r io.Reader) (*Engine, error) {
 	if perm != nil {
 		e.inv = graph.InvertPermutation(perm)
 	}
-	e.applyMutationOpts(Options{})
 	return e, nil
 }
 
@@ -759,7 +664,6 @@ func LoadSnapshotFile(path string) (*Engine, error) {
 	if perm != nil {
 		e.inv = graph.InvertPermutation(perm)
 	}
-	e.applyMutationOpts(Options{})
 	return e, nil
 }
 
