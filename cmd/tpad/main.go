@@ -5,7 +5,6 @@
 //	tpad serve -graphs snapshots/ [-addr :8080] [-cache 4096] [-max-inflight 256]
 //	tpad serve -graph edges.tsv [-index prebuilt.idx] [...]
 //	tpad mutate -graph name [-add u,v]... [-remove u,v]... [-file f | -watch f]
-//	tpad loadgen -url http://host:8080 [-qps 100 -duration 30s -zipf-s 1.0]
 //	tpad arena [-gen sbm:10000] [-methods tpa,exact,fora,...] [-json out.json]
 //	tpad -graph edges.tsv [...]                  (legacy alias for "serve")
 //
@@ -53,8 +52,6 @@ func main() {
 		err = cmdServe(args[1:])
 	case len(args) > 0 && args[0] == "mutate":
 		err = cmdMutate(args[1:])
-	case len(args) > 0 && args[0] == "loadgen":
-		err = cmdLoadgen(args[1:])
 	case len(args) > 0 && args[0] == "arena":
 		err = cmdArena(args[1:])
 	case len(args) > 0 && args[0] == "graphgen":
@@ -83,9 +80,6 @@ func usage() {
   tpad serve -graph <edges.tsv> [-index <in.idx>] [-addr :8080] [serving flags]
   tpad mutate -graph <name>     [-server URL] [-add u,v]... [-remove u,v]... [-file f]
   tpad mutate -graph <name>     [-server URL] -watch <file> [-interval 1s]
-  tpad loadgen -url <URL>       [-qps 100] [-ramp 0s] [-duration 30s] [-zipf-s 1.0]
-                                [-seeds 0] [-k 10] [-deadline-ms 0] [-json out.json]
-                                [-max-error-rate R] [-max-p99-ms MS]
   tpad arena [-gen sbm:10000,rmat:5000] [-graphs edges.tsv,...] [-methods tpa,exact,...]
              [-workloads uniform,hub,tail] [-queries 10] [-k 20] [-c 0.15] [-eps 1e-9]
              [-seed 1] [-json out.json] [-quiet]
@@ -98,9 +92,7 @@ serve auto-detects it); -shards N builds a scatter-gather engine over N
 community-aligned shards. graphgen writes a synthetic SBM edge list;
 -stream generates row-at-a-time in constant memory for very large graphs.
 mutate posts edge batches to a running server's POST /graphs/{name}/edges;
--watch follows a growing mutation file ("+ u v" / "- u v" lines) until ^C.
-loadgen drives an open-loop Zipf workload against a running server and exits
-non-zero when -max-error-rate or -max-p99-ms is violated (the CI SLO gate).`)
+-watch follows a growing mutation file ("+ u v" / "- u v" lines) until ^C.`)
 }
 
 func tpaOpts(fs *flag.FlagSet) *tpa.Options {
@@ -261,16 +253,9 @@ func stem(path string) (name, ext string) {
 	return strings.TrimSuffix(base, ext), ext
 }
 
-// snapshotName maps an edge-list path to its default snapshot path:
-// edges.tsv → edges.tpas, edges.tsv.gz → edges.tpas.
-func snapshotName(graphPath string) string {
-	name, _ := stem(graphPath)
-	return name + ".tpas"
-}
-
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	graphsDir := fs.String("graphs", "", "directory of snapshots (.tpas) and edge lists to serve as named graphs")
+	graphsDir := fs.String("graphs", "", "directory of snapshots (.tpam, .tpas) and edge lists to serve as named graphs; on a shared stem .tpam wins over .tpas, either over the edge list")
 	graphPath := fs.String("graph", "", "single edge-list file")
 	indexPath := fs.String("index", "", "optional prebuilt index (from `tpa preprocess`) for -graph")
 	addr := fs.String("addr", ":8080", "listen address")

@@ -229,6 +229,31 @@ func TestWalkMassConservationProperty(t *testing.T) {
 	}
 }
 
+// TestWalkMulTAllocationFree pins the kernel's zero-allocation contract in
+// both widths and under every dangling policy: y is the caller's buffer and
+// nothing else may be allocated per application.
+func TestWalkMulTAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	b := NewBuilderN(500)
+	for i := 0; i < 3000; i++ {
+		b.AddEdge(rng.Intn(450), rng.Intn(500)) // the last 50 nodes dangle
+	}
+	g := b.Build()
+	n := g.NumNodes()
+	x, y := sparse.NewVector(n), sparse.NewVector(n)
+	x.Fill(1 / float64(n))
+	x32, y32 := sparse.Round32(x, sparse.NewVector32(n)), sparse.NewVector32(n)
+	for _, pol := range []DanglingPolicy{DanglingSelfLoop, DanglingUniform, DanglingDrop} {
+		w := NewWalk(g, pol)
+		if allocs := testing.AllocsPerRun(50, func() { w.MulT(x, y) }); allocs != 0 {
+			t.Errorf("policy %v: MulT allocates %.2f objects/op, want exactly 0", pol, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { w.MulT32(x32, y32) }); allocs != 0 {
+			t.Errorf("policy %v: MulT32 allocates %.2f objects/op, want exactly 0", pol, allocs)
+		}
+	}
+}
+
 func TestBuilderRejectsHugeIDs(t *testing.T) {
 	defer func() {
 		if recover() == nil {

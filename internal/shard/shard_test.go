@@ -254,6 +254,40 @@ func TestOperatorConcurrentApplications(t *testing.T) {
 	}
 }
 
+// TestOperatorPushAllocationFree pins the zero-allocation contract of the
+// push branch, the one a query's sparse hops take: a one-hot input must be
+// answered by the push kernel (checked through MatvecCounts) without a
+// single allocation, in either width.
+func TestOperatorPushAllocationFree(t *testing.T) {
+	g := gen.SBM(gen.SBMConfig{Nodes: 300, Communities: 3, AvgOutDeg: 6, PIn: 0.8, Seed: 9})
+	n := g.NumNodes()
+	op, err := NewOperator(graph.NewWalk(g, graph.DanglingSelfLoop), []int{0, n / 3, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := sparse.NewVector(n), sparse.NewVector(n)
+	x32, y32 := sparse.NewVector32(n), sparse.NewVector32(n)
+	x[5], x32[5] = 1, 1
+	const runs = 50
+	for _, c := range []struct {
+		name  string
+		apply func()
+	}{
+		{"MulT", func() { op.MulT(x, y) }},
+		{"MulT32", func() { op.MulT32(x32, y32) }},
+	} {
+		push, pull := op.MatvecCounts()
+		if allocs := testing.AllocsPerRun(runs, c.apply); allocs != 0 {
+			t.Errorf("%s: push branch allocates %.2f objects/op, want exactly 0", c.name, allocs)
+		}
+		// AllocsPerRun makes one warm-up call before the measured runs.
+		if push2, pull2 := op.MatvecCounts(); push2-push != runs+1 || pull2 != pull {
+			t.Errorf("%s: one-hot input counted as %d pushed, %d pulled; want %d and 0",
+				c.name, push2-push, pull2-pull, runs+1)
+		}
+	}
+}
+
 func TestNewOperatorRejectsBadBounds(t *testing.T) {
 	g := gen.ErdosRenyi(20, 60, 2)
 	w := graph.NewWalk(g, graph.DanglingSelfLoop)

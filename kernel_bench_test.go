@@ -7,9 +7,9 @@
 //
 // The orderings matter to the gather kernel because they cluster in-links:
 // after a degree or BFS permutation the hot source nodes share cache lines.
-// The float32 kernel halves the bytes per gathered element. CI records
-// these in BENCH_ci.json and diffs against BENCH_baseline.json, so a kernel
-// regression fails the bench job rather than landing silently.
+// The float32 kernel halves the bytes per gathered element. The kernels'
+// zero-allocation contract is a unit test (graph.TestWalkMulTAllocationFree);
+// end-to-end perf is judged by bench/.
 package tpa
 
 import (

@@ -12,7 +12,7 @@ import (
 // mutates the engine the previous one returned) over the same sequence of
 // distinct batches — the only difference is the negative MaxResidual
 // forcing the fallback — so their ratio is exactly the saving of the
-// incremental reindex path tracked in BENCH_ci.json.
+// incremental reindex path.
 
 const (
 	benchMutateNodes = 20000
