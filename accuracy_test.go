@@ -162,29 +162,68 @@ func TestAccuracyPropertySBM(t *testing.T) {
 // regression (e.g. accumulating in float32) fails loudly.
 const f32Slack, f32MassTol = 1e-4, 1e-4
 
-// accuracyVariants is the layout × precision matrix every engine-level
-// equivalence check runs over.
-var accuracyVariants = []struct {
+// accuracyVariant is one engine configuration: layout × precision ×
+// storage (shards, memory mapping).
+type accuracyVariant struct {
 	name           string
 	order          string
 	prec           tpa.Precision
+	shards         int
+	mmap           bool
 	slack, massTol float64
-}{
-	{"degree-f64", "degree", tpa.Float64, 0, 1e-6},
-	{"bfs-f64", "bfs", tpa.Float64, 0, 1e-6},
-	{"natural-f32", "", tpa.Float32, f32Slack, f32MassTol},
-	{"degree-f32", "degree", tpa.Float32, f32Slack, f32MassTol},
-	{"hubspoke-f32", "hubspoke", tpa.Float32, f32Slack, f32MassTol},
 }
 
-// TestAccuracyVariants holds the layout- and precision-aware engines to the
-// same guarantees as the baseline: every combination of build-time ordering
-// (degree, BFS, hub/spoke) and index precision (float64, float32) must
-// meet the Theorem-2 bound against exact RWR on the ORIGINAL
-// (external-id) graph — within explicit float32 tolerances where the index
-// is rounded — both statically and after a mutation batch. The exact
-// reference never sees the permutation, so any id leak in the remapping
-// boundary shows up as a gross L1 error, not a tolerance miss.
+// accuracyVariants is the configuration matrix every engine-level
+// equivalence check runs over.
+var accuracyVariants = []accuracyVariant{
+	{"degree-f64", "degree", tpa.Float64, 0, false, 0, 1e-6},
+	{"bfs-f64", "bfs", tpa.Float64, 0, false, 0, 1e-6},
+	{"natural-f32", "", tpa.Float32, 0, false, f32Slack, f32MassTol},
+	{"degree-f32", "degree", tpa.Float32, 0, false, f32Slack, f32MassTol},
+	{"hubspoke-f32", "hubspoke", tpa.Float32, 0, false, f32Slack, f32MassTol},
+	{"natural-f64-mmap", "", tpa.Float64, 0, true, 0, 1e-6},
+	{"2shard-f64", "", tpa.Float64, 2, false, 0, 1e-6},
+	{"2shard-f32-mmap", "", tpa.Float32, 2, true, f32Slack, f32MassTol},
+}
+
+// options returns the engine options of the variant.
+func (v accuracyVariant) options() tpa.Options {
+	o := tpa.Defaults()
+	o.Order, o.Precision = v.order, v.prec
+	return o
+}
+
+// build builds the variant's engine on g. A mapped variant is saved as
+// TPAM and served from the mapping, which the test closes at cleanup.
+func (v accuracyVariant) build(t *testing.T, g *tpa.Graph) *tpa.Engine {
+	t.Helper()
+	eng, err := tpa.NewSharded(g, v.shards, v.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.mmap {
+		return eng
+	}
+	path := t.TempDir() + "/g.tpam"
+	if err := eng.SaveSnapshotMmap(path); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = tpa.LoadSnapshotMmap(path); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// TestAccuracyVariants holds the layout-, precision- and storage-aware
+// engines to the same guarantees as the baseline: every combination of
+// build-time ordering (degree, BFS, hub/spoke), index precision (float64,
+// float32) and storage (sharded, memory-mapped) must meet the Theorem-2
+// bound against exact RWR on the ORIGINAL (external-id) graph — within
+// explicit float32 tolerances where the index is rounded — both statically
+// and after a mutation batch. The exact reference never sees the
+// permutation, so any id leak in the remapping boundary shows up as a gross
+// L1 error, not a tolerance miss.
 func TestAccuracyVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const nodes = 400
@@ -217,12 +256,8 @@ func TestAccuracyVariants(t *testing.T) {
 	seeds := []int{3, 141, 255, 399}
 	for _, v := range accuracyVariants {
 		t.Run(v.name, func(t *testing.T) {
-			vo := tpa.Defaults()
-			vo.Order, vo.Precision = v.order, v.prec
-			eng, err := tpa.New(g, vo)
-			if err != nil {
-				t.Fatal(err)
-			}
+			vo := v.options()
+			eng := v.build(t, g)
 			for _, seed := range seeds {
 				checkAccuracyTol(t, "static/"+v.name, eng, g, seed, vo, v.slack, v.massTol)
 			}

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"path/filepath"
 	"tpa/internal/core"
 	"tpa/internal/datasets"
 	"tpa/internal/eval"
@@ -22,7 +21,6 @@ import (
 	"tpa/internal/graph"
 	"tpa/internal/rwr"
 	"tpa/internal/sparse"
-	"tpa/internal/stream"
 )
 
 // benchDataset is the default benchmark graph (the smallest analogue, so
@@ -313,30 +311,5 @@ func BenchmarkAblation(b *testing.B) {
 		if _, err := experiments.Ablation(opt); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Streaming (disk-based) operator ablation ------------------------------
-
-// BenchmarkStreamMulT times one disk-streamed propagation step against
-// BenchmarkCPIIteration's in-memory step: the cost of going out-of-core.
-func BenchmarkStreamMulT(b *testing.B) {
-	g, _, err := datasets.Load(benchDataset)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "g.bin")
-	ef, err := stream.Create(path, g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ef.Close()
-	x := sparse.NewVector(ef.N())
-	x[0] = 1
-	y := sparse.NewVector(ef.N())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ef.MulT(x, y)
-		x, y = y, x
 	}
 }

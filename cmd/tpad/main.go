@@ -89,7 +89,7 @@ serving flags: -workers N -cache N -max-inflight N -max-batch N -default-deadlin
 "tpad -graph ..." without a subcommand is the legacy alias for "tpad serve -graph ...".
 build -mmap writes a memory-mappable .tpam snapshot (zero-copy cold start;
 serve auto-detects it); -shards N builds a scatter-gather engine over N
-community-aligned shards. graphgen writes a synthetic SBM edge list;
+community-aligned shards and needs -mmap. graphgen writes a synthetic SBM edge list;
 -stream generates row-at-a-time in constant memory for very large graphs.
 mutate posts edge batches to a running server's POST /graphs/{name}/edges;
 -watch follows a growing mutation file ("+ u v" / "- u v" lines) until ^C.`)
@@ -133,7 +133,7 @@ func cmdBuild(args []string) error {
 	graphPath := fs.String("graph", "", "edge-list file (required, .gz supported)")
 	out := fs.String("o", "", "output snapshot file (default: graph path with .tpas extension, .tpam with -mmap)")
 	workers := fs.Int("workers", 0, "goroutines for the preprocessing matvec (0 = all CPUs)")
-	shards := fs.Int("shards", 0, "partition into N community-aligned shards and scatter-gather preprocessing and dense query hops across them (0/1 = unsharded)")
+	shards := fs.Int("shards", 0, "partition into N community-aligned shards and scatter-gather preprocessing and dense query hops across them (0/1 = unsharded; N > 1 needs -mmap)")
 	mmapOut := fs.Bool("mmap", false, "write a memory-mappable .tpam snapshot (zero-copy cold start) instead of .tpas")
 	o := tpaOpts(fs)
 	if err := fs.Parse(args); err != nil {
@@ -141,6 +141,9 @@ func cmdBuild(args []string) error {
 	}
 	if *graphPath == "" {
 		return fmt.Errorf("build: -graph is required")
+	}
+	if *shards > 1 && !*mmapOut {
+		return fmt.Errorf("build: -shards %d needs -mmap (a .tpas snapshot cannot hold the shard plan)", *shards)
 	}
 	o.Workers = *workers
 	dest := *out
@@ -374,9 +377,9 @@ type ingestSetup struct {
 // walDir is the per-graph WAL segment directory under the -wal root.
 func (s *ingestSetup) walDir(name string) string { return filepath.Join(s.root, name) }
 
-// snapPath is the per-graph compacted snapshot auto-compaction rewrites;
-// boot prefers it over the originally registered source.
-func (s *ingestSetup) snapPath(name string) string { return filepath.Join(s.root, name+".tpas") }
+// snapPath is the per-graph compacted TPAM snapshot auto-compaction
+// rewrites; boot prefers it over the originally registered source.
+func (s *ingestSetup) snapPath(name string) string { return filepath.Join(s.root, name+".tpam") }
 
 // wrap makes a loader durable: prefer the compacted snapshot, then replay
 // the graph's WAL on top, so a restarted server resumes exactly where the

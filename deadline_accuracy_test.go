@@ -149,18 +149,15 @@ func TestDeadlineTopKMatchesQuery(t *testing.T) {
 
 // TestDeadlineMatchesPlainAcrossVariants pins precision × deadline: with a
 // budget that never expires, the deadline entry points must return exactly
-// what the plain ones do on the same engine, whatever its layout and
-// serving precision — both run the one online phase on the same kernels.
+// what the plain ones do on the same engine, whatever its layout, serving
+// precision and storage — both run the one online phase on the same
+// kernels.
 func TestDeadlineMatchesPlainAcrossVariants(t *testing.T) {
 	g := tpa.RandomSBMGraph(400, 4, 6, 0.85, 31)
 	for _, v := range accuracyVariants {
 		t.Run(v.name, func(t *testing.T) {
-			o := tpa.Defaults()
-			o.Order, o.Precision = v.order, v.prec
-			eng, err := tpa.New(g, o)
-			if err != nil {
-				t.Fatal(err)
-			}
+			o := v.options()
+			eng := v.build(t, g)
 			for _, seed := range []int{3, 141, 399} {
 				plain, err := eng.Query(seed)
 				if err != nil {

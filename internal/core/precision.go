@@ -25,8 +25,8 @@ import (
 // when the operator natively supports float32 application (rwr.Operator32 —
 // the in-memory graph.Walk and shard.Operator do; an operator without it
 // runs the float64 kernels). Engine.ApplyEdges reindexes onto a compacted
-// graph.Walk, so a float32 engine keeps its float32 kernels across writes;
-// float32 engines cannot be streaming ones.
+// graph.Walk (or a shard.Operator over one), so a float32 engine keeps its
+// float32 kernels across writes.
 
 // Precision selects the storage precision of the served index and the
 // online-phase kernels.

@@ -60,17 +60,10 @@ func WriteSnapshot(w io.Writer, t *TPA) error { return WriteSnapshotPerm(w, t, n
 
 // WriteSnapshotPerm writes the combined graph+index snapshot for t, with
 // perm[internal] = external recorded when the engine's graph was reordered
-// (nil means natural order). It fails for streaming engines: the walk must
-// be an in-memory *graph.Walk (or a wrapper exposing one) so the adjacency
-// arrays are available to serialize.
+// (nil means natural order). It fails unless the walk is a plain in-memory
+// *graph.Walk: the format has no room for a shard plan.
 func WriteSnapshotPerm(w io.Writer, t *TPA, perm []int32) error {
 	gw, ok := t.walk.(*graph.Walk)
-	if !ok {
-		// A wrapper (shard.Operator) exposes its in-memory base walk.
-		if bw, okb := t.walk.(interface{ BaseWalk() *graph.Walk }); okb {
-			gw, ok = bw.BaseWalk(), true
-		}
-	}
 	if !ok {
 		return fmt.Errorf("core: snapshot requires an in-memory graph operator (got %T)", t.walk)
 	}

@@ -148,7 +148,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	})
 }
 
-// fakeOperator stands in for a streaming (non-graph) walk operator.
+// fakeOperator stands in for a walk operator with no in-memory graph.
 type fakeOperator struct{ n int }
 
 func (f fakeOperator) N() int                                { return f.n }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 )
 
 // Writer accumulates sections and lays them out as a TPAM container. Add
@@ -138,26 +139,35 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 
 // WriteFile writes the container to path via a temporary file renamed into
 // place, so an interrupted write never leaves a truncated snapshot behind.
+// The file is fsynced before the rename and its directory after it, so
+// once WriteFile returns nil the snapshot survives a crash: a caller may
+// then discard what the snapshot replaces (a WAL, say).
 func (w *Writer) WriteFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := w.WriteTo(f); err != nil {
-		f.Close()
+	_, err = w.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	defer dir.Close()
+	return dir.Sync()
 }
 
 const chunkBytes = 64 << 10

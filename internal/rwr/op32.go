@@ -7,9 +7,9 @@ import "tpa/internal/sparse"
 // reduced-precision online phase (core's float32 query path) type-asserts
 // for it and runs the float64 kernels when the operator does not provide
 // it, so precision is a per-operator capability, never a correctness
-// requirement. graph.Walk and shard.Operator provide it; the engine only
-// serves those two in float32 (it reindexes every write onto a compacted
-// Walk and refuses float32 streaming engines).
+// requirement. graph.Walk and shard.Operator provide it, and they are the
+// only operators the engine serves (it reindexes every write onto a
+// compacted Walk or a shard.Operator over one).
 type Operator32 interface {
 	Operator
 	// MulT32 computes y = Ãᵀ·x over float32 storage into the provided

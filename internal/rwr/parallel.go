@@ -13,8 +13,7 @@ import (
 // result is handed to every MulTBlock call of that matvec; MulTBlock fills
 // exactly y[lo:hi) and touches nothing else, so disjoint blocks can run on
 // separate goroutines with no synchronization. graph.Walk implements it by
-// gathering over the in-adjacency; operators that cannot shard (e.g. the
-// disk-streamed stream.EdgeFile with its single file cursor) simply don't
+// gathering over the in-adjacency; operators that cannot shard simply don't
 // implement it.
 type BlockOperator interface {
 	Operator

@@ -33,8 +33,8 @@ func CheckSeed(pkg string, seed, n int) error {
 
 // Operator is the minimal interface RWR iterations need: the node count
 // and the application of (the column-stochastic) Ãᵀ to a score vector.
-// graph.Walk implements it in memory; stream.EdgeFile implements it over a
-// disk-resident edge file (the paper's stated future work).
+// graph.Walk implements it over an in-memory (or memory-mapped) CSR, and
+// shard.Operator scatter-gathers a Walk across shards.
 type Operator interface {
 	N() int
 	MulT(x, y sparse.Vector) sparse.Vector

@@ -30,10 +30,10 @@ type IngestConfig struct {
 	// Queue configures queue capacity, batching, backpressure mode, and
 	// the auto-compaction trigger.
 	Queue ingest.Options
-	// SnapshotPath, when non-empty, is rewritten (atomically, via
-	// SaveSnapshotFile) on every auto-compaction before the WAL is
-	// truncated, so a restart replays only the edges since the last
-	// compaction.
+	// SnapshotPath, when non-empty, is rewritten as a TPAM snapshot
+	// (SaveSnapshotMmap: atomic, fsynced, and it keeps a shard plan) on
+	// every auto-compaction before the WAL is truncated, so a restart
+	// replays only the edges since the last compaction.
 	SnapshotPath string
 }
 
@@ -117,9 +117,9 @@ func (h *Handler) Close() error {
 // bad edge fails the request with 422 instead of being durably logged (a
 // logged batch must replay cleanly forever).
 func validateEdges(e *graphEntry, adds, removes [][2]int) error {
-	eng, ok := e.state.Load().eng.(*tpa.Engine)
-	if !ok {
-		return fmt.Errorf("graph %q no longer served by a tpa engine: %w", e.name, tpa.ErrNotMutable)
+	eng, err := tpaEngine(e.name, e.state.Load())
+	if err != nil {
+		return err
 	}
 	n := eng.NumNodes()
 	for _, set := range [][][2]int{adds, removes} {
@@ -142,9 +142,9 @@ func (h *Handler) applyForIngest(e *graphEntry, adds, removes [][2]int) error {
 	}
 	defer e.releaseSwap()
 	st := e.state.Load()
-	eng, ok := st.eng.(*tpa.Engine)
-	if !ok {
-		return fmt.Errorf("graph %q no longer served by a tpa engine: %w", e.name, tpa.ErrNotMutable)
+	eng, err := tpaEngine(e.name, st)
+	if err != nil {
+		return err
 	}
 	next, stats, err := eng.ApplyEdges(adds, removes)
 	if err != nil {
@@ -176,11 +176,20 @@ func (h *Handler) compactForIngest(e *graphEntry, snapshotPath string) error {
 		return err
 	}
 	defer e.releaseSwap()
-	eng, ok := e.state.Load().eng.(*tpa.Engine)
-	if !ok {
-		return fmt.Errorf("graph %q no longer served by a tpa engine: %w", e.name, tpa.ErrNotMutable)
+	eng, err := tpaEngine(e.name, e.state.Load())
+	if err != nil {
+		return err
 	}
-	return eng.SaveSnapshotFile(snapshotPath)
+	return eng.SaveSnapshotMmap(snapshotPath)
+}
+
+// tpaEngine returns the engine st serves. Only a test fake registered in
+// place of a *tpa.Engine fails.
+func tpaEngine(name string, st *engineState) (*tpa.Engine, error) {
+	if eng, ok := st.eng.(*tpa.Engine); ok {
+		return eng, nil
+	}
+	return nil, fmt.Errorf("graph %q no longer served by a tpa engine", name)
 }
 
 // ingestMutate serves POST /graphs/{name}/edges for an ingest-enabled
@@ -199,9 +208,6 @@ func (h *Handler) ingestMutate(w http.ResponseWriter, r *http.Request, e *graphE
 		return
 	case errors.Is(err, tpa.ErrBadEdge):
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	case errors.Is(err, tpa.ErrNotMutable):
-		httpError(w, http.StatusConflict, err.Error())
 		return
 	case errors.Is(err, ingest.ErrClosed):
 		httpError(w, http.StatusServiceUnavailable, "ingest pipeline shutting down")

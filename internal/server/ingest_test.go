@@ -387,3 +387,74 @@ func TestIngestOversizedBatch413(t *testing.T) {
 		t.Fatalf("oversized batch reached the WAL: %v", ing)
 	}
 }
+
+// TestIngestAppliesToMappedEngine: a graph served from a memory-mapped
+// 2-shard snapshot takes durable writes like any other. The write is
+// accepted, applied once without an apply error, and /topk then answers
+// what the written engine answers.
+func TestIngestAppliesToMappedEngine(t *testing.T) {
+	g := tpa.RandomSBMGraph(200, 4, 5, 0.9, 9)
+	built, err := tpa.NewSharded(g, 2, tpa.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.tpam")
+	if err := built.SaveSnapshotMmap(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := tpa.LoadSnapshotMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	h := NewWith(mapped, Info{Nodes: 200, Edges: g.NumEdges(), Name: "g"}, DefaultOptions())
+	if err := h.EnableIngest("default", IngestConfig{
+		Dir:   t.TempDir(),
+		WAL:   ingest.WALOptions{Fsync: ingest.FsyncOff},
+		Queue: ingest.Options{MaxBatchAge: time.Millisecond},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	topk := func() string {
+		t.Helper()
+		rec, body := get(t, h, "/topk?seed=3&k=10")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("topk: %d %s", rec.Code, rec.Body.String())
+		}
+		return fmt.Sprint(body["results"])
+	}
+	before := topk()
+	edge := [][2]int{{3, 150}}
+	if g.HasEdge(3, 150) {
+		t.Fatal("test premise broken: edge 3→150 exists")
+	}
+	if rec, _ := postJSON(t, h, "/graphs/default/edges", `{"add":[[3,150]]}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("code = %d, want 202: %s", rec.Code, rec.Body.String())
+	}
+	waitIngest(t, h, func(ing map[string]interface{}) bool {
+		return ing["applied_batches"].(float64)+ing["apply_errors"].(float64) >= 1
+	})
+	_, stats := get(t, h, "/graphs/default/stats")
+	if ing := stats["ingest"].(map[string]interface{}); ing["applied_batches"] != 1.0 || ing["apply_errors"] != 0.0 {
+		t.Fatalf("ingest after one write: %v", ing)
+	}
+
+	written, _, err := built.ApplyEdges(edge, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := written.TopK(3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := make([]interface{}, len(want))
+	for i, e := range want {
+		wantJSON[i] = map[string]interface{}{"node": float64(e.Index), "score": e.Score}
+	}
+	after := topk()
+	if after == before || after != fmt.Sprint(wantJSON) {
+		t.Fatalf("/topk after the write:\n got %s\nwant %s\n(before %s)", after, fmt.Sprint(wantJSON), before)
+	}
+}

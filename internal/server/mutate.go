@@ -89,8 +89,6 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, tpa.ErrBadEdge):
 			httpError(w, http.StatusUnprocessableEntity, err.Error())
-		case errors.Is(err, tpa.ErrNotMutable):
-			httpError(w, http.StatusConflict, err.Error())
 		default:
 			httpError(w, http.StatusInternalServerError, err.Error())
 		}

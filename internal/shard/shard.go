@@ -214,10 +214,6 @@ func (o *Operator) NumShards() int { return len(o.bounds) - 1 }
 // modify).
 func (o *Operator) Bounds() []int { return o.bounds }
 
-// BaseWalk returns the underlying in-memory walk — the capability snapshot
-// writers and method builders look for.
-func (o *Operator) BaseWalk() *graph.Walk { return o.w }
-
 // ShardStats reports each shard's node range and size. Edge counts are
 // out-edges of the shard's nodes, read off the CSR row pointers in O(1)
 // per shard.

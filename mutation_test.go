@@ -241,21 +241,6 @@ func TestApplyEdgesErrors(t *testing.T) {
 	}
 }
 
-func TestApplyEdgesStreamingNotMutable(t *testing.T) {
-	g := tpa.RandomSBMGraph(60, 2, 4, 0.9, 6)
-	path := filepath.Join(t.TempDir(), "g.tpae")
-	if err := tpa.CreateEdgeFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := tpa.NewFromEdgeFile(path, tpa.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.ApplyEdges([][2]int{{0, 1}}, nil); !errors.Is(err, tpa.ErrNotMutable) {
-		t.Errorf("streaming ApplyEdges error does not wrap ErrNotMutable: %v", err)
-	}
-}
-
 func TestApplyEdgesChainAcrossCompactions(t *testing.T) {
 	// Mutate repeatedly and check the final engine agrees with a
 	// from-scratch engine on the final graph.

@@ -30,8 +30,9 @@ const shardLPRounds = 10
 // kernel evaluates the same product, so the partition and the choice of
 // kernel change scheduling and the order of a row's sum, not the
 // arithmetic. shards ≤ 1 builds a plain engine. Sharding supplies its own
-// layout, so it cannot combine with Options.Order, and sharded engines
-// reject ApplyEdges — rebuild to mutate.
+// layout, so it cannot combine with Options.Order. ApplyEdges keeps the
+// shard bounds fixed; snapshots of a sharded engine are TPAM only
+// (SaveSnapshotMmap).
 func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 	if shards <= 1 {
 		return New(g, o)

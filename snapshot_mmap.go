@@ -78,12 +78,9 @@ const (
 )
 
 // SaveSnapshotMmap writes the engine as a memory-mappable TPAM snapshot to
-// path (atomically, via a temporary file). Like SaveSnapshot, it refuses
-// streaming engines.
+// path, atomically and durably (see mmapio.Writer.WriteFile). Unlike TPAS
+// it keeps a sharded engine's shard plan.
 func (e *Engine) SaveSnapshotMmap(path string) error {
-	if e.walk == nil {
-		return fmt.Errorf("tpa: streaming engines cannot be snapshotted")
-	}
 	g := e.walk.Graph()
 	// The load path trusts checksummed sections instead of re-validating
 	// structure (see the trust model above); that only holds if nothing
@@ -142,11 +139,11 @@ func (e *Engine) SaveSnapshotMmap(path string) error {
 // LoadSnapshotMmap maps a TPAM snapshot written by SaveSnapshotMmap and
 // binds an engine directly to the mapping: adjacency, normalization and
 // index arrays are views into the file, shared with every other process
-// serving it. The engine rejects ApplyEdges; release the mapping with
-// Close when done (engines that are simply dropped release it via
-// finalizer). On platforms without mmap support the file is decoded onto
-// the heap instead — same answers, plain memory. Decode failures wrap
-// ErrBadSnapshot.
+// serving it. ApplyEdges works as on any engine and returns a heap engine
+// independent of the mapping. Release the mapping with Close when done
+// (engines that are simply dropped release it via finalizer). On platforms
+// without mmap support the file is decoded onto the heap instead — same
+// answers, plain memory. Decode failures wrap ErrBadSnapshot.
 func LoadSnapshotMmap(path string) (*Engine, error) {
 	s, err := mmapio.Open(path)
 	if err != nil {
@@ -335,8 +332,7 @@ func (e *Engine) Mapped() bool { return e.snap != nil && e.snap.Mapped() }
 
 // StorageBytes reports the engine's storage split between memory-mapped
 // bytes (file-backed page cache, shared across processes serving the same
-// snapshot) and private heap bytes. Streaming engines report 0/0 — their
-// state is on disk, not in either budget.
+// snapshot) and private heap bytes.
 func (e *Engine) StorageBytes() (mapped, heap int64) {
 	if e.snap != nil {
 		if e.snap.Mapped() {
@@ -344,11 +340,8 @@ func (e *Engine) StorageBytes() (mapped, heap int64) {
 		}
 		return 0, e.snap.SizeBytes()
 	}
-	if e.walk != nil {
-		g := e.walk.Graph()
-		invdeg, invdeg32, dangling := e.walk.RawNormalization()
-		heap = g.Bytes() + int64(len(invdeg))*8 + int64(len(invdeg32))*4 + int64(len(dangling))*4
-	}
+	invdeg, invdeg32, dangling := e.walk.RawNormalization()
+	heap = e.walk.Graph().Bytes() + int64(len(invdeg))*8 + int64(len(invdeg32))*4 + int64(len(dangling))*4
 	return 0, heap + e.IndexBytes()
 }
 

@@ -1,7 +1,6 @@
 package tpa
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -99,11 +98,16 @@ func TestMmapSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMmapEngineRestrictions pins the mmap engine's contract: no dynamic
-// updates, idempotent Close, typed failure after Close.
+// TestMmapEngineRestrictions pins the mmap engine's contract: a write moves
+// a mapped 2-shard engine onto the heap with its shard plan intact, the
+// written engine holds no view into the mapping — it keeps answering after
+// the source's Close, which crashes the process if it does not — and Close
+// is idempotent.
 func TestMmapEngineRestrictions(t *testing.T) {
-	g := RandomSBMGraph(200, 4, 5, 0.9, 7)
-	eng, err := New(g, Defaults())
+	g := RandomSBMGraph(300, 4, 5, 0.9, 7)
+	o := Defaults()
+	o.Precision = Float32
+	eng, err := NewSharded(g, 2, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +119,20 @@ func TestMmapEngineRestrictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loaded.ApplyEdges([][2]int{{0, 1}}, nil); !errors.Is(err, ErrNotMutable) {
-		t.Fatalf("ApplyEdges on mmap engine: %v, want ErrNotMutable", err)
-	}
 	if mapped, heap := loaded.StorageBytes(); mapped == 0 && heap == 0 {
 		t.Fatal("StorageBytes reported nothing for a loaded snapshot")
+	}
+	adds, removes := [][2]int{{0, 299}, {17, 4}}, [][2]int{{5, int(g.OutNeighbors(5)[0])}}
+	written, stats, err := loaded.ApplyEdges(adds, removes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Added != 2 || stats.Removed != 1 {
+		t.Fatalf("write applied %d/%d edges, want 2/1", stats.Added, stats.Removed)
+	}
+	heapWritten, _, err := eng.ApplyEdges(adds, removes)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := loaded.Close(); err != nil {
 		t.Fatal(err)
@@ -127,15 +140,52 @@ func TestMmapEngineRestrictions(t *testing.T) {
 	if err := loaded.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+
+	if written.Mapped() || written.NumShards() != 2 || written.Precision() != Float32 {
+		t.Fatalf("written engine: mapped %v, %d shards, precision %v; want heap, 2, float32",
+			written.Mapped(), written.NumShards(), written.Precision())
+	}
+	if mapped, _ := written.StorageBytes(); mapped != 0 {
+		t.Fatalf("written engine reports %d mapped bytes", mapped)
+	}
+	seeds := []int{0, 5, 17, 299}
+	queriesAgree(t, "written", heapWritten, written, seeds, 0)
+	if _, err := written.TopK(17, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := written.TopKBatch(seeds, 5, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	resaved := filepath.Join(t.TempDir(), "w.tpam")
+	if err := written.SaveSnapshotMmap(resaved); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := LoadSnapshotMmap(resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reloaded.Close()
+	if reloaded.NumShards() != 2 || reloaded.NumEdges() != written.NumEdges() {
+		t.Fatalf("re-saved engine: %d shards / %d edges, want 2 / %d",
+			reloaded.NumShards(), reloaded.NumEdges(), written.NumEdges())
+	}
+	queriesAgree(t, "re-saved", written, reloaded, seeds, 0)
 }
 
 // TestShardedEngineEquivalence is the sharded-correctness crux: for shard
 // counts 1, 2 and 7 the scatter-gather engine must agree with the plain
 // engine element-wise to 1e-12 in external id space — the shard plan
 // relabels nodes, so any leak of internal ids would misroute whole scores.
+// The same holds after both engines take the same write.
 func TestShardedEngineEquivalence(t *testing.T) {
 	g := RandomSBMGraph(600, 6, 6, 0.9, 13)
 	base, err := New(g, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	adds, removes := [][2]int{{0, 1}, {300, 7}, {599, 42}}, [][2]int{{99, int(g.OutNeighbors(99)[0])}}
+	baseWritten, _, err := base.ApplyEdges(adds, removes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +209,16 @@ func TestShardedEngineEquivalence(t *testing.T) {
 				t.Fatalf("shard layout covers %d nodes / %d edges, want %d / %d",
 					tn, te, g.NumNodes(), g.NumEdges())
 			}
-			if _, _, err := eng.ApplyEdges([][2]int{{0, 1}}, nil); !errors.Is(err, ErrNotMutable) {
-				t.Fatalf("ApplyEdges on sharded engine: %v, want ErrNotMutable", err)
-			}
 		}
 		queriesAgree(t, "shards", base, eng, seeds, 1e-12)
+		written, _, err := eng.ApplyEdges(adds, removes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if written.NumShards() != shards {
+			t.Fatalf("%d-way engine reports %d shards after a write", shards, written.NumShards())
+		}
+		queriesAgree(t, "written shards", baseWritten, written, seeds, 1e-12)
 
 		top, err := eng.TopK(seeds[2], 10)
 		if err != nil {

@@ -3,7 +3,9 @@ package tpa
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -144,17 +146,30 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestStreamingEngineCannotSnapshot(t *testing.T) {
-	g := RandomSBMGraph(50, 2, 4, 0.9, 13)
-	path := filepath.Join(t.TempDir(), "edges.bin")
-	if err := CreateEdgeFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewFromEdgeFile(path, Defaults())
+// TestShardedEngineRefusesTPAS: TPAS has no shard section, so saving a
+// sharded engine as TPAS would reload as a 1-shard engine. Both TPAS
+// writers refuse and name the writer that keeps the plan.
+func TestShardedEngineRefusesTPAS(t *testing.T) {
+	g := RandomSBMGraph(100, 2, 4, 0.9, 13)
+	eng, err := NewSharded(g, 2, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SaveSnapshot(&bytes.Buffer{}); err == nil {
-		t.Error("streaming engine snapshot accepted")
+	var buf bytes.Buffer
+	if err := eng.SaveSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "SaveSnapshotMmap") {
+		t.Errorf("SaveSnapshot on a sharded engine: %v, want an error naming SaveSnapshotMmap", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused SaveSnapshot wrote %d bytes", buf.Len())
+	}
+	path := filepath.Join(t.TempDir(), "s.tpas")
+	if err := eng.SaveSnapshotFile(path); err == nil || !strings.Contains(err.Error(), "SaveSnapshotMmap") {
+		t.Errorf("SaveSnapshotFile on a sharded engine: %v, want an error naming SaveSnapshotMmap", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("refused SaveSnapshotFile left %s behind (%v)", path, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("refused SaveSnapshotFile left its temporary file behind (%v)", err)
 	}
 }

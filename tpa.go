@@ -25,7 +25,6 @@ package tpa
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -38,7 +37,6 @@ import (
 	"tpa/internal/rwr"
 	"tpa/internal/shard"
 	"tpa/internal/sparse"
-	"tpa/internal/stream"
 )
 
 // Graph is a directed graph in compressed sparse row form.
@@ -117,7 +115,7 @@ type Options struct {
 	// the CSR for cache locality before preprocessing; node ids stay the
 	// caller's — the engine remaps seeds and results at the API boundary, so
 	// answers are identical to a natural-order engine up to float summation
-	// order. Requires an in-memory graph (NewFromEdgeFile rejects it).
+	// order.
 	Order string
 	// Precision selects the storage precision of the CPI index: Float64
 	// (the default) or Float32, which halves the index and runs the online
@@ -165,7 +163,7 @@ func (o Options) split() (rwr.Config, core.Params) {
 // old one, so a server can swap engines atomically under live traffic.
 type Engine struct {
 	tpa *core.TPA
-	// walk is the in-memory CSR operator (nil for streaming engines).
+	// walk is the in-memory CSR operator.
 	walk *graph.Walk
 	// workers is the default parallelism for batch queries (0 = GOMAXPROCS).
 	workers int
@@ -313,8 +311,6 @@ func (e *Engine) QuerySet(seeds []int) ([]float64, error) {
 // per-query allocation is just the returned vector. parallelism ≤ 0 uses
 // Options.Workers (or GOMAXPROCS if that was 0 too). Results[i] corresponds
 // to seeds[i]; a single out-of-range seed fails the whole batch up front.
-// Streaming engines (NewFromEdgeFile) run the batch serially: the disk
-// operator has one file cursor.
 func (e *Engine) QueryBatch(seeds []int, parallelism int) ([][]float64, error) {
 	if e.perm == nil {
 		rs, err := e.tpa.QueryBatch(seeds, e.batchWorkers(parallelism))
@@ -354,9 +350,6 @@ func (e *Engine) TopKBatch(seeds []int, k, parallelism int) ([][]Entry, error) {
 }
 
 func (e *Engine) batchWorkers(parallelism int) int {
-	if e.walk == nil {
-		return 1 // streaming operator: single shared file cursor
-	}
 	if parallelism <= 0 {
 		parallelism = e.workers
 	}
@@ -442,28 +435,16 @@ func (e *Engine) ErrorBound() float64 { return e.tpa.ErrorBound() }
 // per node, or 4 for Float32 engines).
 func (e *Engine) IndexBytes() int64 { return e.tpa.IndexBytes() }
 
-// Graph returns the in-memory CSR graph the engine serves, or nil for
-// streaming engines. For reordered engines (Options.Order) this is the
-// INTERNAL, permuted graph; use Permutation to translate its node ids back
-// to external ones.
-func (e *Engine) Graph() *Graph {
-	if e.walk == nil {
-		return nil
-	}
-	return e.walk.Graph()
-}
+// Graph returns the in-memory CSR graph the engine serves. For reordered
+// and sharded engines this is the INTERNAL, permuted graph; use Permutation
+// to translate its node ids back to external ones.
+func (e *Engine) Graph() *Graph { return e.walk.Graph() }
 
 // NumNodes returns the node count of the served graph.
 func (e *Engine) NumNodes() int { return e.tpa.Walk().N() }
 
-// NumEdges returns the edge count of the served graph; -1 when unknown
-// (streaming engines).
-func (e *Engine) NumEdges() int64 {
-	if e.walk == nil {
-		return -1
-	}
-	return e.walk.Graph().NumEdges()
-}
+// NumEdges returns the edge count of the served graph.
+func (e *Engine) NumEdges() int64 { return e.walk.Graph().NumEdges() }
 
 // MutationStats reports what one ApplyEdges call did.
 type MutationStats struct {
@@ -487,12 +468,6 @@ type MutationStats struct {
 	ReindexIters int
 }
 
-// ErrNotMutable is wrapped by ApplyEdges on engines that cannot take
-// dynamic updates: streaming engines, memory-mapped engines (the snapshot
-// is a read-only serving artifact) and sharded engines (the shard plan is
-// computed at build time). Test with errors.Is.
-var ErrNotMutable = errors.New("tpa: engine does not support dynamic updates")
-
 // ErrBadEdge is wrapped by ApplyEdges when a batch references a node
 // outside the graph's fixed node range — a caller mistake, as opposed to
 // an internal reindexing failure. Test with errors.Is.
@@ -514,21 +489,18 @@ var ErrBadEdge = graph.ErrBadEdge
 // whose every edge is a no-op returns the receiver itself with no
 // reindexing: the graph did not change.
 //
+// Every engine takes writes. A memory-mapped engine's batch compacts onto
+// the heap like any other, so the new engine holds no view into the
+// mapping and outlives the receiver's Close. A sharded engine re-splits
+// the compacted CSR along its fixed shard bounds and reindexes on the new
+// shard operator, whose matvec counters (ShardMatvecs) start over with
+// that reindex's applications.
+//
 // Edges must reference existing nodes — a bad id fails the whole batch
 // with an error wrapping ErrBadEdge; growing the node set requires a
-// rebuild with New. Streaming engines return an error wrapping
-// ErrNotMutable.
+// rebuild with New.
 func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, error) {
 	var stats MutationStats
-	if e.snap != nil {
-		return nil, stats, fmt.Errorf("memory-mapped engine (rebuild and re-snapshot to mutate): %w", ErrNotMutable)
-	}
-	if e.shardOp != nil {
-		return nil, stats, fmt.Errorf("sharded engine (the shard plan is fixed at build time): %w", ErrNotMutable)
-	}
-	if e.walk == nil {
-		return nil, stats, fmt.Errorf("streaming engine: %w", ErrNotMutable)
-	}
 	d := graph.NewDelta(e.walk.Graph())
 	adds, err := e.toInternalEdges(adds)
 	if err != nil {
@@ -552,18 +524,30 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 		return e, stats, nil
 	}
 
-	w := graph.NewWalk(d.Compact(), e.walk.Policy())
-	tp, rs, err := core.Reindex(e.tpa, w, e.workers, e.maxResidual)
+	next := &Engine{walk: graph.NewWalk(d.Compact(), e.walk.Policy()), workers: e.workers,
+		maxResidual: e.maxResidual, perm: e.perm, inv: e.inv, order: e.order}
+	if e.snap != nil && e.perm != nil {
+		// The receiver's perm is a view into its mapping.
+		next.perm = append([]int32(nil), e.perm...)
+	}
+	var op rwr.Operator = next.walk
+	if e.shardOp != nil {
+		if next.shardOp, err = shard.NewOperator(next.walk, e.shardOp.Bounds()); err != nil {
+			return nil, stats, fmt.Errorf("tpa: sharding: %w", err)
+		}
+		op = next.shardOp
+	}
+	tp, rs, err := core.Reindex(e.tpa, op, e.workers, e.maxResidual)
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: reindexing: %w", err)
 	}
+	next.tpa = tp
 	stats.Compacted = true
 	stats.Incremental = !rs.Full
 	stats.Residual = rs.Residual
 	stats.ReindexIters = rs.Iters()
-	stats.Edges = w.Graph().NumEdges()
-	return &Engine{tpa: tp, walk: w, workers: e.workers, maxResidual: e.maxResidual,
-		perm: e.perm, inv: e.inv, order: e.order}, stats, nil
+	stats.Edges = next.NumEdges()
+	return next, stats, nil
 }
 
 // SaveIndex serializes the preprocessed state so it can be shipped to query
@@ -589,10 +573,11 @@ var ErrBadSnapshot = graph.ErrBadSnapshot
 // SaveSnapshot writes a combined binary snapshot of the graph and the
 // preprocessed index, so LoadSnapshot cold-starts an identical engine with
 // two sequential reads — no edge-list parsing and no re-preprocessing.
-// Streaming engines (NewFromEdgeFile) cannot snapshot.
+// TPAS has no room for a shard plan, so sharded engines refuse it; save
+// them with SaveSnapshotMmap.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
-	if e.walk == nil {
-		return fmt.Errorf("tpa: streaming engines cannot be snapshotted")
+	if e.shardOp != nil {
+		return fmt.Errorf("tpa: a TPAS snapshot would drop the %d-shard plan; use SaveSnapshotMmap", e.NumShards())
 	}
 	return core.WriteSnapshotPerm(w, e.tpa, e.perm)
 }
@@ -665,43 +650,6 @@ func LoadSnapshotFile(path string) (*Engine, error) {
 		e.inv = graph.InvertPermutation(perm)
 	}
 	return e, nil
-}
-
-// CreateEdgeFile converts g to the binary streaming format at path, for
-// disk-based operation (the paper's §VI future work): propagation steps
-// become sequential file scans and resident memory stays O(n).
-func CreateEdgeFile(path string, g *Graph) error {
-	ef, err := stream.Create(path, g)
-	if err != nil {
-		return err
-	}
-	return ef.Close()
-}
-
-// NewFromEdgeFile runs TPA's preprocessing phase directly against a
-// disk-resident edge file produced by CreateEdgeFile. The returned engine
-// streams the file on every query, so it handles graphs larger than
-// memory; it must not be queried concurrently (one shared file cursor).
-func NewFromEdgeFile(path string, o Options) (*Engine, error) {
-	cfg, params := o.split()
-	if ord, err := reorder.ParseOrder(o.Order); err != nil {
-		return nil, fmt.Errorf("tpa: %w", err)
-	} else if ord != reorder.OrderNatural {
-		return nil, fmt.Errorf("tpa: Options.Order %q requires an in-memory graph (streaming engines scan the edge file in natural order)", o.Order)
-	}
-	if o.Precision != Float64 {
-		return nil, fmt.Errorf("tpa: Options.Precision float32 requires an in-memory graph (the streaming operator has no float32 kernel)")
-	}
-	ef, err := stream.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	tp, err := core.Preprocess(ef, cfg, params)
-	if err != nil {
-		ef.Close()
-		return nil, fmt.Errorf("tpa: preprocessing (streaming): %w", err)
-	}
-	return &Engine{tpa: tp}, nil
 }
 
 // Exact computes the exact RWR vector for the seed by cumulative power

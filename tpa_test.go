@@ -159,43 +159,6 @@ func TestIndexBytes(t *testing.T) {
 	}
 }
 
-func TestStreamingEngineMatchesInMemory(t *testing.T) {
-	g := RandomCommunityGraph(300, 2700, 6, 5)
-	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := CreateEdgeFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	mem, err := New(g, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := NewFromEdgeFile(path, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := mem.Query(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := disk.Query(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d float64
-	for i := range a {
-		d += math.Abs(a[i] - b[i])
-	}
-	if d > 1e-12 {
-		t.Errorf("streaming engine deviates by %g", d)
-	}
-}
-
-func TestNewFromEdgeFileMissing(t *testing.T) {
-	if _, err := NewFromEdgeFile("/nonexistent/g.bin", Defaults()); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 // The Engine documents itself as safe for concurrent queries; verify under
 // the race detector (go test -race).
 func TestConcurrentQueries(t *testing.T) {

@@ -151,3 +151,77 @@ func TestReplayWALCrashResume(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayWALMappedSharded is the boot path of `tpad serve -wal` over a
+// sharded TPAM snapshot: a WAL replayed onto a fresh mapping of the
+// snapshot must reproduce, to 1e-12, the engine the live process built by
+// applying the same groups to its own mapping — still 2-sharded, now on
+// the heap.
+func TestReplayWALMappedSharded(t *testing.T) {
+	const n = 300
+	g := tpa.RandomSBMGraph(n, 4, 5, 0.9, 8)
+	built, err := tpa.NewSharded(g, 2, tpa.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.tpam")
+	if err := built.SaveSnapshotMmap(path); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *tpa.Engine {
+		eng, err := tpa.LoadSnapshotMmap(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	dir := t.TempDir()
+	w, err := ingest.OpenWAL(dir, ingest.WALOptions{Fsync: ingest.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	live := load()
+	for i := 0; i < 6; i++ {
+		adds, removes := randomMutationBatch(rng, n)
+		seq, err := w.Append(adds, removes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendApplyMarker(seq); err != nil {
+			t.Fatal(err)
+		}
+		if live, _, err = live.ApplyEdges(adds, removes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayed, stats, err := load().ReplayWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Applies != 6 {
+		t.Fatalf("replay applied %d groups, want 6: %+v", stats.Applies, stats)
+	}
+	if replayed.Mapped() || replayed.NumShards() != 2 || replayed.NumEdges() != live.NumEdges() {
+		t.Fatalf("replayed engine: mapped %v, %d shards, %d edges; want heap, 2, %d",
+			replayed.Mapped(), replayed.NumShards(), replayed.NumEdges(), live.NumEdges())
+	}
+	for _, seed := range rng.Perm(n)[:10] {
+		got, err := replayed.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := live.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := l1dist(got, want); d > 1e-12 {
+			t.Fatalf("seed %d: replayed scores deviate from the live engine by L1 %g", seed, d)
+		}
+	}
+}
