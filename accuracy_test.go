@@ -272,10 +272,10 @@ func TestAccuracyVariants(t *testing.T) {
 	}
 }
 
-// TestAccuracyAfterMutationStorm chains many mutation batches (possibly
-// crossing the full-rebuild threshold) and asserts the final engine still
-// meets the Theorem-2 bound against exact RWR on the final graph — the
-// regression test for error drift in stacked incremental reindexes.
+// TestAccuracyAfterMutationStorm chains many mutation batches and asserts
+// the final engine still meets its error bound against exact RWR on the
+// final graph — the regression test for error drift in stacked incremental
+// reindexes.
 func TestAccuracyAfterMutationStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const nodes = 250

@@ -46,8 +46,8 @@ func serveJSON(t *testing.T, h http.Handler, method, path, body string) (int, ma
 // over a memory-mapped 2-shard snapshot through three boots. Boot 1 takes a
 // durable write; boot 2 replays it onto the mapping and auto-compacts a
 // second write into <w>/g.tpam; boot 3 cold-starts from that snapshot.
-// Every write applies, and each boot serves the shard plan and the answers
-// of an engine that took the same writes directly.
+// Every write applies, and each boot serves the shard plan, the error bound
+// and the answers of an engine that took the same writes directly.
 func TestWALBootOverMappedSnapshot(t *testing.T) {
 	g := tpa.RandomSBMGraph(300, 4, 5, 0.9, 5)
 	built, err := tpa.NewSharded(g, 2, tpa.Defaults())
@@ -108,6 +108,12 @@ func TestWALBootOverMappedSnapshot(t *testing.T) {
 		shards := stats["shards"].(map[string]interface{})
 		if gi["edges"] != float64(want.NumEdges()) || shards["count"] != 2.0 {
 			t.Fatalf("%s: %v edges / %v shards, want %d / 2", tag, gi["edges"], shards["count"], want.NumEdges())
+		}
+		// The bound carries the writes' staleness, across replay and the
+		// compacted snapshot alike.
+		if stats["error_bound"] != want.ErrorBound() || stats["stale_bound"] != want.StaleBound() {
+			t.Fatalf("%s: error_bound %v / stale_bound %v, want %g / %g", tag,
+				stats["error_bound"], stats["stale_bound"], want.ErrorBound(), want.StaleBound())
 		}
 		top, err := want.TopK(3, 10)
 		if err != nil {

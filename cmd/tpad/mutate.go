@@ -218,6 +218,7 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 			Edges        int64   `json:"edges"`
 			Incremental  bool    `json:"incremental"`
 			ReindexIters int     `json:"reindex_iters"`
+			StaleBound   float64 `json:"stale_bound"`
 			ElapsedMS    float64 `json:"elapsed_ms"`
 		}
 		if err := json.Unmarshal(payload, &summary); err != nil {
@@ -227,8 +228,8 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 		if !summary.Incremental {
 			mode = "full rebuild"
 		}
-		fmt.Printf("applied +%d -%d edges (now %d) in %.1fms — reindex: %s, %d iters\n",
-			summary.Added, summary.Removed, summary.Edges, summary.ElapsedMS, mode, summary.ReindexIters)
+		fmt.Printf("applied +%d -%d edges (now %d) in %.1fms — reindex: %s, %d iters, stale bound %.3g\n",
+			summary.Added, summary.Removed, summary.Edges, summary.ElapsedMS, mode, summary.ReindexIters, summary.StaleBound)
 		return nil
 	}
 }

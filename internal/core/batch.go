@@ -108,7 +108,7 @@ func onlinePhase[T sparse.Float](ctx context.Context, t *TPA, mulT func(x, y spa
 		Partial:    effS < t.params.S,
 		EffectiveS: effS,
 		Steps:      effS - 1,
-		Bound:      TheoremTwoBound(t.cfg.C, effS),
+		Bound:      TheoremTwoBound(t.cfg.C, effS) + t.stale,
 	}
 }
 

@@ -13,6 +13,13 @@ func TheoremTwoBound(c float64, s int) float64 {
 	return 2 * math.Pow(1-c, float64(s))
 }
 
+// StalenessBudget is β = 2(1-c)^{S-1} − 2(1-c)^S = 2c(1-c)^{S-1}, the slack
+// between Theorem 2 at S and at S-1 that Reindex may leave uncorrected in the
+// stranger vector (see reindex.go).
+func StalenessBudget(c float64, s int) float64 {
+	return TheoremTwoBound(c, s-1) - TheoremTwoBound(c, s)
+}
+
 // NeighborBound is the neighbor-approximation bound of Lemma 3:
 // 2(1-c)^S − 2(1-c)^T.
 func NeighborBound(c float64, s, t int) float64 {

@@ -29,8 +29,8 @@ type QueryMeta struct {
 	EffectiveS int
 	// Steps is the number of propagation steps executed (EffectiveS - 1).
 	Steps int
-	// Bound is the a-priori L1 error bound of Theorem 2 for the answer as
-	// returned: 2(1-c)^EffectiveS.
+	// Bound is the a-priori L1 error bound for the answer as returned:
+	// 2(1-c)^EffectiveS (Theorem 2) plus the index's StaleBound.
 	Bound float64
 }
 

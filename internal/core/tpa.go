@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"tpa/internal/rwr"
@@ -55,6 +56,10 @@ type TPA struct {
 	// preIters records how many CPI iterations preprocessing ran
 	// (for reporting).
 	preIters int
+	// stale bounds ‖stranger − s*‖₁, s* the exact stranger vector of the
+	// bound graph: 0 after preprocessing, what Reindex left uncorrected
+	// after a write (see reindex.go).
+	stale float64
 	// scratch pools per-query working vectors (see batch.go) so steady-state
 	// queries allocate nothing beyond their result.
 	scratch sync.Pool
@@ -194,6 +199,23 @@ func (t *TPA) TopK(seed, k int) ([]sparse.Entry, error) {
 	return top, err
 }
 
-// ErrorBound returns the a-priori L1 error guarantee of Theorem 2 for this
-// instance: ‖r_CPI − r_TPA‖₁ ≤ 2(1-c)^S.
-func (t *TPA) ErrorBound() float64 { return TheoremTwoBound(t.cfg.C, t.params.S) }
+// ErrorBound returns the a-priori L1 error guarantee for this instance:
+// ‖r_CPI − r_TPA‖₁ ≤ 2(1-c)^S (Theorem 2) plus StaleBound. After a Reindex
+// the sum stays within 2(1-c)^{S-1}.
+func (t *TPA) ErrorBound() float64 { return TheoremTwoBound(t.cfg.C, t.params.S) + t.stale }
+
+// StaleBound returns the bound on the L1 distance between the served
+// stranger vector and the exact one of the bound graph: 0 for a freshly
+// preprocessed index, at most StalenessBudget after a Reindex.
+func (t *TPA) StaleBound() float64 { return t.stale }
+
+// SetStaleBound restores a persisted StaleBound on a loaded index. Like
+// SetPrecision it must be called before the TPA is shared across
+// goroutines.
+func (t *TPA) SetStaleBound(b float64) error {
+	if !(b >= 0) || math.IsInf(b, 0) {
+		return fmt.Errorf("core: stale bound %g is not a finite non-negative number", b)
+	}
+	t.stale = b
+	return nil
+}

@@ -113,6 +113,7 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		"incremental":   stats.Incremental,
 		"residual":      stats.Residual,
 		"reindex_iters": stats.ReindexIters,
+		"stale_bound":   stats.StaleBound,
 		"mutations":     e.mutations.Add(1),
 		"elapsed_ms":    float64(time.Since(start)) / float64(time.Millisecond),
 	})

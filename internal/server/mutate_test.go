@@ -63,6 +63,15 @@ func TestMutateAddsAndRemovesEdges(t *testing.T) {
 	if gi["edges"].(float64) != float64(g.NumEdges()+1) {
 		t.Errorf("stats edges = %v", gi["edges"])
 	}
+	// The write's staleness is reported and folded into the served bound.
+	stale, ok := body["stale_bound"].(float64)
+	if !ok || stale <= 0 {
+		t.Errorf("stale_bound = %v, want > 0 after a write", body["stale_bound"])
+	}
+	if stats["stale_bound"] != stale || stats["error_bound"] != eng.ErrorBound()+stale {
+		t.Errorf("stats stale_bound/error_bound = %v/%v, want %v/%v",
+			stats["stale_bound"], stats["error_bound"], stale, eng.ErrorBound()+stale)
+	}
 	if entries := stats["cache"].(map[string]interface{})["entries"].(float64); entries != 0 {
 		t.Errorf("cache entries = %v after mutation, want 0 (partition replaced)", entries)
 	}

@@ -146,7 +146,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		func(st *engineState) float64 { return float64(st.info.Edges) })
 	graphGauge("tpa_graph_index_bytes", "Preprocessed index size per graph.",
 		func(st *engineState) float64 { return float64(st.eng.IndexBytes()) })
-	graphGauge("tpa_graph_error_bound", "Theorem-2 L1 error bound 2(1-c)^S per graph.",
+	graphGauge("tpa_graph_error_bound", "L1 error bound per graph: Theorem-2 2(1-c)^S plus the staleness bound the last reindex left after edge writes.",
 		func(st *engineState) float64 { return st.eng.ErrorBound() })
 
 	// Shard and storage layout (sharded / memory-mapped engines). Shard

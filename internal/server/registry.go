@@ -264,6 +264,10 @@ func (h *Handler) graphStats(w http.ResponseWriter, r *http.Request) {
 		"loaded_at":   st.loadedAt.UTC().Format(time.RFC3339),
 		"cache":       cache,
 	}
+	if se, ok := st.eng.(staleInfo); ok {
+		// Whichever write path moved the engine, synchronous or ingest.
+		resp["stale_bound"] = se.StaleBound()
+	}
 	if se, ok := st.eng.(storageInfo); ok {
 		mapped, heap := se.StorageBytes()
 		resp["storage"] = map[string]interface{}{

@@ -75,6 +75,13 @@ type storageInfo interface {
 	Mapped() bool
 }
 
+// staleInfo is the optional capability interface for engines whose index
+// may lag the graph after writes: StaleBound is the part of ErrorBound the
+// last reindex left uncorrected. *tpa.Engine implements it.
+type staleInfo interface {
+	StaleBound() float64
+}
+
 // DeadlineHeader is the request header carrying a per-query budget in
 // milliseconds. It overrides Options.DefaultDeadline; an explicit 0
 // disables the deadline for that request.

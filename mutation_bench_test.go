@@ -7,12 +7,10 @@ import (
 	"tpa"
 )
 
-// Mutation benchmarks: the cost of keeping a live engine current under
-// steady edge churn. Both benchmarks chain ApplyEdges (each iteration
-// mutates the engine the previous one returned) over the same sequence of
-// distinct batches — the only difference is the negative MaxResidual
-// forcing the fallback — so their ratio is exactly the saving of the
-// incremental reindex path.
+// Mutation benchmark: the cost of keeping a live engine current under
+// steady edge churn. It chains ApplyEdges (each iteration mutates the
+// engine the previous one returned) over a sequence of distinct batches and
+// reports the propagation steps each reindex spent next to ns/op.
 
 const (
 	benchMutateNodes = 20000
@@ -77,28 +75,20 @@ func (p *churnPool) batch() (adds, removes [][2]int) {
 	return adds, removes
 }
 
-// benchChurn chains b.N ApplyEdges calls over the pool's batches and fails
-// if any batch takes the other reindex path than incremental says.
-func benchChurn(b *testing.B, o tpa.Options, incremental bool) {
-	eng := benchMutationEngine(b, o)
+// BenchmarkApplyEdgesIncremental chains b.N ApplyEdges calls over the
+// pool's batches.
+func BenchmarkApplyEdgesIncremental(b *testing.B) {
+	eng := benchMutationEngine(b, tpa.Defaults())
 	pool := newChurnPool(eng.Graph())
+	iters := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		next, stats, err := eng.ApplyEdges(pool.batch())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.Incremental != incremental {
-			b.Fatalf("batch %d: incremental = %v, want %v (residual %g)", i, stats.Incremental, incremental, stats.Residual)
-		}
+		iters += stats.ReindexIters
 		eng = next
 	}
-}
-
-func BenchmarkApplyEdgesIncremental(b *testing.B) { benchChurn(b, tpa.Defaults(), true) }
-
-func BenchmarkApplyEdgesFullRebuild(b *testing.B) {
-	o := tpa.Defaults()
-	o.MaxResidual = -1 // disable the incremental path: every batch re-preprocesses
-	benchChurn(b, o, false)
+	b.ReportMetric(float64(iters)/float64(b.N), "ReindexIters/op")
 }

@@ -1,8 +1,8 @@
 package tpa_test
 
 import (
-	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -74,8 +74,9 @@ func TestApplyEdgesServesMutatedGraph(t *testing.T) {
 }
 
 // TestApplyEdgesAlwaysCompacts pins the write contract: every batch that
-// changes the graph leaves an engine serving a fresh CSR, which snapshots
-// like a freshly built one, and an all-no-op batch returns the receiver.
+// changes the graph leaves an engine serving a fresh CSR, which a TPAM
+// snapshot round-trips to the same answers, and an all-no-op batch returns
+// the receiver.
 func TestApplyEdgesAlwaysCompacts(t *testing.T) {
 	eng, _ := buildMutableEngine(t, 150, tpa.Defaults())
 	next, stats, err := eng.ApplyEdges([][2]int{{1, 2}, {2, 3}}, nil)
@@ -91,18 +92,15 @@ func TestApplyEdgesAlwaysCompacts(t *testing.T) {
 	if next.Graph() == nil {
 		t.Fatal("mutated engine has no graph")
 	}
-	var buf bytes.Buffer
-	if err := next.SaveSnapshot(&buf); err != nil {
-		t.Fatalf("SaveSnapshot right after a write: %v", err)
-	}
-	if err := next.SaveSnapshotMmap(filepath.Join(t.TempDir(), "g.tpam")); err != nil {
+	path := filepath.Join(t.TempDir(), "g.tpam")
+	if err := next.SaveSnapshotMmap(path); err != nil {
 		t.Fatalf("SaveSnapshotMmap right after a write: %v", err)
 	}
-	// The snapshot round-trips to the same answers.
-	loaded, err := tpa.LoadSnapshot(&buf)
+	loaded, err := tpa.LoadSnapshotMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	a, err := next.Query(7)
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +126,8 @@ func TestApplyEdgesAlwaysCompacts(t *testing.T) {
 // float32 kernels after a write. Its answers differ from a float64 engine
 // that took the same write by float32 rounding — a float32 engine that fell
 // back to the float64 kernels would match it to float64 rounding — and stay
-// within f32Slack of a float32 engine built from scratch on the mutated
-// graph.
+// within f32Slack plus the write's StaleBound of a float32 engine built from
+// scratch on the mutated graph.
 func TestApplyEdgesKeepsFloat32Kernels(t *testing.T) {
 	o32 := tpa.Defaults()
 	o32.Precision = tpa.Float32
@@ -165,39 +163,31 @@ func TestApplyEdgesKeepsFloat32Kernels(t *testing.T) {
 		if d := l1dist(got, wide); d < 1e-12 {
 			t.Errorf("seed %d: the float32 engine answers %g in L1 from float64 after a write: it runs the float64 kernels", seed, d)
 		}
-		if d := l1dist(got, fresh); d > f32Slack {
-			t.Errorf("seed %d: %g in L1 from a float32 engine built on the mutated graph, tolerance %g", seed, d, f32Slack)
+		if d, tol := l1dist(got, fresh), f32Slack+next32.StaleBound(); d > tol {
+			t.Errorf("seed %d: %g in L1 from a float32 engine built on the mutated graph, tolerance %g", seed, d, tol)
 		}
 	}
 }
 
-func TestApplyEdgesFullRebuildPaths(t *testing.T) {
-	// A negative MaxResidual forces the full-preprocess path.
+// TestApplyEdgesMassiveRewiring: a batch that rewires the graph wholesale
+// takes the same incremental path as any other, with more correction steps,
+// and the new engine keeps the written-engine contract.
+func TestApplyEdgesMassiveRewiring(t *testing.T) {
 	o := tpa.Defaults()
-	o.MaxResidual = -1
 	eng, _ := buildMutableEngine(t, 120, o)
-	_, stats, err := eng.ApplyEdges([][2]int{{0, 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Incremental {
-		t.Error("negative MaxResidual still took the incremental path")
-	}
-
-	// A huge rewiring exceeds any reasonable residual and falls back too.
-	eng2, _ := buildMutableEngine(t, 120, tpa.Defaults())
 	rng := rand.New(rand.NewSource(4))
 	var batch [][2]int
 	for i := 0; i < 2000; i++ {
 		batch = append(batch, [2]int{rng.Intn(120), rng.Intn(120)})
 	}
-	_, stats, err = eng2.ApplyEdges(batch, nil)
+	next, stats, err := eng.ApplyEdges(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Incremental {
-		t.Errorf("massive rewiring reindexed incrementally (residual %g)", stats.Residual)
+	if !stats.Incremental || stats.ReindexIters <= o.T+1 {
+		t.Errorf("massive rewiring: %+v, want an incremental reindex with correction steps", stats)
 	}
+	checkWrittenEngine(t, "massive rewiring", next, []int{0, 60, 119})
 }
 
 func TestApplyEdgesErrors(t *testing.T) {
@@ -241,9 +231,53 @@ func TestApplyEdgesErrors(t *testing.T) {
 	}
 }
 
+// checkWrittenEngine asserts the contract of an engine that took writes:
+// ErrorBound is Theorem 2 at S plus a StaleBound within the slack to S-1;
+// a from-scratch engine on the same graph answers within StaleBound of it
+// (the two share the family part, so the answers differ by exactly the
+// stranger vectors, up to the fresh CPI's own ε truncation); and every
+// probe seed's answer is within ErrorBound of exact RWR.
+func checkWrittenEngine(t *testing.T, tag string, eng *tpa.Engine, seeds []int) {
+	t.Helper()
+	o := tpa.Defaults()
+	s, _ := eng.Params()
+	thm2 := 2 * math.Pow(1-o.C, float64(s))
+	if got, want := eng.ErrorBound(), thm2+eng.StaleBound(); got != want {
+		t.Errorf("%s: ErrorBound %g, want %g + StaleBound %g", tag, got, thm2, eng.StaleBound())
+	}
+	if slack := 2 * math.Pow(1-o.C, float64(s-1)); eng.ErrorBound() > slack {
+		t.Errorf("%s: ErrorBound %g exceeds 2(1-c)^(S-1) = %g", tag, eng.ErrorBound(), slack)
+	}
+	fresh, err := tpa.New(eng.Graph(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
+		got, err := eng.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := l1dist(got, want); d > eng.StaleBound()+1e-8 {
+			t.Errorf("%s: seed %d answers %g from a fresh engine, StaleBound %g", tag, seed, d, eng.StaleBound())
+		}
+		exact, err := tpa.Exact(eng.Graph(), seed, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := l1dist(got, exact); d > eng.ErrorBound() {
+			t.Errorf("%s: seed %d L1 error %g exceeds ErrorBound %g", tag, seed, d, eng.ErrorBound())
+		}
+	}
+}
+
 func TestApplyEdgesChainAcrossCompactions(t *testing.T) {
-	// Mutate repeatedly and check the final engine agrees with a
-	// from-scratch engine on the final graph.
+	// Mutate repeatedly and hold the final engine to the written-engine
+	// contract against a from-scratch engine and exact RWR on the final
+	// graph.
 	eng, _ := buildMutableEngine(t, 150, tpa.Defaults())
 	rng := rand.New(rand.NewSource(5))
 	cur := eng
@@ -258,27 +292,5 @@ func TestApplyEdgesChainAcrossCompactions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := tpa.New(cur.Graph(), tpa.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := cur.Query(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fresh.Query(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var l1 float64
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		l1 += d
-	}
-	if l1 > 1e-5 {
-		t.Errorf("chained mutations drifted %g from a fresh engine", l1)
-	}
+	checkWrittenEngine(t, "6 chained writes", cur, []int{3, 77, 149})
 }

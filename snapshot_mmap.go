@@ -26,7 +26,7 @@ import (
 //
 // Sections (ids are stable; readers must tolerate unknown extra sections):
 //
-//	 1 meta       bytes    64-byte fixed header, layout below
+//	 1 meta       bytes    64- or 72-byte fixed header, layout below
 //	 2 outPtr     int64    n+1   CSR row pointers
 //	 3 outIdx     int32    m     CSR column indices
 //	 4 inPtr      int64    n+1   CSC column pointers
@@ -41,7 +41,9 @@ import (
 //
 // meta layout (little-endian): u64 n, u64 m, u64 danglingCount, u32 policy,
 // u32 S, u32 T, u32 preIters, u32 precision (0=float64, 1=float32),
-// u32 flags (0), f64 C, f64 Eps.
+// u32 flags (0), f64 C, f64 Eps; then, only for an engine that took writes,
+// f64 StaleBound (> 0). A 64-byte meta loads with StaleBound 0, so freshly
+// built engines write the same bytes older builds did.
 //
 // Trust model: the writer refuses to serialize a graph that fails the full
 // structural Validate, and every section carries a CRC-32C that the loader
@@ -74,7 +76,8 @@ const (
 	mmapSecPerm       = 11
 	mmapSecShards     = 12
 
-	mmapMetaSize = 64
+	mmapMetaSize      = 64
+	mmapMetaStaleSize = mmapMetaSize + 8
 )
 
 // SaveSnapshotMmap writes the engine as a memory-mappable TPAM snapshot to
@@ -95,7 +98,11 @@ func (e *Engine) SaveSnapshotMmap(path string) error {
 	params := e.tpa.Params()
 	cfg := e.tpa.Config()
 
+	stale := e.StaleBound()
 	meta := make([]byte, mmapMetaSize)
+	if stale > 0 {
+		meta = make([]byte, mmapMetaStaleSize)
+	}
 	le := mmapLE{}
 	le.putU64(meta[0:], uint64(g.NumNodes()))
 	le.putU64(meta[8:], uint64(g.NumEdges()))
@@ -108,6 +115,9 @@ func (e *Engine) SaveSnapshotMmap(path string) error {
 	le.putU32(meta[44:], 0)
 	le.putF64(meta[48:], cfg.C)
 	le.putF64(meta[56:], cfg.Eps)
+	if stale > 0 {
+		le.putF64(meta[64:], stale)
+	}
 
 	w := mmapio.NewWriter()
 	w.Bytes(mmapSecMeta, meta)
@@ -185,8 +195,8 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(meta) != mmapMetaSize {
-		return nil, binio.Errf("meta section is %d bytes, want %d", len(meta), mmapMetaSize)
+	if len(meta) != mmapMetaSize && len(meta) != mmapMetaStaleSize {
+		return nil, binio.Errf("meta section is %d bytes, want %d or %d", len(meta), mmapMetaSize, mmapMetaStaleSize)
 	}
 	le := mmapLE{}
 	n64 := le.u64(meta[0:])
@@ -197,6 +207,10 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 	preIters := int(int32(le.u32(meta[36:])))
 	precRaw := le.u32(meta[40:])
 	cfg := rwr.Config{C: le.f64(meta[48:]), Eps: le.f64(meta[56:])}
+	var stale float64
+	if len(meta) == mmapMetaStaleSize {
+		stale = le.f64(meta[64:])
+	}
 
 	if n64 > uint64(graph.MaxNodeID)+1 {
 		return nil, binio.Errf("node count %d out of range", n64)
@@ -298,6 +312,9 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 	}
 	tp, err := core.NewFromParts(op, cfg, params, stranger, stranger32, prec, preIters)
 	if err != nil {
+		return nil, binio.Errf("%v", err)
+	}
+	if err := tp.SetStaleBound(stale); err != nil {
 		return nil, binio.Errf("%v", err)
 	}
 

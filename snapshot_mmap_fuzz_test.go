@@ -40,6 +40,15 @@ func FuzzReadMmapSnapshot(f *testing.F) {
 			return New(g, o)
 		}),
 		seed(func() (*Engine, error) { return NewSharded(g, 3, Defaults()) }),
+		// A written engine: the 72-byte meta carrying its StaleBound.
+		seed(func() (*Engine, error) {
+			eng, err := New(g, Defaults())
+			if err != nil {
+				return nil, err
+			}
+			written, _, err := eng.ApplyEdges([][2]int{{0, 79}, {3, 40}}, nil)
+			return written, err
+		}),
 	}
 	for _, blob := range blobs {
 		f.Add(blob)

@@ -1,10 +1,14 @@
 package tpa
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+
+	"tpa/internal/mmapio"
 )
 
 // queriesAgree fails unless a and b answer every probe seed within tol,
@@ -171,6 +175,97 @@ func TestMmapEngineRestrictions(t *testing.T) {
 			reloaded.NumShards(), reloaded.NumEdges(), written.NumEdges())
 	}
 	queriesAgree(t, "re-saved", written, reloaded, seeds, 0)
+}
+
+// metaBytes returns the length of the TPAM meta section at path.
+func metaBytes(t *testing.T, path string) int {
+	t.Helper()
+	s, err := mmapio.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	meta, err := s.Bytes(mmapSecMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(meta)
+}
+
+// TestWrittenEngineSnapshots pins where an engine that took writes can be
+// saved. Its StaleBound survives a TPAM round trip, and the reloaded engine's
+// next write is bit-identical to the live engine's; TPAS and the bare index
+// have no field for the bound and refuse it, naming SaveSnapshotMmap. A
+// freshly built engine still writes the 64-byte meta older builds read.
+func TestWrittenEngineSnapshots(t *testing.T) {
+	g := RandomSBMGraph(300, 4, 5, 0.9, 19)
+	eng, err := New(g, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	freshPath := filepath.Join(dir, "fresh.tpam")
+	if err := eng.SaveSnapshotMmap(freshPath); err != nil {
+		t.Fatal(err)
+	}
+	if n := metaBytes(t, freshPath); n != mmapMetaSize {
+		t.Errorf("fresh engine wrote a %d-byte meta, want %d", n, mmapMetaSize)
+	}
+
+	written, _, err := eng.ApplyEdges([][2]int{{0, 299}, {17, 4}, {250, 3}}, [][2]int{{5, int(g.OutNeighbors(5)[0])}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written.StaleBound() <= 0 {
+		t.Fatalf("test premise broken: the write left StaleBound %g", written.StaleBound())
+	}
+	var buf bytes.Buffer
+	if err := written.SaveSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "SaveSnapshotMmap") || buf.Len() != 0 {
+		t.Errorf("SaveSnapshot on a written engine: %v after %d bytes, want a refusal naming SaveSnapshotMmap", err, buf.Len())
+	}
+	tpas := filepath.Join(dir, "w.tpas")
+	if err := written.SaveSnapshotFile(tpas); err == nil || !strings.Contains(err.Error(), "SaveSnapshotMmap") {
+		t.Errorf("SaveSnapshotFile on a written engine: %v, want a refusal naming SaveSnapshotMmap", err)
+	}
+	if _, err := os.Stat(tpas); !os.IsNotExist(err) {
+		t.Errorf("refused SaveSnapshotFile left %s behind (%v)", tpas, err)
+	}
+	if err := written.SaveIndex(&buf); err == nil || !strings.Contains(err.Error(), "SaveSnapshotMmap") || buf.Len() != 0 {
+		t.Errorf("SaveIndex on a written engine: %v after %d bytes, want a refusal naming SaveSnapshotMmap", err, buf.Len())
+	}
+
+	path := filepath.Join(dir, "w.tpam")
+	if err := written.SaveSnapshotMmap(path); err != nil {
+		t.Fatal(err)
+	}
+	if n := metaBytes(t, path); n != mmapMetaStaleSize {
+		t.Errorf("written engine wrote a %d-byte meta, want %d", n, mmapMetaStaleSize)
+	}
+	loaded, err := LoadSnapshotMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if loaded.StaleBound() != written.StaleBound() || loaded.ErrorBound() != written.ErrorBound() {
+		t.Fatalf("round trip: StaleBound %g / ErrorBound %g, want %g / %g",
+			loaded.StaleBound(), loaded.ErrorBound(), written.StaleBound(), written.ErrorBound())
+	}
+	seeds := []int{0, 5, 17, 299}
+	queriesAgree(t, "round trip", written, loaded, seeds, 0)
+
+	adds := [][2]int{{42, 43}, {100, 7}}
+	live, _, err := written.ApplyEdges(adds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := loaded.ApplyEdges(adds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.StaleBound() != live.StaleBound() {
+		t.Errorf("next write: StaleBound %g after the round trip, %g live", again.StaleBound(), live.StaleBound())
+	}
+	queriesAgree(t, "next write", live, again, seeds, 0)
 }
 
 // TestShardedEngineEquivalence is the sharded-correctness crux: for shard

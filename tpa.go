@@ -104,12 +104,6 @@ type Options struct {
 	// preprocessing matvec over this many row blocks, and QueryBatch/
 	// TopKBatch default to this pool size. 0 means GOMAXPROCS.
 	Workers int
-	// MaxResidual is the L1 reindex residual above which ApplyEdges
-	// abandons the incremental index correction and reruns full
-	// preprocessing. 0 means the default (core.DefaultMaxResidual);
-	// negative forces a full rebuild on every batch (useful for
-	// benchmarking the incremental path against it).
-	MaxResidual float64
 	// Order selects the build-time node ordering: "natural" (or empty, the
 	// default), "degree", "bfs" or "hubspoke". Non-natural orderings permute
 	// the CSR for cache locality before preprocessing; node ids stay the
@@ -167,9 +161,6 @@ type Engine struct {
 	walk *graph.Walk
 	// workers is the default parallelism for batch queries (0 = GOMAXPROCS).
 	workers int
-	// maxResidual is Options.MaxResidual, handed to core.Reindex as is
-	// (0, the value of snapshot- and index-loaded engines, is the default).
-	maxResidual float64
 	// perm/inv are the build-time ordering maps (perm[internal] = external,
 	// inv[external] = internal), both nil on natural-order engines. See
 	// remap.go: they are applied only at this API boundary.
@@ -249,8 +240,7 @@ func New(g *Graph, o Options) (*Engine, error) {
 	if err := tp.SetPrecision(o.Precision); err != nil {
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
-	return &Engine{tpa: tp, walk: w, workers: o.Workers, maxResidual: o.MaxResidual,
-		perm: perm, inv: inv, order: order}, nil
+	return &Engine{tpa: tp, walk: w, workers: o.Workers, perm: perm, inv: inv, order: order}, nil
 }
 
 // AutoTune selects S and T for the graph (sampling a few exact queries)
@@ -285,8 +275,7 @@ func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine
 	if err := tp.SetPrecision(o.Precision); err != nil {
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
-	return &Engine{tpa: tp, walk: w, workers: o.Workers, maxResidual: o.MaxResidual,
-		perm: perm, inv: inv, order: order}, nil
+	return &Engine{tpa: tp, walk: w, workers: o.Workers, perm: perm, inv: inv, order: order}, nil
 }
 
 // Query returns the approximate RWR score vector for the seed node
@@ -367,8 +356,9 @@ func (e *Engine) TopK(seed, k int) ([]Entry, error) {
 
 // QueryMeta describes how a deadline-aware query completed: whether the
 // context expired mid-computation (Partial), the split point actually
-// realized (EffectiveS ≤ S), and the Theorem-2 bound 2(1-c)^EffectiveS the
-// returned answer is guaranteed to meet. See QueryDeadline.
+// realized (EffectiveS ≤ S), and the bound the returned answer is
+// guaranteed to meet: 2(1-c)^EffectiveS (Theorem 2) plus the engine's
+// StaleBound. See QueryDeadline.
 type QueryMeta = core.QueryMeta
 
 // QueryDeadline is Query honoring ctx. TPA's online phase accumulates the
@@ -428,8 +418,16 @@ func (e *Engine) Params() (s, t int) {
 	return p.S, p.T
 }
 
-// ErrorBound returns the a-priori L1 error guarantee 2(1-c)^S of Theorem 2.
+// ErrorBound returns the a-priori L1 error guarantee: 2(1-c)^S of Theorem 2
+// plus StaleBound, which keeps an engine that took writes within
+// 2(1-c)^{S-1}.
 func (e *Engine) ErrorBound() float64 { return e.tpa.ErrorBound() }
+
+// StaleBound returns the L1 bound on how far the engine's stranger vector
+// may sit from the exact one of the graph it serves: 0 for a freshly built
+// engine, at most 2c(1-c)^{S-1} after ApplyEdges, which stops correcting the
+// index there instead of at ε (see core.Reindex).
+func (e *Engine) StaleBound() float64 { return e.tpa.StaleBound() }
 
 // IndexBytes returns the size of the preprocessed data as shipped (8 bytes
 // per node, or 4 for Float32 engines).
@@ -459,13 +457,18 @@ type MutationStats struct {
 	// one.
 	Compacted bool
 	// Incremental reports the index was corrected incrementally rather
-	// than rebuilt by full preprocessing.
+	// than rebuilt by full preprocessing: always true, since no write
+	// re-preprocesses (the /edges answer still carries it).
 	Incremental bool
-	// Residual is the L1 residual mass the reindex had to correct.
+	// Residual is the L1 residual mass the reindex started from.
 	Residual float64
-	// ReindexIters is the total propagation steps the reindex spent (head
-	// recomputation plus correction, or the full-preprocess count).
+	// ReindexIters is the total propagation steps the reindex spent: the
+	// T-step head, one application for the residual, and one per
+	// correction step.
 	ReindexIters int
+	// StaleBound is the new engine's StaleBound: the part of its error
+	// bound the reindex left uncorrected.
+	StaleBound float64
 }
 
 // ErrBadEdge is wrapped by ApplyEdges when a batch references a node
@@ -484,8 +487,9 @@ var ErrBadEdge = graph.ErrBadEdge
 // the plain CSR kernels, which are cheaper than the overlay's by more than
 // the O(n+m) compaction costs, and keep float32 engines on their float32
 // kernels. The preprocessed index is corrected incrementally (a T-step head
-// recomputation plus a residual CPI — see core.Reindex), falling back to
-// full preprocessing when the residual exceeds Options.MaxResidual. A batch
+// recomputation plus a residual CPI — see core.Reindex) until what is left
+// uncorrected fits the slack between Theorem 2 at S and at S-1; that
+// StaleBound is added to ErrorBound and to every QueryMeta.Bound. A batch
 // whose every edge is a no-op returns the receiver itself with no
 // reindexing: the graph did not change.
 //
@@ -525,7 +529,7 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	}
 
 	next := &Engine{walk: graph.NewWalk(d.Compact(), e.walk.Policy()), workers: e.workers,
-		maxResidual: e.maxResidual, perm: e.perm, inv: e.inv, order: e.order}
+		perm: e.perm, inv: e.inv, order: e.order}
 	if e.snap != nil && e.perm != nil {
 		// The receiver's perm is a view into its mapping.
 		next.perm = append([]int32(nil), e.perm...)
@@ -537,7 +541,7 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 		}
 		op = next.shardOp
 	}
-	tp, rs, err := core.Reindex(e.tpa, op, e.workers, e.maxResidual)
+	tp, rs, err := core.Reindex(e.tpa, op, e.workers, 0)
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: reindexing: %w", err)
 	}
@@ -546,13 +550,31 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	stats.Incremental = !rs.Full
 	stats.Residual = rs.Residual
 	stats.ReindexIters = rs.Iters()
+	stats.StaleBound = rs.StaleBound
 	stats.Edges = next.NumEdges()
 	return next, stats, nil
 }
 
+// refuseStale fails for an engine a write left with a stale bound: the TPAS
+// and bare-index formats have no field for it, so a reload would report a
+// bound its stranger vector does not meet.
+func (e *Engine) refuseStale(format string) error {
+	if b := e.StaleBound(); b > 0 {
+		return fmt.Errorf("tpa: %s would drop the stale bound %.3g a write left on the index; use SaveSnapshotMmap", format, b)
+	}
+	return nil
+}
+
 // SaveIndex serializes the preprocessed state so it can be shipped to query
-// servers and re-attached with LoadIndex.
-func (e *Engine) SaveIndex(w io.Writer) error { return e.tpa.WriteIndex(w) }
+// servers and re-attached with LoadIndex. An engine that took writes has a
+// stale bound the format cannot hold and refuses; save it with
+// SaveSnapshotMmap.
+func (e *Engine) SaveIndex(w io.Writer) error {
+	if err := e.refuseStale("an index"); err != nil {
+		return err
+	}
+	return e.tpa.WriteIndex(w)
+}
 
 // LoadIndex re-attaches a serialized index to its graph.
 func LoadIndex(r io.Reader, g *Graph) (*Engine, error) {
@@ -573,11 +595,14 @@ var ErrBadSnapshot = graph.ErrBadSnapshot
 // SaveSnapshot writes a combined binary snapshot of the graph and the
 // preprocessed index, so LoadSnapshot cold-starts an identical engine with
 // two sequential reads — no edge-list parsing and no re-preprocessing.
-// TPAS has no room for a shard plan, so sharded engines refuse it; save
-// them with SaveSnapshotMmap.
+// TPAS has no room for a shard plan or a stale bound, so sharded engines
+// and engines that took writes refuse it; save them with SaveSnapshotMmap.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
 	if e.shardOp != nil {
 		return fmt.Errorf("tpa: a TPAS snapshot would drop the %d-shard plan; use SaveSnapshotMmap", e.NumShards())
+	}
+	if err := e.refuseStale("a TPAS snapshot"); err != nil {
+		return err
 	}
 	return core.WriteSnapshotPerm(w, e.tpa, e.perm)
 }

@@ -2,6 +2,7 @@ package tpa_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -127,6 +128,9 @@ func TestReplayWALCrashResume(t *testing.T) {
 			if replayed.NumEdges() != ref.NumEdges() {
 				t.Fatalf("replayed %d edges, reference %d", replayed.NumEdges(), ref.NumEdges())
 			}
+			if d := math.Abs(replayed.StaleBound() - ref.StaleBound()); d > 1e-12 {
+				t.Fatalf("replayed StaleBound %g, reference %g", replayed.StaleBound(), ref.StaleBound())
+			}
 			for _, seed := range rng.Perm(n)[:10] {
 				got, err := replayed.Query(seed)
 				if err != nil {
@@ -210,6 +214,9 @@ func TestReplayWALMappedSharded(t *testing.T) {
 	if replayed.Mapped() || replayed.NumShards() != 2 || replayed.NumEdges() != live.NumEdges() {
 		t.Fatalf("replayed engine: mapped %v, %d shards, %d edges; want heap, 2, %d",
 			replayed.Mapped(), replayed.NumShards(), replayed.NumEdges(), live.NumEdges())
+	}
+	if d := math.Abs(replayed.StaleBound() - live.StaleBound()); d > 1e-12 {
+		t.Fatalf("replayed StaleBound %g, live %g", replayed.StaleBound(), live.StaleBound())
 	}
 	for _, seed := range rng.Perm(n)[:10] {
 		got, err := replayed.Query(seed)
