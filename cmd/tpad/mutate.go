@@ -216,7 +216,9 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 			Added        int     `json:"added"`
 			Removed      int     `json:"removed"`
 			Edges        int64   `json:"edges"`
+			Compacted    bool    `json:"compacted"`
 			Incremental  bool    `json:"incremental"`
+			HeadIters    int     `json:"head_iters"`
 			ReindexIters int     `json:"reindex_iters"`
 			StaleBound   float64 `json:"stale_bound"`
 			ElapsedMS    float64 `json:"elapsed_ms"`
@@ -228,8 +230,15 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 		if !summary.Incremental {
 			mode = "full rebuild"
 		}
-		fmt.Printf("applied +%d -%d edges (now %d) in %.1fms — reindex: %s, %d iters, stale bound %.3g\n",
-			summary.Added, summary.Removed, summary.Edges, summary.ElapsedMS, mode, summary.ReindexIters, summary.StaleBound)
+		head := fmt.Sprintf("head recomputed (%d steps)", summary.HeadIters)
+		switch {
+		case !summary.Compacted:
+			head = "graph unchanged"
+		case summary.HeadIters == 0:
+			head = "head skipped"
+		}
+		fmt.Printf("applied +%d -%d edges (now %d) in %.1fms — reindex: %s, %s, %d iters, stale bound %.3g\n",
+			summary.Added, summary.Removed, summary.Edges, summary.ElapsedMS, mode, head, summary.ReindexIters, summary.StaleBound)
 		return nil
 	}
 }

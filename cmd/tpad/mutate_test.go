@@ -3,10 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,5 +98,41 @@ func TestWatchMutationsEndToEnd(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil && err != context.Canceled {
 		t.Fatalf("watchMutations: %v", err)
+	}
+}
+
+// TestPostMutationReportsHead: `tpad mutate` says whether each synchronous
+// write recomputed the head or skipped it. A freshly built engine's first
+// write recomputes; a small one right after skips.
+func TestPostMutationReportsHead(t *testing.T) {
+	eng, err := tpa.New(tpa.RandomCommunityGraph(100, 800, 4, 12), tpa.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(server.NewWith(eng, server.Info{Nodes: 100, Edges: 800}, server.DefaultOptions()))
+	defer srv.Close()
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	url := srv.URL + "/graphs/default/edges"
+	errs := []error{
+		postMutation(context.Background(), url, mutateRequest{Add: [][2]int{{1, 99}, {2, 98}}}),
+		postMutation(context.Background(), url, mutateRequest{Add: [][2]int{{3, 97}}}),
+	}
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "head recomputed (9 steps)") || !strings.Contains(lines[1], "head skipped, 1 iters") {
+		t.Errorf("tpad mutate printed %q, want a recomputed head then a skipped one", out)
 	}
 }

@@ -62,8 +62,8 @@ func CPI(w rwr.Operator, seeds []int, cfg rwr.Config, startIter, termIter int) (
 
 // cpiLoop is Algorithm 1 with caller-provided storage, in either float
 // width: the one propagation loop of this package. CPI, the online phase
-// (with and without a deadline, see batch.go) and both phases of Reindex
-// are calls of it.
+// (with and without a deadline, see batch.go) and Reindex's correction are
+// calls of it.
 //
 // x holds x(0), already scaled by c; it and buf (propagation scratch) are
 // consumed as the ping-pong pair of the iteration x(i) = (1-c)·Ãᵀ·x(i-1),

@@ -117,7 +117,7 @@ func TestReindexFallsBackOnLargeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Full || stats.CorrectionIters < 2 {
+	if stats.Full || stats.CorrectionIters < 1 {
 		t.Fatalf("massive delta: %+v, want an incremental reindex with correction steps", stats)
 	}
 	checkWritten(t, "massive delta", got, fresh, 5)
@@ -165,80 +165,227 @@ func TestReindexRepeated(t *testing.T) {
 	checkWritten(t, "8 stacked increments", cur, walk, 5)
 }
 
+// writeChain drives a chain of writes the way Engine.ApplyEdges does —
+// Graph.WithEdges, then ReindexWrite with the batch's dirty rows — holding
+// every written index to checkWritten and every write to the application
+// cap: its head and residual applications never exceed T+1.
+type writeChain struct {
+	t     *testing.T
+	g     *graph.Graph
+	cur   *TPA
+	rng   *rand.Rand
+	skips int // writes that skipped the head
+	// corrected counts writes that ran correction steps past ρ.
+	corrected int
+	worst     float64 // largest StaleBound
+}
+
+func newWriteChain(t *testing.T, g *graph.Graph, seed int64) *writeChain {
+	cur, err := Preprocess(graph.NewWalk(g, graph.DanglingSelfLoop), cfg(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &writeChain{t: t, g: g, cur: cur, rng: rand.New(rand.NewSource(seed))}
+}
+
+// pick returns a random edge of from.
+func (c *writeChain) pick(from *graph.Graph) [2]int {
+	for {
+		u := c.rng.Intn(from.NumNodes())
+		if ns := from.OutNeighbors(u); len(ns) > 0 {
+			return [2]int{u, int(ns[c.rng.Intn(len(ns))])}
+		}
+	}
+}
+
+func (c *writeChain) write(tag string, adds, removes [][2]int) ReindexStats {
+	t := c.t
+	t.Helper()
+	next, added, removed, err := c.g.WithEdges(adds, removes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := DirtyRows(added, removed, c.g.OutDegree, next.OutDegree)
+	c.g = next
+	w := graph.NewWalk(next, graph.DanglingSelfLoop)
+	var stats ReindexStats
+	if c.cur, stats, err = ReindexWrite(c.cur, w, 0, dirty); err != nil {
+		t.Fatal(err)
+	}
+	if stats.StaleBound != c.cur.StaleBound() {
+		t.Errorf("%s: stats report StaleBound %g, the index %g", tag, stats.StaleBound, c.cur.StaleBound())
+	}
+	if capped := DefaultParams().T + 1; stats.HeadIters+stats.ResidualIters > capped {
+		t.Errorf("%s: %d head and %d residual applications exceed T+1 = %d", tag, stats.HeadIters, stats.ResidualIters, capped)
+	}
+	if stats.HeadIters == 0 {
+		c.skips++
+		if stats.Iters() != 1 {
+			t.Errorf("%s: a skipped head spent %d applications, want 1", tag, stats.Iters())
+		}
+	}
+	if stats.CorrectionIters > 0 {
+		c.corrected++
+	}
+	c.worst = math.Max(c.worst, stats.StaleBound)
+	checkWritten(t, tag, c.cur, w, c.rng.Intn(next.NumNodes()))
+	return stats
+}
+
+// churn writes n adds drawn from pool and n removes of present edges.
+func (c *writeChain) churn(tag string, pool *graph.Graph, n int) ReindexStats {
+	var adds, removes [][2]int
+	for j := 0; j < n; j++ {
+		adds = append(adds, c.pick(pool))
+		removes = append(removes, c.pick(c.g))
+	}
+	return c.write(tag, adds, removes)
+}
+
 // TestReindexChainedWrites is the written-index property over a long chain:
 // 200 stationary SBM writes (edges drawn from a second draw of the same
 // model, removed edges returned to it), then a non-stationary phase that
 // rewires half the edges to uniform targets. After every write the index
 // must be within its StaleBound of a fresh preprocess, the StaleBound within
-// β, and a query within ErrorBound of exact RWR; somewhere along the chain
-// the correction must have run past ρ itself.
+// β, a query within ErrorBound of exact RWR, and the head and residual
+// within T+1 applications. Somewhere along the chain a write must have
+// skipped the head, and one must have run the correction past ρ.
 func TestReindexChainedWrites(t *testing.T) {
 	const nodes, writes, churn, rewires = 1000, 200, 20, 5
 	sbm := func(seed int64) *graph.Graph {
 		return gen.SBM(gen.SBMConfig{Nodes: nodes, Communities: 4, AvgOutDeg: 8, PIn: 0.9, Seed: seed})
 	}
-	g, pool := sbm(21), sbm(22)
-	policy := graph.DanglingSelfLoop
-	cur, err := Preprocess(graph.NewWalk(g, policy), cfg(), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(23))
-	pick := func(from *graph.Graph) [2]int {
-		for {
-			u := rng.Intn(nodes)
-			if ns := from.OutNeighbors(u); len(ns) > 0 {
-				return [2]int{u, int(ns[rng.Intn(len(ns))])}
-			}
-		}
-	}
-	write := func(tag string, adds, removes [][2]int) ReindexStats {
-		t.Helper()
-		d := graph.NewDelta(g)
-		if _, _, err := d.Apply(adds, removes); err != nil {
-			t.Fatal(err)
-		}
-		g = d.Compact()
-		w := graph.NewWalk(g, policy)
-		var stats ReindexStats
-		if cur, stats, err = Reindex(cur, w, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		checkWritten(t, tag, cur, w, rng.Intn(nodes))
-		return stats
-	}
-	corrected, worst := 0, 0.0
+	pool := sbm(22)
+	c := newWriteChain(t, sbm(21), 23)
 	for i := 0; i < writes; i++ {
-		var adds, removes [][2]int
-		for j := 0; j < churn; j++ {
-			adds = append(adds, pick(pool))
-			removes = append(removes, pick(g))
-		}
-		stats := write(fmt.Sprintf("write %d", i), adds, removes)
-		if stats.Iters() > DefaultParams().T+1 {
-			corrected++
-		}
-		worst = math.Max(worst, stats.StaleBound)
+		c.churn(fmt.Sprintf("write %d", i), pool, churn)
 	}
-	per := int(g.NumEdges()) / 2 / rewires
+	per := int(c.g.NumEdges()) / 2 / rewires
 	for i := 0; i < rewires; i++ {
 		var adds, removes [][2]int
 		for j := 0; j < per; j++ {
-			e := pick(g)
+			e := c.pick(c.g)
 			removes = append(removes, e)
-			adds = append(adds, [2]int{e[0], rng.Intn(nodes)})
+			adds = append(adds, [2]int{e[0], c.rng.Intn(nodes)})
 		}
-		stats := write(fmt.Sprintf("rewire %d", i), adds, removes)
-		if stats.Iters() > DefaultParams().T+1 {
-			corrected++
+		if stats := c.write(fmt.Sprintf("rewire %d", i), adds, removes); stats.HeadIters == 0 {
+			t.Errorf("rewire %d skipped the head", i)
 		}
-		worst = math.Max(worst, stats.StaleBound)
 	}
-	if corrected == 0 {
-		t.Fatal("no write ran a correction step past ρ: the chain never exercised the budgeted correction")
+	if c.skips == 0 {
+		t.Error("no write skipped the head")
 	}
-	t.Logf("%d of %d writes ran correction steps; largest StaleBound %.3g (budget %.3g)",
-		corrected, writes+rewires, worst, StalenessBudget(cfg().C, DefaultParams().S))
+	if c.corrected == 0 {
+		t.Error("no write ran a correction step past ρ: the chain never exercised the budgeted correction")
+	}
+	t.Logf("%d of %d writes skipped the head, %d ran correction steps; largest StaleBound %.3g (budget %.3g)",
+		c.skips, writes+rewires, c.corrected, c.worst, StalenessBudget(cfg().C, DefaultParams().S))
+}
+
+// TestReindexChainedWritesRMAT runs the chain on an R-MAT graph, whose hub
+// rows carry a large head sum h: there only the written-index contract and
+// the application cap are asserted, not that any write skips.
+func TestReindexChainedWritesRMAT(t *testing.T) {
+	const scale, edges, writes, churn = 10, 8000, 100, 20
+	pool := gen.DefaultRMAT(scale, edges, 32)
+	c := newWriteChain(t, gen.DefaultRMAT(scale, edges, 31), 33)
+	for i := 0; i < writes; i++ {
+		c.churn(fmt.Sprintf("write %d", i), pool, churn)
+	}
+	t.Logf("%d of %d writes skipped the head, %d ran correction steps; largest StaleBound %.3g",
+		c.skips, writes, c.corrected, c.worst)
+}
+
+// TestReindexWriteFirstRecomputes: an index without head state — fresh from
+// preprocessing, or rebuilt by a forced full reindex — recomputes the head on
+// its next write however small, and the write after that may skip.
+func TestReindexWriteFirstRecomputes(t *testing.T) {
+	tp, w := preprocessed(t, 74, DefaultParams())
+	g := w.Graph()
+	write := func(cur *TPA, g *graph.Graph, adds [][2]int) (*TPA, *graph.Graph, ReindexStats) {
+		t.Helper()
+		next, added, removed, err := g.WithEdges(adds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nt, stats, err := ReindexWrite(cur, graph.NewWalk(next, w.Policy()), 1,
+			DirtyRows(added, removed, g.OutDegree, next.OutDegree))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nt, next, stats
+	}
+	cur, g, stats := write(tp, g, [][2]int{{0, 1}})
+	if stats.HeadIters != DefaultParams().T-1 || stats.Iters() != DefaultParams().T {
+		t.Fatalf("first write on a preprocessed index: %+v, want a T-1 step head and T applications", stats)
+	}
+	cur, g, stats = write(cur, g, [][2]int{{2, 3}})
+	if stats.HeadIters != 0 {
+		t.Fatalf("a one-edge write after a recompute did not skip: %+v", stats)
+	}
+	checkWritten(t, "skipped write", cur, graph.NewWalk(g, w.Policy()), 2)
+	full, _, err := Reindex(cur, graph.NewWalk(g, w.Policy()), 1, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, stats = write(full, g, [][2]int{{4, 5}}); stats.HeadIters == 0 {
+		t.Fatalf("first write after a full rebuild skipped the head: %+v", stats)
+	}
+}
+
+// TestRowShift checks the closed form against ‖P'_u − P_u‖₁ computed from
+// the two rows, and DirtyRows' grouping of a batch into rows.
+func TestRowShift(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(12)
+		old := map[int]bool{}
+		for k := rng.Intn(n + 1); k > 0; k-- {
+			old[rng.Intn(n)] = true
+		}
+		now, removed := map[int]bool{}, 0
+		for v := range old {
+			if rng.Intn(3) == 0 {
+				removed++
+			} else {
+				now[v] = true
+			}
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			if v := rng.Intn(n); !old[v] {
+				now[v] = true
+			}
+		}
+		want := 2.0
+		if len(old) > 0 && len(now) > 0 {
+			want = 0
+			for v := 0; v < n; v++ {
+				var p, q float64
+				if old[v] {
+					p = 1 / float64(len(old))
+				}
+				if now[v] {
+					q = 1 / float64(len(now))
+				}
+				want += math.Abs(p - q)
+			}
+		}
+		if got := rowShift(len(old), len(now), removed); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("row %v → %v: rowShift %g, want %g", old, now, got, want)
+		}
+	}
+	deg := func(d map[int]int) func(int) int { return func(u int) int { return d[u] } }
+	rows := DirtyRows([][2]int{{1, 5}, {1, 6}, {4, 0}}, [][2]int{{0, 2}, {1, 7}, {9, 9}},
+		deg(map[int]int{0: 1, 1: 2, 4: 0, 9: 4}), deg(map[int]int{0: 0, 1: 3, 4: 1, 9: 3}))
+	want := []DirtyRow{{0, 2}, {1, 4.0 / 3}, {4, 2}, {9, 0.5}}
+	if len(rows) != len(want) {
+		t.Fatalf("DirtyRows = %v, want %v", rows, want)
+	}
+	for i := range want {
+		if rows[i].Node != want[i].Node || math.Abs(rows[i].Shift-want[i].Shift) > 1e-12 {
+			t.Errorf("DirtyRows = %v, want %v", rows, want)
+		}
+	}
 }
 
 // TestReindexOnCompactedWalkMatchesOverlay chains SBM batches of 500 adds
@@ -297,7 +444,7 @@ func TestReindexOnCompactedWalkMatchesOverlay(t *testing.T) {
 		if so.Full != sc.Full || so.Iters() != sc.Iters() {
 			t.Fatalf("batch %d: the overlay chain took %+v, the compacted chain %+v", b, so, sc)
 		}
-		if sc.Iters() > DefaultParams().T+1 {
+		if sc.CorrectionIters > 0 {
 			corrected++
 		}
 		dist := viaOverlay.StrangerVector().L1Dist(viaCSR.StrangerVector())

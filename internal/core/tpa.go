@@ -60,6 +60,13 @@ type TPA struct {
 	// bound graph: 0 after preprocessing, what Reindex left uncorrected
 	// after a write (see reindex.go).
 	stale float64
+	// tip = x(T−1) and the discounted head sum head are the head state of
+	// the graph the last recomputing write ran on, and drift bounds how far
+	// the written graphs since have moved a residual taken with that tip (see
+	// reindex.go). Heap-only: nil after preprocessing or a load, so the first
+	// write recomputes.
+	tip, head sparse.Vector
+	drift     float64
 	// scratch pools per-query working vectors (see batch.go) so steady-state
 	// queries allocate nothing beyond their result.
 	scratch sync.Pool

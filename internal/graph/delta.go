@@ -2,7 +2,6 @@ package graph
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"tpa/internal/sparse"
@@ -26,10 +25,15 @@ var ErrBadEdge = errors.New("edge outside the fixed node range")
 // every preprocessed vector and therefore requires a full rebuild by
 // construction.
 //
+// The serving write path does not use it: tpa.Engine.ApplyEdges rebuilds
+// with Graph.WithEdges, which produces the same arrays as Apply followed by
+// Compact. Delta stays as the overlay the benchmark's trace replays and as
+// the reference WithEdges is tested against.
+//
 // A Delta is NOT safe for concurrent mutation; the intended discipline is
-// copy-on-write — Clone the delta, Apply to the clone, and atomically swap
-// whatever serves queries (see tpa.Engine.ApplyEdges). Reads (OutNeighbors,
-// MulT through a DeltaWalk) are safe to share once mutation stops.
+// copy-on-write — Clone the delta, Apply to the clone, and swap whatever
+// serves queries. Reads (OutNeighbors, MulT through a DeltaWalk) are safe to
+// share once mutation stops.
 type Delta struct {
 	base *Graph
 	// rows holds the replacement out-neighbor list (sorted, deduplicated)
@@ -105,13 +109,7 @@ func (d *Delta) HasEdge(u, v int) bool {
 	return i < len(ns) && int(ns[i]) == v
 }
 
-func (d *Delta) checkEdge(u, v int) error {
-	n := d.base.NumNodes()
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return fmt.Errorf("graph: edge (%d,%d) outside [0,%d); growing the node set requires a rebuild: %w", u, v, n, ErrBadEdge)
-	}
-	return nil
-}
+func (d *Delta) checkEdge(u, v int) error { return checkEdge(d.base.NumNodes(), u, v) }
 
 // Apply records an edge batch: every edge of adds is inserted, then every
 // edge of removes is deleted (an edge named by both ends up absent).

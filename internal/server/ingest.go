@@ -157,7 +157,7 @@ func (h *Handler) applyForIngest(e *graphEntry, adds, removes [][2]int) error {
 		e.state.Store(h.newState(next, info))
 	}
 	e.mutations.Add(1)
-	e.reindexIters.Add(int64(stats.ReindexIters))
+	e.countReindex(stats)
 	return nil
 }
 

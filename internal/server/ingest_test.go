@@ -203,7 +203,7 @@ func TestIngestAutoCompactionRewritesSnapshot(t *testing.T) {
 // TestIngestAutoCompactionKeepsCache: ApplyEdges leaves every engine
 // compacted, so an auto-compaction only rewrites the snapshot and never
 // swaps the served state — a warm cache partition survives it. The ingest
-// apply path also feeds the reindex work counter.
+// apply path also feeds the reindex work and head-skip counters.
 func TestIngestAutoCompactionKeepsCache(t *testing.T) {
 	base := testEngine(t)
 	var absent [][2]int
@@ -257,6 +257,9 @@ func TestIngestAutoCompactionKeepsCache(t *testing.T) {
 	if iters := graphMetric(t, h, "tpa_graph_reindex_iters_total", "default"); iters != 0 {
 		t.Fatalf("no-op batch counted %v reindex iterations", iters)
 	}
+	if skips := graphMetric(t, h, "tpa_graph_head_skips_total", "default"); skips != 0 {
+		t.Fatalf("no-op batch counted %v head skips", skips)
+	}
 	body = fmt.Sprintf(`{"add":[[%d,%d]]}`, absent[1][0], absent[1][1])
 	if rec, _ := postJSON(t, h, "/graphs/default/edges", body); rec.Code != http.StatusAccepted {
 		t.Fatalf("code = %d", rec.Code)
@@ -264,8 +267,13 @@ func TestIngestAutoCompactionKeepsCache(t *testing.T) {
 	waitIngest(t, h, func(ing map[string]interface{}) bool {
 		return ing["applied_edges"].(float64) >= 2
 	})
-	if iters := graphMetric(t, h, "tpa_graph_reindex_iters_total", "default"); iters < 1 {
-		t.Fatalf("tpa_graph_reindex_iters_total = %v after an applied write, want ≥ 1", iters)
+	// The served engine's write left head state, so this one-edge write
+	// skips the head: one application, one skip.
+	if iters := graphMetric(t, h, "tpa_graph_reindex_iters_total", "default"); iters != 1 {
+		t.Fatalf("tpa_graph_reindex_iters_total = %v after a skipped write, want 1", iters)
+	}
+	if skips := graphMetric(t, h, "tpa_graph_head_skips_total", "default"); skips != 1 {
+		t.Fatalf("tpa_graph_head_skips_total = %v after a skipped write, want 1", skips)
 	}
 }
 

@@ -102,7 +102,7 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		info.Edges = stats.Edges
 		e.state.Store(h.newState(next, info))
 	}
-	e.reindexIters.Add(int64(stats.ReindexIters))
+	e.countReindex(stats)
 	writeJSON(w, map[string]interface{}{
 		"graph":         name,
 		"added":         stats.Added,
@@ -112,9 +112,20 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		"compacted":     stats.Compacted,
 		"incremental":   stats.Incremental,
 		"residual":      stats.Residual,
+		"head_iters":    stats.HeadIters,
 		"reindex_iters": stats.ReindexIters,
 		"stale_bound":   stats.StaleBound,
 		"mutations":     e.mutations.Add(1),
 		"elapsed_ms":    float64(time.Since(start)) / float64(time.Millisecond),
 	})
+}
+
+// countReindex adds one write's reindex work to the graph's counters: its
+// propagation steps, and a head skip when a write that changed the graph
+// ran no head steps.
+func (e *graphEntry) countReindex(stats tpa.MutationStats) {
+	e.reindexIters.Add(int64(stats.ReindexIters))
+	if stats.Compacted && stats.HeadIters == 0 {
+		e.headSkips.Add(1)
+	}
 }

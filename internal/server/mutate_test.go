@@ -53,6 +53,14 @@ func TestMutateAddsAndRemovesEdges(t *testing.T) {
 	if got := graphMetric(t, h, "tpa_graph_reindex_iters_total", "live"); got != iters {
 		t.Errorf("tpa_graph_reindex_iters_total = %v, want %v", got, iters)
 	}
+	// A freshly built engine has no head state to reuse: its first write
+	// recomputes the T-1 step head.
+	if _, T := eng.Params(); body["head_iters"] != float64(T-1) {
+		t.Errorf("head_iters = %v on the first write, want %d", body["head_iters"], T-1)
+	}
+	if got := graphMetric(t, h, "tpa_graph_head_skips_total", "live"); got != 0 {
+		t.Errorf("tpa_graph_head_skips_total = %v after a recomputing write, want 0", got)
+	}
 	// The stats reflect the swap: edge count updated, cache partition fresh,
 	// mutation counter bumped.
 	_, stats := get(t, h, "/graphs/live/stats")
@@ -99,6 +107,19 @@ func TestMutateAddsAndRemovesEdges(t *testing.T) {
 	_, stats = get(t, h, "/graphs/live/stats")
 	if entries := stats["cache"].(map[string]interface{})["entries"].(float64); entries == 0 {
 		t.Error("no-op batch evicted the cache partition")
+	}
+
+	// A small write after the recompute reuses its head: no head steps, one
+	// application, one skip counted.
+	rec, body = postJSON(t, h, "/graphs/live/edges", `{"add":[[3,117]]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("second mutate: %d (%v)", rec.Code, body)
+	}
+	if body["head_iters"] != 0.0 || body["reindex_iters"] != 1.0 {
+		t.Errorf("second write: head_iters %v, reindex_iters %v; want a skipped head (0, 1)", body["head_iters"], body["reindex_iters"])
+	}
+	if got := graphMetric(t, h, "tpa_graph_head_skips_total", "live"); got != 1 {
+		t.Errorf("tpa_graph_head_skips_total = %v after a skipped write, want 1", got)
 	}
 }
 

@@ -133,6 +133,8 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		func(e *graphEntry) float64 { return float64(e.mutations.Load()) })
 	graphCounter("tpa_graph_reindex_iters_total", "Propagation steps (dense operator applications) spent reindexing after edge mutations, per graph.",
 		func(e *graphEntry) float64 { return float64(e.reindexIters.Load()) })
+	graphCounter("tpa_graph_head_skips_total", "Edge mutations whose reindex reused an earlier head iterate instead of recomputing the head, per graph.",
+		func(e *graphEntry) float64 { return float64(e.headSkips.Load()) })
 
 	graphGauge := func(name, help string, get func(st *engineState) float64) {
 		p.header(name, help, "gauge")

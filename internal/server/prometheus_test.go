@@ -105,6 +105,7 @@ var goldenMetrics = map[string]string{
 	"tpa_graph_reloads_total":       "counter",
 	"tpa_graph_mutations_total":     "counter",
 	"tpa_graph_reindex_iters_total": "counter",
+	"tpa_graph_head_skips_total":    "counter",
 	"tpa_graph_nodes":               "gauge",
 	"tpa_graph_edges":               "gauge",
 	"tpa_graph_index_bytes":         "gauge",

@@ -62,8 +62,10 @@ type graphEntry struct {
 	queries   atomic.Int64 // query requests routed to this graph
 	reloads   atomic.Int64 // completed reloads
 	mutations atomic.Int64 // completed edge mutations
-	// reindexIters sums MutationStats.ReindexIters over those mutations.
+	// reindexIters sums MutationStats.ReindexIters over those mutations, and
+	// headSkips counts the ones whose reindex skipped the head.
 	reindexIters atomic.Int64
+	headSkips    atomic.Int64
 	// ingest is the graph's durable write pipeline, nil until EnableIngest.
 	// While set, POST /edges enqueues instead of applying synchronously.
 	ingest atomic.Pointer[ingest.Ingestor]

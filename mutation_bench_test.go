@@ -76,11 +76,12 @@ func (p *churnPool) batch() (adds, removes [][2]int) {
 }
 
 // BenchmarkApplyEdgesIncremental chains b.N ApplyEdges calls over the
-// pool's batches.
+// pool's batches, reporting the operator applications each write spent and
+// the share of writes that skipped the head.
 func BenchmarkApplyEdgesIncremental(b *testing.B) {
 	eng := benchMutationEngine(b, tpa.Defaults())
 	pool := newChurnPool(eng.Graph())
-	iters := 0
+	iters, skips := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		next, stats, err := eng.ApplyEdges(pool.batch())
@@ -88,7 +89,11 @@ func BenchmarkApplyEdgesIncremental(b *testing.B) {
 			b.Fatal(err)
 		}
 		iters += stats.ReindexIters
+		if stats.HeadIters == 0 {
+			skips++
+		}
 		eng = next
 	}
-	b.ReportMetric(float64(iters)/float64(b.N), "ReindexIters/op")
+	b.ReportMetric(float64(iters)/float64(b.N), "applications/op")
+	b.ReportMetric(float64(skips)/float64(b.N), "head_skips/op")
 }

@@ -462,9 +462,13 @@ type MutationStats struct {
 	Incremental bool
 	// Residual is the L1 residual mass the reindex started from.
 	Residual float64
+	// HeadIters is the dense head steps the reindex ran: T−1 when it
+	// recomputed the head, 0 when the write skipped it (see core.ReindexWrite).
+	HeadIters int
 	// ReindexIters is the total propagation steps the reindex spent: the
-	// T-step head, one application for the residual, and one per
-	// correction step.
+	// head steps, one application for the residual (two when a refused head
+	// skip preceded the recompute), and one per correction step. A skipped
+	// head costs 1, a recomputed one T.
 	ReindexIters int
 	// StaleBound is the new engine's StaleBound: the part of its error
 	// bound the reindex left uncorrected.
@@ -482,15 +486,18 @@ var ErrBadEdge = graph.ErrBadEdge
 // atomically swap the returned engine in with zero dropped requests — the
 // same discipline as snapshot reload.
 //
-// The batch is applied to a delta overlay over the immutable CSR, which is
-// compacted straight into a fresh CSR: every reindex propagation runs on
-// the plain CSR kernels, which are cheaper than the overlay's by more than
-// the O(n+m) compaction costs, and keep float32 engines on their float32
-// kernels. The preprocessed index is corrected incrementally (a T-step head
-// recomputation plus a residual CPI — see core.Reindex) until what is left
-// uncorrected fits the slack between Theorem 2 at S and at S-1; that
-// StaleBound is added to ErrorBound and to every QueryMeta.Bound. A batch
-// whose every edge is a no-op returns the receiver itself with no
+// The batch is sorted and merged straight into a fresh CSR and CSC
+// (graph.Graph.WithEdges): every reindex propagation runs on the plain CSR
+// kernels, and float32 engines stay on their float32 kernels. The
+// preprocessed index is corrected incrementally (see core.ReindexWrite):
+// when the bound on the batch's dirty rows allows, the write reuses the head
+// iterate of an earlier write and spends one operator application;
+// otherwise it recomputes the head (T applications) and corrects the
+// residual until what is left uncorrected fits the slack between Theorem 2
+// at S and at S-1. That StaleBound is added to ErrorBound and to every
+// QueryMeta.Bound. The head state lives on the heap only, so the first
+// write on an engine built by New or loaded from a snapshot recomputes. A
+// batch whose every edge is a no-op returns the receiver itself with no
 // reindexing: the graph did not change.
 //
 // Every engine takes writes. A memory-mapped engine's batch compacts onto
@@ -505,7 +512,6 @@ var ErrBadEdge = graph.ErrBadEdge
 // rebuild with New.
 func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, error) {
 	var stats MutationStats
-	d := graph.NewDelta(e.walk.Graph())
 	adds, err := e.toInternalEdges(adds)
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: applying edges: %w", err)
@@ -514,13 +520,14 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: applying edges: %w", err)
 	}
-	added, removed, err := d.Apply(adds, removes)
+	g := e.walk.Graph()
+	ng, added, removed, err := g.WithEdges(adds, removes)
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: applying edges: %w", err)
 	}
-	stats.Added, stats.Removed = added, removed
+	stats.Added, stats.Removed = len(added), len(removed)
 	stats.Nodes = e.NumNodes()
-	if added == 0 && removed == 0 {
+	if len(added) == 0 && len(removed) == 0 {
 		// The whole batch was a no-op: the graph is unchanged, so the
 		// receiver is the mutated engine. No reindex, no swap needed.
 		stats.Incremental = true
@@ -528,7 +535,7 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 		return e, stats, nil
 	}
 
-	next := &Engine{walk: graph.NewWalk(d.Compact(), e.walk.Policy()), workers: e.workers,
+	next := &Engine{walk: graph.NewWalk(ng, e.walk.Policy()), workers: e.workers,
 		perm: e.perm, inv: e.inv, order: e.order}
 	if e.snap != nil && e.perm != nil {
 		// The receiver's perm is a view into its mapping.
@@ -541,7 +548,8 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 		}
 		op = next.shardOp
 	}
-	tp, rs, err := core.Reindex(e.tpa, op, e.workers, 0)
+	dirty := core.DirtyRows(added, removed, g.OutDegree, ng.OutDegree)
+	tp, rs, err := core.ReindexWrite(e.tpa, op, e.workers, dirty)
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: reindexing: %w", err)
 	}
@@ -549,6 +557,7 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	stats.Compacted = true
 	stats.Incremental = !rs.Full
 	stats.Residual = rs.Residual
+	stats.HeadIters = rs.HeadIters
 	stats.ReindexIters = rs.Iters()
 	stats.StaleBound = rs.StaleBound
 	stats.Edges = next.NumEdges()

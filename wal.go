@@ -19,7 +19,11 @@ type WALReplayStats = ingest.ReplayStats
 // Replay follows the log's apply markers, re-running the exact ApplyEdges
 // partitioning the writing process used — the incremental reindex is
 // path-dependent, so matching the grouping makes the replayed engine
-// numerically identical to the pre-crash one, not merely close. A torn
+// numerically identical to the pre-crash one, not merely close. The one
+// exception is a receiver loaded from a snapshot taken mid-stream, such as
+// an auto-compaction's: snapshots do not keep the in-memory head state a
+// write may reuse, so the first replayed write recomputes the head and the
+// result stays within the reported bounds but not bit for bit. A torn
 // tail in the final segment (a half-written record from a crash) is
 // detected by CRC and cleanly skipped (Truncated in the stats); corruption
 // followed by valid records fails with an error wrapping ErrBadSnapshot.
