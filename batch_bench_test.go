@@ -27,9 +27,11 @@ const (
 )
 
 var batchBench struct {
-	once sync.Once
-	g    *Graph
-	eng  *Engine
+	once   sync.Once
+	g      *Graph
+	eng    *Engine
+	eng32  *Engine // the same graph served in Float32, built on first use
+	once32 sync.Once
 }
 
 func batchBenchEngine(b *testing.B) *Engine {
@@ -101,6 +103,34 @@ func BenchmarkTopKBatch(b *testing.B) {
 		}
 	}
 	reportQPS(b)
+}
+
+// BenchmarkTopK times a single-seed cold Engine.TopK on the same graph in
+// each precision: one seed's online phase and rank per op, cycling through
+// the batch seeds.
+func BenchmarkTopK(b *testing.B) {
+	batchBenchEngine(b)
+	batchBench.once32.Do(func() {
+		o := Defaults()
+		o.Precision = Float32
+		eng, err := New(batchBench.g, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batchBench.eng32 = eng
+	})
+	seeds := batchBenchSeeds()
+	for _, eng := range []*Engine{batchBench.eng, batchBench.eng32} {
+		b.Run(eng.Precision().String(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.TopK(seeds[i%len(seeds)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func reportQPS(b *testing.B) {

@@ -20,9 +20,9 @@ import (
 // queryScratch holds the working vectors of one in-flight query, in the
 // engine's serving width only: the seed / iterate vector and the
 // propagation buffer (q, buf — or q32, buf32 plus the family accumulator
-// fam32 on the float32 kernels), and a float64 output vector for top-k
-// paths that never hand a full score vector back to the caller. Scratches
-// are pooled on the TPA (see TPA.scratch).
+// fam32 on the float32 kernels), and a float64 vector out that holds the
+// family part of a float64 top-k and the answer QueryBatchEach hands out.
+// Scratches are pooled on the TPA (see TPA.scratch).
 type queryScratch struct {
 	out               sparse.Vector
 	q, buf            sparse.Vector
@@ -62,30 +62,62 @@ func (t *TPA) checkSeeds(seeds []int) error {
 // queryInto runs the online phase (Algorithm 3) for the (already validated,
 // non-empty) seed set on the kernels of the serving precision, writing the
 // combined r_TPA into dst (length N) using sc for all intermediate state.
-// It is the allocation-free core of every query entry point. A nil ctx runs
-// all S-1 propagation steps; otherwise ctx is checked between steps and an
-// expired one leaves a reduced-S answer, described by the returned meta
-// (see deadline.go).
+// It is the allocation-free core of every query entry point that returns
+// scores. A nil ctx runs all S-1 propagation steps; otherwise ctx is
+// checked between steps and an expired one leaves a reduced-S answer,
+// described by the returned meta (see deadline.go).
 func (t *TPA) queryInto(ctx context.Context, seeds []int, dst sparse.Vector, sc *queryScratch) QueryMeta {
 	if t.useF32() {
-		return onlinePhase(ctx, t, t.walk32.MulT32, t.stranger32, seeds, sc.q32, sc.buf32, sc.fam32, dst)
+		scale, meta := onlinePhase(ctx, t, t.walk32.MulT32, seeds, sc.q32, sc.buf32, sc.fam32)
+		sparse.ScaledSumInto(sc.fam32, t.stranger32, scale, dst)
+		return meta
 	}
-	// In float64 the family part accumulates straight into dst.
-	return onlinePhase(ctx, t, t.walk.MulT, t.stranger, seeds, sc.q, sc.buf, dst, dst)
+	// In float64 the family part accumulates straight into dst, and the
+	// combine runs in place.
+	scale, meta := onlinePhase(ctx, t, t.walk.MulT, seeds, sc.q, sc.buf, dst)
+	sparse.ScaledSumInto(dst, t.stranger, scale, dst)
+	return meta
 }
 
-// onlinePhase is queryInto in one float width: q and buf are iterate
-// scratch, fam receives the family head, and stranger is the served index
-// in that width; the combined answer always lands in float64 dst.
+// topKInto is queryInto for a top-k answer: it ranks family·scale +
+// stranger as it computes each entry and never writes the combined vector.
+// The k entries report ids[i] for internal node i (i itself when ids is
+// nil) and break score ties by that id, so they are exactly the top k of
+// queryInto's answer scattered into ids order.
+func (t *TPA) topKInto(ctx context.Context, seeds []int, k int, ids []int32, sc *queryScratch) ([]sparse.Entry, QueryMeta) {
+	if t.useF32() {
+		scale, meta := onlinePhase(ctx, t, t.walk32.MulT32, seeds, sc.q32, sc.buf32, sc.fam32)
+		return sparse.TopKScaledSum(sc.fam32, t.stranger32, scale, k, ids), meta
+	}
+	scale, meta := onlinePhase(ctx, t, t.walk.MulT, seeds, sc.q, sc.buf, sc.out)
+	return sparse.TopKScaledSum(sc.out, t.stranger, scale, k, ids), meta
+}
+
+// onlinePhase computes the family head of Algorithm 3 in one float width:
+// q and buf are iterate scratch and fam receives r_family. It returns the
+// factor that turns fam into family + neighbor estimate (the answer is
+// fam·scale + stranger, entry by entry) and the meta of the head it ran.
+//
+// x(0) and fam = x(0) are written on the seed entries only: the restart
+// shares are summed in fam, scaled by c into q, and copied back, which are
+// the per-entry operations of a dense seed vector's Scale and a zeroed
+// accumulator's Add.
 func onlinePhase[T sparse.Float](ctx context.Context, t *TPA, mulT func(x, y sparse.Vec[T]) sparse.Vec[T],
-	stranger sparse.Vec[T], seeds []int, q, buf, fam sparse.Vec[T], dst sparse.Vector) QueryMeta {
+	seeds []int, q, buf, fam sparse.Vec[T]) (float64, QueryMeta) {
 	q.Zero()
+	fam.Zero()
 	share := 1 / T(len(seeds))
 	for _, s := range seeds {
-		q[s] += share
+		fam[s] += share
 	}
-	fam.Zero()
-	_, _, steps, converged := cpiLoop(ctx, mulT, t.cfg, 0, t.params.S-1, q.Scale(T(t.cfg.C)), buf, fam)
+	c := T(t.cfg.C)
+	for _, s := range seeds {
+		q[s] = fam[s] * c
+	}
+	for _, s := range seeds {
+		fam[s] = q[s]
+	}
+	_, _, steps, converged := cpiLoop(ctx, mulT, t.cfg, 1, t.params.S-1, q, buf, fam)
 	// Stopping after S' < S accumulated iterations is exactly a TPA
 	// instance with split point S'; a head that converged early is exact
 	// to ε, the same contract as the full S.
@@ -93,18 +125,14 @@ func onlinePhase[T sparse.Float](ctx context.Context, t *TPA, mulT func(x, y spa
 	if converged {
 		effS = t.params.S
 	}
-	// fam holds the S'-step r_family; fold in the scaled neighbor estimate
-	// (Lemma-2 masses for S') and the shared stranger vector in one pass,
-	// as Algorithm 3 does for the full S.
+	// fam holds the S'-step r_family; the neighbor estimate is it rescaled
+	// by the Lemma-2 masses for S', as Algorithm 3 does for the full S.
 	famMass, neighMass, _ := PartMasses(t.cfg.C, effS, t.params.T)
 	scale := 1.0
 	if famMass > 0 {
 		scale = 1 + neighMass/famMass
 	}
-	for i, f := range fam {
-		dst[i] = float64(f)*scale + float64(stranger[i])
-	}
-	return QueryMeta{
+	return scale, QueryMeta{
 		Partial:    effS < t.params.S,
 		EffectiveS: effS,
 		Steps:      effS - 1,
@@ -178,11 +206,11 @@ func (t *TPA) QueryBatchEach(seeds []int, parallelism int, emit func(i int, r sp
 }
 
 // TopKBatch answers a top-k query per seed with a worker pool, like
-// QueryBatch, but keeps the full score vectors in pooled scratch and returns
-// only the k best entries per seed — the shape a batch serving endpoint
-// wants. It is TopKBatchDeadline under a context that never expires.
+// QueryBatch, but ranks each answer in pooled scratch and returns only the
+// k best entries per seed — the shape a batch serving endpoint wants. It is
+// TopKBatchDeadline under a context that never expires, with internal ids.
 func (t *TPA) TopKBatch(seeds []int, k, parallelism int) ([][]sparse.Entry, error) {
-	tops, _, err := t.TopKBatchDeadline(context.Background(), seeds, k, parallelism)
+	tops, _, err := t.TopKBatchDeadline(context.Background(), seeds, k, parallelism, nil)
 	return tops, err
 }
 

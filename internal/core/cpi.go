@@ -73,6 +73,10 @@ func CPI(w rwr.Operator, seeds []int, cfg rwr.Config, startIter, termIter int) (
 // (termIter < 0: the analytic bound, or cfg.MaxIter), as soon as
 // ‖x(i)‖₁ < ε (converged), or — with a non-nil ctx — before the first step
 // that would start after ctx expired. It allocates nothing.
+//
+// Each step is one application of mulT and one sweep over its output (see
+// finishStep): the scale by 1-c, the add into acc and the L1 norm share
+// that pass.
 func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) sparse.Vec[T], cfg rwr.Config,
 	startIter, termIter int, x, buf, acc sparse.Vec[T]) (last, spare sparse.Vec[T], iters int, converged bool) {
 	if startIter == 0 && acc != nil {
@@ -91,17 +95,43 @@ func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) 
 			break
 		}
 		mulT(x, buf)
-		buf.Scale(decay)
 		x, buf = buf, x
 		iters = i
-		if acc != nil && i >= startIter {
-			acc.Add(x)
+		into := acc
+		if i < startIter {
+			into = nil
 		}
-		if x.L1() < cfg.Eps {
+		if finishStep(x, decay, into) < cfg.Eps {
 			return x, buf, iters, true
 		}
 	}
 	return x, buf, iters, false
+}
+
+// finishStep completes a CPI step on the propagated vector x in one sweep:
+// x[i] *= decay, then acc[i] += x[i] when acc is non-nil, and it returns
+// ‖x‖₁. Per element these are the operations of x.Scale(decay), acc.Add(x)
+// and x.L1() run one after the other, and the norm sums in the same order,
+// so every bit matches the three passes. The conversion T(·) rounds the
+// product before the add, which keeps a compiler from fusing the two.
+func finishStep[T sparse.Float](x sparse.Vec[T], decay T, acc sparse.Vec[T]) float64 {
+	var l1 float64
+	if acc == nil {
+		for i, v := range x {
+			v = T(v * decay)
+			x[i] = v
+			l1 += math.Abs(float64(v))
+		}
+		return l1
+	}
+	acc = acc[:len(x)]
+	for i, v := range x {
+		v = T(v * decay)
+		x[i] = v
+		acc[i] += v
+		l1 += math.Abs(float64(v))
+	}
+	return l1
 }
 
 // ExactRWR computes the full RWR vector by CPI run to convergence. It is

@@ -51,14 +51,20 @@ func (t *TPA) QueryDeadline(ctx context.Context, seed int) (sparse.Vector, Query
 }
 
 // TopKDeadline is TopK honoring ctx, with the same partial-answer contract
-// as QueryDeadline. The full score vector never leaves the scratch pool.
-func (t *TPA) TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, QueryMeta, error) {
+// as QueryDeadline. The score vector is ranked as it is computed and never
+// written. A non-nil ids (ids[internal] = reported id, e.g. an engine's
+// ordering permutation) reports each entry under its id and breaks score
+// ties by it, so the answer is the top k of the score vector scattered into
+// ids order.
+func (t *TPA) TopKDeadline(ctx context.Context, seed, k int, ids []int32) ([]sparse.Entry, QueryMeta, error) {
 	if err := rwr.CheckSeed("core", seed, t.walk.N()); err != nil {
 		return nil, QueryMeta{}, err
 	}
+	if err := t.checkIDs(ids); err != nil {
+		return nil, QueryMeta{}, err
+	}
 	sc := t.getScratch()
-	meta := t.queryInto(ctx, []int{seed}, sc.out, sc)
-	top := sc.out.TopK(k)
+	top, meta := t.topKInto(ctx, []int{seed}, k, ids, sc)
 	t.putScratch(sc)
 	return top, meta, nil
 }
@@ -82,16 +88,27 @@ func (t *TPA) QuerySetDeadline(ctx context.Context, seeds []int) (sparse.Vector,
 // TopKBatchDeadline is TopKBatch honoring ctx: every seed's query checks the
 // shared context between propagation steps, so a batch straddling its
 // deadline degrades per seed (early seeds complete, late seeds come back
-// partial) instead of failing wholesale. Metas[i] describes seeds[i].
-func (t *TPA) TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int) ([][]sparse.Entry, []QueryMeta, error) {
+// partial) instead of failing wholesale. Metas[i] describes seeds[i]; ids
+// is TopKDeadline's.
+func (t *TPA) TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int, ids []int32) ([][]sparse.Entry, []QueryMeta, error) {
 	if err := t.checkSeeds(seeds); err != nil {
+		return nil, nil, err
+	}
+	if err := t.checkIDs(ids); err != nil {
 		return nil, nil, err
 	}
 	out := make([][]sparse.Entry, len(seeds))
 	metas := make([]QueryMeta, len(seeds))
 	t.runBatch(seeds, parallelism, func(i int, sc *queryScratch) {
-		metas[i] = t.queryInto(ctx, seeds[i:i+1], sc.out, sc)
-		out[i] = sc.out.TopK(k)
+		out[i], metas[i] = t.topKInto(ctx, seeds[i:i+1], k, ids, sc)
 	})
 	return out, metas, nil
+}
+
+// checkIDs validates a top-k id map: nil, or one id per node.
+func (t *TPA) checkIDs(ids []int32) error {
+	if ids != nil && len(ids) != t.walk.N() {
+		return fmt.Errorf("core: %d ids for %d nodes", len(ids), t.walk.N())
+	}
+	return nil
 }

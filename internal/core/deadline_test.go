@@ -156,7 +156,7 @@ func TestTopKBatchDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, metas, err := tp.TopKBatchDeadline(context.Background(), seeds, k, 2)
+	got, metas, err := tp.TopKBatchDeadline(context.Background(), seeds, k, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTopKBatchDeadline(t *testing.T) {
 	// Expired: every seed degrades to the S'=1 answer instead of failing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, metas, err = tp.TopKBatchDeadline(ctx, seeds, k, 2)
+	got, metas, err = tp.TopKBatchDeadline(ctx, seeds, k, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestTopKBatchDeadline(t *testing.T) {
 	}
 
 	// Bad seeds still fail the whole batch up front.
-	if _, _, err := tp.TopKBatchDeadline(context.Background(), []int{-1}, k, 1); err == nil {
+	if _, _, err := tp.TopKBatchDeadline(context.Background(), []int{-1}, k, 1, nil); err == nil {
 		t.Error("negative seed accepted")
 	}
 }

@@ -202,7 +202,7 @@ func (p *Parts) Combine() sparse.Vector {
 // RWR applications (e.g. "Who to Follow") actually run. It is TopKDeadline
 // under a context that never expires.
 func (t *TPA) TopK(seed, k int) ([]sparse.Entry, error) {
-	top, _, err := t.TopKDeadline(context.Background(), seed, k)
+	top, _, err := t.TopKDeadline(context.Background(), seed, k, nil)
 	return top, err
 }
 

@@ -11,7 +11,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Float is the element constraint of dense vectors and of the propagation
@@ -189,67 +188,145 @@ type Entry struct {
 //
 // Selection runs in O(n log k) with a bounded min-heap: for the k ≪ n
 // regime of top-k RWR queries this avoids sorting the whole score vector.
+// An entry below the heap's weakest score is skipped by one comparison in
+// the loop, so most of the n entries never reach the heap. TopKScaledSum
+// ranks with the same selector and can break ties on caller ids instead
+// (an engine's external ids).
 func (v Vec[T]) TopK(k int) []Entry {
-	if k > len(v) {
-		k = len(v)
-	}
-	if k <= 0 {
-		return nil
-	}
-	// weaker reports whether a ranks below b in the final ordering
-	// (score desc, index asc) — i.e. a is the one to evict first.
-	weaker := func(a, b Entry) bool {
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.Index > b.Index
-	}
-	// Min-heap (by `weaker`) of the k best entries seen so far; the root
-	// is the current weakest and is evicted when something stronger shows.
-	heap := make([]Entry, 0, k)
-	siftUp := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !weaker(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	siftDown := func() {
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(heap) && weaker(heap[l], heap[m]) {
-				m = l
-			}
-			if r < len(heap) && weaker(heap[r], heap[m]) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
+	sel := newSelector(k, len(v), nil)
 	for i, x := range v {
-		e := Entry{Index: i, Score: float64(x)}
-		if len(heap) < k {
-			heap = append(heap, e)
-			siftUp(len(heap) - 1)
-			continue
+		if s := float64(x); !(s < sel.floor) {
+			sel.offer(i, s)
 		}
-		if weaker(e, heap[0]) {
-			continue
-		}
-		heap[0] = e
-		siftDown()
 	}
-	sort.Slice(heap, func(a, b int) bool { return weaker(heap[b], heap[a]) })
-	return heap
+	return sel.result()
+}
+
+// scaledSum is entry i of the vector a·scale + b: float64(a[i])·scale +
+// float64(b[i]). ScaledSumInto and TopKScaledSum both evaluate it, so a
+// ranked entry carries the same bits as the written one.
+func scaledSum[T Float](a, b T, scale float64) float64 {
+	return float64(a)*scale + float64(b)
+}
+
+// ScaledSumInto writes a·scale + b into dst and returns dst. dst may alias
+// a when both are float64. It panics if lengths differ.
+func ScaledSumInto[T Float](a, b Vec[T], scale float64, dst Vector) Vector {
+	checkLen("scaled sum", len(a), len(b))
+	checkLen("scaled sum", len(a), len(dst))
+	for i, x := range a {
+		dst[i] = scaledSum(x, b[i], scale)
+	}
+	return dst
+}
+
+// TopKScaledSum is TopK of the vector a·scale + b without writing it: each
+// entry is computed, tested against the heap's weakest score and dropped.
+// A non-nil ids reports entry i as ids[i] and breaks score ties by ascending
+// ids[i] — a permuted vector then ranks exactly as the vector scattered
+// into ids order would under TopK. It panics if lengths differ.
+func TopKScaledSum[T Float](a, b Vec[T], scale float64, k int, ids []int32) []Entry {
+	checkLen("scaled sum", len(a), len(b))
+	if ids != nil {
+		checkLen("scaled sum ids", len(a), len(ids))
+	}
+	sel := newSelector(k, len(a), ids)
+	for i, x := range a {
+		if s := scaledSum(x, b[i], scale); !(s < sel.floor) {
+			sel.offer(i, s)
+		}
+	}
+	return sel.result()
+}
+
+// selector is the bounded min-heap behind every top-k of this package. It
+// keeps the k best entries offered so far, ranked by score descending and
+// then by reported index ascending; the root is the weakest kept entry.
+// floor is the root's score once the heap is full and −Inf before, so a
+// caller skips an entry scoring below floor without calling offer.
+type selector struct {
+	heap  []Entry
+	ids   []int32 // reported index of entry i; nil reports i itself
+	floor float64
+}
+
+// newSelector returns a selector for the top k of n entries.
+func newSelector(k, n int, ids []int32) selector {
+	k = min(k, n)
+	if k <= 0 {
+		return selector{floor: math.Inf(1)}
+	}
+	return selector{heap: make([]Entry, 0, k), ids: ids, floor: math.Inf(-1)}
+}
+
+// weaker reports whether a ranks below b in the final ordering (score
+// descending, index ascending): a is the one to evict first.
+func weaker(a, b Entry) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Index > b.Index
+}
+
+// offer considers entry i with the given score.
+func (s *selector) offer(i int, score float64) {
+	e := Entry{Index: i, Score: score}
+	if s.ids != nil {
+		e.Index = int(s.ids[i])
+	}
+	h := s.heap
+	if len(h) < cap(h) {
+		h = append(h, e)
+		for j := len(h) - 1; j > 0; {
+			p := (j - 1) / 2
+			if !weaker(h[j], h[p]) {
+				break
+			}
+			h[j], h[p] = h[p], h[j]
+			j = p
+		}
+		s.heap = h
+		if len(h) == cap(h) {
+			s.floor = h[0].Score
+		}
+		return
+	}
+	if len(h) == 0 || weaker(e, h[0]) {
+		return
+	}
+	h[0] = e
+	siftDown(h)
+	s.floor = h[0].Score
+}
+
+// siftDown restores the min-heap order of h after its root changed.
+func siftDown(h []Entry) {
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(h) && weaker(h[l], h[m]) {
+			m = l
+		}
+		if r < len(h) && weaker(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// result sorts the kept entries strongest first, in place (each pop moves
+// the weakest left to the end of the shrinking heap), and returns them.
+func (s *selector) result() []Entry {
+	h := s.heap
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end])
+	}
+	return h
 }
 
 // SparseVector is a map-backed sparse accumulator used by push-style methods

@@ -272,3 +272,43 @@ func TestTopKMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TopKScaledSum with an id map must rank exactly like TopK of the written
+// vector a·scale + b scattered into id order, ties included, in both widths.
+func TestTopKScaledSumMatchesScatteredTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		a, b := NewVector32(n), NewVector32(n)
+		for i := range a {
+			// Coarse values force plenty of ties.
+			a[i], b[i] = float32(rng.Intn(4)), float32(rng.Intn(3))
+		}
+		ids := make([]int32, n)
+		for i, p := range rng.Perm(n) {
+			ids[i] = int32(p)
+		}
+		scale := 0.5 + rng.Float64()
+		k := rng.Intn(n + 3)
+		written := ScaledSumInto(a, b, scale, NewVector(n))
+		scattered := NewVector(n)
+		for i, x := range written {
+			scattered[ids[i]] = x
+		}
+		for _, c := range []struct {
+			name string
+			ids  []int32
+			want []Entry
+		}{{"identity", nil, written.TopK(k)}, {"permuted", ids, scattered.TopK(k)}} {
+			got := TopKScaledSum(a, b, scale, k, c.ids)
+			if len(got) != len(c.want) {
+				t.Fatalf("trial %d %s: len %d vs %d", trial, c.name, len(got), len(c.want))
+			}
+			for i := range got {
+				if got[i] != c.want[i] {
+					t.Fatalf("trial %d %s k=%d: entry %d = %+v, want %+v", trial, c.name, k, i, got[i], c.want[i])
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package tpa
 
 import (
 	"fmt"
-	"sort"
 
 	"tpa/internal/graph"
 	"tpa/internal/sparse"
@@ -11,9 +10,12 @@ import (
 // ID remapping for reordered engines. A build-time ordering (Options.Order)
 // permutes the CSR for cache locality, but node ids are the public contract
 // of every query API, so the permutation must never leak: seeds are mapped
-// external→internal on the way in, and score vectors / top-k entries
-// internal→external on the way out. This file is the only place the two id
-// spaces meet; everything below the Engine boundary runs purely internal.
+// external→internal on the way in, and score vectors internal→external on
+// the way out. This file is where the two id spaces meet; everything below
+// the Engine boundary runs internal, except that the top-k paths hand perm
+// down so the selector reports external ids and breaks score ties on them
+// (an answer then equals TopKOf of the external score vector, boundary ties
+// included).
 //
 // Conventions (matching graph.Permute): perm[internal] = external,
 // inv[external] = internal. Both are nil on natural-order engines, and
@@ -53,26 +55,6 @@ func (e *Engine) toExternalVec(r sparse.Vector) []float64 {
 		out[e.perm[i]] = v
 	}
 	return out
-}
-
-// toExternalEntries rewrites top-k entry indices internal→external in
-// place and restores the canonical order (score descending, external index
-// ascending on ties — the TopKOf contract, which the internal tie-break no
-// longer guarantees after remapping).
-func (e *Engine) toExternalEntries(es []Entry) []Entry {
-	if e.perm == nil {
-		return es
-	}
-	for i := range es {
-		es[i].Index = int(e.perm[es[i].Index])
-	}
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].Score != es[b].Score {
-			return es[a].Score > es[b].Score
-		}
-		return es[a].Index < es[b].Index
-	})
-	return es
 }
 
 // toInternalEdges maps edge endpoints external→internal, validating ranges

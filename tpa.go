@@ -330,9 +330,9 @@ func (e *Engine) QueryBatch(seeds []int, parallelism int) ([][]float64, error) {
 }
 
 // TopKBatch answers a top-k query per seed with the same worker pool as
-// QueryBatch, returning only the k best entries per seed — full score
-// vectors never leave the scratch pool. It is TopKBatchDeadline under a
-// context that never expires.
+// QueryBatch, returning only the k best entries per seed, each ranked as
+// TopK ranks it. It is TopKBatchDeadline under a context that never
+// expires.
 func (e *Engine) TopKBatch(seeds []int, k, parallelism int) ([][]Entry, error) {
 	tops, _, err := e.TopKBatchDeadline(context.Background(), seeds, k, parallelism)
 	return tops, err
@@ -345,10 +345,11 @@ func (e *Engine) batchWorkers(parallelism int) int {
 	return parallelism
 }
 
-// TopK returns the k nodes most relevant to the seed, highest score first.
-// The full score vector never leaves the engine's scratch pool, so a call
-// allocates only its k entries. It is TopKDeadline under a context that
-// never expires.
+// TopK returns the k nodes most relevant to the seed, highest score first
+// and equal scores by ascending node id: exactly TopKOf(Query(seed), k).
+// The scores are ranked as they are computed and never written to a
+// vector, so a call allocates only its k entries. It is TopKDeadline under
+// a context that never expires.
 func (e *Engine) TopK(seed, k int) ([]Entry, error) {
 	top, _, err := e.TopKDeadline(context.Background(), seed, k)
 	return top, err
@@ -380,11 +381,7 @@ func (e *Engine) QueryDeadline(ctx context.Context, seed int) ([]float64, QueryM
 // TopKDeadline is TopK honoring ctx, with the partial-answer contract of
 // QueryDeadline.
 func (e *Engine) TopKDeadline(ctx context.Context, seed, k int) ([]Entry, QueryMeta, error) {
-	top, meta, err := e.tpa.TopKDeadline(ctx, e.toInternal(seed), k)
-	if err != nil {
-		return nil, meta, err
-	}
-	return e.toExternalEntries(top), meta, nil
+	return e.tpa.TopKDeadline(ctx, e.toInternal(seed), k, e.perm)
 }
 
 // QuerySetDeadline is QuerySet honoring ctx, with the partial-answer
@@ -402,14 +399,7 @@ func (e *Engine) QuerySetDeadline(ctx context.Context, seeds []int) ([]float64, 
 // complete at full S, late seeds come back Partial. Metas[i] describes
 // seeds[i].
 func (e *Engine) TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int) ([][]Entry, []QueryMeta, error) {
-	tops, metas, err := e.tpa.TopKBatchDeadline(ctx, e.toInternalSeeds(seeds), k, e.batchWorkers(parallelism))
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range tops {
-		tops[i] = e.toExternalEntries(tops[i])
-	}
-	return tops, metas, nil
+	return e.tpa.TopKBatchDeadline(ctx, e.toInternalSeeds(seeds), k, e.batchWorkers(parallelism), e.perm)
 }
 
 // Params returns the S and T split points in effect.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func demoGraph() *Graph {
@@ -217,35 +218,44 @@ func minAllocBytes(runs int, fn func()) uint64 {
 }
 
 // TestTopKAllocationIndependentOfN: a top-k answer costs O(k) heap bytes,
-// whatever n is. The full score vector lives and dies in the engine's
-// pooled scratch, on natural and reordered engines in both precisions.
+// whatever n is. The score vector is ranked as it is computed and never
+// written, on natural, reordered and sharded engines in both precisions;
+// TopK allocates its k entries and nothing else.
 func TestTopKAllocationIndependentOfN(t *testing.T) {
 	const n, k = 20000, 10
 	const perAnswer = 4 << 10 // an n-vector here is 160 KiB
 	g := RandomCommunityGraph(n, 8*n, 8, 5)
 	seeds := []int{1, 77, 4096, 19999}
-	for _, order := range []string{"", "degree"} {
-		for _, prec := range []Precision{Float64, Float32} {
-			o := Defaults()
-			o.Order, o.Precision = order, prec
-			eng, err := New(g, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("order=%q %v", order, prec)
-			var err1, err2 error
-			one := minAllocBytes(21, func() { _, err1 = eng.TopK(seeds[2], k) })
-			batch := minAllocBytes(21, func() { _, err2 = eng.TopKBatch(seeds, k, 2) })
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			t.Logf("%s: TopK %d B/call, TopKBatch(%d seeds) %d B/call", name, one, len(seeds), batch)
-			if one > perAnswer {
-				t.Errorf("%s: TopK allocates %d B/call, want ≤ %d (O(k), not O(n))", name, one, perAnswer)
-			}
-			if batch > uint64(len(seeds))*perAnswer {
-				t.Errorf("%s: TopKBatch allocates %d B/call for %d seeds, want ≤ %d per seed", name, batch, len(seeds), perAnswer)
-			}
+	for _, row := range []struct {
+		order  string
+		prec   Precision
+		shards int
+	}{
+		{"", Float64, 0},
+		{"", Float32, 0},
+		{"degree", Float64, 0},
+		{"degree", Float32, 0},
+		{"", Float32, 2},
+	} {
+		o := Defaults()
+		o.Order, o.Precision = row.order, row.prec
+		eng, err := NewSharded(g, row.shards, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("order=%q %v shards=%d", row.order, row.prec, row.shards)
+		var err1, err2 error
+		one := minAllocBytes(21, func() { _, err1 = eng.TopK(seeds[2], k) })
+		batch := minAllocBytes(21, func() { _, err2 = eng.TopKBatch(seeds, k, 2) })
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		t.Logf("%s: TopK %d B/call, TopKBatch(%d seeds) %d B/call", name, one, len(seeds), batch)
+		if entries := uint64(k * unsafe.Sizeof(Entry{})); one != entries {
+			t.Errorf("%s: TopK allocates %d B/call, want exactly its %d entries (%d B)", name, one, k, entries)
+		}
+		if batch > uint64(len(seeds))*perAnswer {
+			t.Errorf("%s: TopKBatch allocates %d B/call for %d seeds, want ≤ %d per seed", name, batch, len(seeds), perAnswer)
 		}
 	}
 }
