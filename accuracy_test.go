@@ -410,7 +410,7 @@ func TestShardedMidQuerySwitch(t *testing.T) {
 			}
 			for i := range seeds {
 				checkTop(tag+" TopKBatch", i, tops[i])
-				top, meta, err := eng.TopKDeadline(context.Background(), seeds[i], k)
+				top, meta, err := eng.TopKDeadline(context.Background(), []int{seeds[i]}, k)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -376,7 +376,7 @@ func (s *ingestSetup) wrap(name string, base server.Loader) server.Loader {
 		var eng *tpa.Engine
 		var info server.Info
 		if _, err := os.Stat(snapPath); err == nil {
-			eng, err = tpa.LoadSnapshotFile(snapPath)
+			eng, err = tpa.LoadSnapshotMmap(snapPath)
 			if err != nil {
 				return nil, server.Info{}, fmt.Errorf("loading compacted snapshot %s: %w", snapPath, err)
 			}
@@ -460,7 +460,7 @@ func isSnapshot(path string) bool {
 func snapshotLoader(path string) server.Loader {
 	return func() (server.Engine, server.Info, error) {
 		start := time.Now()
-		eng, err := tpa.LoadSnapshotFile(path)
+		eng, err := tpa.LoadSnapshotMmap(path)
 		if errors.Is(err, tpa.ErrBadSnapshot) {
 			return nil, server.Info{}, fmt.Errorf("%w (rebuild it with `tpad build`)", err)
 		}

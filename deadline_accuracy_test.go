@@ -70,7 +70,7 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			}
 
 			// Unbounded context: identical to the plain query, not partial.
-			got, meta, err := eng.QueryDeadline(context.Background(), seed)
+			got, meta, err := eng.QueryDeadline(context.Background(), []int{seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			// returns the S'=1 head (scaled seed restart + stranger part),
 			// honest about its loose bound.
 			expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
-			got, meta, err = eng.QueryDeadline(expired, seed)
+			got, meta, err = eng.QueryDeadline(expired, []int{seed})
 			cancel()
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +103,7 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			// A budget so small the query may or may not finish: whichever
 			// way the race goes, the answer must honor the bound it reports.
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Microsecond)
-			got, meta, err = eng.QueryDeadline(ctx, seed)
+			got, meta, err = eng.QueryDeadline(ctx, []int{seed})
 			cancel()
 			if err != nil {
 				t.Fatal(err)
@@ -125,11 +125,11 @@ func TestDeadlineTopKMatchesQuery(t *testing.T) {
 	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
 
-	scores, qMeta, err := eng.QueryDeadline(expired, 7)
+	scores, qMeta, err := eng.QueryDeadline(expired, []int{7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, kMeta, err := eng.TopKDeadline(expired, 7, 10)
+	top, kMeta, err := eng.TopKDeadline(expired, []int{7}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDeadlineMatchesPlainAcrossVariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, meta, err := eng.QueryDeadline(context.Background(), seed)
+				got, meta, err := eng.QueryDeadline(context.Background(), []int{seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -183,7 +183,7 @@ func TestDeadlineMatchesPlainAcrossVariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				topD, _, err := eng.TopKDeadline(context.Background(), seed, 10)
+				topD, _, err := eng.TopKDeadline(context.Background(), []int{seed}, 10)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,7 +21,8 @@ import (
 // engine's serving width only: the seed / iterate vector and the
 // propagation buffer (q, buf — or q32, buf32 plus the family accumulator
 // fam32 on the float32 kernels), and a float64 vector out that holds the
-// family part of a float64 top-k and the answer QueryBatchEach hands out.
+// family part of a float64 top-k and a batch answer before its scatter into
+// reported-id order.
 // Scratches are pooled on the TPA (see TPA.scratch).
 type queryScratch struct {
 	out               sparse.Vector
@@ -169,40 +170,33 @@ func batchWorkers(parallelism, jobs int) int {
 
 // QueryBatch answers one single-seed query per entry of seeds, fanning the
 // work out over a pool of parallelism worker goroutines (0 means
-// GOMAXPROCS). Results[i] is the score vector for seeds[i]. Every seed is
-// validated up front, so a bad seed fails the whole batch before any work
-// runs. Workers draw scratch vectors from the shared pool; the only
-// allocations are the returned vectors.
-func (t *TPA) QueryBatch(seeds []int, parallelism int) ([]sparse.Vector, error) {
+// GOMAXPROCS). Results[i] is the score vector for seeds[i], written in ids
+// order: entry ids[j] holds internal node j's score (ids nil: internal
+// order). Every seed is validated up front, so a bad seed fails the whole
+// batch before any work runs. Workers draw scratch vectors from the shared
+// pool; the only allocations are the returned vectors.
+func (t *TPA) QueryBatch(seeds []int, parallelism int, ids []int32) ([][]float64, error) {
 	if err := t.checkSeeds(seeds); err != nil {
 		return nil, err
 	}
+	if err := t.checkIDs(ids); err != nil {
+		return nil, err
+	}
 	n := t.walk.N()
-	out := make([]sparse.Vector, len(seeds))
+	out := make([][]float64, len(seeds))
 	t.runBatch(seeds, parallelism, func(i int, sc *queryScratch) {
 		dst := sparse.NewVector(n)
-		t.queryInto(nil, seeds[i:i+1], dst, sc)
+		if ids == nil {
+			t.queryInto(nil, seeds[i:i+1], dst, sc)
+		} else {
+			t.queryInto(nil, seeds[i:i+1], sc.out, sc)
+			for j, v := range sc.out {
+				dst[ids[j]] = v
+			}
+		}
 		out[i] = dst
 	})
 	return out, nil
-}
-
-// QueryBatchEach is the zero-copy form of QueryBatch: one single-seed query
-// per entry of seeds on the same worker pool, but each answer is handed to
-// emit as a pooled scratch vector instead of a fresh allocation. The vector
-// is only valid for the duration of the emit call; emit runs once per index,
-// possibly concurrently from different workers. Callers that post-process
-// answers into their own storage (e.g. the external-id scatter of reordered
-// engines) save one full-length vector allocation per query.
-func (t *TPA) QueryBatchEach(seeds []int, parallelism int, emit func(i int, r sparse.Vector)) error {
-	if err := t.checkSeeds(seeds); err != nil {
-		return err
-	}
-	t.runBatch(seeds, parallelism, func(i int, sc *queryScratch) {
-		t.queryInto(nil, seeds[i:i+1], sc.out, sc)
-		emit(i, sc.out)
-	})
-	return nil
 }
 
 // TopKBatch answers a top-k query per seed with a worker pool, like

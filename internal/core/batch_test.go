@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"tpa/internal/sparse"
@@ -11,7 +12,7 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 	tp, _ := preprocessed(t, 50, DefaultParams())
 	seeds := []int{0, 7, 42, 7, 199, 250}
 	for _, parallelism := range []int{1, 3, 8} {
-		batch, err := tp.QueryBatch(seeds, parallelism)
+		batch, err := tp.QueryBatch(seeds, parallelism, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,47 +33,47 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 
 func TestQueryBatchErrors(t *testing.T) {
 	tp, _ := preprocessed(t, 51, DefaultParams())
-	if _, err := tp.QueryBatch([]int{1, 2, 9999}, 2); err == nil {
+	if _, err := tp.QueryBatch([]int{1, 2, 9999}, 2, nil); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	if _, err := tp.QueryBatch([]int{-1}, 2); err == nil {
+	if _, err := tp.QueryBatch([]int{-1}, 2, nil); err == nil {
 		t.Error("negative seed accepted")
 	}
-	out, err := tp.QueryBatch(nil, 4)
+	out, err := tp.QueryBatch(nil, 4, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch: %v, %d results", err, len(out))
 	}
 }
 
-func TestQueryBatchEachMatchesQueryBatch(t *testing.T) {
+// QueryBatch with an id map writes each answer in ids order: entry ids[j]
+// of the result is internal node j's score, to the bit.
+func TestQueryBatchScattersIntoIDs(t *testing.T) {
 	tp, _ := preprocessed(t, 56, DefaultParams())
 	seeds := []int{0, 9, 120, 9, 254}
-	want, err := tp.QueryBatch(seeds, 1)
+	want, err := tp.QueryBatch(seeds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := tp.Walk().N()
+	ids := make([]int32, n)
+	for j := range ids {
+		ids[j] = int32(n - 1 - j)
+	}
 	for _, parallelism := range []int{1, 4} {
-		got := make([]sparse.Vector, len(seeds))
-		err := tp.QueryBatchEach(seeds, parallelism, func(i int, r sparse.Vector) {
-			// The scratch is only valid inside the callback — copy out.
-			got[i] = append(sparse.Vector(nil), r...)
-		})
+		got, err := tp.QueryBatch(seeds, parallelism, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range seeds {
-			if got[i] == nil {
-				t.Fatalf("parallelism %d: emit skipped index %d", parallelism, i)
-			}
-			if d := want[i].L1Dist(got[i]); d != 0 {
-				t.Errorf("parallelism %d seed %d: QueryBatchEach deviates by %g", parallelism, seeds[i], d)
+			for j, v := range want[i] {
+				if math.Float64bits(got[i][ids[j]]) != math.Float64bits(v) {
+					t.Fatalf("parallelism %d seed %d: entry %d is %v, want node %d's %v", parallelism, seeds[i], ids[j], got[i][ids[j]], j, v)
+				}
 			}
 		}
 	}
-	if err := tp.QueryBatchEach([]int{-1}, 2, func(int, sparse.Vector) {
-		t.Error("emit called for an invalid batch")
-	}); err == nil {
-		t.Error("bad seed accepted")
+	if _, err := tp.QueryBatch(seeds, 2, ids[1:]); err == nil {
+		t.Error("short id map accepted")
 	}
 }
 
@@ -85,7 +86,7 @@ func TestTopKBatchMatchesTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
-		want, err := tp.TopK(seed, k)
+		want, _, err := tp.TopKDeadline(context.Background(), []int{seed}, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"tpa/internal/rwr"
 	"tpa/internal/sparse"
 )
 
@@ -34,48 +33,19 @@ type QueryMeta struct {
 	Bound float64
 }
 
-// QueryDeadline is Query honoring ctx: if the context expires mid-query the
-// head computed so far is returned as a valid reduced-S approximation,
-// flagged Partial with its own Theorem-2 bound. A context that is already
-// expired still yields the cheapest useful answer (S' = 1: the scaled seed
-// distribution plus the stranger tail, bound 2(1-c)).
-func (t *TPA) QueryDeadline(ctx context.Context, seed int) (sparse.Vector, QueryMeta, error) {
-	if err := rwr.CheckSeed("core", seed, t.walk.N()); err != nil {
-		return nil, QueryMeta{}, err
-	}
-	dst := sparse.NewVector(t.walk.N())
-	sc := t.getScratch()
-	meta := t.queryInto(ctx, []int{seed}, dst, sc)
-	t.putScratch(sc)
-	return dst, meta, nil
-}
-
-// TopKDeadline is TopK honoring ctx, with the same partial-answer contract
-// as QueryDeadline. The score vector is ranked as it is computed and never
-// written. A non-nil ids (ids[internal] = reported id, e.g. an engine's
-// ordering permutation) reports each entry under its id and breaks score
-// ties by it, so the answer is the top k of the score vector scattered into
-// ids order.
-func (t *TPA) TopKDeadline(ctx context.Context, seed, k int, ids []int32) ([]sparse.Entry, QueryMeta, error) {
-	if err := rwr.CheckSeed("core", seed, t.walk.N()); err != nil {
-		return nil, QueryMeta{}, err
-	}
-	if err := t.checkIDs(ids); err != nil {
-		return nil, QueryMeta{}, err
-	}
-	sc := t.getScratch()
-	top, meta := t.topKInto(ctx, []int{seed}, k, ids, sc)
-	t.putScratch(sc)
-	return top, meta, nil
-}
-
-// QuerySetDeadline is QuerySet honoring ctx (uniform restart over the seed
-// set), with the partial-answer contract of QueryDeadline.
-func (t *TPA) QuerySetDeadline(ctx context.Context, seeds []int) (sparse.Vector, QueryMeta, error) {
-	if len(seeds) == 0 {
-		return nil, QueryMeta{}, fmt.Errorf("core: empty seed set")
-	}
-	if err := t.checkSeeds(seeds); err != nil {
+// QueryDeadline runs the online phase for a seed set, restarting
+// uniformly over its entries (a seed listed twice gets twice the share):
+// the multi-seed form of CPI that §II-C notes, and Query when the set is
+// {seed}. The family part starts from the uniform seed vector; the stranger
+// part never depended on the seed.
+//
+// If ctx expires mid-query the head computed so far is returned as a valid
+// reduced-S approximation, flagged Partial with its own Theorem-2 bound. A
+// context that is already expired still yields the cheapest useful answer
+// (S' = 1: the scaled seed distribution plus the stranger tail, bound
+// 2(1-c)).
+func (t *TPA) QueryDeadline(ctx context.Context, seeds []int) (sparse.Vector, QueryMeta, error) {
+	if err := t.checkSeedSet(seeds); err != nil {
 		return nil, QueryMeta{}, err
 	}
 	dst := sparse.NewVector(t.walk.N())
@@ -83,6 +53,33 @@ func (t *TPA) QuerySetDeadline(ctx context.Context, seeds []int) (sparse.Vector,
 	meta := t.queryInto(ctx, seeds, dst, sc)
 	t.putScratch(sc)
 	return dst, meta, nil
+}
+
+// TopKDeadline is the top k of QueryDeadline's answer, with the same
+// partial-answer contract. The score vector is ranked as it is computed and
+// never written. A non-nil ids (ids[internal] = reported id, e.g. an
+// engine's ordering permutation) reports each entry under its id and breaks
+// score ties by it, so the answer is the top k of the score vector
+// scattered into ids order.
+func (t *TPA) TopKDeadline(ctx context.Context, seeds []int, k int, ids []int32) ([]sparse.Entry, QueryMeta, error) {
+	if err := t.checkSeedSet(seeds); err != nil {
+		return nil, QueryMeta{}, err
+	}
+	if err := t.checkIDs(ids); err != nil {
+		return nil, QueryMeta{}, err
+	}
+	sc := t.getScratch()
+	top, meta := t.topKInto(ctx, seeds, k, ids, sc)
+	t.putScratch(sc)
+	return top, meta, nil
+}
+
+// checkSeedSet validates a seed set: non-empty, every seed in range.
+func (t *TPA) checkSeedSet(seeds []int) error {
+	if len(seeds) == 0 {
+		return fmt.Errorf("core: empty seed set")
+	}
+	return t.checkSeeds(seeds)
 }
 
 // TopKBatchDeadline is TopKBatch honoring ctx: every seed's query checks the

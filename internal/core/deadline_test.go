@@ -76,7 +76,7 @@ func TestQueryDeadlineExpiredMidQuery(t *testing.T) {
 	// Budget for roughly two of the five propagation steps.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*delay+delay/2)
 	defer cancel()
-	got, meta, err := tp.QueryDeadline(ctx, seed)
+	got, meta, err := tp.QueryDeadline(ctx, []int{seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestQueryDeadlineExpiredMidQuery(t *testing.T) {
 
 	// A partial answer must be strictly looser-bounded than the full one,
 	// and the full one must still be within its tighter bound.
-	full, fullMeta, err := tp.QueryDeadline(context.Background(), seed)
+	full, fullMeta, err := tp.QueryDeadline(context.Background(), []int{seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestQueryDeadlineAlreadyExpired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before the first propagation step
 	const seed = 7
-	got, meta, err := tp.QueryDeadline(ctx, seed)
+	got, meta, err := tp.QueryDeadline(ctx, []int{seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestQueryDeadlineMatchesQueryWhenUnbounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, meta, err := tp.QueryDeadline(context.Background(), seed)
+		got, meta, err := tp.QueryDeadline(context.Background(), []int{seed})
 		if err != nil {
 			t.Fatal(err)
 		}

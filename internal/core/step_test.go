@@ -179,7 +179,7 @@ func TestFusedStepMatchesThreePass(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, seeds := range [][]int{{42}, {4, 9, 4}, {0, 0, 0}, {299, 1, 150, 1}} {
-				got, err := tp.QuerySet(seeds)
+				got, _, err := tp.QueryDeadline(context.Background(), seeds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -257,7 +257,7 @@ func TestPartialQueryMatchesThreePass(t *testing.T) {
 	tp, _ := preprocessed(t, 84, DefaultParams())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, meta, err := tp.QueryDeadline(ctx, 9)
+	got, meta, err := tp.QueryDeadline(ctx, []int{9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,37 +138,23 @@ func (t *TPA) IndexBytes() int64 {
 // Query runs TPA's online phase (Algorithm 3) for the given seed node:
 // compute r_family with S-1 propagation steps of CPI, scale it by
 // ‖r_neighbor‖₁/‖r_family‖₁ to estimate the neighbor part, and add the
-// precomputed stranger vector. It is QueryDeadline under a context that
-// never expires.
+// precomputed stranger vector. It is QueryDeadline for the seed set {seed}
+// under a context that never expires.
 func (t *TPA) Query(seed int) (sparse.Vector, error) {
-	r, _, err := t.QueryDeadline(context.Background(), seed)
-	return r, err
-}
-
-// QuerySet computes approximate personalized PageRank for a *set* of seed
-// nodes (uniform restart over the set), the multi-seed generalization
-// §II-C notes CPI supports. The family part starts from the uniform seed
-// vector; the stranger part is unchanged (it never depended on the seed).
-// It is QuerySetDeadline under a context that never expires.
-func (t *TPA) QuerySet(seeds []int) (sparse.Vector, error) {
-	r, _, err := t.QuerySetDeadline(context.Background(), seeds)
+	r, _, err := t.QueryDeadline(context.Background(), []int{seed})
 	return r, err
 }
 
 // QueryParts is Query exposing the three components separately; the
 // error-analysis experiments (Table III, Fig 9) need them individually.
+// Family is the head the online phase accumulates, always in float64.
 func (t *TPA) QueryParts(seed int) (*Parts, error) {
-	if seed < 0 || seed >= t.walk.N() {
-		return nil, rwr.CheckSeed("core", seed, t.walk.N())
-	}
-	return t.queryParts([]int{seed})
-}
-
-func (t *TPA) queryParts(seeds []int) (*Parts, error) {
-	fam, err := CPI(t.walk, seeds, t.cfg, 0, t.params.S-1)
-	if err != nil {
+	n := t.walk.N()
+	if err := rwr.CheckSeed("core", seed, n); err != nil {
 		return nil, err
 	}
+	fam := sparse.NewVector(n)
+	onlinePhase(nil, t, t.walk.MulT, []int{seed}, sparse.NewVector(n), sparse.NewVector(n), fam)
 	// Neighbor scaling factor ((1-c)^S - (1-c)^T) / (1 - (1-c)^S), the
 	// closed form of ‖r_neighbor‖₁/‖r_family‖₁ from Lemma 2.
 	famMass, neighMass, _ := PartMasses(t.cfg.C, t.params.S, t.params.T)
@@ -177,8 +163,8 @@ func (t *TPA) queryParts(seeds []int) (*Parts, error) {
 		scale = neighMass / famMass
 	}
 	return &Parts{
-		Family:   fam.Scores,
-		Neighbor: fam.Scores.Clone().Scale(scale),
+		Family:   fam,
+		Neighbor: fam.Clone().Scale(scale),
 		Stranger: t.stranger,
 	}, nil
 }
@@ -196,14 +182,6 @@ func (p *Parts) Combine() sparse.Vector {
 	r.Add(p.Neighbor)
 	r.Add(p.Stranger)
 	return r
-}
-
-// TopK returns the k highest-scoring nodes for the seed, the operation most
-// RWR applications (e.g. "Who to Follow") actually run. It is TopKDeadline
-// under a context that never expires.
-func (t *TPA) TopK(seed, k int) ([]sparse.Entry, error) {
-	top, _, err := t.TopKDeadline(context.Background(), seed, k, nil)
-	return top, err
 }
 
 // ErrorBound returns the a-priori L1 error guarantee for this instance:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -91,21 +92,37 @@ func TestNeighborBoundHolds(t *testing.T) {
 	}
 }
 
-// The family part returned by QueryParts must be the exact CPI prefix.
+// The family part returned by QueryParts is the online phase's head, to
+// the bit the CPI prefix CPI(w, {seed}, 0, S-1), and its parts sum back to
+// Query's answer. Not to the bit: Combine adds fam + fam·s′ where the
+// online phase scales fam·(1+s′) once.
 func TestFamilyPartExact(t *testing.T) {
 	p := DefaultParams()
 	tp, w := preprocessed(t, 24, p)
-	seed := 77
-	parts, err := tp.QueryParts(seed)
-	if err != nil {
-		t.Fatal(err)
+	for _, seed := range []int{0, 77, 299} {
+		parts, err := tp.QueryParts(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := CPI(w, []int{seed}, cfg(), 0, p.S-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.Scores {
+			if math.Float64bits(parts.Family[i]) != math.Float64bits(v) {
+				t.Fatalf("seed %d: family entry %d is %v, the CPI prefix has %v", seed, i, parts.Family[i], v)
+			}
+		}
+		r, err := tp.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := r.L1Dist(parts.Combine()); d > 1e-12 {
+			t.Errorf("seed %d: combined parts are %g from Query", seed, d)
+		}
 	}
-	want, err := CPI(w, []int{seed}, cfg(), 0, p.S-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := want.Scores.L1Dist(parts.Family); d > 1e-12 {
-		t.Errorf("family part not exact: %g", d)
+	if _, err := tp.QueryParts(w.N()); err == nil {
+		t.Error("out-of-range seed accepted")
 	}
 }
 
@@ -143,7 +160,7 @@ func TestTPATopKOverlapsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := tp.TopK(seed, 20)
+	top, _, err := tp.TopKDeadline(context.Background(), []int{seed}, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +272,7 @@ func TestCommunityStructureHelpsTPA(t *testing.T) {
 func TestQuerySetMultiSeed(t *testing.T) {
 	tp, w := preprocessed(t, 35, DefaultParams())
 	seeds := []int{3, 77, 210}
-	approx, err := tp.QuerySet(seeds)
+	approx, _, err := tp.QueryDeadline(context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,21 +296,21 @@ func TestQuerySetSingleMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tp.QuerySet([]int{42})
+	b, _, err := tp.QueryDeadline(context.Background(), []int{42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.L1Dist(b) != 0 {
-		t.Error("QuerySet({s}) differs from Query(s)")
+		t.Error("QueryDeadline({s}) differs from Query(s)")
 	}
 }
 
 func TestQuerySetErrors(t *testing.T) {
 	tp, _ := preprocessed(t, 37, DefaultParams())
-	if _, err := tp.QuerySet(nil); err == nil {
+	if _, _, err := tp.QueryDeadline(context.Background(), nil); err == nil {
 		t.Error("empty seed set accepted")
 	}
-	if _, err := tp.QuerySet([]int{-3}); err == nil {
+	if _, _, err := tp.QueryDeadline(context.Background(), []int{-3}); err == nil {
 		t.Error("negative seed accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package method
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -94,7 +95,7 @@ func (m *TPAMethod) TopK(seed, k int) ([]sparse.Entry, QueryMeta, error) {
 	if m.tp == nil {
 		return nil, QueryMeta{}, notPrepared(TPA)
 	}
-	top, err := m.tp.TopK(seed, k)
+	top, _, err := m.tp.TopKDeadline(context.Background(), []int{seed}, k, nil)
 	if err != nil {
 		return nil, QueryMeta{}, err
 	}

@@ -256,7 +256,7 @@ func TestNoBudgetWireFormat(t *testing.T) {
 		"topk":     `{"results":[{"node":1,"score":1}],"seed":1}`,
 		"score":    `{"node":1,"score":0.75,"seed":1}`,
 		"batch":    `{"k":1,"results":[{"seed":1,"results":[{"node":1,"score":1}]},{"seed":0,"results":[{"node":0,"score":1}]}]}`,
-		"queryset": `{"results":[{"node":1,"score":0.75}],"seeds":[1,0]}`,
+		"queryset": `{"results":[{"node":1,"score":1}],"seeds":[1,0]}`,
 	}
 	h := NewWith(&fakeEngine{}, Info{Name: "test"}, Options{})
 	for _, q := range queryRequests {

@@ -24,11 +24,11 @@ type paceEngine struct {
 	delay time.Duration
 }
 
-func (p *paceEngine) TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error) {
+func (p *paceEngine) TopKDeadline(ctx context.Context, seeds []int, k int) ([]sparse.Entry, core.QueryMeta, error) {
 	time.Sleep(p.delay)
 	out := make([]sparse.Entry, k)
 	for i := range out {
-		out[i] = sparse.Entry{Index: (seed + i) % 1000, Score: 1 / float64(i+1)}
+		out[i] = sparse.Entry{Index: (seeds[0] + i) % 1000, Score: 1 / float64(i+1)}
 	}
 	return out, p.meta(), nil
 }

@@ -41,7 +41,7 @@ func (st *engineState) cachedTopK(ctx context.Context, seed, k int) ([]sparse.En
 			return top, fullMeta(st.eng), nil
 		}
 	}
-	top, meta, err := st.eng.TopKDeadline(ctx, seed, k)
+	top, meta, err := st.eng.TopKDeadline(ctx, []int{seed}, k)
 	if err == nil && !meta.Partial && st.cache != nil {
 		st.cache.Put(seed, k, top)
 	}

@@ -43,11 +43,12 @@ import (
 // off at the request's deadline otherwise. A context that expires
 // mid-query yields the head computed so far as a valid reduced-S
 // approximation with its own Theorem-2 bound, flagged Partial in the
-// returned core.QueryMeta; it degrades accuracy, never availability.
+// returned core.QueryMeta; it degrades accuracy, never availability. A
+// query takes a seed set, restarting uniformly over it; /topk and /score
+// pass the set of one seed.
 type Engine interface {
-	QueryDeadline(ctx context.Context, seed int) ([]float64, core.QueryMeta, error)
-	QuerySetDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error)
-	TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error)
+	QueryDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error)
+	TopKDeadline(ctx context.Context, seeds []int, k int) ([]sparse.Entry, core.QueryMeta, error)
 	TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int) ([][]sparse.Entry, []core.QueryMeta, error)
 	Params() (s, t int)
 	IndexBytes() int64
@@ -375,7 +376,7 @@ func (h *Handler) score(w http.ResponseWriter, r *http.Request, budget time.Dura
 	e.queries.Add(1)
 	ctx, cancel := queryContext(r, budget)
 	defer cancel()
-	scores, meta, err := st.eng.QueryDeadline(ctx, seed)
+	scores, meta, err := st.eng.QueryDeadline(ctx, []int{seed})
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
@@ -506,12 +507,11 @@ func (h *Handler) querySet(w http.ResponseWriter, r *http.Request, budget time.D
 	e.queries.Add(1)
 	ctx, cancel := queryContext(r, budget)
 	defer cancel()
-	scores, meta, err := st.eng.QuerySetDeadline(ctx, req.Seeds)
+	top, meta, err := st.eng.TopKDeadline(ctx, req.Seeds, req.K)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	top := sparse.Vector(scores).TopK(req.K)
 	writeAnswer(w, map[string]interface{}{"seeds": req.Seeds, "results": toJSON(top)}, budget, meta)
 }
 

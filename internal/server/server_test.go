@@ -130,21 +130,36 @@ func TestScore(t *testing.T) {
 	}
 }
 
+// TestQuerySet: /queryset answers the engine's top k for the seed set, a
+// duplicate seed counting twice, with external ids and score bits intact on
+// a reordered engine.
 func TestQuerySet(t *testing.T) {
-	h := testHandler(t)
-	body, _ := json.Marshal(map[string]interface{}{"seeds": []int{1, 2, 3}, "k": 5})
-	req := httptest.NewRequest(http.MethodPost, "/queryset", bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
+	o := tpa.Defaults()
+	o.Order = "degree"
+	eng, err := tpa.New(tpa.RandomCommunityGraph(200, 1800, 4, 31), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(eng, Info{Nodes: 200, Edges: 1800, Name: "test"})
+	seeds := []int{1, 2, 3, 2}
+	scores, _, err := eng.QueryDeadline(context.Background(), seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tpa.TopKOf(scores, 5)
+	rec, resp := postJSON(t, h, "/queryset", `{"seeds":[1,2,3,2],"k":5}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp map[string]interface{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
+	results := resp["results"].([]interface{})
+	if len(results) != len(want) {
+		t.Fatalf("%d results, want %d", len(results), len(want))
 	}
-	if len(resp["results"].([]interface{})) != 5 {
-		t.Fatalf("results: %v", resp["results"])
+	for i, r := range results {
+		e := r.(map[string]interface{})
+		if int(e["node"].(float64)) != want[i].Index || e["score"].(float64) != want[i].Score {
+			t.Errorf("result %d = %v, the engine's set answer has %+v", i, e, want[i])
+		}
 	}
 }
 
@@ -382,23 +397,18 @@ func (f *fakeEngine) meta() core.QueryMeta {
 	return core.QueryMeta{EffectiveS: 5, Steps: 4, Bound: 0.01}
 }
 
-func (f *fakeEngine) QueryDeadline(ctx context.Context, seed int) ([]float64, core.QueryMeta, error) {
+func (f *fakeEngine) QueryDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error) {
 	f.record(ctx)
 	return []float64{0.25, 0.75}, f.meta(), nil
 }
 
-func (f *fakeEngine) QuerySetDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error) {
-	f.record(ctx)
-	return []float64{0.25, 0.75}, f.meta(), nil
-}
-
-func (f *fakeEngine) TopKDeadline(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error) {
+func (f *fakeEngine) TopKDeadline(ctx context.Context, seeds []int, k int) ([]sparse.Entry, core.QueryMeta, error) {
 	f.record(ctx)
 	if f.entered != nil {
 		f.entered <- struct{}{}
 		<-f.release
 	}
-	return []sparse.Entry{{Index: seed, Score: 1}}, f.meta(), nil
+	return []sparse.Entry{{Index: seeds[0], Score: 1}}, f.meta(), nil
 }
 
 func (f *fakeEngine) TopKBatchDeadline(ctx context.Context, seeds []int, k, p int) ([][]sparse.Entry, []core.QueryMeta, error) {

@@ -15,7 +15,8 @@ import (
 // the Engine boundary runs internal, except that the top-k paths hand perm
 // down so the selector reports external ids and breaks score ties on them
 // (an answer then equals TopKOf of the external score vector, boundary ties
-// included).
+// included), and QueryBatch hands it down so each answer is scattered from
+// pooled scratch straight into its external-order result.
 //
 // Conventions (matching graph.Permute): perm[internal] = external,
 // inv[external] = internal. Both are nil on natural-order engines, and
@@ -32,14 +33,18 @@ func (e *Engine) toInternal(seed int) int {
 }
 
 // toInternalSeeds maps a seed slice external→internal, returning the input
-// unchanged on natural-order engines.
-func (e *Engine) toInternalSeeds(seeds []int) []int {
+// unchanged on natural-order engines. The result reuses buf's storage when
+// it has room, so a caller holding a small array maps without allocating.
+func (e *Engine) toInternalSeeds(seeds, buf []int) []int {
 	if e.inv == nil {
 		return seeds
 	}
-	out := make([]int, len(seeds))
-	for i, s := range seeds {
-		out[i] = e.toInternal(s)
+	out := buf[:0]
+	if cap(out) < len(seeds) {
+		out = make([]int, 0, len(seeds))
+	}
+	for _, s := range seeds {
+		out = append(out, e.toInternal(s))
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package tpa
 import (
 	"fmt"
 
-	"tpa/internal/core"
 	"tpa/internal/graph"
 	"tpa/internal/reorder"
 	"tpa/internal/shard"
@@ -42,7 +41,7 @@ func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 	} else if ord != reorder.OrderNatural {
 		return nil, fmt.Errorf("tpa: Options.Order %q cannot combine with sharding (the shard plan is the ordering)", o.Order)
 	}
-	cfg, params := o.split()
+	_, params := o.split()
 	plan, err := shard.PlanShards(g, shards, shardLPRounds)
 	if err != nil {
 		return nil, fmt.Errorf("tpa: sharding: %w", err)
@@ -60,15 +59,7 @@ func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tpa: sharding: %w", err)
 	}
-	tp, err := core.PreprocessParallel(op, cfg, params, o.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("tpa: preprocessing: %w", err)
-	}
-	if err := tp.SetPrecision(o.Precision); err != nil {
-		return nil, fmt.Errorf("tpa: %w", err)
-	}
-	return &Engine{tpa: tp, walk: w, shardOp: op, workers: o.Workers,
-		perm: plan.Perm, inv: inv}, nil
+	return (&Engine{walk: w, shardOp: op, perm: plan.Perm, inv: inv}).build(op, params, o)
 }
 
 // NumShards returns the number of scatter-gather shards the engine fans

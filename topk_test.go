@@ -32,7 +32,9 @@ func checkEntries(t *testing.T, tag string, got, want []tpa.Entry) {
 
 // checkTopKPaths holds every top-k path of eng to TopKOf of its Query
 // answers for seeds, at each k, under a live context and under one that is
-// already cancelled.
+// already cancelled. The seed set {seeds[0], seeds[1], seeds[0]} (needs
+// two seeds; one listed twice) holds TopKDeadline to TopKOf of
+// QueryDeadline for that set the same way.
 func checkTopKPaths(t *testing.T, tag string, eng *tpa.Engine, seeds, ks []int) {
 	t.Helper()
 	live := context.Background()
@@ -46,8 +48,26 @@ func checkTopKPaths(t *testing.T, tag string, eng *tpa.Engine, seeds, ks []int) 
 		if full[i], err = eng.Query(seed); err != nil {
 			t.Fatal(err)
 		}
-		if partial[i], partialMeta[i], err = eng.QueryDeadline(dead, seed); err != nil {
+		if partial[i], partialMeta[i], err = eng.QueryDeadline(dead, []int{seed}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	set := []int{seeds[0], seeds[1], seeds[0]}
+	for _, ctx := range []context.Context{live, dead} {
+		scores, want, err := eng.QueryDeadline(ctx, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range ks {
+			at := fmt.Sprintf("%s set %v k %d cancelled=%v", tag, set, k, ctx == dead)
+			top, meta, err := eng.TopKDeadline(ctx, set, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta != want {
+				t.Fatalf("%s: TopKDeadline meta %+v, QueryDeadline's %+v", at, meta, want)
+			}
+			checkEntries(t, at+" TopKDeadline", top, tpa.TopKOf(scores, k))
 		}
 	}
 	for _, k := range ks {
@@ -59,7 +79,7 @@ func checkTopKPaths(t *testing.T, tag string, eng *tpa.Engine, seeds, ks []int) 
 				t.Fatal(err)
 			}
 			checkEntries(t, at+" TopK", top, want)
-			top, meta, err := eng.TopKDeadline(live, seed, k)
+			top, meta, err := eng.TopKDeadline(live, []int{seed}, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +88,7 @@ func checkTopKPaths(t *testing.T, tag string, eng *tpa.Engine, seeds, ks []int) 
 			}
 			checkEntries(t, at+" TopKDeadline", top, want)
 			// An expired context: the same reduced-S answer as QueryDeadline.
-			top, meta, err = eng.TopKDeadline(dead, seed, k)
+			top, meta, err = eng.TopKDeadline(dead, []int{seed}, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,6 +19,10 @@
 // paper) and is far more accurate in practice on graphs with community
 // structure.
 //
+// The context-taking forms, QueryDeadline and TopKDeadline, take a seed
+// set: the walk restarts uniformly over it, and a single seed is the set
+// {seed}.
+//
 // For validation, Exact computes the true RWR vector by cumulative power
 // iteration run to convergence.
 package tpa
@@ -218,20 +222,29 @@ func applyOrdering(g *Graph, order string) (*Graph, []int32, []int32, string, er
 // goroutines (0 = GOMAXPROCS); the online phase stays serial per query, with
 // QueryBatch providing cross-query parallelism.
 func New(g *Graph, o Options) (*Engine, error) {
-	cfg, params := o.split()
+	_, params := o.split()
 	pg, perm, inv, order, err := applyOrdering(g, o.Order)
 	if err != nil {
 		return nil, err
 	}
 	w := graph.NewWalk(pg, graph.DanglingSelfLoop)
-	tp, err := core.PreprocessParallel(w, cfg, params, o.Workers)
+	return (&Engine{walk: w, perm: perm, inv: inv, order: order}).build(w, params, o)
+}
+
+// build completes an engine under construction: it runs the preprocessing
+// phase through op (the engine's walk, or its shard operator) and sets the
+// index at the requested precision.
+func (e *Engine) build(op rwr.Operator, params core.Params, o Options) (*Engine, error) {
+	cfg, _ := o.split()
+	tp, err := core.PreprocessParallel(op, cfg, params, o.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("tpa: preprocessing: %w", err)
 	}
 	if err := tp.SetPrecision(o.Precision); err != nil {
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
-	return &Engine{tpa: tp, walk: w, workers: o.Workers, perm: perm, inv: inv, order: order}, nil
+	e.tpa, e.workers = tp, o.Workers
+	return e, nil
 }
 
 // AutoTune selects S and T for the graph (sampling a few exact queries)
@@ -259,30 +272,14 @@ func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine
 	if err != nil {
 		return nil, fmt.Errorf("tpa: tuning: %w", err)
 	}
-	tp, err := core.PreprocessParallel(w, cfg, params, o.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("tpa: preprocessing: %w", err)
-	}
-	if err := tp.SetPrecision(o.Precision); err != nil {
-		return nil, fmt.Errorf("tpa: %w", err)
-	}
-	return &Engine{tpa: tp, walk: w, workers: o.Workers, perm: perm, inv: inv, order: order}, nil
+	return (&Engine{walk: w, perm: perm, inv: inv, order: order}).build(w, params, o)
 }
 
 // Query returns the approximate RWR score vector for the seed node
-// (length = number of nodes, sums to ≈1). It is QueryDeadline under a
-// context that never expires.
+// (length = number of nodes, sums to ≈1). It is QueryDeadline for the set
+// {seed} under a context that never expires.
 func (e *Engine) Query(seed int) ([]float64, error) {
-	r, _, err := e.QueryDeadline(context.Background(), seed)
-	return r, err
-}
-
-// QuerySet returns approximate personalized PageRank for a set of seed
-// nodes (the walk restarts uniformly over the set) — e.g. a user's whole
-// reading history rather than a single item. It is QuerySetDeadline under a
-// context that never expires.
-func (e *Engine) QuerySet(seeds []int) ([]float64, error) {
-	r, _, err := e.QuerySetDeadline(context.Background(), seeds)
+	r, _, err := e.QueryDeadline(context.Background(), []int{seed})
 	return r, err
 }
 
@@ -292,32 +289,7 @@ func (e *Engine) QuerySet(seeds []int) ([]float64, error) {
 // Options.Workers (or GOMAXPROCS if that was 0 too). Results[i] corresponds
 // to seeds[i]; a single out-of-range seed fails the whole batch up front.
 func (e *Engine) QueryBatch(seeds []int, parallelism int) ([][]float64, error) {
-	if e.perm == nil {
-		rs, err := e.tpa.QueryBatch(seeds, e.batchWorkers(parallelism))
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]float64, len(rs))
-		for i, r := range rs {
-			out[i] = r
-		}
-		return out, nil
-	}
-	// Reordered engines scatter each answer straight from the pooled
-	// internal scratch into the returned external-order vector, so the
-	// permutation costs no extra allocation per query.
-	out := make([][]float64, len(seeds))
-	err := e.tpa.QueryBatchEach(e.toInternalSeeds(seeds), e.batchWorkers(parallelism), func(i int, r sparse.Vector) {
-		dst := make([]float64, len(r))
-		for j, v := range r {
-			dst[e.perm[j]] = v
-		}
-		out[i] = dst
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.tpa.QueryBatch(e.toInternalSeeds(seeds, nil), e.batchWorkers(parallelism), e.perm)
 }
 
 // TopKBatch answers a top-k query per seed with the same worker pool as
@@ -339,10 +311,10 @@ func (e *Engine) batchWorkers(parallelism int) int {
 // TopK returns the k nodes most relevant to the seed, highest score first
 // and equal scores by ascending node id: exactly TopKOf(Query(seed), k).
 // The scores are ranked as they are computed and never written to a
-// vector, so a call allocates only its k entries. It is TopKDeadline under
-// a context that never expires.
+// vector, so a call allocates only its k entries. It is TopKDeadline for
+// the set {seed} under a context that never expires.
 func (e *Engine) TopK(seed, k int) ([]Entry, error) {
-	top, _, err := e.TopKDeadline(context.Background(), seed, k)
+	top, _, err := e.TopKDeadline(context.Background(), []int{seed}, k)
 	return top, err
 }
 
@@ -353,36 +325,34 @@ func (e *Engine) TopK(seed, k int) ([]Entry, error) {
 // StaleBound. See QueryDeadline.
 type QueryMeta = core.QueryMeta
 
-// QueryDeadline is Query honoring ctx. TPA's online phase accumulates the
-// answer one propagation step at a time, so a query cut short after S' < S
-// steps is not a failure — it is a valid TPA approximation with split point
-// S', within 2(1-c)^S' of exact RWR (Theorem 2). When ctx expires
-// mid-computation the head computed so far is rescaled by the Lemma-2
-// masses for S' and returned flagged Partial; an unexpired ctx reproduces
-// Query exactly. This is the engine half of SLO-driven serving: a deadline
-// degrades accuracy, never availability.
-func (e *Engine) QueryDeadline(ctx context.Context, seed int) ([]float64, QueryMeta, error) {
-	r, meta, err := e.tpa.QueryDeadline(ctx, e.toInternal(seed))
+// QueryDeadline returns approximate personalized PageRank for a set of
+// seed nodes, honoring ctx: the walk restarts uniformly over the set (a
+// seed listed twice gets twice the share) — e.g. a user's whole reading
+// history rather than a single item; Query is the set {seed}. An empty set
+// is an error.
+//
+// TPA's online phase accumulates the answer one propagation step at a
+// time, so a query cut short after S' < S steps is not a failure — it is a
+// valid TPA approximation with split point S', within 2(1-c)^S' of exact
+// RWR (Theorem 2). When ctx expires mid-computation the head computed so
+// far is rescaled by the Lemma-2 masses for S' and returned flagged
+// Partial; an unexpired ctx reproduces the full answer exactly. This is the
+// engine half of SLO-driven serving: a deadline degrades accuracy, never
+// availability.
+func (e *Engine) QueryDeadline(ctx context.Context, seeds []int) ([]float64, QueryMeta, error) {
+	r, meta, err := e.tpa.QueryDeadline(ctx, e.toInternalSeeds(seeds, nil))
 	if err != nil {
 		return nil, meta, err
 	}
 	return e.toExternalVec(r), meta, nil
 }
 
-// TopKDeadline is TopK honoring ctx, with the partial-answer contract of
-// QueryDeadline.
-func (e *Engine) TopKDeadline(ctx context.Context, seed, k int) ([]Entry, QueryMeta, error) {
-	return e.tpa.TopKDeadline(ctx, e.toInternal(seed), k, e.perm)
-}
-
-// QuerySetDeadline is QuerySet honoring ctx, with the partial-answer
-// contract of QueryDeadline.
-func (e *Engine) QuerySetDeadline(ctx context.Context, seeds []int) ([]float64, QueryMeta, error) {
-	r, meta, err := e.tpa.QuerySetDeadline(ctx, e.toInternalSeeds(seeds))
-	if err != nil {
-		return nil, meta, err
-	}
-	return e.toExternalVec(r), meta, nil
+// TopKDeadline is TopKOf(QueryDeadline(ctx, seeds), k) without writing the
+// score vector, with the partial-answer contract of QueryDeadline. A set of
+// one allocates only its k entries.
+func (e *Engine) TopKDeadline(ctx context.Context, seeds []int, k int) ([]Entry, QueryMeta, error) {
+	var one [1]int
+	return e.tpa.TopKDeadline(ctx, e.toInternalSeeds(seeds, one[:]), k, e.perm)
 }
 
 // TopKBatchDeadline is TopKBatch honoring ctx: all seeds share the budget,
@@ -390,7 +360,7 @@ func (e *Engine) QuerySetDeadline(ctx context.Context, seeds []int) ([]float64, 
 // complete at full S, late seeds come back Partial. Metas[i] describes
 // seeds[i].
 func (e *Engine) TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int) ([][]Entry, []QueryMeta, error) {
-	return e.tpa.TopKBatchDeadline(ctx, e.toInternalSeeds(seeds), k, e.batchWorkers(parallelism), e.perm)
+	return e.tpa.TopKBatchDeadline(ctx, e.toInternalSeeds(seeds, nil), k, e.batchWorkers(parallelism), e.perm)
 }
 
 // Params returns the S and T split points in effect.
