@@ -230,8 +230,9 @@ func TestWalkMassConservationProperty(t *testing.T) {
 }
 
 // TestWalkMulTAllocationFree pins the kernel's zero-allocation contract in
-// both widths and under every dangling policy: y is the caller's buffer and
-// nothing else may be allocated per application.
+// both widths and under every dangling policy, for MulT and for the
+// budgeted PushUnder on either side of its budget: y is the caller's buffer
+// and nothing else may be allocated per application.
 func TestWalkMulTAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b := NewBuilderN(500)
@@ -250,6 +251,16 @@ func TestWalkMulTAllocationFree(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(50, func() { w.MulT32(x32, y32) }); allocs != 0 {
 			t.Errorf("policy %v: MulT32 allocates %.2f objects/op, want exactly 0", pol, allocs)
+		}
+		// A budget of m stops the push of this dense x; m+1 lets it
+		// measure the rest of x and finish.
+		for _, budget := range []int64{g.NumEdges(), g.NumEdges() + 1} {
+			if allocs := testing.AllocsPerRun(50, func() { w.PushUnder(x, y, budget) }); allocs != 0 {
+				t.Errorf("policy %v: PushUnder(budget %d) allocates %.2f objects/op, want exactly 0", pol, budget, allocs)
+			}
+			if allocs := testing.AllocsPerRun(50, func() { w.PushUnder32(x32, y32, budget) }); allocs != 0 {
+				t.Errorf("policy %v: PushUnder32(budget %d) allocates %.2f objects/op, want exactly 0", pol, budget, allocs)
+			}
 		}
 	}
 }

@@ -404,6 +404,19 @@ type seedResult struct {
 	ResidualBound float64     `json:"residual_bound,omitempty"`
 }
 
+// bodyK applies the k rule of the JSON endpoints: an omitted or 0 k means
+// 10, and a negative one is answered with 400, as /topk answers it.
+func bodyK(w http.ResponseWriter, k int) (int, bool) {
+	switch {
+	case k < 0:
+		httpError(w, http.StatusBadRequest, "invalid k")
+		return 0, false
+	case k == 0:
+		return 10, true
+	}
+	return k, true
+}
+
 // batch answers one top-k query per seed, checking the graph's cache
 // partition per seed and fanning the misses out over the engine's worker
 // pool in a single TopKBatch call.
@@ -426,8 +439,8 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Dura
 			fmt.Sprintf("batch of %d seeds exceeds limit %d", len(req.Seeds), h.opts.MaxBatch))
 		return
 	}
-	if req.K < 1 {
-		req.K = 10
+	if req.K, ok = bodyK(w, req.K); !ok {
+		return
 	}
 	e.queries.Add(1)
 	out := make([]seedResult, len(req.Seeds))
@@ -501,8 +514,8 @@ func (h *Handler) querySet(w http.ResponseWriter, r *http.Request, budget time.D
 			fmt.Sprintf("seed set of %d exceeds limit %d", len(req.Seeds), h.opts.MaxBatch))
 		return
 	}
-	if req.K < 1 {
-		req.K = 10
+	if req.K, ok = bodyK(w, req.K); !ok {
+		return
 	}
 	e.queries.Add(1)
 	ctx, cancel := queryContext(r, budget)

@@ -239,6 +239,67 @@ func TestBatchBadRequests(t *testing.T) {
 	}
 }
 
+// TestBatchK: /batch reads an omitted or 0 k as 10 and answers a negative
+// k with 400, as /topk does.
+func TestBatchK(t *testing.T) {
+	h := testHandler(t)
+	for _, c := range []struct {
+		body    string
+		code    int
+		entries int
+	}{
+		{`{"seeds":[5]}`, http.StatusOK, 10},
+		{`{"seeds":[5],"k":0}`, http.StatusOK, 10},
+		{`{"seeds":[5],"k":3}`, http.StatusOK, 3},
+		{`{"seeds":[5],"k":-3}`, http.StatusBadRequest, 0},
+	} {
+		rec, body := postJSON(t, h, "/batch", c.body)
+		if rec.Code != c.code {
+			t.Fatalf("body %s: code %d, want %d (%s)", c.body, rec.Code, c.code, rec.Body.String())
+		}
+		if c.code != http.StatusOK {
+			if !strings.Contains(rec.Body.String(), "invalid k") {
+				t.Errorf("body %s: error %q does not name k", c.body, rec.Body.String())
+			}
+			continue
+		}
+		sr := body["results"].([]interface{})[0].(map[string]interface{})
+		if got := len(sr["results"].([]interface{})); got != c.entries {
+			t.Errorf("body %s: %d entries, want %d", c.body, got, c.entries)
+		}
+	}
+}
+
+// TestQuerySetK: /queryset reads an omitted or 0 k as 10 and answers a
+// negative k with 400, as /topk does.
+func TestQuerySetK(t *testing.T) {
+	h := testHandler(t)
+	for _, c := range []struct {
+		body    string
+		code    int
+		entries int
+	}{
+		{`{"seeds":[1,2]}`, http.StatusOK, 10},
+		{`{"seeds":[1,2],"k":0}`, http.StatusOK, 10},
+		{`{"seeds":[1,2],"k":3}`, http.StatusOK, 3},
+		{`{"seeds":[1,2],"k":-3}`, http.StatusBadRequest, 0},
+	} {
+		rec, body := postJSON(t, h, "/queryset", c.body)
+		if rec.Code != c.code {
+			t.Fatalf("body %s: code %d, want %d (%s)", c.body, rec.Code, c.code, rec.Body.String())
+		}
+		if c.code != http.StatusOK {
+			if !strings.Contains(rec.Body.String(), "invalid k") {
+				t.Errorf("body %s: error %q does not name k", c.body, rec.Body.String())
+			}
+			continue
+		}
+		if got := len(body["results"].([]interface{})); got != c.entries {
+			t.Errorf("body %s: %d entries, want %d", c.body, got, c.entries)
+		}
+	}
+}
+
 func TestBatchLimit(t *testing.T) {
 	eng := testEngine(t)
 	h := NewWith(eng, Info{Name: "test"}, Options{MaxBatch: 2})

@@ -1,14 +1,16 @@
 // Package shard partitions a graph's node set into a fixed number of
 // contiguous ranges and evaluates the random-walk operator across them,
-// choosing the kernel from the input of each application. A dense input —
-// every step of preprocessing, and the late hops of a query whose frontier
-// has spread — scatter-gathers: one goroutine per shard fills its own
-// destination range with the pull kernel, with no cross-shard
-// synchronization beyond the final join. A sparse input — the first hops
-// from a seed, which touch a sliver of the edges — runs the serial push
-// kernel on the caller's goroutine, which skips every row the frontier has
-// not reached; parallelism for those hops comes from the batch worker pool
-// running many queries at once, not from the shards.
+// choosing the kernel from the input of each application. Every
+// application starts as the serial push kernel on the caller's goroutine
+// (graph.Walk.PushUnder), which skips every row the frontier has not
+// reached and decides as it scans. A sparse input — the first hops from a
+// seed, which touch a sliver of the edges — is answered by that push alone;
+// parallelism for those hops comes from the batch worker pool running many
+// queries at once, not from the shards. A dense input — every step of
+// preprocessing, and the late hops of a query whose frontier has spread —
+// makes the push give up, and the operator scatter-gathers instead: one
+// goroutine per shard fills its own destination range with the pull kernel,
+// with no cross-shard synchronization beyond the final join.
 //
 // Either kernel evaluates the same product; they differ only in the order a
 // destination row's terms are summed (pull: ascending in-neighbor id, push:
@@ -162,17 +164,20 @@ type Stats struct {
 }
 
 // Operator evaluates a walk's Ãᵀ over fixed contiguous shard ranges and is
-// direction-optimising: each MulT measures the out-edge volume of x's
-// non-zero rows and, below m/pushVolumeDiv, answers with the base walk's
-// serial push kernel; otherwise it runs the serial per-matvec prologue once
-// and one goroutine per shard fills its own destination range with the pull
-// kernel. It implements rwr.Operator and rwr.Operator32; it is deliberately
+// direction-optimising: each MulT hands x to the base walk's push kernel
+// with a budget of m/pushVolumeDiv out-edges, and that answer stands unless
+// x's non-zero rows hold the budget or more; then it runs the serial
+// per-matvec prologue once and one goroutine per shard fills its own
+// destination range with the pull kernel, overwriting the push's partial
+// product. It implements rwr.Operator and rwr.Operator32; it is deliberately
 // not an rwr.BlockOperator, so rwr.Sharded leaves it as it is and
 // preprocessing (always dense) fans out across the same shards as dense
 // query hops do.
 type Operator struct {
 	w      *graph.Walk
 	bounds []int
+	// budget is the push kernel's out-volume budget, m/pushVolumeDiv.
+	budget int64
 	// pushes and pulls count the applications each kernel answered.
 	pushes, pulls atomic.Int64
 }
@@ -181,12 +186,16 @@ type Operator struct {
 // while the out-edges of x's non-zero rows number fewer than
 // m/pushVolumeDiv. The push kernel's cost grows with that volume (random
 // writes); the pull fan-out's is a flat O(m) divided among the shards'
-// goroutines. BenchmarkShardMulT sweeps the density: on a 100k-node SBM in
-// float32, 2 shards on 2 CPUs, push takes 0.10 / 0.12 / 0.34 / 0.87 / 2.2
-// ms at 0.1 / 1 / 6 / 25 / 100 % non-zero rows against 1.2–1.3 ms for the
-// pull, so the two cross a little above m/4 there, and every further core
-// moves the crossing down. Query hops on community graphs sit two orders
-// of magnitude below it either way.
+// goroutines. BenchmarkShardMulT sweeps the density in float32 with 2
+// shards, on a 2-vCPU VM: on the 100k-node SBM push takes 0.16 / 0.21 /
+// 0.56 / 1.3 / 3.5 ms at 0.1 / 1 / 6 / 25 / 100 % non-zero rows against
+// 2.0–2.3 ms for the pull, and on the 2¹⁷-node R-MAT graph 0.21 / 0.27 /
+// 0.67 / 1.8 / 4.2 ms against 3.3–3.7 ms. The two cross between m/4 and m
+// there (an earlier box with a 1.2 ms pull crossed just above m/4), and
+// every further core moves the crossing down, so m/4 stays. A query's hops
+// on community graphs sit two orders of magnitude below it; its real
+// iterates (the hops rows) cost 0.19 ms per hop on the SBM and 1.3 ms on
+// R-MAT, where the 4th hop of five of the eight seeds pulls.
 const pushVolumeDiv = 4
 
 // NewOperator wraps w with the shard partition bounds (ascending from 0 to
@@ -201,7 +210,7 @@ func NewOperator(w *graph.Walk, bounds []int) (*Operator, error) {
 			return nil, fmt.Errorf("shard: bounds not ascending at %d", i)
 		}
 	}
-	return &Operator{w: w, bounds: bounds}, nil
+	return &Operator{w: w, bounds: bounds, budget: w.Graph().NumEdges() / pushVolumeDiv}, nil
 }
 
 // N returns the node count.
@@ -234,13 +243,16 @@ func (o *Operator) MatvecCounts() (push, pull int64) {
 	return o.pushes.Load(), o.pulls.Load()
 }
 
-// MulT computes y = Ãᵀ·x: by the serial push kernel when x is sparse, else
-// by scatter-gather — the dangling/uniform prologue runs once, then each
-// shard's destination range is filled concurrently.
+// MulT computes y = Ãᵀ·x: by the serial push kernel while x's out-volume
+// stays under budget, else by scatter-gather — the dangling/uniform
+// prologue runs once, then each shard's destination range is filled
+// concurrently.
 func (o *Operator) MulT(x, y sparse.Vector) sparse.Vector {
-	if sparseInput(o, x) {
-		return o.w.MulT(x, y)
+	if o.w.PushUnder(x, y, o.budget) {
+		o.pushes.Add(1)
+		return y
 	}
+	o.pulls.Add(1)
 	prep := o.w.MulTPrep(x)
 	rwr.ForEachBlock(o.bounds, func(lo, hi int) { o.w.MulTBlock(x, y, lo, hi, prep) })
 	return y
@@ -249,33 +261,12 @@ func (o *Operator) MulT(x, y sparse.Vector) sparse.Vector {
 // MulT32 is MulT over float32 storage (rwr.Operator32), so sharded engines
 // keep the reduced-precision online path.
 func (o *Operator) MulT32(x, y sparse.Vector32) sparse.Vector32 {
-	if sparseInput(o, x) {
-		return o.w.MulT32(x, y)
+	if o.w.PushUnder32(x, y, o.budget) {
+		o.pushes.Add(1)
+		return y
 	}
+	o.pulls.Add(1)
 	prep := o.w.MulTPrep32(x)
 	rwr.ForEachBlock(o.bounds, func(lo, hi int) { o.w.MulTBlock32(x, y, lo, hi, prep) })
 	return y
-}
-
-// sparseInput decides the kernel for one application to x and counts the
-// decision: true while the out-edges of x's non-zero rows stay under
-// m/pushVolumeDiv. The scan reads only x and the CSR row pointers and
-// leaves at the row that reaches the budget: a sparse x costs one pass
-// over x, a dense one (all of preprocessing) the rows holding the first
-// quarter of the edges, ~3% on top of the pull that follows.
-func sparseInput[T sparse.Float](o *Operator, x sparse.Vec[T]) bool {
-	outPtr, _ := o.w.Graph().RawCSR()
-	budget := outPtr[len(outPtr)-1] / pushVolumeDiv
-	var volume int64
-	for u, xu := range x {
-		if xu == 0 {
-			continue
-		}
-		if volume += outPtr[u+1] - outPtr[u]; volume >= budget {
-			o.pulls.Add(1)
-			return false
-		}
-	}
-	o.pushes.Add(1)
-	return true
 }

@@ -318,9 +318,10 @@ type kernelSet[T sparse.Float] struct {
 // under every dangling policy, against y = M·x with M the explicitly
 // materialized n×n column-normalized matrix: {float32, float64} ×
 // {SelfLoop, Uniform, Drop} × {push, pull in 3 uneven blocks, Operator} ×
-// {a dense x, a one-hot x and its next two iterates, and a pair of inputs
-// one row apart that straddle the Operator's kernel switch}, so both
-// branches of Operator.MulT/MulT32 meet the reference.
+// {a dense x, a one-hot x and its next two iterates, a sparse x whose push
+// runs past the point where the kernel measures the rest of x, and a pair
+// of inputs one row apart that straddle the Operator's kernel switch}, so
+// both branches of Operator.MulT/MulT32 meet the reference.
 func TestKernelsMatchDenseReference(t *testing.T) {
 	t.Run("float64", func(t *testing.T) {
 		testKernels(t, 1e-12, kernelSet[float64]{(*graph.Walk).MulT, (*graph.Walk).MulTPrep, (*graph.Walk).MulTBlock, (*Operator).MulT})
@@ -381,6 +382,18 @@ func testKernels[T sparse.Float](t *testing.T, tol float64, k kernelSet[T]) {
 				}
 				under[u] = over[u]
 			}
+			// lookahead holds every third row while their out-edges stay
+			// under half the budget: past the share of it the push kernel
+			// spends before it measures the rest of x (budget/16), so the
+			// push stops, looks ahead and finishes.
+			lookahead := make(sparse.Vec[T], n)
+			volume = 0
+			for u := 0; u < n; u += 3 {
+				if volume += int64(g.OutDegree(u)); volume >= budget/2 {
+					break
+				}
+				lookahead[u] = T(rng.NormFloat64())
+			}
 
 			denseKernel := wantPull
 			if g.NumEdges() == 0 {
@@ -391,6 +404,7 @@ func testKernels[T sparse.Float](t *testing.T, tol float64, k kernelSet[T]) {
 				{"one-hot", hop1, anyKernel},
 				{"hop 2", hop2, anyKernel},
 				{"hop 3", hop3, anyKernel},
+				{"past the look-ahead", lookahead, wantPush},
 				{"under the switch", under, wantPush},
 				{"over the switch", over, wantPull},
 			} {
