@@ -34,10 +34,7 @@ func TestBigBenchEndToEnd(t *testing.T) {
 	}
 
 	start := time.Now()
-	g, err := gen.StreamSBMGraph(cfg)
-	if err != nil {
-		t.Fatalf("StreamSBMGraph: %v", err)
-	}
+	g := gen.SBM(cfg)
 	t.Logf("generate: %d nodes, %d edges in %v", g.NumNodes(), g.NumEdges(), time.Since(start))
 	if g.NumEdges() < 100_000_000 {
 		t.Fatalf("graph has %d edges, want ≥ 100M", g.NumEdges())

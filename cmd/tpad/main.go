@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"tpa"
-	"tpa/internal/gen"
 	"tpa/internal/ingest"
 	"tpa/internal/server"
 )
@@ -56,8 +55,6 @@ func main() {
 		err = cmdMutate(args[1:])
 	case len(args) > 0 && args[0] == "arena":
 		err = cmdArena(args[1:])
-	case len(args) > 0 && args[0] == "graphgen":
-		err = cmdGraphgen(args[1:])
 	case len(args) > 0 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help"):
 		usage()
 		return
@@ -75,8 +72,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   tpad build -graph <edges.tsv> [-o <out.tpam>] [-s 5] [-t 10] [-c 0.15] [-eps 1e-9] [-workers N]
              [-order natural|degree|bfs|hubspoke] [-precision 64|32] [-shards N]
-  tpad graphgen -out <edges.tsv[.gz]> [-nodes N] [-communities K] [-avgdeg D] [-pin P]
-             [-seed S] [-uniform] [-stream]
   tpad serve -graphs <dir>      [-addr :8080] [serving flags]
   tpad serve -graph <edges.tsv|snapshot> [-addr :8080] [serving flags]
   tpad mutate -graph <name>     [-server URL] [-add u,v]... [-remove u,v]... [-file f]
@@ -91,8 +86,7 @@ serving flags: -workers N -cache N -max-inflight N -max-batch N -default-deadlin
 build writes a memory-mappable TPAM snapshot (zero-copy cold start); serve
 -graph loads any file that starts with "TPA" as one, whatever its name. -shards N
 builds a scatter-gather engine over N community-aligned shards; -mmap is
-accepted and ignored. graphgen writes a synthetic SBM edge list;
--stream generates row-at-a-time in constant memory for very large graphs.
+accepted and ignored. Synthetic inputs come from cmd/graphgen.
 mutate posts edge batches to a running server's POST /graphs/{name}/edges;
 -watch follows a growing mutation file ("+ u v" / "- u v" lines) until ^C.`)
 }
@@ -189,50 +183,6 @@ func cmdBuild(args []string) error {
 		dest, g.NumNodes(), g.NumEdges(), s, t, extras, st.Size())
 	fmt.Printf("  parse %v, preprocess %v — serve cold-starts skip both\n",
 		loadT.Round(time.Millisecond), prepT.Round(time.Millisecond))
-	return nil
-}
-
-// cmdGraphgen writes a synthetic stochastic-block-model edge list — the
-// benchmark-input generator. With -stream the rows are generated and
-// written one source node at a time in constant memory, so inputs with
-// hundreds of millions of edges need no more RAM than the row buffer;
-// without it the graph is built in memory first (identical edges either
-// way — the streaming generator replays the builder's sampling sequence).
-func cmdGraphgen(args []string) error {
-	fs := flag.NewFlagSet("graphgen", flag.ExitOnError)
-	out := fs.String("out", "", "output edge-list file (required; .gz compresses)")
-	nodes := fs.Int("nodes", 100_000, "node count")
-	communities := fs.Int("communities", 16, "community count")
-	avgdeg := fs.Float64("avgdeg", 8, "expected out-degree per node")
-	pin := fs.Float64("pin", 0.9, "probability an edge stays inside its community")
-	seed := fs.Int64("seed", 1, "generator seed (same seed = same graph)")
-	uniform := fs.Bool("uniform", false, "uniform in-community targets (no Zipf in-degree skew)")
-	streamGen := fs.Bool("stream", false, "generate row-at-a-time in constant memory (for very large graphs)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *out == "" {
-		return fmt.Errorf("graphgen: -out is required")
-	}
-	cfg := gen.SBMConfig{Nodes: *nodes, Communities: *communities,
-		AvgOutDeg: *avgdeg, PIn: *pin, Seed: *seed, Uniform: *uniform}
-	start := time.Now()
-	if *streamGen {
-		if err := gen.StreamSBMEdgeListFile(*out, cfg); err != nil {
-			return fmt.Errorf("graphgen: %w", err)
-		}
-	} else {
-		g := gen.SBM(cfg)
-		if err := tpa.SaveGraph(*out, g); err != nil {
-			return fmt.Errorf("graphgen: %w", err)
-		}
-	}
-	st, err := os.Stat(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("generated %s: %d nodes, ~%.0f edges/node, %d bytes in %v\n",
-		*out, *nodes, *avgdeg, st.Size(), time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -217,7 +217,6 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 			Removed      int     `json:"removed"`
 			Edges        int64   `json:"edges"`
 			Compacted    bool    `json:"compacted"`
-			Incremental  bool    `json:"incremental"`
 			HeadIters    int     `json:"head_iters"`
 			ReindexIters int     `json:"reindex_iters"`
 			StaleBound   float64 `json:"stale_bound"`
@@ -226,10 +225,6 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 		if err := json.Unmarshal(payload, &summary); err != nil {
 			return fmt.Errorf("mutate: bad server response: %w", err)
 		}
-		mode := "incremental"
-		if !summary.Incremental {
-			mode = "full rebuild"
-		}
 		head := fmt.Sprintf("head recomputed (%d steps)", summary.HeadIters)
 		switch {
 		case !summary.Compacted:
@@ -237,8 +232,8 @@ func postMutation(ctx context.Context, url string, batch mutateRequest) error {
 		case summary.HeadIters == 0:
 			head = "head skipped"
 		}
-		fmt.Printf("applied +%d -%d edges (now %d) in %.1fms — reindex: %s, %s, %d iters, stale bound %.3g\n",
-			summary.Added, summary.Removed, summary.Edges, summary.ElapsedMS, mode, head, summary.ReindexIters, summary.StaleBound)
+		fmt.Printf("applied +%d -%d edges (now %d) in %.1fms — reindex: incremental, %s, %d iters, stale bound %.3g\n",
+			summary.Added, summary.Removed, summary.Edges, summary.ElapsedMS, head, summary.ReindexIters, summary.StaleBound)
 		return nil
 	}
 }

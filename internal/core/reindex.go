@@ -68,8 +68,7 @@ import (
 
 // ReindexStats reports what a Reindex call did.
 type ReindexStats struct {
-	// Residual is ‖ρ‖₁, the L1 mass the incremental correction started from
-	// (0 on a forced full rebuild, which never computes it).
+	// Residual is ‖ρ‖₁, the L1 mass the incremental correction started from.
 	Residual float64
 	// HeadIters is the number of dense head propagation steps: T−1 when the
 	// head was recomputed, 0 when the write skipped it.
@@ -77,11 +76,8 @@ type ReindexStats struct {
 	// ResidualIters counts the applications that measured ρ: 1, or 2 when a
 	// head skip was tried and refused before the recompute.
 	ResidualIters int
-	// CorrectionIters counts the correction terms applied past ρ. After a
-	// forced full rebuild it is the preprocessing iteration count.
+	// CorrectionIters counts the correction terms applied past ρ.
 	CorrectionIters int
-	// Full reports that the index was rebuilt by full preprocessing.
-	Full bool
 	// StaleBound is the new index's bound on ‖s − s'‖₁ (see TPA.StaleBound).
 	StaleBound float64
 }
@@ -154,24 +150,12 @@ func (t *TPA) WithOperator(w rwr.Operator) (*TPA, error) {
 // returns the new TPA bound to it (t itself is untouched and keeps
 // serving). It recomputes the head, measures the residual ρ against t's
 // stranger vector and corrects it until the staleness bound is within
-// StalenessBudget. A negative maxResidual instead reruns PreprocessParallel
-// on every call (the benchmarking baseline); any other value takes the
-// incremental path. workers shards the matvecs as in PreprocessParallel; the
-// node count must be unchanged.
+// StalenessBudget. workers shards the matvecs as in PreprocessParallel; the
+// node count must be unchanged. maxResidual is unused: it keeps the
+// signature the benchmark trace compiles against (ROADMAP item 2).
 func Reindex(t *TPA, w rwr.Operator, workers int, maxResidual float64) (*TPA, ReindexStats, error) {
 	if w.N() != t.walk.N() {
 		return nil, ReindexStats{}, fmt.Errorf("core: reindex operator has %d nodes but index has %d", w.N(), t.walk.N())
-	}
-	if maxResidual < 0 {
-		stats := ReindexStats{Full: true}
-		tp, err := PreprocessParallel(w, t.cfg, t.params, workers)
-		if err != nil {
-			return nil, stats, err
-		}
-		tp.prec = t.prec
-		tp.applyPrecision()
-		stats.CorrectionIters = tp.preIters
-		return tp, stats, nil
 	}
 	tp, stats := recompute(t, rwr.Sharded(w, workers), w)
 	return tp, stats, nil

@@ -84,9 +84,6 @@ func TestReindexMatchesFullPreprocess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Full {
-			t.Fatalf("trial %d: small delta fell back to full preprocessing (residual %g)", trial, stats.Residual)
-		}
 		if stats.StaleBound != inc.StaleBound() {
 			t.Errorf("trial %d: stats report StaleBound %g, the index %g", trial, stats.StaleBound, inc.StaleBound())
 		}
@@ -104,9 +101,9 @@ func TestReindexMatchesFullPreprocess(t *testing.T) {
 }
 
 // TestReindexFallsBackOnLargeDelta rewires a large fraction of the graph.
-// The incremental path still serves it — the correction runs more steps and
-// the written index keeps its contract — and Reindex falls back to full
-// preprocessing only when the caller forces it with a negative maxResidual.
+// The incremental path still serves it: the correction runs more steps and
+// the written index stays within its StaleBound of a parallel preprocess of
+// the rewired graph.
 func TestReindexFallsBackOnLargeDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tp, w := preprocessed(t, 70, DefaultParams())
@@ -117,24 +114,17 @@ func TestReindexFallsBackOnLargeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Full || stats.CorrectionIters < 1 {
+	if stats.CorrectionIters < 1 {
 		t.Fatalf("massive delta: %+v, want an incremental reindex with correction steps", stats)
 	}
 	checkWritten(t, "massive delta", got, fresh, 5)
 
-	forced, stats, err := Reindex(tp, dw, 2, -1)
+	full, err := PreprocessParallel(fresh, cfg(), DefaultParams(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Full || forced.StaleBound() != 0 {
-		t.Fatalf("negative maxResidual: %+v, StaleBound %g; want a full rebuild with no staleness", stats, forced.StaleBound())
-	}
-	full, err := Preprocess(fresh, cfg(), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := forced.StrangerVector().L1Dist(full.StrangerVector()); d > 1e-10 {
-		t.Errorf("forced rebuild deviates from direct preprocess by %g", d)
+	if d := got.StrangerVector().L1Dist(full.StrangerVector()); d > got.StaleBound()+truncSlack {
+		t.Errorf("massive delta: %g from a parallel preprocess, StaleBound %g", d, got.StaleBound())
 	}
 }
 
@@ -296,9 +286,9 @@ func TestReindexChainedWritesRMAT(t *testing.T) {
 		c.skips, writes, c.corrected, c.worst)
 }
 
-// TestReindexWriteFirstRecomputes: an index without head state — fresh from
-// preprocessing, or rebuilt by a forced full reindex — recomputes the head on
-// its next write however small, and the write after that may skip.
+// TestReindexWriteFirstRecomputes: an index without head state — any index
+// fresh from preprocessing — recomputes the head on its next write however
+// small, and the write after that may skip.
 func TestReindexWriteFirstRecomputes(t *testing.T) {
 	tp, w := preprocessed(t, 74, DefaultParams())
 	g := w.Graph()
@@ -324,7 +314,7 @@ func TestReindexWriteFirstRecomputes(t *testing.T) {
 		t.Fatalf("a one-edge write after a recompute did not skip: %+v", stats)
 	}
 	checkWritten(t, "skipped write", cur, graph.NewWalk(g, w.Policy()), 2)
-	full, _, err := Reindex(cur, graph.NewWalk(g, w.Policy()), 1, -1)
+	full, err := PreprocessParallel(graph.NewWalk(g, w.Policy()), cfg(), DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +431,7 @@ func TestReindexOnCompactedWalkMatchesOverlay(t *testing.T) {
 		if viaCSR, sc, err = Reindex(viaCSR, graph.NewWalk(cur, policy), 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if so.Full != sc.Full || so.Iters() != sc.Iters() {
+		if so.Iters() != sc.Iters() {
 			t.Fatalf("batch %d: the overlay chain took %+v, the compacted chain %+v", b, so, sc)
 		}
 		if sc.CorrectionIters > 0 {

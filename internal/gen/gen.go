@@ -103,66 +103,26 @@ type SBMConfig struct {
 // ~AvgOutDeg out-edges; each edge lands inside the node's own community
 // with probability PIn, otherwise in a uniformly random other community.
 // Degree skew within a community follows a Zipf-like preference so hubs
-// exist, as in real social networks.
+// exist, as in real social networks. The rows come from StreamSBM and are
+// packed straight into CSR form: peak memory is the final graph plus one
+// row buffer. It panics on a config StreamSBM rejects.
 func SBM(cfg SBMConfig) *graph.Graph {
-	if cfg.Nodes < 2 || cfg.Communities < 1 || cfg.Communities > cfg.Nodes {
-		panic(fmt.Sprintf("gen: bad SBM config %+v", cfg))
+	n := max(cfg.Nodes, 0)
+	outPtr := make([]int64, n+1)
+	outIdx := make([]int32, 0, max(int(float64(n)*cfg.AvgOutDeg*11/10), 0))
+	var g *graph.Graph
+	err := StreamSBM(cfg, func(u int, targets []int32) error {
+		outIdx = append(outIdx, targets...)
+		outPtr[u+1] = int64(len(outIdx))
+		return nil
+	})
+	if err == nil {
+		g, err = graph.FromCSRArrays(n, outPtr, outIdx, nil, nil, nil)
 	}
-	if cfg.PIn < 0 || cfg.PIn > 1 {
-		panic(fmt.Sprintf("gen: SBM PIn %v outside [0,1]", cfg.PIn))
+	if err != nil {
+		panic(err.Error())
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := cfg.Nodes
-	k := cfg.Communities
-	size := n / k
-	b := graph.NewBuilderN(n).DropSelfLoops()
-	// Zipf samplers over positions within each community: preferring low
-	// in-community ranks yields skewed in-degrees. The sampler is built per
-	// community because the last one absorbs the n%k remainder and spans
-	// n−base ≥ size nodes — one sampler sized to the regular communities
-	// could never draw the remainder positions, leaving those nodes with no
-	// Zipf-targeted in-edges at all.
-	zipfs := make([]*rand.Zipf, k)
-	for c := 0; c < k; c++ {
-		limit := size
-		if c == k-1 {
-			limit = n - c*size
-		}
-		zipfs[c] = rand.NewZipf(rng, 1.5, 4, uint64(limit-1))
-	}
-	pick := func(comm int) int {
-		base := comm * size
-		limit := size
-		if comm == k-1 {
-			limit = n - base
-		}
-		if cfg.Uniform {
-			return base + rng.Intn(limit)
-		}
-		return base + int(zipfs[comm].Uint64())
-	}
-	for u := 0; u < n; u++ {
-		comm := u / size
-		if comm >= k {
-			comm = k - 1
-		}
-		deg := poisson(rng, cfg.AvgOutDeg)
-		for e := 0; e < deg; e++ {
-			target := comm
-			if k > 1 && rng.Float64() > cfg.PIn {
-				target = rng.Intn(k - 1)
-				if target >= comm {
-					target++
-				}
-			}
-			v := pick(target)
-			if v == u {
-				continue
-			}
-			b.AddEdge(u, v)
-		}
-	}
-	return b.Build()
+	return g
 }
 
 // BarabasiAlbert generates a directed preferential-attachment graph: nodes

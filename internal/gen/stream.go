@@ -10,22 +10,19 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"tpa/internal/graph"
 )
 
-// Streaming generation: the same stochastic-block-model edges SBM builds,
-// produced one source row at a time so graphs with hundreds of millions of
-// edges can be written to disk (or packed straight into CSR form) without
-// ever holding an edge list in memory. StreamSBM replays SBM's exact
-// sampling sequence — same config and seed, same edges — so tests can pin
-// the streamed output against the in-memory builder.
+// Streaming generation: the stochastic-block-model sampler, producing one
+// source row at a time so graphs with hundreds of millions of edges can be
+// written to disk without ever holding an edge list in memory. SBM packs the
+// same rows into CSR form, so a streamed edge list and an in-memory graph
+// of one config and seed carry the same edges.
 
 // StreamSBM generates cfg's graph row by row, calling emit(u, targets)
 // once per source node in ascending order. targets is sorted, deduplicated
 // and self-loop free — exactly node u's out-row in SBM(cfg) — and is reused
 // across calls; emit must not retain it. A non-nil error from emit aborts
-// generation and is returned.
+// generation and is returned, as is an error for a config out of range.
 func StreamSBM(cfg SBMConfig, emit func(u int, targets []int32) error) error {
 	if cfg.Nodes < 2 || cfg.Communities < 1 || cfg.Communities > cfg.Nodes {
 		return fmt.Errorf("gen: bad SBM config %+v", cfg)
@@ -37,8 +34,12 @@ func StreamSBM(cfg SBMConfig, emit func(u int, targets []int32) error) error {
 	n := cfg.Nodes
 	k := cfg.Communities
 	size := n / k
-	// Mirrors SBM: per-community Zipf samplers, the last community
-	// absorbing the n%k remainder.
+	// Zipf samplers over positions within each community: preferring low
+	// in-community ranks yields skewed in-degrees. The sampler is built per
+	// community because the last one absorbs the n%k remainder and spans
+	// n−base ≥ size nodes — one sampler sized to the regular communities
+	// could never draw the remainder positions, leaving those nodes with no
+	// Zipf-targeted in-edges at all.
 	zipfs := make([]*rand.Zipf, k)
 	for c := 0; c < k; c++ {
 		limit := size
@@ -98,8 +99,8 @@ func StreamSBM(cfg SBMConfig, emit func(u int, targets []int32) error) error {
 
 // StreamSBMEdgeList writes cfg's graph to w as a whitespace-separated edge
 // list ("u\tv" per line) in O(max out-degree) memory — the writer behind
-// `tpad graphgen -stream`, for generating benchmark inputs far larger than
-// RAM would allow through the in-memory builder.
+// `graphgen -model sbm -stream`, for generating inputs far larger than RAM
+// would allow through the in-memory graph.
 func StreamSBMEdgeList(w io.Writer, cfg SBMConfig) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	// Same comment-header shape as graph.WriteEdgeList, minus the edge
@@ -162,23 +163,4 @@ func StreamSBMEdgeListFile(path string, cfg SBMConfig) error {
 		return err
 	}
 	return nil
-}
-
-// StreamSBMGraph builds cfg's graph row-by-row straight into CSR form,
-// bypassing the edge-pair builder: peak memory is the final CSR plus one
-// row buffer, roughly a third of what SBM's builder needs. The result is
-// identical to SBM(cfg). Intended for the very large graphs of the
-// big-bench suite.
-func StreamSBMGraph(cfg SBMConfig) (*graph.Graph, error) {
-	outPtr := make([]int64, cfg.Nodes+1)
-	outIdx := make([]int32, 0, int(float64(cfg.Nodes)*cfg.AvgOutDeg*11/10))
-	err := StreamSBM(cfg, func(u int, targets []int32) error {
-		outIdx = append(outIdx, targets...)
-		outPtr[u+1] = int64(len(outIdx))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromCSRArrays(cfg.Nodes, outPtr, outIdx, nil, nil, nil)
 }

@@ -2,70 +2,50 @@ package gen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"tpa/internal/graph"
 )
 
-// TestStreamSBMMatchesBuilder pins the streaming generator's crux: same
-// config, same seed ⇒ the exact edges the in-memory builder produces, row
-// for row. Anything else would make `tpad graphgen -stream` outputs
-// unreproducible against in-process test graphs.
-func TestStreamSBMMatchesBuilder(t *testing.T) {
-	for _, cfg := range []SBMConfig{
-		{Nodes: 300, Communities: 4, AvgOutDeg: 5, PIn: 0.9, Seed: 7},
-		{Nodes: 257, Communities: 3, AvgOutDeg: 3.5, PIn: 0.5, Seed: 42, Uniform: true},
-		{Nodes: 50, Communities: 1, AvgOutDeg: 2, PIn: 1, Seed: 1},
+// TestSBMGolden pins the SBM sampler: the SHA-256 of each config's edge
+// list (graph.WriteEdgeList, the file the benchmark hashes into its pins)
+// must not move, so a change to the sampler fails here and not only in the
+// benchmark. The streamed edge list must carry the same edge lines, which
+// is what makes `graphgen -stream` reproduce the in-memory output.
+func TestSBMGolden(t *testing.T) {
+	for _, c := range []struct {
+		cfg    SBMConfig
+		sha256 string
+	}{
+		{SBMConfig{Nodes: 300, Communities: 4, AvgOutDeg: 5, PIn: 0.9, Seed: 7},
+			"92bc0291d8452bc4b8168df47ecbf98cfbaa39d3fb906ddc96e2f5c984d8cfe9"},
+		{SBMConfig{Nodes: 257, Communities: 3, AvgOutDeg: 3.5, PIn: 0.5, Seed: 42, Uniform: true},
+			"ee2777d872f4c1aef7a0e6f98f632db930df42145526b5a479285ac73d3f78f2"},
+		{SBMConfig{Nodes: 50, Communities: 1, AvgOutDeg: 2, PIn: 1, Seed: 1},
+			"d541a727fe41fa6234e2f0e4dab8aaf0afe3586556f2e40b4422673019a56607"},
 	} {
-		want := SBM(cfg)
-		u := 0
-		err := StreamSBM(cfg, func(src int, targets []int32) error {
-			if src != u {
-				t.Fatalf("rows out of order: got %d, want %d", src, u)
-			}
-			row := want.OutNeighbors(src)
-			if len(row) != len(targets) {
-				t.Fatalf("cfg %+v: row %d has %d targets, builder has %d", cfg, src, len(targets), len(row))
-			}
-			for i := range row {
-				if row[i] != targets[i] {
-					t.Fatalf("cfg %+v: row %d entry %d: %d vs %d", cfg, src, i, targets[i], row[i])
-				}
-			}
-			u++
-			return nil
-		})
-		if err != nil {
+		g := SBM(c.cfg)
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%+v: invalid graph: %v", c.cfg, err)
+		}
+		var built, streamed bytes.Buffer
+		if err := graph.WriteEdgeList(&built, g); err != nil {
 			t.Fatal(err)
 		}
-		if u != cfg.Nodes {
-			t.Fatalf("emitted %d rows, want %d", u, cfg.Nodes)
+		sum := sha256.Sum256(built.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.sha256 {
+			t.Errorf("%+v: edge list SHA-256 %s, want %s", c.cfg, got, c.sha256)
 		}
-
-		sg, err := StreamSBMGraph(cfg)
-		if err != nil {
+		if err := StreamSBMEdgeList(&streamed, c.cfg); err != nil {
 			t.Fatal(err)
 		}
-		if err := sg.Validate(); err != nil {
-			t.Fatalf("streamed CSR invalid: %v", err)
-		}
-		if sg.NumNodes() != want.NumNodes() || sg.NumEdges() != want.NumEdges() {
-			t.Fatalf("streamed graph %d/%d, builder %d/%d",
-				sg.NumNodes(), sg.NumEdges(), want.NumNodes(), want.NumEdges())
-		}
-
-		var buf bytes.Buffer
-		if err := StreamSBMEdgeList(&buf, cfg); err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := graph.ReadEdgeList(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The edge list carries no isolated trailing nodes, so compare on
-		// edges; node count can only shrink.
-		if parsed.NumEdges() != want.NumEdges() {
-			t.Fatalf("edge-list round trip has %d edges, want %d", parsed.NumEdges(), want.NumEdges())
+		// The headers differ: a single pass cannot know the edge count.
+		_, builtEdges, _ := bytes.Cut(built.Bytes(), []byte("\n"))
+		_, streamedEdges, _ := bytes.Cut(streamed.Bytes(), []byte("\n"))
+		if !bytes.Equal(builtEdges, streamedEdges) {
+			t.Errorf("%+v: streamed edge list differs from the built graph's", c.cfg)
 		}
 	}
 }

@@ -6,19 +6,18 @@ import (
 )
 
 // Builder accumulates directed edges and produces an immutable Graph.
-// Duplicate edges and self-loops are kept or removed according to the
-// builder options; node count may be fixed up front or inferred from the
-// largest id seen.
+// Duplicate edges are merged; self-loops are kept unless DropSelfLoops is
+// set. The node count may be fixed up front or inferred from the largest id
+// seen.
 type Builder struct {
 	n          int
 	fixedN     bool
 	srcs, dsts []int32
-	dedup      bool
 	dropLoops  bool
 }
 
 // NewBuilder returns a Builder that infers the node count from edge ids.
-func NewBuilder() *Builder { return &Builder{dedup: true} }
+func NewBuilder() *Builder { return &Builder{} }
 
 // NewBuilderN returns a Builder for a graph with exactly n nodes; edges
 // referencing ids outside [0,n) cause AddEdge to panic.
@@ -26,12 +25,8 @@ func NewBuilderN(n int) *Builder {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	return &Builder{n: n, fixedN: true, dedup: true}
+	return &Builder{n: n, fixedN: true}
 }
-
-// KeepDuplicates configures the builder to keep parallel edges
-// (by default they are merged).
-func (b *Builder) KeepDuplicates() *Builder { b.dedup = false; return b }
 
 // DropSelfLoops configures the builder to silently discard u→u edges.
 func (b *Builder) DropSelfLoops() *Builder { b.dropLoops = true; return b }
@@ -84,17 +79,15 @@ func (b *Builder) Build() *Graph {
 		}
 		return edges[i].v < edges[j].v
 	})
-	if b.dedup {
-		w := 0
-		for i, e := range edges {
-			if i > 0 && e == edges[i-1] {
-				continue
-			}
-			edges[w] = e
-			w++
+	w := 0
+	for i, e := range edges {
+		if i > 0 && e == edges[i-1] {
+			continue
 		}
-		edges = edges[:w]
+		edges[w] = e
+		w++
 	}
+	edges = edges[:w]
 	g := &Graph{
 		n:      n,
 		outPtr: make([]int64, n+1),
@@ -131,38 +124,4 @@ func FromEdges(n int, edges [][2]int) *Graph {
 		b.AddEdge(e[0], e[1])
 	}
 	return b.Build()
-}
-
-// Reverse returns the graph with every edge direction flipped. The returned
-// graph shares no mutable state with g.
-func (g *Graph) Reverse() *Graph {
-	r := &Graph{
-		n:      g.n,
-		outPtr: append([]int64(nil), g.inPtr...),
-		outIdx: append([]int32(nil), g.inIdx...),
-		inPtr:  append([]int64(nil), g.outPtr...),
-		inIdx:  append([]int32(nil), g.outIdx...),
-	}
-	return r
-}
-
-// Subgraph returns the induced subgraph on the given nodes together with the
-// mapping from new ids to original ids. Nodes absent from the set are
-// dropped along with their incident edges. The input slice defines the new
-// id order.
-func (g *Graph) Subgraph(nodes []int) (*Graph, []int) {
-	remap := make(map[int]int, len(nodes))
-	for newID, old := range nodes {
-		remap[old] = newID
-	}
-	b := NewBuilderN(len(nodes))
-	for newU, old := range nodes {
-		for _, v := range g.OutNeighbors(old) {
-			if newV, ok := remap[int(v)]; ok {
-				b.AddEdge(newU, newV)
-			}
-		}
-	}
-	orig := append([]int(nil), nodes...)
-	return b.Build(), orig
 }

@@ -166,16 +166,6 @@ func (m *CSRMatrix) Column(j int) sparse.Vector {
 	return v
 }
 
-// ColumnSums returns the vector of column sums; for a column-stochastic
-// matrix every entry is 1.
-func (m *CSRMatrix) ColumnSums() sparse.Vector {
-	s := sparse.NewVector(m.N)
-	for p := range m.Idx {
-		s[m.Idx[p]] += m.Val[p]
-	}
-	return s
-}
-
 // BlockCounts partitions the matrix into a blocks×blocks grid and returns
 // the nonzero count of each cell, row-major. This is the data behind the
 // spy plots of Fig 3.

@@ -97,17 +97,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return lo < len(ns) && int(ns[lo]) == v
 }
 
-// DanglingCount returns the number of nodes with no out-edges.
-func (g *Graph) DanglingCount() int {
-	var c int
-	for u := 0; u < g.n; u++ {
-		if g.OutDegree(u) == 0 {
-			c++
-		}
-	}
-	return c
-}
-
 // Bytes returns the accounted in-memory size of the CSR+CSC structure.
 func (g *Graph) Bytes() int64 {
 	return int64(len(g.outPtr)+len(g.inPtr))*8 + int64(len(g.outIdx)+len(g.inIdx))*4

@@ -77,10 +77,6 @@ func (g *Graph) RawCSR() (outPtr []int64, outIdx []int32) { return g.outPtr, g.o
 // under the same aliasing contract as RawCSR.
 func (g *Graph) RawCSC() (inPtr []int64, inIdx []int32) { return g.inPtr, g.inIdx }
 
-// Backing returns the retained owner of adopted arrays (see FromCSRArrays),
-// or nil for graphs that own their storage.
-func (g *Graph) Backing() any { return g.backing }
-
 // NewWalkFromParts adopts precomputed normalization state — invdeg,
 // invdeg32 and the ascending dangling-node list, exactly what NewWalk
 // derives in O(n) — so a walk over a mapped snapshot allocates nothing.

@@ -174,9 +174,6 @@ type Ingestor struct {
 	// the only copy of those batches, so auto-compaction must not
 	// truncate it; only a restart replay recovers them.
 	applyFailed atomic.Int64
-
-	errMu        sync.Mutex
-	lastApplyErr error
 }
 
 // New starts an Ingestor over an open WAL. The Ingestor owns the WAL from
@@ -286,14 +283,6 @@ func (in *Ingestor) Stats() Stats {
 	}
 }
 
-// LastApplyError returns the most recent Apply/Compact hook failure, if
-// any.
-func (in *Ingestor) LastApplyError() error {
-	in.errMu.Lock()
-	defer in.errMu.Unlock()
-	return in.lastApplyErr
-}
-
 // Mode returns the configured backpressure mode.
 func (in *Ingestor) Mode() Mode { return in.opts.Mode }
 
@@ -379,20 +368,15 @@ func (in *Ingestor) flush(g *group) {
 	if err != nil {
 		in.applyErrors.Add(1)
 		in.applyFailed.Add(1)
-		in.errMu.Lock()
-		in.lastApplyErr = err
-		in.errMu.Unlock()
 	} else {
 		in.appliedBatches.Add(1)
 		in.appliedEdges.Add(int64(g.edges()))
 	}
 	// The marker is written either way: it records grouping, not
-	// success, and replay re-applies every batch regardless.
-	if err := in.wal.AppendApplyMarker(g.lastSeq); err != nil {
-		in.errMu.Lock()
-		in.lastApplyErr = err
-		in.errMu.Unlock()
-	}
+	// success, and replay re-applies every batch regardless. A lost
+	// marker loses no edges: the replay merely groups those batches
+	// differently.
+	_ = in.wal.AppendApplyMarker(g.lastSeq)
 	for i := 0; i < g.events; i++ {
 		<-in.slots
 	}
@@ -483,16 +467,10 @@ drain:
 	}
 	if err := in.hooks.Compact(); err != nil {
 		in.compactErrors.Add(1)
-		in.errMu.Lock()
-		in.lastApplyErr = err
-		in.errMu.Unlock()
 		return
 	}
 	if err := in.wal.Reset(); err != nil {
 		in.compactErrors.Add(1)
-		in.errMu.Lock()
-		in.lastApplyErr = err
-		in.errMu.Unlock()
 		return
 	}
 	in.compactions.Add(1)

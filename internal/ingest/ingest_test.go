@@ -304,9 +304,6 @@ func TestIngestorCompactionFailureKeepsWAL(t *testing.T) {
 	if in.Stats().WALRecords == 0 {
 		t.Fatal("WAL records lost despite failed compaction")
 	}
-	if !errors.Is(in.LastApplyError(), boom) {
-		t.Fatalf("LastApplyError = %v, want %v", in.LastApplyError(), boom)
-	}
 }
 
 func TestIngestorEnqueueAfterClose(t *testing.T) {

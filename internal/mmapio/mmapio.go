@@ -309,10 +309,6 @@ func (s *Snapshot) Close() error {
 // read of the file (false).
 func (s *Snapshot) Mapped() bool { return s.mapped }
 
-// ZeroCopy reports whether typed views reinterpret the backing bytes
-// directly (true) or are decoded heap copies (false, big-endian hosts).
-func (s *Snapshot) ZeroCopy() bool { return s.zeroCopy }
-
 // SizeBytes returns the byte length of the backing file image.
 func (s *Snapshot) SizeBytes() int64 { return int64(len(s.data)) }
 

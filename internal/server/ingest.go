@@ -38,7 +38,7 @@ type IngestConfig struct {
 }
 
 // swapTimeout bounds how long the ingest hooks wait for a concurrent
-// reload to release the entry's swap lock before giving up on one
+// reload to release the entry's swap slot before giving up on one
 // attempt. The apply hook marks a timeout ingest.ErrRetryable, so the
 // batcher re-runs the batch rather than recording an apply failure — a
 // reload merely being slow must not strand a durably logged batch in the
@@ -61,9 +61,8 @@ func (h *Handler) EnableIngest(name string, cfg IngestConfig) error {
 	if e.ingest.Load() != nil {
 		return fmt.Errorf("server: ingest already enabled for %q", name)
 	}
-	if _, ok := e.state.Load().eng.(*tpa.Engine); !ok {
-		return fmt.Errorf("server: graph %q is served by a %T, which does not support dynamic updates",
-			name, e.state.Load().eng)
+	if _, err := tpaEngine(name, e.state.Load()); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	if cfg.Dir == "" {
 		return fmt.Errorf("server: ingest for %q needs a WAL directory", name)
@@ -77,7 +76,11 @@ func (h *Handler) EnableIngest(name string, cfg IngestConfig) error {
 			return validateEdges(e, adds, removes)
 		},
 		Apply: func(adds, removes [][2]int) error {
-			return h.applyForIngest(e, adds, removes)
+			_, _, err := h.applyWrite(e, swapTimeout, adds, removes)
+			if errors.Is(err, errConflict) {
+				err = fmt.Errorf("%w: %v", ingest.ErrRetryable, err)
+			}
+			return err
 		},
 		Compact: func() error {
 			return h.compactForIngest(e, cfg.SnapshotPath)
@@ -133,34 +136,6 @@ func validateEdges(e *graphEntry, adds, removes [][2]int) error {
 	return nil
 }
 
-// applyForIngest is the batcher's Apply hook: the same copy-on-write
-// ApplyEdges + atomic state swap the synchronous path uses, serialized
-// against reloads via the entry's swap flag.
-func (h *Handler) applyForIngest(e *graphEntry, adds, removes [][2]int) error {
-	if err := e.acquireSwap(swapTimeout); err != nil {
-		return fmt.Errorf("%w: %v", ingest.ErrRetryable, err)
-	}
-	defer e.releaseSwap()
-	st := e.state.Load()
-	eng, err := tpaEngine(e.name, st)
-	if err != nil {
-		return err
-	}
-	next, stats, err := eng.ApplyEdges(adds, removes)
-	if err != nil {
-		return err
-	}
-	if next != eng {
-		info := st.info
-		info.Nodes = stats.Nodes
-		info.Edges = stats.Edges
-		e.state.Store(h.newState(next, info))
-	}
-	e.mutations.Add(1)
-	e.countReindex(stats)
-	return nil
-}
-
 // compactForIngest is the auto-compaction hook: rewrite the durable
 // snapshot from the served engine, which ApplyEdges keeps compacted. The
 // served state is not swapped, so the graph's cache partition stays warm.
@@ -181,15 +156,6 @@ func (h *Handler) compactForIngest(e *graphEntry, snapshotPath string) error {
 		return err
 	}
 	return eng.SaveSnapshotMmap(snapshotPath)
-}
-
-// tpaEngine returns the engine st serves. Only a test fake registered in
-// place of a *tpa.Engine fails.
-func tpaEngine(name string, st *engineState) (*tpa.Engine, error) {
-	if eng, ok := st.eng.(*tpa.Engine); ok {
-		return eng, nil
-	}
-	return nil, fmt.Errorf("graph %q no longer served by a tpa engine", name)
 }
 
 // ingestMutate serves POST /graphs/{name}/edges for an ingest-enabled

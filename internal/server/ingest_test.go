@@ -466,3 +466,64 @@ func TestIngestAppliesToMappedEngine(t *testing.T) {
 		t.Fatalf("/topk after the write:\n got %s\nwant %s\n(before %s)", after, fmt.Sprint(wantJSON), before)
 	}
 }
+
+// TestWritePathsAgree sends one batch sequence through synchronous POST
+// /edges on one handler and through the ingest batcher on another, one
+// applied batch at a time. Both paths run the same write step, so the
+// answers must be bit-identical and the write counters equal.
+func TestWritePathsAgree(t *testing.T) {
+	batches := []string{
+		`{"add":[[0,7],[3,150],[40,41]]}`,
+		`{"add":[[5,6],[90,12]],"remove":[[0,7]]}`,
+		`{"add":[[3,150],[40,41]]}`, // already present: a no-op write
+		`{"add":[[1,2],[2,3],[7,9],[9,11],[11,1]]}`,
+		`{"remove":[[90,12]]}`,
+	}
+	var big []string
+	for u := 0; u < 200; u += 2 {
+		big = append(big, fmt.Sprintf("[%d,%d]", u, (u*37+11)%200))
+	}
+	batches = append(batches, `{"add":[`+strings.Join(big, ",")+`]}`, `{"add":[[8,9]]}`)
+
+	sync := testHandler(t)
+	durable, _ := ingestHandler(t, ingest.Options{MaxBatchAge: time.Millisecond})
+	for i, b := range batches {
+		if rec, _ := postJSON(t, sync, "/graphs/default/edges", b); rec.Code != http.StatusOK {
+			t.Fatalf("batch %d: synchronous write: %d %s", i, rec.Code, rec.Body.String())
+		}
+		if rec, _ := postJSON(t, durable, "/graphs/default/edges", b); rec.Code != http.StatusAccepted {
+			t.Fatalf("batch %d: durable write: %d %s", i, rec.Code, rec.Body.String())
+		}
+		// One batch per apply, as the synchronous path writes them.
+		waitIngest(t, durable, func(ing map[string]interface{}) bool {
+			return ing["applied_batches"].(float64) >= float64(i+1)
+		})
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{"/topk?seed=0&k=10", "/topk?seed=5&k=10", "/topk?seed=150&k=10", "/topk?seed=199&k=10"} {
+		a, _ := get(t, sync, path)
+		b, _ := get(t, durable, path)
+		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
+			t.Errorf("%s: synchronous %d %s, durable %d %s", path, a.Code, a.Body, b.Code, b.Body)
+		}
+	}
+	_, sa := get(t, sync, "/graphs/default/stats")
+	_, sb := get(t, durable, "/graphs/default/stats")
+	for _, key := range []string{"stale_bound", "mutations"} {
+		if sa[key] != sb[key] {
+			t.Errorf("stats %s: synchronous %v, durable %v", key, sa[key], sb[key])
+		}
+	}
+	if sa["mutations"] != float64(len(batches)) {
+		t.Errorf("mutations = %v, want %d", sa["mutations"], len(batches))
+	}
+	for _, family := range []string{"tpa_graph_mutations_total", "tpa_graph_reindex_iters_total", "tpa_graph_head_skips_total"} {
+		a, b := graphMetric(t, sync, family, "default"), graphMetric(t, durable, family, "default")
+		if a != b || a == 0 {
+			t.Errorf("%s: synchronous %v, durable %v; want equal and non-zero", family, a, b)
+		}
+	}
+}

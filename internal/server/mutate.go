@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,15 +10,16 @@ import (
 )
 
 // Dynamic graph updates: POST /graphs/{name}/edges applies an edge batch to
-// a served graph. The handler builds a whole new engine via
-// tpa.Engine.ApplyEdges (copy-on-write: the old engine keeps serving while
-// the delta is applied and the index reindexed) and then swaps it in behind
-// the same atomic state pointer reloads use, so concurrent queries are
-// never dropped and never observe a half-mutated engine. The graph's cache
-// partition is replaced along with the engine — no stale answer survives a
-// mutation. Mutations and reloads of one graph serialize on the entry's
-// swap lock; a POST /graphs/{name}/reload rebuilds from the registered
-// loader and therefore discards mutations applied since.
+// a served graph. Both write paths, this synchronous one and the ingest
+// batcher (EnableIngest), run the batch through applyWrite: it builds a
+// whole new engine via tpa.Engine.ApplyEdges (copy-on-write: the old engine
+// keeps serving while the batch is applied and the index reindexed) and
+// then swaps it in behind the same atomic state pointer reloads use, so
+// concurrent queries are never dropped and never observe a half-mutated
+// engine. The graph's cache partition is replaced along with the engine —
+// no stale answer survives a write. Writes and reloads of one graph
+// serialize on the entry's swap slot; a POST /graphs/{name}/reload rebuilds
+// from the registered loader and therefore discards writes applied since.
 
 // mutateRequest is the POST /graphs/{name}/edges body: edge batches as
 // [source, destination] pairs. Adds are applied before removes.
@@ -28,12 +28,10 @@ type mutateRequest struct {
 	Remove [][2]int `json:"remove"`
 }
 
-// maxMutationBody caps the POST /edges request body. Unbounded bodies
-// would let one request balloon memory, and on the durable path a batch
-// over the WAL record limit would be acknowledged now and discarded as
-// corruption by the next restart's replay. A var, not a const, so tests
-// can lower it.
-var maxMutationBody = int64(64 << 20)
+// errConflict marks a write or reload the graph turns away untried: another
+// one held the swap slot past the caller's wait, or the served engine takes
+// no writes. HTTP answers it 409; the ingest batcher retries it.
+var errConflict = errors.New("conflict")
 
 // mutateGraph serves POST /graphs/{name}/edges.
 func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
@@ -45,16 +43,8 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown graph %q", name))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxMutationBody)
 	var req mutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("mutation body exceeds %d bytes: split the batch", tooBig.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Add) == 0 && len(req.Remove) == 0 {
@@ -67,32 +57,59 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		h.ingestMutate(w, r, e, in, req)
 		return
 	}
-	if !e.trySwap() {
-		httpError(w, http.StatusConflict, fmt.Sprintf("reload or mutation of %q already in progress", name))
+	start := time.Now()
+	stats, mutations, err := h.applyWrite(e, 0, req.Add, req.Remove)
+	switch {
+	case err == nil:
+	case errors.Is(err, errConflict):
+		httpError(w, http.StatusConflict, err.Error())
 		return
+	case errors.Is(err, tpa.ErrBadEdge):
+		httpError(w, http.StatusUnprocessableEntity, err.Error())
+		return
+	default:
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(w, map[string]interface{}{
+		"graph":     name,
+		"added":     stats.Added,
+		"removed":   stats.Removed,
+		"nodes":     stats.Nodes,
+		"edges":     stats.Edges,
+		"compacted": stats.Compacted,
+		// No write re-preprocesses; the key stays for clients that read it.
+		"incremental":   true,
+		"residual":      stats.Residual,
+		"head_iters":    stats.HeadIters,
+		"reindex_iters": stats.ReindexIters,
+		"stale_bound":   stats.StaleBound,
+		"mutations":     mutations,
+		"elapsed_ms":    float64(time.Since(start)) / float64(time.Millisecond),
+	})
+}
+
+// applyWrite is the one write step of both write paths. It claims e's swap
+// slot, waiting up to wait for it, applies the batch to the served engine
+// copy-on-write, swaps the written engine in when the batch changed the
+// graph, and counts the write. It returns the write's stats and the graph's
+// write count including it. A failed write changes nothing: the previous
+// state keeps serving.
+func (h *Handler) applyWrite(e *graphEntry, wait time.Duration, adds, removes [][2]int) (tpa.MutationStats, int64, error) {
+	if err := e.acquireSwap(wait); err != nil {
+		return tpa.MutationStats{}, 0, err
 	}
 	defer e.releaseSwap()
-	// Load the state under the swap lock: a concurrent reload cannot slip
+	// Load the state under the swap slot: a concurrent reload cannot slip
 	// between this read and the Store below.
 	st := e.state.Load()
-	eng, ok := st.eng.(*tpa.Engine)
-	if !ok {
-		httpError(w, http.StatusConflict,
-			fmt.Sprintf("graph %q is served by a %T, which does not support dynamic updates", name, st.eng))
-		return
-	}
-	start := time.Now()
-	next, stats, err := eng.ApplyEdges(req.Add, req.Remove)
+	eng, err := tpaEngine(e.name, st)
 	if err != nil {
-		// The previous state keeps serving; a failed mutation changes
-		// nothing. Caller mistakes get 4xx, internal reindex failures 500.
-		switch {
-		case errors.Is(err, tpa.ErrBadEdge):
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
-		default:
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
+		return tpa.MutationStats{}, 0, err
+	}
+	next, stats, err := eng.ApplyEdges(adds, removes)
+	if err != nil {
+		return stats, 0, err
 	}
 	// An all-no-op batch returns the receiver unchanged: nothing to swap,
 	// and the warm cache partition stays valid.
@@ -102,30 +119,19 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		info.Edges = stats.Edges
 		e.state.Store(h.newState(next, info))
 	}
-	e.countReindex(stats)
-	writeJSON(w, map[string]interface{}{
-		"graph":         name,
-		"added":         stats.Added,
-		"removed":       stats.Removed,
-		"nodes":         stats.Nodes,
-		"edges":         stats.Edges,
-		"compacted":     stats.Compacted,
-		"incremental":   stats.Incremental,
-		"residual":      stats.Residual,
-		"head_iters":    stats.HeadIters,
-		"reindex_iters": stats.ReindexIters,
-		"stale_bound":   stats.StaleBound,
-		"mutations":     e.mutations.Add(1),
-		"elapsed_ms":    float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
-// countReindex adds one write's reindex work to the graph's counters: its
-// propagation steps, and a head skip when a write that changed the graph
-// ran no head steps.
-func (e *graphEntry) countReindex(stats tpa.MutationStats) {
 	e.reindexIters.Add(int64(stats.ReindexIters))
 	if stats.Compacted && stats.HeadIters == 0 {
 		e.headSkips.Add(1)
 	}
+	return stats, e.mutations.Add(1), nil
+}
+
+// tpaEngine returns the engine st serves, or an errConflict when it is not
+// a *tpa.Engine (only a test fake registered in its place), which takes no
+// writes.
+func tpaEngine(name string, st *engineState) (*tpa.Engine, error) {
+	if eng, ok := st.eng.(*tpa.Engine); ok {
+		return eng, nil
+	}
+	return nil, fmt.Errorf("%w: graph %q is served by a %T, which takes no writes", errConflict, name, st.eng)
 }

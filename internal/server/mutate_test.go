@@ -287,24 +287,30 @@ func TestMutateUnderFire(t *testing.T) {
 }
 
 func TestMutateBodyTooLarge(t *testing.T) {
-	// The decoder reads through http.MaxBytesReader: a body over the cap
-	// answers 413 instead of ballooning memory (and, on the durable path,
-	// instead of acknowledging a batch a restart could not replay).
-	old := maxMutationBody
-	maxMutationBody = 256
-	defer func() { maxMutationBody = old }()
+	// Every JSON endpoint decodes through http.MaxBytesReader: a body over
+	// the cap answers 413 instead of ballooning memory before MaxBatch is
+	// checked (and, on the durable path, instead of acknowledging a batch a
+	// restart could not replay).
+	old := maxBody
+	maxBody = 256
+	defer func() { maxBody = old }()
 	h := testHandler(t)
-	body := `{"add":[` + strings.Repeat(`[1,2],`, 100) + `[1,2]]}`
-	if int64(len(body)) <= maxMutationBody {
-		t.Fatalf("test body (%d bytes) does not exceed the cap", len(body))
-	}
-	rec, _ := postJSON(t, h, "/graphs/default/edges", body)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("code = %d, want 413: %s", rec.Code, rec.Body.String())
-	}
-	// Under the cap the same endpoint still works.
-	rec, _ = postJSON(t, h, "/graphs/default/edges", `{"add":[[1,2]]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("small mutation after 413: code = %d: %s", rec.Code, rec.Body.String())
+	for _, c := range []struct{ path, big, small string }{
+		{"/graphs/default/edges", `{"add":[` + strings.Repeat(`[1,2],`, 100) + `[1,2]]}`, `{"add":[[1,2]]}`},
+		{"/batch", `{"seeds":[` + strings.Repeat(`1,`, 200) + `1]}`, `{"seeds":[1,2]}`},
+		{"/queryset", `{"seeds":[` + strings.Repeat(`1,`, 200) + `1]}`, `{"seeds":[1,2]}`},
+	} {
+		if int64(len(c.big)) <= maxBody {
+			t.Fatalf("%s: test body (%d bytes) does not exceed the cap", c.path, len(c.big))
+		}
+		rec, _ := postJSON(t, h, c.path, c.big)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: code = %d, want 413: %s", c.path, rec.Code, rec.Body.String())
+		}
+		// Under the cap the same endpoint still works.
+		rec, _ = postJSON(t, h, c.path, c.small)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: small body after 413: code = %d: %s", c.path, rec.Code, rec.Body.String())
+		}
 	}
 }

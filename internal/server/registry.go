@@ -55,9 +55,9 @@ type graphEntry struct {
 	loader Loader // nil when registered with a fixed engine (not reloadable)
 	state  atomic.Pointer[engineState]
 	// swap is a size-1 semaphore serializing state swaps (reloads and
-	// mutations), not queries. HTTP paths use trySwap (non-blocking, 409
-	// on contention); the ingest batcher uses acquireSwap to wait out a
-	// concurrent reload instead of failing a durably logged batch.
+	// writes), not queries. HTTP paths claim it without waiting (409 on
+	// contention); the ingest batcher waits out a concurrent reload
+	// instead of failing a durably logged batch.
 	swap      chan struct{}
 	queries   atomic.Int64 // query requests routed to this graph
 	reloads   atomic.Int64 // completed reloads
@@ -71,29 +71,27 @@ type graphEntry struct {
 	ingest atomic.Pointer[ingest.Ingestor]
 }
 
-// trySwap claims the entry's swap slot without waiting.
-func (e *graphEntry) trySwap() bool {
-	select {
-	case e.swap <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// acquireSwap waits up to timeout for the swap slot.
-func (e *graphEntry) acquireSwap(timeout time.Duration) error {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+// acquireSwap claims the entry's swap slot, waiting up to wait for it (0:
+// not at all), and fails with an errConflict when it stays taken.
+func (e *graphEntry) acquireSwap(wait time.Duration) error {
 	select {
 	case e.swap <- struct{}{}:
 		return nil
-	case <-timer.C:
-		return fmt.Errorf("graph %q: swap lock held for over %v", e.name, timeout)
+	default:
 	}
+	if wait > 0 {
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		select {
+		case e.swap <- struct{}{}:
+			return nil
+		case <-timer.C:
+		}
+	}
+	return fmt.Errorf("%w: reload or mutation of %q already in progress", errConflict, e.name)
 }
 
-// releaseSwap frees the slot claimed by trySwap/acquireSwap.
+// releaseSwap frees the slot claimed by acquireSwap.
 func (e *graphEntry) releaseSwap() { <-e.swap }
 
 func (h *Handler) newState(eng Engine, info Info) *engineState {
@@ -313,8 +311,8 @@ func (h *Handler) reloadGraph(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("graph %q was registered with a fixed engine and cannot be reloaded", name))
 		return
 	}
-	if !e.trySwap() {
-		httpError(w, http.StatusConflict, fmt.Sprintf("reload or mutation of %q already in progress", name))
+	if err := e.acquireSwap(0); err != nil {
+		httpError(w, http.StatusConflict, err.Error())
 		return
 	}
 	defer e.releaseSwap()

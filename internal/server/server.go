@@ -23,6 +23,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -426,8 +427,7 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Dura
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Seeds) == 0 {
@@ -501,8 +501,7 @@ func (h *Handler) querySet(w http.ResponseWriter, r *http.Request, budget time.D
 		return
 	}
 	var req querySetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Seeds) == 0 {
@@ -579,6 +578,31 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 		return def, nil
 	}
 	return strconv.Atoi(v)
+}
+
+// maxBody caps every JSON request body (/batch, /queryset, /edges).
+// Unbounded bodies would let one request balloon memory before MaxBatch is
+// checked, and on the durable path a batch over the WAL record limit would
+// be acknowledged now and discarded as corruption by the next restart's
+// replay. A var, not a const, so tests can lower it.
+var maxBody = int64(64 << 20)
+
+// decodeRequest decodes r's JSON body into v, reading at most maxBody bytes.
+// It answers 413 past the cap and 400 on bad JSON, and reports whether v
+// holds the request.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes: split it", tooBig.Limit))
+	default:
+		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

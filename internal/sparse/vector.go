@@ -151,16 +151,6 @@ func (v Vec[T]) L1Dist(w Vec[T]) float64 {
 	return s
 }
 
-// Normalize1 scales v in place so that its L1 norm is 1 and returns v.
-// A zero vector is left untouched.
-func (v Vec[T]) Normalize1() Vec[T] {
-	n := v.L1()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(T(1 / n))
-}
-
 // Max returns the maximum entry and its index. It panics on an empty vector.
 func (v Vec[T]) Max() (int, T) {
 	if len(v) == 0 {
@@ -327,77 +317,4 @@ func (s *selector) result() []Entry {
 		siftDown(h[:end])
 	}
 	return h
-}
-
-// SparseVector is a map-backed sparse accumulator used by push-style methods
-// (forward push, backward push) where only a small fraction of entries are
-// nonzero.
-type SparseVector struct {
-	n int
-	m map[int]float64
-}
-
-// NewSparseVector returns an empty sparse vector of logical length n.
-func NewSparseVector(n int) *SparseVector {
-	return &SparseVector{n: n, m: make(map[int]float64)}
-}
-
-// Len returns the logical length of the vector.
-func (s *SparseVector) Len() int { return s.n }
-
-// NNZ returns the number of explicitly stored entries.
-func (s *SparseVector) NNZ() int { return len(s.m) }
-
-// Get returns the value at index i (0 if unset).
-func (s *SparseVector) Get(i int) float64 { return s.m[i] }
-
-// Set stores value x at index i. Setting 0 removes the entry.
-func (s *SparseVector) Set(i int, x float64) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("sparse: index %d out of range [0,%d)", i, s.n))
-	}
-	if x == 0 {
-		delete(s.m, i)
-		return
-	}
-	s.m[i] = x
-}
-
-// Add adds x to the value at index i and returns the new value.
-func (s *SparseVector) Add(i int, x float64) float64 {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("sparse: index %d out of range [0,%d)", i, s.n))
-	}
-	nv := s.m[i] + x
-	if nv == 0 {
-		delete(s.m, i)
-	} else {
-		s.m[i] = nv
-	}
-	return nv
-}
-
-// L1 returns the L1 norm of the sparse vector.
-func (s *SparseVector) L1() float64 {
-	var t float64
-	for _, x := range s.m {
-		t += math.Abs(x)
-	}
-	return t
-}
-
-// Range calls f for every nonzero entry. Iteration order is unspecified.
-func (s *SparseVector) Range(f func(i int, x float64)) {
-	for i, x := range s.m {
-		f(i, x)
-	}
-}
-
-// Dense materializes the sparse vector as a dense Vector.
-func (s *SparseVector) Dense() Vector {
-	v := NewVector(s.n)
-	for i, x := range s.m {
-		v[i] = x
-	}
-	return v
 }

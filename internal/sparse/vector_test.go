@@ -113,19 +113,6 @@ func TestVectorL1Dist(t *testing.T) {
 	}
 }
 
-func TestVectorNormalize1(t *testing.T) {
-	v := Vector{1, 3}
-	v.Normalize1()
-	if !almostEq(v.L1(), 1, 1e-12) {
-		t.Errorf("Normalize1 L1 = %v", v.L1())
-	}
-	z := Vector{0, 0}
-	z.Normalize1() // must not NaN
-	if z[0] != 0 {
-		t.Errorf("zero vector changed: %v", z)
-	}
-}
-
 func TestVectorMax(t *testing.T) {
 	i, v := (Vector{3, 7, 2}).Max()
 	if i != 1 || v != 7 {
@@ -184,50 +171,6 @@ func TestL1TriangleInequalityProperty(t *testing.T) {
 			t.Fatalf("triangle inequality violated")
 		}
 	}
-}
-
-func TestSparseVectorBasics(t *testing.T) {
-	s := NewSparseVector(10)
-	if s.Len() != 10 || s.NNZ() != 0 {
-		t.Fatal("fresh sparse vector wrong")
-	}
-	s.Set(3, 1.5)
-	s.Add(3, 0.5)
-	if got := s.Get(3); got != 2 {
-		t.Errorf("Get = %v", got)
-	}
-	s.Add(3, -2) // cancels to zero → entry removed
-	if s.NNZ() != 0 {
-		t.Errorf("zero entry not removed, nnz=%d", s.NNZ())
-	}
-	s.Set(1, -4)
-	if got := s.L1(); got != 4 {
-		t.Errorf("L1 = %v", got)
-	}
-	d := s.Dense()
-	if d[1] != -4 || len(d) != 10 {
-		t.Errorf("Dense = %v", d)
-	}
-}
-
-func TestSparseVectorRange(t *testing.T) {
-	s := NewSparseVector(5)
-	s.Set(0, 1)
-	s.Set(4, 2)
-	var sum float64
-	s.Range(func(i int, x float64) { sum += x })
-	if sum != 3 {
-		t.Errorf("Range sum = %v", sum)
-	}
-}
-
-func TestSparseVectorBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSparseVector(3).Set(3, 1)
 }
 
 // TopK must agree exactly with the naive full-sort reference.

@@ -407,10 +407,6 @@ type MutationStats struct {
 	// serves a freshly compacted CSR: true for every batch but an all-no-op
 	// one.
 	Compacted bool
-	// Incremental reports the index was corrected incrementally rather
-	// than rebuilt by full preprocessing: always true, since no write
-	// re-preprocesses (the /edges answer still carries it).
-	Incremental bool
 	// Residual is the L1 residual mass the reindex started from.
 	Residual float64
 	// HeadIters is the dense head steps the reindex ran: T−1 when it
@@ -481,7 +477,6 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	if len(added) == 0 && len(removed) == 0 {
 		// The whole batch was a no-op: the graph is unchanged, so the
 		// receiver is the mutated engine. No reindex, no swap needed.
-		stats.Incremental = true
 		stats.Edges = e.NumEdges()
 		return e, stats, nil
 	}
@@ -506,7 +501,6 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	}
 	next.tpa = tp
 	stats.Compacted = true
-	stats.Incremental = !rs.Full
 	stats.Residual = rs.Residual
 	stats.HeadIters = rs.HeadIters
 	stats.ReindexIters = rs.Iters()
