@@ -2,14 +2,14 @@
 // the named dataset analogues of Table II:
 //
 //	graphgen -model sbm -nodes 10000 -edges 120000 -communities 20 -out g.tsv
-//	graphgen -model sbm -nodes 12000000 -edges 120000000 -stream -out big.tsv.gz
+//	graphgen -model sbm -nodes 12000000 -edges 120000000 -out big.tsv.gz
 //	graphgen -model er|rmat|ba|community ...
 //	graphgen -dataset Slashdot -out slashdot.tsv
 //
-// -stream writes an SBM edge list one source row at a time in memory
-// bounded by the longest row, for inputs too large to build in RAM. Its
-// edges are the ones the in-memory path writes; only the header comment
-// differs, since a single pass cannot know the edge count up front.
+// -model sbm writes its edge list one source row at a time in memory
+// bounded by the longest row, so it also generates inputs too large to
+// build in RAM. Its edges are the ones gen.SBM builds; only the header
+// comment lacks the edge count, which a single pass cannot know up front.
 package main
 
 import (
@@ -34,20 +34,15 @@ func main() {
 	k := flag.Int("k", 5, "edges per new node (ba)")
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	out := flag.String("out", "", "output edge-list path (required; .gz supported)")
-	stream := flag.Bool("stream", false, "sbm only: write row by row without building the graph in memory")
 	flag.Parse()
 
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "graphgen: -out is required")
 		os.Exit(2)
 	}
-	sbm := gen.SBMConfig{Nodes: *nodes, Communities: *communities,
-		AvgOutDeg: float64(*edges) / float64(*nodes), PIn: *pin, Seed: *seed}
-	if *stream {
-		if *dataset != "" || strings.ToLower(*model) != "sbm" {
-			fmt.Fprintln(os.Stderr, "graphgen: -stream needs -model sbm")
-			os.Exit(2)
-		}
+	if *dataset == "" && strings.ToLower(*model) == "sbm" {
+		sbm := gen.SBMConfig{Nodes: *nodes, Communities: *communities,
+			AvgOutDeg: float64(*edges) / float64(*nodes), PIn: *pin, Seed: *seed}
 		if err := gen.StreamSBMEdgeListFile(*out, sbm); err != nil {
 			fmt.Fprintf(os.Stderr, "graphgen: writing %s: %v\n", *out, err)
 			os.Exit(1)
@@ -71,8 +66,6 @@ func main() {
 			g = gen.DefaultRMAT(*scale, *edges, *seed)
 		case "ba":
 			g = gen.BarabasiAlbert(*nodes, *k, *seed)
-		case "sbm":
-			g = gen.SBM(sbm)
 		case "community":
 			g = gen.CommunityRMAT(*nodes, *edges, *communities, 0.2, *seed)
 		default:

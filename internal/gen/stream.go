@@ -99,8 +99,8 @@ func StreamSBM(cfg SBMConfig, emit func(u int, targets []int32) error) error {
 
 // StreamSBMEdgeList writes cfg's graph to w as a whitespace-separated edge
 // list ("u\tv" per line) in O(max out-degree) memory — the writer behind
-// `graphgen -model sbm -stream`, for generating inputs far larger than RAM
-// would allow through the in-memory graph.
+// `graphgen -model sbm`, for generating inputs far larger than RAM would
+// allow through the in-memory graph.
 func StreamSBMEdgeList(w io.Writer, cfg SBMConfig) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	// Same comment-header shape as graph.WriteEdgeList, minus the edge

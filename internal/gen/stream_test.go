@@ -13,7 +13,7 @@ import (
 // list (graph.WriteEdgeList, the file the benchmark hashes into its pins)
 // must not move, so a change to the sampler fails here and not only in the
 // benchmark. The streamed edge list must carry the same edge lines, which
-// is what makes `graphgen -stream` reproduce the in-memory output.
+// is what makes `graphgen -model sbm` write the edges gen.SBM builds.
 func TestSBMGolden(t *testing.T) {
 	for _, c := range []struct {
 		cfg    SBMConfig

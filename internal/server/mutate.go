@@ -28,10 +28,14 @@ type mutateRequest struct {
 	Remove [][2]int `json:"remove"`
 }
 
-// errConflict marks a write or reload the graph turns away untried: another
-// one held the swap slot past the caller's wait, or the served engine takes
-// no writes. HTTP answers it 409; the ingest batcher retries it.
+// errConflict marks a write or reload the graph turns away untried because
+// another one held the swap slot past the caller's wait. HTTP answers it
+// 409; the ingest batcher retries it.
 var errConflict = errors.New("conflict")
+
+// errNoWrites marks a write to a graph whose served engine takes none. HTTP
+// answers it 409 as well, but it is permanent: the batcher does not retry it.
+var errNoWrites = errors.New("no writes")
 
 // mutateGraph serves POST /graphs/{name}/edges.
 func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
@@ -61,7 +65,7 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 	stats, mutations, err := h.applyWrite(e, 0, req.Add, req.Remove)
 	switch {
 	case err == nil:
-	case errors.Is(err, errConflict):
+	case errors.Is(err, errConflict), errors.Is(err, errNoWrites):
 		httpError(w, http.StatusConflict, err.Error())
 		return
 	case errors.Is(err, tpa.ErrBadEdge):
@@ -126,12 +130,12 @@ func (h *Handler) applyWrite(e *graphEntry, wait time.Duration, adds, removes []
 	return stats, e.mutations.Add(1), nil
 }
 
-// tpaEngine returns the engine st serves, or an errConflict when it is not
+// tpaEngine returns the engine st serves, or an errNoWrites when it is not
 // a *tpa.Engine (only a test fake registered in its place), which takes no
 // writes.
 func tpaEngine(name string, st *engineState) (*tpa.Engine, error) {
 	if eng, ok := st.eng.(*tpa.Engine); ok {
 		return eng, nil
 	}
-	return nil, fmt.Errorf("%w: graph %q is served by a %T, which takes no writes", errConflict, name, st.eng)
+	return nil, fmt.Errorf("%w: graph %q is served by a %T, which takes no writes", errNoWrites, name, st.eng)
 }

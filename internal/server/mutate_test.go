@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -162,6 +163,14 @@ func TestMutateErrors(t *testing.T) {
 	rec, _ = postJSON(t, h, "/graphs/fake/edges", `{"add":[[0,0]]}`)
 	if rec.Code != http.StatusConflict {
 		t.Errorf("non-mutable engine: %d, want 409", rec.Code)
+	}
+	// That refusal is permanent, not a held swap slot, so the -wal
+	// batcher must not retry it as one.
+	h.mu.RLock()
+	fake := h.graphs["fake"]
+	h.mu.RUnlock()
+	if _, _, err := h.applyWrite(fake, 0, [][2]int{{0, 1}}, nil); !errors.Is(err, errNoWrites) || errors.Is(err, errConflict) {
+		t.Errorf("non-mutable engine write: %v, want errNoWrites and no errConflict", err)
 	}
 }
 
