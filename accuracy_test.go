@@ -31,7 +31,7 @@ func l1dist(a, b []float64) float64 {
 // checkAccuracy asserts the Theorem-2 bound, mass conservation, TopK
 // consistency with Query, and margin-aware head agreement with exact RWR
 // for one engine/graph/seed triple. g must be the graph the engine serves,
-// in EXTERNAL id order (for reordered engines that is the original input
+// in EXTERNAL id order (for sharded engines that is the original input
 // graph, not engine.Graph()).
 func checkAccuracy(t *testing.T, tag string, eng *tpa.Engine, g *tpa.Graph, seed int, o tpa.Options) {
 	t.Helper()
@@ -162,11 +162,11 @@ func TestAccuracyPropertySBM(t *testing.T) {
 // regression (e.g. accumulating in float32) fails loudly.
 const f32Slack, f32MassTol = 1e-4, 1e-4
 
-// accuracyVariant is one engine configuration: layout × precision ×
-// storage (shards, memory mapping).
+// accuracyVariant is one engine configuration: precision × storage
+// (shards, memory mapping). The shard plan is the only node layout, so the
+// sharded rows are the permuted ones.
 type accuracyVariant struct {
 	name           string
-	order          string
 	prec           tpa.Precision
 	shards         int
 	mmap           bool
@@ -176,30 +176,32 @@ type accuracyVariant struct {
 // accuracyVariants is the configuration matrix every engine-level
 // equivalence check runs over.
 var accuracyVariants = []accuracyVariant{
-	{"degree-f64", "degree", tpa.Float64, 0, false, 0, 1e-6},
-	{"bfs-f64", "bfs", tpa.Float64, 0, false, 0, 1e-6},
-	{"natural-f32", "", tpa.Float32, 0, false, f32Slack, f32MassTol},
-	{"degree-f32", "degree", tpa.Float32, 0, false, f32Slack, f32MassTol},
-	{"hubspoke-f32", "hubspoke", tpa.Float32, 0, false, f32Slack, f32MassTol},
-	{"natural-f64-mmap", "", tpa.Float64, 0, true, 0, 1e-6},
-	{"2shard-f64", "", tpa.Float64, 2, false, 0, 1e-6},
-	{"2shard-f32-mmap", "", tpa.Float32, 2, true, f32Slack, f32MassTol},
+	{"natural-f32", tpa.Float32, 0, false, f32Slack, f32MassTol},
+	{"natural-f64-mmap", tpa.Float64, 0, true, 0, 1e-6},
+	{"2shard-f64", tpa.Float64, 2, false, 0, 1e-6},
+	{"2shard-f32", tpa.Float32, 2, false, f32Slack, f32MassTol},
+	{"2shard-f32-mmap", tpa.Float32, 2, true, f32Slack, f32MassTol},
 }
 
 // options returns the engine options of the variant.
 func (v accuracyVariant) options() tpa.Options {
 	o := tpa.Defaults()
-	o.Order, o.Precision = v.order, v.prec
+	o.Precision = v.prec
 	return o
 }
 
 // build builds the variant's engine on g. A mapped variant is saved as
-// TPAM and served from the mapping, which the test closes at cleanup.
+// TPAM and served from the mapping, which the test closes at cleanup. A
+// sharded variant must come out permuted: its rows are the ones that hold
+// the id remapping to account, so an identity plan would void them.
 func (v accuracyVariant) build(t *testing.T, g *tpa.Graph) *tpa.Engine {
 	t.Helper()
 	eng, err := tpa.NewSharded(g, v.shards, v.options())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v.shards > 1 && !tpa.IsPermuted(eng) {
+		t.Fatalf("%s: the shard plan left the engine unpermuted (build it on a tpa.ShuffledGraph)", v.name)
 	}
 	if !v.mmap {
 		return eng
@@ -215,19 +217,20 @@ func (v accuracyVariant) build(t *testing.T, g *tpa.Graph) *tpa.Engine {
 	return eng
 }
 
-// TestAccuracyVariants holds the layout-, precision- and storage-aware
-// engines to the same guarantees as the baseline: every combination of
-// build-time ordering (degree, BFS, hub/spoke), index precision (float64,
-// float32) and storage (sharded, memory-mapped) must meet the Theorem-2
-// bound against exact RWR on the ORIGINAL (external-id) graph — within
-// explicit float32 tolerances where the index is rounded — both statically
-// and after a mutation batch. The exact reference never sees the
-// permutation, so any id leak in the remapping boundary shows up as a gross
-// L1 error, not a tolerance miss.
+// TestAccuracyVariants holds the precision- and storage-aware engines to
+// the same guarantees as the baseline: every combination of index
+// precision (float64, float32) and storage (sharded, memory-mapped) must
+// meet the Theorem-2 bound against exact RWR on the ORIGINAL (external-id)
+// graph — within explicit float32 tolerances where the index is rounded —
+// both statically and after a mutation batch. The graph is relabeled at
+// random, so the shard plan moves ids and communities are scattered over
+// them; the exact reference never sees the permutation, so an id leak in
+// the remapping boundary sends a seed to another community and shows up as
+// an L1 error past the bound.
 func TestAccuracyVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const nodes = 400
-	g := tpa.RandomSBMGraph(nodes, 4, 5, 0.85, 31)
+	g := tpa.ShuffledGraph(t, tpa.RandomSBMGraph(nodes, 4, 5, 0.85, 31), 1)
 
 	// One mutation batch shared by all variants, so every engine is held to
 	// the same mutated reference graph.
@@ -239,8 +242,8 @@ func TestAccuracyVariants(t *testing.T) {
 			removes = append(removes, [2]int{u, int(ns[rng.Intn(len(ns))])})
 		}
 	}
-	// The external-id mutated reference graph comes from a natural-order
-	// engine: for reordered engines, engine.Graph() is in internal order and
+	// The external-id mutated reference graph comes from an unsharded
+	// engine: for sharded engines, engine.Graph() is in internal order and
 	// must NOT be used as the exact reference.
 	o := tpa.Defaults()
 	nat, err := tpa.New(g, o)

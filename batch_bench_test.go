@@ -106,8 +106,9 @@ func BenchmarkTopKBatch(b *testing.B) {
 }
 
 // BenchmarkTopK times a single-seed cold Engine.TopK on the same graph in
-// each precision: one seed's online phase and rank per op, cycling through
-// the batch seeds.
+// each precision, and in float64 on the R-MAT benchmark graph, whose later
+// hops go dense where the community graph's stay local: one seed's online
+// phase and rank per op, cycling through the batch seeds.
 func BenchmarkTopK(b *testing.B) {
 	batchBenchEngine(b)
 	batchBench.once32.Do(func() {
@@ -119,19 +120,33 @@ func BenchmarkTopK(b *testing.B) {
 		}
 		batchBench.eng32 = eng
 	})
+	rmat, err := rmatBenchEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
 	seeds := batchBenchSeeds()
-	for _, eng := range []*Engine{batchBench.eng, batchBench.eng32} {
-		b.Run(eng.Precision().String(), func(b *testing.B) {
+	for _, row := range []struct {
+		name string
+		eng  *Engine
+	}{
+		{"float64", batchBench.eng},
+		{"float32", batchBench.eng32},
+		{"rmat-float64", rmat},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.TopK(seeds[i%len(seeds)], 10); err != nil {
+				if _, err := row.eng.TopK(seeds[i%len(seeds)], 10); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 }
+
+// rmatBenchEngine is the float64 engine over rmatBenchGraph.
+var rmatBenchEngine = sync.OnceValues(func() (*Engine, error) { return New(rmatBenchGraph(), Defaults()) })
 
 func reportQPS(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {

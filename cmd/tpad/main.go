@@ -1,7 +1,7 @@
 // Command tpad builds TPA snapshots and serves queries over HTTP:
 //
 //	tpad build -graph edges.tsv [-o edges.tpam] [-s 5 -t 10 -c 0.15] [-workers 8]
-//	           [-order degree|bfs|hubspoke] [-precision 32] [-shards N]
+//	           [-precision 32] [-shards N]
 //	tpad serve -graphs snapshots/ [-addr :8080] [-cache 4096] [-max-inflight 256]
 //	tpad serve -graph edges.tsv|snapshot.tpam [...]
 //	tpad mutate -graph name [-add u,v]... [-remove u,v]... [-file f | -watch f]
@@ -71,7 +71,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   tpad build -graph <edges.tsv> [-o <out.tpam>] [-s 5] [-t 10] [-c 0.15] [-eps 1e-9] [-workers N]
-             [-order natural|degree|bfs|hubspoke] [-precision 64|32] [-shards N]
+             [-precision 64|32] [-shards N]
   tpad serve -graphs <dir>      [-addr :8080] [serving flags]
   tpad serve -graph <edges.tsv|snapshot> [-addr :8080] [serving flags]
   tpad mutate -graph <name>     [-server URL] [-add u,v]... [-remove u,v]... [-file f]
@@ -81,11 +81,12 @@ func usage() {
              [-seed 1] [-json out.json] [-quiet]
 
 serving flags: -workers N -cache N -max-inflight N -max-batch N -default-deadline D
-               -c -eps -s -t -order -precision
+               -c -eps -s -t -precision
 "tpad -graph ..." without a subcommand is the legacy alias for "tpad serve -graph ...".
 build writes a memory-mappable TPAM snapshot (zero-copy cold start); serve
 -graph loads any file that starts with "TPA" as one, whatever its name. -shards N
-builds a scatter-gather engine over N community-aligned shards; -mmap is
+builds a scatter-gather engine over N community-aligned shards, the one node
+layout a build can choose (node ids stay external); -mmap is
 accepted and ignored. Synthetic inputs come from cmd/graphgen.
 mutate posts edge batches to a running server's POST /graphs/{name}/edges;
 -watch follows a growing mutation file ("+ u v" / "- u v" lines) until ^C.`)
@@ -97,7 +98,6 @@ func tpaOpts(fs *flag.FlagSet) *tpa.Options {
 	fs.Float64Var(&o.Eps, "eps", o.Eps, "convergence tolerance")
 	fs.IntVar(&o.S, "s", o.S, "neighbor-part start iteration S")
 	fs.IntVar(&o.T, "t", o.T, "stranger-part start iteration T")
-	fs.StringVar(&o.Order, "order", "", "build-time node ordering: "+strings.Join(tpa.Orders(), "|")+" (node ids stay external)")
 	fs.Var(precFlag{&o.Precision}, "precision", "index storage precision: 64 (default) or 32 (half the index, ~1e-4 accuracy cost)")
 	return &o
 }
@@ -170,9 +170,6 @@ func cmdBuild(args []string) error {
 	}
 	s, t := eng.Params()
 	extras := ""
-	if eng.Order() != "" && eng.Order() != "natural" {
-		extras += " order=" + eng.Order()
-	}
 	if eng.Precision() == tpa.Float32 {
 		extras += " precision=float32"
 	}
@@ -207,7 +204,7 @@ func cmdServe(args []string) error {
 	maxBatch := fs.Int("max-batch", 4096, "max seeds per /batch or /queryset request (0 = unlimited)")
 	defaultDeadline := fs.Duration("default-deadline", 0, "per-query budget when no X-TPA-Deadline-Ms header is sent; expired queries return partial answers (0 = none)")
 	walRoot := fs.String("wal", "", "directory for durable ingestion: per-graph write-ahead logs and compacted snapshots; replayed on boot")
-	fsyncMode := fs.String("fsync", "batch", "WAL durability: always (fsync per batch), batch (fsync on a short timer), off")
+	fsyncMode := fs.String("fsync", "batch", "WAL durability: always (fsync per batch, before the ack), batch (fsync at most every 50ms on appends, and by the time a batch is applied), off")
 	ingestQueue := fs.Int("ingest-queue", 1024, "bounded ingest queue capacity in edge events")
 	ingestMode := fs.String("ingest-mode", "block", "backpressure when the ingest queue is full: block, drop, or reject (429)")
 	batchEdges := fs.Int("ingest-batch-edges", 4096, "max edges coalesced into one apply batch")

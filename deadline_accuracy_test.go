@@ -153,7 +153,7 @@ func TestDeadlineTopKMatchesQuery(t *testing.T) {
 // precision and storage — both run the one online phase on the same
 // kernels.
 func TestDeadlineMatchesPlainAcrossVariants(t *testing.T) {
-	g := tpa.RandomSBMGraph(400, 4, 6, 0.85, 31)
+	g := tpa.ShuffledGraph(t, tpa.RandomSBMGraph(400, 4, 6, 0.85, 31), 1)
 	for _, v := range accuracyVariants {
 		t.Run(v.name, func(t *testing.T) {
 			o := v.options()

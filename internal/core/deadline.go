@@ -58,7 +58,7 @@ func (t *TPA) QueryDeadline(ctx context.Context, seeds []int) (sparse.Vector, Qu
 // TopKDeadline is the top k of QueryDeadline's answer, with the same
 // partial-answer contract. The score vector is ranked as it is computed and
 // never written. A non-nil ids (ids[internal] = reported id, e.g. an
-// engine's ordering permutation) reports each entry under its id and breaks
+// engine's shard permutation) reports each entry under its id and breaks
 // score ties by it, so the answer is the top k of the score vector
 // scattered into ids order.
 func (t *TPA) TopKDeadline(ctx context.Context, seeds []int, k int, ids []int32) ([]sparse.Entry, QueryMeta, error) {

@@ -30,7 +30,7 @@ import (
 //	 8 dangling   int32    d     ascending dangling-node list
 //	 9 stranger   float64  n     the CPI index (r̃_stranger master)
 //	10 stranger32 float32  n     served index, Float32 indexes only
-//	11 perm       int32    n     perm[internal]=external, reordered only
+//	11 perm       int32    n     perm[internal]=external, permuted only
 //	12 shards     int64    s+1   shard bounds, sharded engines only
 //
 // meta layout (little-endian): u64 n, u64 m, u64 danglingCount, u32 policy,
@@ -194,7 +194,7 @@ func writeSections(w *mmapio.Writer, md meta, walk *graph.Walk, stranger sparse.
 // Snapshot is the graph half of a TPAM container, as ReadSnapshot binds it.
 type Snapshot struct {
 	Walk   *graph.Walk
-	Perm   []int32 // perm[internal] = external; nil in natural order
+	Perm   []int32 // perm[internal] = external; nil when unpermuted
 	Shards []int   // shard bounds; nil for an unsharded engine
 }
 

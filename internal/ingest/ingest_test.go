@@ -100,6 +100,39 @@ func TestIngestorAppliesInOrder(t *testing.T) {
 	}
 }
 
+// TestIngestorBatchFsyncCoversAppliedRecords pins FsyncBatch's durability
+// contract: a burst that lands inside one FsyncInterval is on stable
+// storage by the time the batcher has applied it, without waiting for a
+// later append, a rotation or Close to sync it.
+func TestIngestorBatchFsyncCoversAppliedRecords(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), WALOptions{Fsync: FsyncBatch, FsyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newFakeEngine()
+	in, err := New(w, Hooks{Apply: eng.apply}, Options{MaxBatchAge: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { in.Close() })
+	for i := 0; i < 3; i++ {
+		if _, err := in.Enqueue(context.Background(), edges(i, i+1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); in.Depth() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("batcher did not drain: depth %d", in.Depth())
+		}
+	}
+	w.mu.Lock()
+	synced, last := w.synced, w.seq
+	w.mu.Unlock()
+	if last != 3 || synced != last {
+		t.Fatalf("applied batches through seq %d, but the WAL is synced only through %d", last, synced)
+	}
+}
+
 func TestIngestorConflictSplitsBatch(t *testing.T) {
 	eng := newFakeEngine()
 	// Huge age/count so only the conflict rule can split the group.

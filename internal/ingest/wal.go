@@ -99,11 +99,14 @@ type FsyncPolicy int
 
 const (
 	// FsyncBatch syncs at most once per FsyncInterval, piggybacked on
-	// appends (and always on rotation and Close). The default: bounded
-	// data loss, near-zero overhead.
+	// appends, and always on rotation, Close and the apply marker that
+	// follows unsynced batch records. So an acknowledged batch is on
+	// stable storage once the batcher has applied it (within one
+	// coalescing window), and a power loss loses at most the batches
+	// acknowledged since the last sync. The default: near-zero overhead.
 	FsyncBatch FsyncPolicy = iota
 	// FsyncAlways syncs after every record: an acknowledged append is on
-	// disk. The durable-but-slow end of the dial.
+	// stable storage. The durable-but-slow end of the dial.
 	FsyncAlways
 	// FsyncOff never syncs explicitly; the OS decides. Crash durability is
 	// whatever the page cache got around to.
@@ -139,8 +142,9 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type WALOptions struct {
 	// Fsync is the durability policy (default FsyncBatch).
 	Fsync FsyncPolicy
-	// FsyncInterval is the maximum staleness under FsyncBatch (default
-	// 50ms).
+	// FsyncInterval is the minimum gap between the syncs that appends
+	// piggyback under FsyncBatch (default 50ms). Apply markers sync
+	// regardless of it.
 	FsyncInterval time.Duration
 	// SegmentBytes rotates to a new segment file once the current one
 	// exceeds this size (default 64 MiB).
@@ -172,6 +176,7 @@ type WAL struct {
 	oldBytes int64  // bytes in closed (but live) segments
 	records  int64  // batch records appended over the WAL's lifetime
 	lastSync time.Time
+	synced   uint64 // last batch sequence number known to be on stable storage
 	scratch  []byte
 }
 
@@ -240,7 +245,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 func (w *WAL) rotateLocked() error {
 	if w.f != nil {
 		if w.opts.Fsync != FsyncOff {
-			if err := w.f.Sync(); err != nil {
+			if err := w.syncLocked(); err != nil {
 				return err
 			}
 		}
@@ -282,16 +287,14 @@ func (w *WAL) appendFrame(payload []byte, syncNow bool) error {
 	w.segBytes += int64(len(frame))
 	switch w.opts.Fsync {
 	case FsyncAlways:
-		if err := w.f.Sync(); err != nil {
+		if err := w.syncLocked(); err != nil {
 			return err
 		}
-		w.lastSync = time.Now()
 	case FsyncBatch:
 		if syncNow || time.Since(w.lastSync) >= w.opts.FsyncInterval {
-			if err := w.f.Sync(); err != nil {
+			if err := w.syncLocked(); err != nil {
 				return err
 			}
-			w.lastSync = time.Now()
 		}
 	case FsyncOff:
 		// the OS decides
@@ -344,8 +347,9 @@ func (w *WAL) Append(adds, removes [][2]int) (uint64, error) {
 
 // AppendApplyMarker records that every batch up to and including upTo that
 // is not covered by an earlier marker was applied to the engine as one
-// ApplyEdges call. Markers exist for replay fidelity, not durability, so
-// they never force an fsync of their own.
+// ApplyEdges call. Under FsyncBatch the marker's frame forces a sync when
+// batch records are still unsynced, so no applied batch waits on the next
+// append for its durability.
 func (w *WAL) AppendApplyMarker(upTo uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -355,7 +359,7 @@ func (w *WAL) AppendApplyMarker(upTo uint64) error {
 	var buf [9]byte
 	buf[0] = recApply
 	binary.LittleEndian.PutUint64(buf[1:], upTo)
-	return w.appendFrame(buf[:], false)
+	return w.appendFrame(buf[:], w.synced < w.seq)
 }
 
 // Sync forces everything appended so far to stable storage.
@@ -365,10 +369,17 @@ func (w *WAL) Sync() error {
 	if w.f == nil {
 		return nil
 	}
+	return w.syncLocked()
+}
+
+// syncLocked fsyncs the current segment, which holds every batch record
+// not yet synced (rotation syncs a segment before closing it).
+func (w *WAL) syncLocked() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	w.lastSync = time.Now()
+	w.synced = w.seq
 	return nil
 }
 
@@ -432,7 +443,7 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	if w.opts.Fsync != FsyncOff {
-		if err := w.f.Sync(); err != nil {
+		if err := w.syncLocked(); err != nil {
 			w.f.Close()
 			w.f = nil
 			return err

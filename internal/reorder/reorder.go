@@ -1,7 +1,8 @@
-// Package reorder provides the node-reordering substrates behind the block
-// elimination methods: a SlashBurn-style hub-and-spoke decomposition (used
-// by BEAR-APPROX and BePI) and a label-propagation community partitioner
-// (used by NB-LIN in place of METIS).
+// Package reorder provides the node-grouping substrates: a SlashBurn-style
+// hub-and-spoke decomposition (used by BEAR-APPROX and BePI) and a
+// label-propagation community partitioner (used by NB-LIN in place of
+// METIS, and by internal/shard, whose shard plan is the one node layout a
+// TPA engine can be built with).
 //
 // The hub-and-spoke decomposition peels high-degree "hub" nodes until the
 // residual graph shatters into small weakly connected components

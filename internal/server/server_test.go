@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 
 	"tpa"
 	"tpa/internal/core"
+	"tpa/internal/graph"
 	"tpa/internal/sparse"
 )
 
@@ -132,13 +135,24 @@ func TestScore(t *testing.T) {
 
 // TestQuerySet: /queryset answers the engine's top k for the seed set, a
 // duplicate seed counting twice, with external ids and score bits intact on
-// a reordered engine.
+// a sharded (permuted) engine.
 func TestQuerySet(t *testing.T) {
-	o := tpa.Defaults()
-	o.Order = "degree"
-	eng, err := tpa.New(tpa.RandomCommunityGraph(200, 1800, 4, 31), o)
+	// The generator numbers communities contiguously, which a shard plan
+	// keeps; relabel at random so the plan has ids to move.
+	perm := make([]int32, 200)
+	for i, u := range rand.New(rand.NewSource(1)).Perm(len(perm)) {
+		perm[i] = int32(u)
+	}
+	g, err := graph.Permute(tpa.RandomCommunityGraph(200, 1800, 4, 31), perm)
 	if err != nil {
 		t.Fatal(err)
+	}
+	eng, err := tpa.NewSharded(g, 2, tpa.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := eng.Permutation(); p == nil || slices.IsSorted(p) {
+		t.Fatal("the shard plan left the engine unpermuted")
 	}
 	h := New(eng, Info{Nodes: 200, Edges: 1800, Name: "test"})
 	seeds := []int{1, 2, 3, 2}

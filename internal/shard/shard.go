@@ -22,9 +22,10 @@
 // label propagation (internal/reorder) capped at the target shard size, then
 // merges the resulting parts into exactly Shards balanced groups and lays
 // the groups out consecutively. Queries over the permuted graph therefore
-// keep each shard's working set dense in memory — the same locality argument
-// as reorder-at-build, but with the partition boundaries exported so
-// preprocessing, queries, snapshots and stats all agree on what a shard is.
+// keep each shard's working set dense in memory, with the partition
+// boundaries exported so preprocessing, queries, snapshots and stats all
+// agree on what a shard is. The plan is the only node layout an engine is
+// built with.
 package shard
 
 import (

@@ -1,12 +1,9 @@
-// Microbenchmarks for the layout- and precision-aware kernels: one Ãᵀ·x
-// application (the unit of all CPI work) across kernel variants × node
-// orderings, plus end-to-end QueryBatch on reordered/float32 engines. Run
-// with:
+// Microbenchmarks for the precision-aware kernels: one Ãᵀ·x application
+// (the unit of all CPI work) per kernel variant, plus end-to-end QueryBatch
+// on float32 and sharded engines. Run with:
 //
 //	go test -bench 'MulT|QueryBatchOrdered' -benchtime 200ms
 //
-// The orderings matter to the gather kernel because they cluster in-links:
-// after a degree or BFS permutation the hot source nodes share cache lines.
 // The float32 kernel halves the bytes per gathered element. The kernels'
 // zero-allocation contract is a unit test (graph.TestWalkMulTAllocationFree);
 // end-to-end perf is judged by bench/.
@@ -20,7 +17,6 @@ import (
 
 	"tpa/internal/gen"
 	"tpa/internal/graph"
-	"tpa/internal/reorder"
 	"tpa/internal/rwr"
 	"tpa/internal/shard"
 	"tpa/internal/sparse"
@@ -28,75 +24,59 @@ import (
 
 // The kernel workload is the acceptance graph: a 100k-node SBM with
 // community structure and skewed degrees, whose 12n-byte working set is far
-// beyond L2 — the regime where layout and precision pay.
+// beyond L2 — the regime where precision pays.
 const (
 	kernelBenchNodes = 100_000
 	kernelBenchComms = 50
 )
 
 var kernelBench struct {
-	once  sync.Once
-	g     *Graph
-	walks map[string]*graph.Walk
+	once sync.Once
+	g    *Graph
+	walk *graph.Walk
 }
 
-func kernelWalks(b *testing.B) map[string]*graph.Walk {
+func kernelWalk(b *testing.B) *graph.Walk {
 	b.Helper()
 	kernelBench.once.Do(func() {
 		kernelBench.g = RandomSBMGraph(kernelBenchNodes, kernelBenchComms, 12, 0.9, 7)
-		kernelBench.walks = map[string]*graph.Walk{
-			"natural": graph.NewWalk(kernelBench.g, graph.DanglingSelfLoop),
-		}
-		for _, ord := range []reorder.Order{reorder.OrderDegree, reorder.OrderBFS} {
-			perm, err := reorder.ComputeOrdering(kernelBench.g, ord)
-			if err != nil {
-				panic(err)
-			}
-			pg, err := graph.Permute(kernelBench.g, perm)
-			if err != nil {
-				panic(err)
-			}
-			kernelBench.walks[string(ord)] = graph.NewWalk(pg, graph.DanglingSelfLoop)
-		}
+		kernelBench.walk = graph.NewWalk(kernelBench.g, graph.DanglingSelfLoop)
 	})
-	return kernelBench.walks
+	return kernelBench.walk
 }
 
-// BenchmarkMulT times one full Ãᵀ·x application per kernel variant × node
-// ordering: plain (the serial float64 scatter) and f32 (the same kernel
-// over float32 storage). edges/s is the cross-variant comparable rate.
+// BenchmarkMulT times one full Ãᵀ·x application per kernel variant: plain
+// (the serial float64 scatter) and f32 (the same kernel over float32
+// storage). edges/s is the cross-variant comparable rate.
 func BenchmarkMulT(b *testing.B) {
-	walks := kernelWalks(b)
+	w := kernelWalk(b)
 	edges := float64(kernelBench.g.NumEdges())
 	for _, kind := range []string{"plain", "f32"} {
-		for _, ord := range []string{"natural", "degree", "bfs"} {
-			w := walks[ord]
-			b.Run(kind+"-"+ord, func(b *testing.B) {
-				n := w.N()
-				x := make(sparse.Vector, n)
-				y := make(sparse.Vector, n)
-				for i := range x {
-					x[i] = 1 / float64(n)
+		b.Run(kind, func(b *testing.B) {
+			n := w.N()
+			x := make(sparse.Vector, n)
+			y := make(sparse.Vector, n)
+			for i := range x {
+				x[i] = 1 / float64(n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			switch kind {
+			case "plain":
+				for i := 0; i < b.N; i++ {
+					w.MulT(x, y)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				switch kind {
-				case "plain":
-					for i := 0; i < b.N; i++ {
-						w.MulT(x, y)
-					}
-				case "f32":
-					x32 := sparse.Round32(x, sparse.NewVector32(n))
-					y32 := sparse.NewVector32(n)
-					for i := 0; i < b.N; i++ {
-						w.MulT32(x32, y32)
-					}
+			case "f32":
+				x32 := sparse.Round32(x, sparse.NewVector32(n))
+				y32 := sparse.NewVector32(n)
+				for i := 0; i < b.N; i++ {
+					w.MulT32(x32, y32)
 				}
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(float64(b.N)*edges/sec, "edges/s")
-				}
-			})
-		}
+			}
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(b.N)*edges/sec, "edges/s")
+			}
+		})
 	}
 }
 
@@ -115,14 +95,16 @@ func BenchmarkMulT(b *testing.B) {
 // seeds): walk cost differs between graphs with the same degree sequence
 // (arXiv 0908.0976).
 func BenchmarkShardMulT(b *testing.B) {
-	shardMulTCases(b, "", kernelWalks(b)["natural"])
+	shardMulTCases(b, "", kernelWalk(b))
 	shardMulTCases(b, "rmat/", rmatBenchWalk())
 }
 
-// rmatBenchWalk is the R-MAT benchmark graph: gen.DefaultRMAT(17, 12·2¹⁷, 1),
-// 131k nodes and about 1.5M edges.
+// rmatBenchGraph is the R-MAT benchmark graph: gen.DefaultRMAT(17, 12·2¹⁷,
+// 1), 131k nodes and about 1.5M edges.
+var rmatBenchGraph = sync.OnceValue(func() *Graph { return gen.DefaultRMAT(17, 12<<17, 1) })
+
 var rmatBenchWalk = sync.OnceValue(func() *graph.Walk {
-	return graph.NewWalk(gen.DefaultRMAT(17, 12<<17, 1), graph.DanglingSelfLoop)
+	return graph.NewWalk(rmatBenchGraph(), graph.DanglingSelfLoop)
 })
 
 // shardMulTHops returns the x(0..3) iterates of eight fixed seeds in
@@ -195,28 +177,24 @@ var orderedBench struct {
 }
 
 // orderedBenchEngines builds the QueryBatch acceptance matrix on the kernel
-// SBM graph: the natural-order float64 baseline against layout/precision
-// variants and a 2-shard float32 engine (the shape the batch-f32-mmap
-// serving workload runs). All engines answer in external ids, so the
-// workload is identical by construction.
+// SBM graph: the unsharded float64 baseline against a 2-shard float32
+// engine (the shape the batch-f32-mmap serving workload runs). Both engines
+// answer in external ids, so the workload is identical by construction.
 func orderedBenchEngines(b *testing.B) map[string]*Engine {
 	b.Helper()
-	kernelWalks(b) // force graph generation outside the timer
+	kernelWalk(b) // force graph generation outside the timer
 	orderedBench.once.Do(func() {
 		orderedBench.engs = map[string]*Engine{}
 		for _, v := range []struct {
 			name   string
-			order  string
 			prec   Precision
 			shards int
 		}{
-			{"natural-f64", "", Float64, 1},
-			{"degree-f64", "degree", Float64, 1},
-			{"degree-f32", "degree", Float32, 1},
-			{"shards2-f32", "", Float32, 2},
+			{"natural-f64", Float64, 1},
+			{"shards2-f32", Float32, 2},
 		} {
 			o := Defaults()
-			o.Order, o.Precision = v.order, v.prec
+			o.Precision = v.prec
 			eng, err := NewSharded(kernelBench.g, v.shards, o)
 			if err != nil {
 				panic(err)
@@ -227,18 +205,17 @@ func orderedBenchEngines(b *testing.B) map[string]*Engine {
 	return orderedBench.engs
 }
 
-// BenchmarkQueryBatchOrdered is the acceptance benchmark for the layout +
-// precision work: the degree-ordered float32 engine must clearly beat the
-// natural-order float64 baseline on the same 100k-node SBM workload, and
-// the sharded float32 engine — whose sparse hops push like a plain
-// engine's — must stay beside them rather than pay a dense pull per hop.
+// BenchmarkQueryBatchOrdered compares batch throughput on the 100k-node
+// SBM workload: the sharded float32 engine — whose sparse hops push like a
+// plain engine's — must stay beside the unsharded float64 baseline rather
+// than pay a dense pull per hop.
 func BenchmarkQueryBatchOrdered(b *testing.B) {
 	engs := orderedBenchEngines(b)
 	seeds := make([]int, batchBenchSize)
 	for i := range seeds {
 		seeds[i] = (i * 104729) % kernelBenchNodes
 	}
-	for _, name := range []string{"natural-f64", "degree-f64", "degree-f32", "shards2-f32"} {
+	for _, name := range []string{"natural-f64", "shards2-f32"} {
 		eng := engs[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

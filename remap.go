@@ -7,11 +7,11 @@ import (
 	"tpa/internal/sparse"
 )
 
-// ID remapping for reordered engines. A build-time ordering (Options.Order)
-// permutes the CSR for cache locality, but node ids are the public contract
-// of every query API, so the permutation must never leak: seeds are mapped
-// external→internal on the way in, and score vectors internal→external on
-// the way out. This file is where the two id spaces meet; everything below
+// ID remapping for permuted engines. A shard plan (NewSharded) permutes the
+// CSR so each shard is a contiguous node range, but node ids are the public
+// contract of every query API, so the permutation must never leak: seeds are
+// mapped external→internal on the way in, and score vectors
+// internal→external on the way out. This file is where the two id spaces meet; everything below
 // the Engine boundary runs internal, except that the top-k paths hand perm
 // down so the selector reports external ids and breaks score ties on them
 // (an answer then equals TopKOf of the external score vector, boundary ties
@@ -19,8 +19,8 @@ import (
 // pooled scratch straight into its external-order result.
 //
 // Conventions (matching graph.Permute): perm[internal] = external,
-// inv[external] = internal. Both are nil on natural-order engines, and
-// every helper is a no-op then.
+// inv[external] = internal. Both are nil on unpermuted engines, and every
+// helper is a no-op then.
 
 // toInternal maps an external seed id to the internal id. Out-of-range
 // seeds pass through unmapped so the core layer reports its usual typed
@@ -33,7 +33,7 @@ func (e *Engine) toInternal(seed int) int {
 }
 
 // toInternalSeeds maps a seed slice external→internal, returning the input
-// unchanged on natural-order engines. The result reuses buf's storage when
+// unchanged on unpermuted engines. The result reuses buf's storage when
 // it has room, so a caller holding a small array maps without allocating.
 func (e *Engine) toInternalSeeds(seeds, buf []int) []int {
 	if e.inv == nil {
@@ -50,7 +50,7 @@ func (e *Engine) toInternalSeeds(seeds, buf []int) []int {
 }
 
 // toExternalVec scatters an internal score vector into external id order.
-// On natural-order engines the vector is returned as-is (no copy).
+// On unpermuted engines the vector is returned as-is (no copy).
 func (e *Engine) toExternalVec(r sparse.Vector) []float64 {
 	if e.perm == nil {
 		return r

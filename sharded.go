@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tpa/internal/graph"
-	"tpa/internal/reorder"
 	"tpa/internal/shard"
 )
 
@@ -23,23 +22,17 @@ const shardLPRounds = 10
 // TopKBatch), not from the shards. Shard boundaries follow community
 // structure (label propagation, merged into exactly shards balanced
 // groups), so each shard's working set stays dense — node ids remain the
-// caller's, remapped at the API boundary exactly like Options.Order.
+// caller's, remapped at the API boundary (see remap.go).
 //
 // Answers agree with an unsharded engine to float-summation order: either
 // kernel evaluates the same product, so the partition and the choice of
 // kernel change scheduling and the order of a row's sum, not the
-// arithmetic. shards ≤ 1 builds a plain engine. Sharding supplies its own
-// layout, so it cannot combine with Options.Order. ApplyEdges keeps the
+// arithmetic. shards ≤ 1 builds a plain engine. ApplyEdges keeps the
 // shard bounds fixed; snapshots of a sharded engine are TPAM only
 // (SaveSnapshotMmap).
 func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 	if shards <= 1 {
 		return New(g, o)
-	}
-	if ord, err := reorder.ParseOrder(o.Order); err != nil {
-		return nil, fmt.Errorf("tpa: %w", err)
-	} else if ord != reorder.OrderNatural {
-		return nil, fmt.Errorf("tpa: Options.Order %q cannot combine with sharding (the shard plan is the ordering)", o.Order)
 	}
 	_, params := o.split()
 	plan, err := shard.PlanShards(g, shards, shardLPRounds)

@@ -34,10 +34,13 @@ func FuzzReadMmapSnapshot(f *testing.F) {
 	g := RandomSBMGraph(80, 4, 4, 0.8, 5)
 	blobs := [][]byte{
 		seed(func() (*Engine, error) { return New(g, Defaults()) }),
+		// A snapshot built with a node ordering: perm section, no shards.
+		orderedSnapshot(f, g, Float64),
+		// A 2-shard float32 engine whose plan moves nodes.
 		seed(func() (*Engine, error) {
 			o := Defaults()
-			o.Order, o.Precision = "degree", Float32
-			return New(g, o)
+			o.Precision = Float32
+			return NewSharded(shuffledGraph(f, g, 1), 2, o)
 		}),
 		seed(func() (*Engine, error) { return NewSharded(g, 3, Defaults()) }),
 		// A written engine: the 72-byte meta carrying its StaleBound.

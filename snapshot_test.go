@@ -52,40 +52,38 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotPermutationRoundTrip is the correctness crux of build-time
-// reordering: external node ids must never leak the permutation. A
-// reordered engine must answer (element-for-element, in external id space)
-// like the natural-order engine built from the same graph, and a snapshot
-// save/load must reproduce the reordered engine bit-exactly — the TPAM perm
-// section carries the permutation, so a loader that dropped or misapplied
-// it would scatter every score to the wrong node.
+// TestSnapshotPermutationRoundTrip is the correctness crux of the shard
+// layout: external node ids must never leak the permutation. A sharded
+// engine must answer (element-for-element, in external id space) like the
+// unsharded engine built from the same graph, and a snapshot save/load must
+// reproduce the sharded engine bit-exactly — the TPAM perm section carries
+// the permutation, so a loader that dropped or misapplied it would scatter
+// every score to the wrong node.
 func TestSnapshotPermutationRoundTrip(t *testing.T) {
-	g := RandomSBMGraph(400, 4, 6, 0.9, 21)
+	g := shuffledGraph(t, RandomSBMGraph(400, 4, 6, 0.9, 21), 1)
 	nat, err := New(g, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		order string
-		prec  Precision
-		tol   float64 // vs the natural engine, per element
+		name string
+		prec Precision
+		tol  float64 // vs the unsharded engine, per element
 	}{
-		// Reordering only changes float summation order in f64.
-		{"degree-f64", "degree", Float64, 1e-12},
-		{"bfs-f64", "bfs", Float64, 1e-12},
+		// The shard layout only changes float summation order in f64.
+		{"2shard-f64", Float64, 1e-12},
 		// float32 adds rounding of the stored index and the propagation.
-		{"hubspoke-f32", "hubspoke", Float32, 2e-4},
+		{"2shard-f32", Float32, 2e-4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := Defaults()
-			o.Order, o.Precision = tc.order, tc.prec
-			eng, err := New(g, o)
+			o.Precision = tc.prec
+			eng, err := NewSharded(g, 2, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eng.Permutation() == nil || eng.Order() != tc.order {
-				t.Fatalf("engine lost its ordering: perm=%v order=%q", eng.Permutation() != nil, eng.Order())
+			if !isPermuted(eng) {
+				t.Fatal("the shard plan left the engine unpermuted")
 			}
 			path := filepath.Join(t.TempDir(), "g.tpam")
 			if err := eng.SaveSnapshotFile(path); err != nil {
@@ -119,7 +117,7 @@ func TestSnapshotPermutationRoundTrip(t *testing.T) {
 					// errors); summation reorder and f32 rounding stay
 					// below tol. Element-wise comparison pins the ids.
 					if d := got[i] - want[i]; d > tc.tol || d < -tc.tol {
-						t.Fatalf("seed %d node %d: reordered %g vs natural %g (Δ %g > %g)",
+						t.Fatalf("seed %d node %d: sharded %g vs unsharded %g (Δ %g > %g)",
 							seed, i, got[i], want[i], d, tc.tol)
 					}
 					if reloaded[i] != got[i] {

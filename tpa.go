@@ -37,7 +37,6 @@ import (
 	"tpa/internal/gen"
 	"tpa/internal/graph"
 	"tpa/internal/mmapio"
-	"tpa/internal/reorder"
 	"tpa/internal/rwr"
 	"tpa/internal/shard"
 	"tpa/internal/sparse"
@@ -99,13 +98,6 @@ type Options struct {
 	// preprocessing matvec over this many row blocks, and QueryBatch/
 	// TopKBatch default to this pool size. 0 means GOMAXPROCS.
 	Workers int
-	// Order selects the build-time node ordering: "natural" (or empty, the
-	// default), "degree", "bfs" or "hubspoke". Non-natural orderings permute
-	// the CSR for cache locality before preprocessing; node ids stay the
-	// caller's — the engine remaps seeds and results at the API boundary, so
-	// answers are identical to a natural-order engine up to float summation
-	// order.
-	Order string
 	// Precision selects the storage precision of the CPI index: Float64
 	// (the default) or Float32, which halves the index and runs the online
 	// propagation in float32 (the float64 preprocessing master is kept for
@@ -128,16 +120,6 @@ const (
 // → Float64; "32", "f32", "float32" → Float32.
 func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
 
-// Orders lists the recognized Options.Order values.
-func Orders() []string {
-	os := reorder.Orders()
-	out := make([]string, len(os))
-	for i, o := range os {
-		out[i] = string(o)
-	}
-	return out
-}
-
 // Defaults returns the paper's standard configuration: c = 0.15, ε = 1e-9,
 // S = 5, T = 10.
 func Defaults() Options { return Options{C: 0.15, Eps: 1e-9, S: 5, T: 10} }
@@ -156,13 +138,10 @@ type Engine struct {
 	walk *graph.Walk
 	// workers is the default parallelism for batch queries (0 = GOMAXPROCS).
 	workers int
-	// perm/inv are the build-time ordering maps (perm[internal] = external,
-	// inv[external] = internal), both nil on natural-order engines. See
+	// perm/inv are the shard plan's node maps (perm[internal] = external,
+	// inv[external] = internal), both nil on unpermuted engines. See
 	// remap.go: they are applied only at this API boundary.
 	perm, inv []int32
-	// order is the Options.Order the engine was built with ("" for
-	// natural-order and snapshot-loaded engines).
-	order string
 	// shardOp is the scatter-gather operator of a sharded engine (nil
 	// otherwise); walk stays the base walk so snapshots and stats keep
 	// working unchanged.
@@ -172,16 +151,11 @@ type Engine struct {
 	snap *mmapio.Snapshot
 }
 
-// Order returns the build-time node ordering the engine was constructed
-// with ("degree", "bfs", ...). Empty means natural order — except for
-// reordered engines loaded from a snapshot, which report "" with a non-nil
-// Permutation (the snapshot stores the permutation, not the heuristic that
-// produced it).
-func (e *Engine) Order() string { return e.order }
-
-// Permutation returns a copy of the build-time ordering map
-// perm[internal] = external, or nil for natural-order engines. All public
-// APIs already speak external ids; this is for introspection and tests.
+// Permutation returns a copy of the node map perm[internal] = external, or
+// nil for unpermuted engines. A sharded engine's comes from its shard plan;
+// a snapshot carries it (older snapshots may hold a build-time ordering).
+// All public APIs already speak external ids; this is for introspection and
+// tests.
 func (e *Engine) Permutation() []int32 {
 	if e.perm == nil {
 		return nil
@@ -194,41 +168,14 @@ func (e *Engine) Permutation() []int32 {
 // Precision returns the storage precision of the engine's index.
 func (e *Engine) Precision() Precision { return e.tpa.Precision() }
 
-// applyOrdering resolves Options.Order against g: it returns the graph the
-// engine should preprocess (g itself for natural order), the
-// perm[internal]=external / inv[external]=internal maps (nil for natural),
-// and the canonical ordering name.
-func applyOrdering(g *Graph, order string) (*Graph, []int32, []int32, string, error) {
-	ord, err := reorder.ParseOrder(order)
-	if err != nil {
-		return nil, nil, nil, "", fmt.Errorf("tpa: %w", err)
-	}
-	perm, err := reorder.ComputeOrdering(g, ord)
-	if err != nil {
-		return nil, nil, nil, "", fmt.Errorf("tpa: ordering: %w", err)
-	}
-	if perm == nil {
-		return g, nil, nil, string(ord), nil
-	}
-	pg, err := graph.Permute(g, perm)
-	if err != nil {
-		return nil, nil, nil, "", fmt.Errorf("tpa: ordering: %w", err)
-	}
-	return pg, perm, graph.InvertPermutation(perm), string(ord), nil
-}
-
 // New runs TPA's preprocessing phase on g and returns a queryable Engine.
 // The preprocessing sparse-matvec is sharded over Options.Workers row-block
 // goroutines (0 = GOMAXPROCS); the online phase stays serial per query, with
 // QueryBatch providing cross-query parallelism.
 func New(g *Graph, o Options) (*Engine, error) {
 	_, params := o.split()
-	pg, perm, inv, order, err := applyOrdering(g, o.Order)
-	if err != nil {
-		return nil, err
-	}
-	w := graph.NewWalk(pg, graph.DanglingSelfLoop)
-	return (&Engine{walk: w, perm: perm, inv: inv, order: order}).build(w, params, o)
+	w := graph.NewWalk(g, graph.DanglingSelfLoop)
+	return (&Engine{walk: w}).build(w, params, o)
 }
 
 // build completes an engine under construction: it runs the preprocessing
@@ -252,27 +199,12 @@ func (e *Engine) build(op rwr.Operator, params core.Params, o Options) (*Engine,
 // 2(1-c)^S; pass 0 for the default 0.9.
 func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine, error) {
 	cfg, _ := o.split()
-	pg, perm, inv, order, err := applyOrdering(g, o.Order)
-	if err != nil {
-		return nil, err
-	}
-	if inv != nil && len(sampleSeeds) > 0 {
-		// Sample seeds are external ids like every other API input.
-		mapped := make([]int, len(sampleSeeds))
-		for i, s := range sampleSeeds {
-			if s >= 0 && s < len(inv) {
-				s = int(inv[s])
-			}
-			mapped[i] = s
-		}
-		sampleSeeds = mapped
-	}
-	w := graph.NewWalk(pg, graph.DanglingSelfLoop)
+	w := graph.NewWalk(g, graph.DanglingSelfLoop)
 	params, err := core.SelectParams(w, cfg, maxBound, sampleSeeds)
 	if err != nil {
 		return nil, fmt.Errorf("tpa: tuning: %w", err)
 	}
-	return (&Engine{walk: w, perm: perm, inv: inv, order: order}).build(w, params, o)
+	return (&Engine{walk: w}).build(w, params, o)
 }
 
 // Query returns the approximate RWR score vector for the seed node
@@ -384,9 +316,10 @@ func (e *Engine) StaleBound() float64 { return e.tpa.StaleBound() }
 // per node, or 4 for Float32 engines).
 func (e *Engine) IndexBytes() int64 { return e.tpa.IndexBytes() }
 
-// Graph returns the in-memory CSR graph the engine serves. For reordered
-// and sharded engines this is the INTERNAL, permuted graph; use Permutation
-// to translate its node ids back to external ones.
+// Graph returns the in-memory CSR graph the engine serves. For permuted
+// engines (sharded, or loaded from an ordered snapshot) this is the
+// INTERNAL graph; use Permutation to translate its node ids back to
+// external ones.
 func (e *Engine) Graph() *Graph { return e.walk.Graph() }
 
 // NumNodes returns the node count of the served graph.
@@ -482,7 +415,7 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	}
 
 	next := &Engine{walk: graph.NewWalk(ng, e.walk.Policy()), workers: e.workers,
-		perm: e.perm, inv: e.inv, order: e.order}
+		perm: e.perm, inv: e.inv}
 	if e.snap != nil && e.perm != nil {
 		// The receiver's perm is a view into its mapping.
 		next.perm = append([]int32(nil), e.perm...)
