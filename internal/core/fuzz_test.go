@@ -8,15 +8,17 @@ import (
 	"tpa/internal/mmapio"
 )
 
-// seedCorruptions registers blob, forged (a variant with valid checksums
+// seedCorruptions registers blob, each forged variant (valid checksums
 // over a meta the readers must refuse), and the corruption shapes the unit
 // tests probe by hand: truncations inside the header, the section table, the
 // first section page and the tail, and bit flips in the header and in
-// payload pages. Exactly 15 seeds per call.
-func seedCorruptions(f *testing.F, blob, forged []byte) {
+// payload pages. 14 seeds per call, plus one per forged variant.
+func seedCorruptions(f *testing.F, blob []byte, forged ...[]byte) {
 	f.Helper()
 	f.Add(blob)
-	f.Add(forged)
+	for _, b := range forged {
+		f.Add(b)
+	}
 	for _, cut := range []int{0, 2, 4, 16, 40, mmapio.PageSize + 8, len(blob) / 2, len(blob) - mmapio.PageSize} {
 		f.Add(append([]byte(nil), blob[:cut]...))
 	}
@@ -88,7 +90,9 @@ func FuzzReadIndex(f *testing.F) {
 func FuzzReadSnapshot(f *testing.F) {
 	tp, tp32, w := fuzzFixture(f)
 	seedCorruptions(f, snapshotBytes(f, tp, w, nil, nil),
-		forgedBytes(f, tp, w, func(md *meta) { md.policy = 99 }))
+		forgedBytes(f, tp, w, func(md *meta) { md.policy = 99 }),
+		forgedBytes(f, tp, w, func(md *meta) { md.policy = 1 }),
+		forgedBytes(f, tp, w, func(md *meta) { md.policy = 2 }))
 	// A reordered, sharded float32 fixture exercises every optional section
 	// at once: perm, shards and stranger32.
 	perm := make([]int32, w.N())

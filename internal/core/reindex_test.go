@@ -29,7 +29,7 @@ func mutate(t *testing.T, w *graph.Walk, rng *rand.Rand, batch int) (*graph.Delt
 	if _, _, err := d.Apply(adds, removes); err != nil {
 		t.Fatal(err)
 	}
-	return graph.NewDeltaWalk(d, w.Policy()), d.Compact()
+	return graph.NewDeltaWalk(d, graph.DanglingSelfLoop), d.Compact()
 }
 
 // truncSlack covers the ε truncation of the from-scratch CPI the tests
@@ -87,7 +87,7 @@ func TestReindexMatchesFullPreprocess(t *testing.T) {
 		if stats.StaleBound != inc.StaleBound() {
 			t.Errorf("trial %d: stats report StaleBound %g, the index %g", trial, stats.StaleBound, inc.StaleBound())
 		}
-		fresh := graph.NewWalk(compacted, w.Policy())
+		fresh := graph.NewWalk(compacted, graph.DanglingSelfLoop)
 		checkWritten(t, fmt.Sprintf("trial %d", trial), inc, fresh, 5)
 		full, err := Preprocess(fresh, cfg(), DefaultParams())
 		if err != nil {
@@ -108,7 +108,7 @@ func TestReindexFallsBackOnLargeDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tp, w := preprocessed(t, 70, DefaultParams())
 	dw, compacted := mutate(t, w, rng, w.N()*4)
-	fresh := graph.NewWalk(compacted, w.Policy())
+	fresh := graph.NewWalk(compacted, graph.DanglingSelfLoop)
 
 	got, stats, err := Reindex(tp, dw, 2, 0)
 	if err != nil {
@@ -146,7 +146,7 @@ func TestReindexRepeated(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Rebind each generation to the compacted walk.
-		walk = graph.NewWalk(compacted, w.Policy())
+		walk = graph.NewWalk(compacted, graph.DanglingSelfLoop)
 		cur, err = cur.WithOperator(walk)
 		if err != nil {
 			t.Fatal(err)
@@ -298,7 +298,7 @@ func TestReindexWriteFirstRecomputes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nt, stats, err := ReindexWrite(cur, graph.NewWalk(next, w.Policy()), 1,
+		nt, stats, err := ReindexWrite(cur, graph.NewWalk(next, graph.DanglingSelfLoop), 1,
 			DirtyRows(added, removed, g.OutDegree, next.OutDegree))
 		if err != nil {
 			t.Fatal(err)
@@ -313,8 +313,8 @@ func TestReindexWriteFirstRecomputes(t *testing.T) {
 	if stats.HeadIters != 0 {
 		t.Fatalf("a one-edge write after a recompute did not skip: %+v", stats)
 	}
-	checkWritten(t, "skipped write", cur, graph.NewWalk(g, w.Policy()), 2)
-	full, err := PreprocessParallel(graph.NewWalk(g, w.Policy()), cfg(), DefaultParams(), 1)
+	checkWritten(t, "skipped write", cur, graph.NewWalk(g, graph.DanglingSelfLoop), 2)
+	full, err := PreprocessParallel(graph.NewWalk(g, graph.DanglingSelfLoop), cfg(), DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestReindexKeepsFloat32Kernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	dw, compacted := mutate(t, w, rand.New(rand.NewSource(10)), 3)
-	onCSR, _, err := Reindex(tp, graph.NewWalk(compacted, w.Policy()), 1, 0)
+	onCSR, _, err := Reindex(tp, graph.NewWalk(compacted, graph.DanglingSelfLoop), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

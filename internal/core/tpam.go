@@ -27,7 +27,8 @@ import (
 //	 5 inIdx      int32    m     CSC row indices
 //	 6 invdeg     float64  n     1/outdeg (0 for dangling nodes)
 //	 7 invdeg32   float32  n     float32 twin of invdeg
-//	 8 dangling   int32    d     ascending dangling-node list
+//	 8 dangling   int32    d     retired: older builds wrote the ascending
+//	                             dangling-node list; ignored on read
 //	 9 stranger   float64  n     the CPI index (r̃_stranger master)
 //	10 stranger32 float32  n     served index, Float32 indexes only
 //	11 perm       int32    n     perm[internal]=external, permuted only
@@ -36,8 +37,9 @@ import (
 // meta layout (little-endian): u64 n, u64 m, u64 danglingCount, u32 policy,
 // u32 S, u32 T, u32 preIters, u32 precision (0=float64, 1=float32),
 // u32 flags (0), f64 C, f64 Eps; then, only for an index that took writes,
-// f64 StaleBound (> 0). A 64-byte meta loads with StaleBound 0, so freshly
-// built indexes write the same bytes older builds did.
+// f64 StaleBound (> 0). A 64-byte meta loads with StaleBound 0. policy must
+// be 0 (graph.DanglingSelfLoop, the only policy). danglingCount is 0:
+// older builds wrote the length of section 8 there, and readers ignore it.
 const (
 	SecMeta       = 1
 	SecOutPtr     = 2
@@ -46,7 +48,7 @@ const (
 	SecInIdx      = 5
 	SecInvDeg     = 6
 	SecInvDeg32   = 7
-	SecDangling   = 8
+	SecDangling   = 8 // retired; see the table above
 	SecStranger   = 9
 	SecStranger32 = 10
 	SecPerm       = 11
@@ -62,19 +64,18 @@ var ErrBadSnapshot = binio.ErrBadSnapshot
 
 // meta is the decoded meta section.
 type meta struct {
-	n, m, dangling uint64
-	policy         graph.DanglingPolicy
-	params         Params
-	preIters       int
-	prec           Precision
-	cfg            rwr.Config
-	stale          float64
+	n, m     uint64
+	policy   graph.DanglingPolicy
+	params   Params
+	preIters int
+	prec     Precision
+	cfg      rwr.Config
+	stale    float64
 }
 
 func metaOf(t *TPA, walk *graph.Walk) meta {
-	_, _, dangling := walk.RawNormalization()
-	return meta{n: uint64(walk.N()), m: uint64(walk.Graph().NumEdges()), dangling: uint64(len(dangling)),
-		policy: walk.Policy(), params: t.params, preIters: t.preIters, prec: t.prec, cfg: t.cfg, stale: t.stale}
+	return meta{n: uint64(walk.N()), m: uint64(walk.Graph().NumEdges()), policy: graph.DanglingSelfLoop,
+		params: t.params, preIters: t.preIters, prec: t.prec, cfg: t.cfg, stale: t.stale}
 }
 
 func (md meta) encode() []byte {
@@ -86,7 +87,6 @@ func (md meta) encode() []byte {
 	}
 	le.PutUint64(b[0:], md.n)
 	le.PutUint64(b[8:], md.m)
-	le.PutUint64(b[16:], md.dangling)
 	le.PutUint32(b[24:], uint32(md.policy))
 	le.PutUint32(b[28:], uint32(md.params.S))
 	le.PutUint32(b[32:], uint32(md.params.T))
@@ -119,7 +119,6 @@ func readMeta(s *mmapio.Snapshot) (meta, error) {
 	md := meta{
 		n:        le.Uint64(b[0:]),
 		m:        le.Uint64(b[8:]),
-		dangling: le.Uint64(b[16:]),
 		policy:   graph.DanglingPolicy(le.Uint32(b[24:])),
 		params:   Params{S: int(int32(le.Uint32(b[28:]))), T: int(int32(le.Uint32(b[32:])))},
 		preIters: int(int32(le.Uint32(b[36:]))),
@@ -176,7 +175,7 @@ func WriteSnapshot(w *mmapio.Writer, t *TPA, walk *graph.Walk, perm []int32, sha
 func writeSections(w *mmapio.Writer, md meta, walk *graph.Walk, stranger sparse.Vector) {
 	outPtr, outIdx := walk.Graph().RawCSR()
 	inPtr, inIdx := walk.Graph().RawCSC()
-	invdeg, invdeg32, dangling := walk.RawNormalization()
+	invdeg, invdeg32 := walk.RawNormalization()
 	w.Bytes(SecMeta, md.encode())
 	w.I64s(SecOutPtr, outPtr)
 	w.I32s(SecOutIdx, outIdx)
@@ -184,7 +183,6 @@ func writeSections(w *mmapio.Writer, md meta, walk *graph.Walk, stranger sparse.
 	w.I32s(SecInIdx, inIdx)
 	w.F64s(SecInvDeg, invdeg)
 	w.F32s(SecInvDeg32, invdeg32)
-	w.I32s(SecDangling, dangling)
 	w.F64s(SecStranger, stranger)
 	if md.prec == Float32 {
 		w.F32s(SecStranger32, sparse.Round32(stranger, make(sparse.Vector32, len(stranger))))
@@ -203,10 +201,11 @@ type Snapshot struct {
 // without copying. It checks each section twice before any view reaches a
 // kernel: the CRC-32C of every section it binds, and then the structure
 // the kernels index unchecked (monotone pointers, sorted in-range
-// neighbours, the dangling list, the permutation, the range of each shard
-// bound). Both passes are sequential and read-only, so the zero-copy path
-// allocates O(1) in graph size. The walk's graph retains s. Every failure
-// wraps ErrBadSnapshot.
+// neighbours, the permutation, the range of each shard bound) and the
+// normalization that keeps the walk's mass (each 1/outdeg entry against
+// the row pointers). Both passes are sequential and read-only, so the
+// zero-copy path allocates O(1) in graph size. The walk's graph retains s.
+// Every failure wraps ErrBadSnapshot.
 func ReadSnapshot(s *mmapio.Snapshot) (*Snapshot, error) {
 	md, err := readMeta(s)
 	if err != nil {
@@ -222,11 +221,11 @@ func ReadSnapshot(s *mmapio.Snapshot) (*Snapshot, error) {
 		return nil, binio.Errf("edge count %d exceeds snapshot size", md.m)
 	}
 	m := int64(md.m)
-	if md.policy < graph.DanglingSelfLoop || md.policy > graph.DanglingUniform {
-		return nil, binio.Errf("unknown dangling policy %d", md.policy)
+	if md.policy != graph.DanglingSelfLoop {
+		return nil, binio.Errf("dangling policy %d, want %d (self-loop)", md.policy, graph.DanglingSelfLoop)
 	}
 	if err := verifySections(s, SecOutPtr, SecOutIdx, SecInPtr, SecInIdx,
-		SecInvDeg, SecInvDeg32, SecDangling); err != nil {
+		SecInvDeg, SecInvDeg32); err != nil {
 		return nil, err
 	}
 
@@ -270,14 +269,7 @@ func ReadSnapshot(s *mmapio.Snapshot) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	dangling, err := s.I32s(SecDangling)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(dangling)) != md.dangling {
-		return nil, binio.Errf("dangling section has %d entries, meta says %d", len(dangling), md.dangling)
-	}
-	walk, err := graph.NewWalkFromParts(g, md.policy, invdeg, invdeg32, dangling)
+	walk, err := graph.NewWalkFromParts(g, invdeg, invdeg32)
 	if err != nil {
 		return nil, binio.Errf("%v", err)
 	}

@@ -221,8 +221,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("natural unsharded snapshot round-tripped perm %v / shards %v", snap.Perm, snap.Shards)
 	}
 	w2 := snap.Walk
-	if w2.N() != w.N() || w2.Policy() != w.Policy() {
-		t.Fatalf("walk changed in round trip: n=%d policy=%v", w2.N(), w2.Policy())
+	if w2.N() != w.N() {
+		t.Fatalf("walk changed in round trip: n=%d", w2.N())
 	}
 	if err := w2.Graph().Validate(); err != nil {
 		t.Fatalf("decoded graph invalid: %v", err)
@@ -282,9 +282,16 @@ func TestSnapshotCorruption(t *testing.T) {
 		bad[0] ^= 0xFF
 		check(t, "bad magic", bad)
 	})
-	t.Run("bad-policy", func(t *testing.T) {
-		check(t, "bad policy", forgedBytes(t, tp, w, func(md *meta) { md.policy = 99 }))
-	})
+	// Self-loop (0) is the only dangling policy; 1 and 2 are the retired
+	// drop and uniform policies, which older readers accepted.
+	for _, c := range []struct {
+		name   string
+		policy graph.DanglingPolicy
+	}{{"bad-policy", 99}, {"drop-policy", 1}, {"uniform-policy", 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			check(t, c.name, forgedBytes(t, tp, w, func(md *meta) { md.policy = c.policy }))
+		})
+	}
 	t.Run("graph-section-flip", func(t *testing.T) {
 		check(t, "graph section", flipSection(t, blob, SecOutIdx))
 	})

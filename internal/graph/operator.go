@@ -15,30 +15,26 @@ import (
 // of u evenly across its out-neighbors — exactly the propagation picture CPI
 // is defined with in §II-C of the paper.
 type Walk struct {
-	g      *Graph
-	policy DanglingPolicy
-	// invdeg[u] = 1/outdeg(u), 0 for dangling nodes (policy handles them).
+	g *Graph
+	// invdeg[u] = 1/outdeg(u), 0 for dangling nodes (the kernels give them
+	// their self-loop).
 	invdeg []float64
 	// invdeg32 mirrors invdeg in float32 for the reduced-precision kernels;
 	// kept alongside so either precision can gather without a conversion
 	// pass.
 	invdeg32 []float32
-	// dangling lists the nodes with no out-edges in ascending order, so
-	// block-parallel application can compute the dangling mass cheaply.
-	dangling []int32
 }
 
-// NewWalk wraps g with the given dangling policy.
+// NewWalk wraps g. policy must be DanglingSelfLoop, the only policy; any
+// other value panics.
 func NewWalk(g *Graph, policy DanglingPolicy) *Walk {
+	mustSelfLoop(policy)
 	n := g.NumNodes()
-	w := &Walk{g: g, policy: policy,
-		invdeg: make([]float64, n), invdeg32: make([]float32, n)}
+	w := &Walk{g: g, invdeg: make([]float64, n), invdeg32: make([]float32, n)}
 	for u := 0; u < n; u++ {
 		if d := g.OutDegree(u); d > 0 {
 			w.invdeg[u] = 1 / float64(d)
 			w.invdeg32[u] = float32(w.invdeg[u])
-		} else {
-			w.dangling = append(w.dangling, int32(u))
 		}
 	}
 	return w
@@ -46,9 +42,6 @@ func NewWalk(g *Graph, policy DanglingPolicy) *Walk {
 
 // Graph returns the underlying graph.
 func (w *Walk) Graph() *Graph { return w.g }
-
-// Policy returns the dangling-node policy.
-func (w *Walk) Policy() DanglingPolicy { return w.policy }
 
 // N returns the number of nodes.
 func (w *Walk) N() int { return w.g.NumNodes() }
@@ -112,31 +105,25 @@ func pushUnder[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T], budget i
 	n := w.g.n
 	x = x[:n]
 	inline := budget / inlineDiv
-	u, left, danglingMass := pushRows(w, invdeg, x, y, 0, inline, 0)
+	u, left := pushRows(w, invdeg, x, y, 0, inline)
 	if u < n {
 		if volumeReaches(x, w.g.outPtr, u, budget-inline+left) {
 			return false
 		}
-		_, _, danglingMass = pushRows(w, invdeg, x, y, u, math.MaxInt64, danglingMass)
-	}
-	if danglingMass != 0 {
-		u := danglingMass / T(n)
-		for i := range y {
-			y[i] += u
-		}
+		pushRows(w, invdeg, x, y, u, math.MaxInt64)
 	}
 	return true
 }
 
 // pushRows pushes x's non-zero rows into y from row from on, in ascending
-// id, adding the dangling mass under DanglingUniform to danglingMass. It
-// stops before the first row whose out-edges would exhaust left and
-// returns that row (len(x) once every row is pushed), what is left, and
-// the dangling mass so far. left is the one value the loop carries beyond
-// a plain push: with a volume and a limit both live, the compiler spilled
-// the row counter to the stack, and with the zero skip behind a call per
-// row it reloaded every live value after each call.
-func pushRows[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T], from int, left int64, danglingMass T) (int, int64, T) {
+// id; a dangling row keeps its mass through its self-loop. It stops before
+// the first row whose out-edges would exhaust left and returns that row
+// (len(x) once every row is pushed) and what is left. left is the one
+// value the loop carries beyond a plain push: with a volume and a limit
+// both live, the compiler spilled the row counter to the stack, and with
+// the zero skip behind a call per row it reloaded every live value after
+// each call.
+func pushRows[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T], from int, left int64) (int, int64) {
 	// The CSR arrays are hoisted out of w.g: with the extra generic
 	// arguments live, reloading them per row cost ~5% on a dense x.
 	outPtr, outIdx := w.g.outPtr, w.g.outIdx
@@ -147,18 +134,11 @@ func pushRows[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T], from int,
 		}
 		start, end := outPtr[u], outPtr[u+1]
 		if end-start >= left {
-			return u, left, danglingMass
+			return u, left
 		}
 		left -= end - start
 		if start == end {
-			switch w.policy {
-			case DanglingSelfLoop:
-				y[u] += xu
-			case DanglingUniform:
-				danglingMass += xu
-			case DanglingDrop:
-				// mass vanishes
-			}
+			y[u] += xu
 			continue
 		}
 		share := xu * invdeg[u]
@@ -166,7 +146,7 @@ func pushRows[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T], from int,
 			y[v] += share
 		}
 	}
-	return len(x), left, danglingMass
+	return len(x), left
 }
 
 // volumeReaches reports whether the out-edges of x's non-zero rows at or
@@ -186,36 +166,6 @@ func volumeReaches[T sparse.Float](x sparse.Vec[T], outPtr []int64, from int, ne
 		}
 	}
 	return false
-}
-
-// Mul computes y = Ã·x into the provided buffer y (zeroed first) and returns
-// y. This is the reverse propagation used by backward push: entry u receives
-// the average of x over u's out-neighbors.
-func (w *Walk) Mul(x, y sparse.Vector) sparse.Vector {
-	y.Zero()
-	n := w.g.NumNodes()
-	var uniform float64
-	if w.policy == DanglingUniform {
-		uniform = x.Sum() / float64(n)
-	}
-	for u := 0; u < n; u++ {
-		ns := w.g.OutNeighbors(u)
-		if len(ns) == 0 {
-			switch w.policy {
-			case DanglingSelfLoop:
-				y[u] += x[u]
-			case DanglingUniform:
-				y[u] += uniform
-			}
-			continue
-		}
-		var s float64
-		for _, v := range ns {
-			s += x[v]
-		}
-		y[u] = s * w.invdeg[u]
-	}
-	return y
 }
 
 // Column materializes column s of Ãᵀ (equivalently row s of Ã scattered to

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPushUnder pins the budgeted push kernel against the unbudgeted one,
-// in both widths and under every dangling policy: PushUnder reports false
+// in both widths: PushUnder reports false
 // exactly when the out-edges of x's non-zero rows reach the budget, and
 // when it reports true, y is MulT's answer bit for bit. The inputs are
 // placed around the kernel's two thresholds — budget/inlineDiv, where it
@@ -79,39 +79,37 @@ func testPushUnder[T sparse.Float](t *testing.T,
 		}
 	}
 
-	for _, policy := range []DanglingPolicy{DanglingSelfLoop, DanglingUniform, DanglingDrop} {
-		w := NewWalk(g, policy)
-		for _, c := range []struct {
-			name   string
-			x      sparse.Vec[T]
-			budget int64
-		}{
-			{"one-hot", oneHot, budget},
-			{"dangling one-hot, budget 0", danglingHot, 0},
-			{"under budget/inlineDiv", underInline, budget},
-			{"crossing budget/inlineDiv", crossing, budget},
-			{"one edge under the budget", atBudget, volume(atBudget) + 1},
-			{"at the budget", atBudget, volume(atBudget)},
-			{"dense", dense, budget},
-			{"dense, budget m+1", dense, m + 1},
-		} {
-			want := mulT(w, c.x, make(sparse.Vec[T], n))
-			y := make(sparse.Vec[T], n)
-			for i := range y {
-				y[i] = 42 // PushUnder must zero y itself
-			}
-			pushed := pushUnder(w, c.x, y, c.budget)
-			if wantPush := volume(c.x) < c.budget; pushed != wantPush {
-				t.Fatalf("policy %v, %s: volume %d, budget %d: PushUnder reported %v",
-					policy, c.name, volume(c.x), c.budget, pushed)
-			}
-			if !pushed {
-				continue
-			}
-			for i := range want {
-				if y[i] != want[i] {
-					t.Fatalf("policy %v, %s: row %d is %g, MulT gives %g", policy, c.name, i, y[i], want[i])
-				}
+	w := NewWalk(g, DanglingSelfLoop)
+	for _, c := range []struct {
+		name   string
+		x      sparse.Vec[T]
+		budget int64
+	}{
+		{"one-hot", oneHot, budget},
+		{"dangling one-hot, budget 0", danglingHot, 0},
+		{"under budget/inlineDiv", underInline, budget},
+		{"crossing budget/inlineDiv", crossing, budget},
+		{"one edge under the budget", atBudget, volume(atBudget) + 1},
+		{"at the budget", atBudget, volume(atBudget)},
+		{"dense", dense, budget},
+		{"dense, budget m+1", dense, m + 1},
+	} {
+		want := mulT(w, c.x, make(sparse.Vec[T], n))
+		y := make(sparse.Vec[T], n)
+		for i := range y {
+			y[i] = 42 // PushUnder must zero y itself
+		}
+		pushed := pushUnder(w, c.x, y, c.budget)
+		if wantPush := volume(c.x) < c.budget; pushed != wantPush {
+			t.Fatalf("%s: volume %d, budget %d: PushUnder reported %v",
+				c.name, volume(c.x), c.budget, pushed)
+		}
+		if !pushed {
+			continue
+		}
+		for i := range want {
+			if y[i] != want[i] {
+				t.Fatalf("%s: row %d is %g, MulT gives %g", c.name, i, y[i], want[i])
 			}
 		}
 	}

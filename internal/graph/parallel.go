@@ -2,60 +2,37 @@ package graph
 
 import "tpa/internal/sparse"
 
-// MulTPrep is the serial prologue of one blockwise application of Ãᵀ to x:
-// it reduces the per-application state every block needs — here the uniform
-// dangling term under DanglingUniform (0 for the other policies). Callers
-// run it once per matvec and hand the result to every MulTBlock call for
-// that x, so the dangling list is scanned once rather than once per block.
-func (w *Walk) MulTPrep(x sparse.Vector) float64 { return mulTPrep(w, x) }
-
-// MulTPrep32 is MulTPrep over float32 storage.
-func (w *Walk) MulTPrep32(x sparse.Vector32) float32 { return mulTPrep(w, x) }
-
-// mulTPrep is the prologue behind MulTPrep and MulTPrep32.
-func mulTPrep[T sparse.Float](w *Walk, x sparse.Vec[T]) T {
-	if w.policy != DanglingUniform {
-		return 0
-	}
-	var mass T
-	for _, u := range w.dangling {
-		mass += x[u]
-	}
-	return mass / T(w.g.NumNodes())
-}
-
 // MulTBlock computes the destination rows y[lo:hi) of y = Ãᵀ·x, leaving the
-// rest of y untouched. uniform must be the value MulTPrep returned for this
-// x. A block gathers over the in-adjacency (CSC), so disjoint blocks share
-// no output entries and can run concurrently without locking; this is the
-// row-block sharding of the CSR sparse-matvec that rwr.Sharded and
-// shard.Operator fan out over goroutines. Summation order within each row is
-// fixed (ascending in-neighbor id), so results are deterministic for a given
-// block partition — though they may differ from the serial scatter-order
-// MulT in the last bits.
-func (w *Walk) MulTBlock(x, y sparse.Vector, lo, hi int, uniform float64) {
-	mulTBlock(w, w.invdeg, x, y, lo, hi, uniform)
+// rest of y untouched. A block gathers over the in-adjacency (CSC), so
+// disjoint blocks share no output entries and can run concurrently without
+// locking; this is the row-block sharding of the CSR sparse-matvec that
+// rwr.Sharded and shard.Operator fan out over goroutines. Summation order
+// within each row is fixed (ascending in-neighbor id, then a dangling row's
+// self-loop term), so results are deterministic for a given block partition
+// — though they may differ from the serial scatter-order MulT in the last
+// bits.
+func (w *Walk) MulTBlock(x, y sparse.Vector, lo, hi int) {
+	mulTBlock(w, w.invdeg, x, y, lo, hi)
 }
 
-// MulTBlock32 is MulTBlock over float32 storage; uniform must come from
-// MulTPrep32.
-func (w *Walk) MulTBlock32(x, y sparse.Vector32, lo, hi int, uniform float32) {
-	mulTBlock(w, w.invdeg32, x, y, lo, hi, uniform)
+// MulTBlock32 is MulTBlock over float32 storage.
+func (w *Walk) MulTBlock32(x, y sparse.Vector32, lo, hi int) {
+	mulTBlock(w, w.invdeg32, x, y, lo, hi)
 }
 
 // mulTBlock is the pull kernel behind MulTBlock and MulTBlock32 (CSC arrays
-// hoisted for the same reason as in mulT).
-func mulTBlock[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T], lo, hi int, uniform T) {
+// hoisted for the same reason as in pushRows).
+func mulTBlock[T sparse.Float](w *Walk, invdeg []T, x, y sparse.Vec[T], lo, hi int) {
 	inPtr, inIdx := w.g.inPtr, w.g.inIdx
 	for v := lo; v < hi; v++ {
 		var s T
 		for _, u := range inIdx[inPtr[v]:inPtr[v+1]] {
 			s += x[u] * invdeg[u]
 		}
-		if w.policy == DanglingSelfLoop && invdeg[v] == 0 {
+		if invdeg[v] == 0 {
 			s += x[v]
 		}
-		y[v] = s + uniform
+		y[v] = s
 	}
 }
 

@@ -77,33 +77,35 @@ func (g *Graph) RawCSR() (outPtr []int64, outIdx []int32) { return g.outPtr, g.o
 // under the same aliasing contract as RawCSR.
 func (g *Graph) RawCSC() (inPtr []int64, inIdx []int32) { return g.inPtr, g.inIdx }
 
-// NewWalkFromParts adopts precomputed normalization state — invdeg,
-// invdeg32 and the ascending dangling-node list, exactly what NewWalk
-// derives in O(n) — so a walk over a mapped snapshot allocates nothing.
-// Lengths are checked; values are trusted (they ride under the snapshot's
-// section checksums).
-func NewWalkFromParts(g *Graph, policy DanglingPolicy, invdeg []float64, invdeg32 []float32, dangling []int32) (*Walk, error) {
+// NewWalkFromParts adopts precomputed normalization state — invdeg and
+// invdeg32, exactly what NewWalk derives in O(n) — so a walk over a mapped
+// snapshot allocates nothing. Checksums prove the arrays intact, not that
+// their writer computed them from this graph, and a wrong entry breaks the
+// walk's mass conservation without failing anything; so one sequential pass
+// checks every entry against what NewWalk would compute from g's row
+// pointers: invdeg[u] = 1/outdeg(u) (0 when u dangles) and invdeg32[u] =
+// float32(invdeg[u]). g's row pointers must be monotone (Validate).
+func NewWalkFromParts(g *Graph, invdeg []float64, invdeg32 []float32) (*Walk, error) {
 	n := g.NumNodes()
 	if len(invdeg) != n || len(invdeg32) != n {
 		return nil, fmt.Errorf("graph: normalization arrays have %d/%d entries, want %d",
 			len(invdeg), len(invdeg32), n)
 	}
-	if len(dangling) > n {
-		return nil, fmt.Errorf("graph: %d dangling nodes exceed node count %d", len(dangling), n)
-	}
-	prev := int32(-1)
-	for _, u := range dangling {
-		if u <= prev || int(u) >= n {
-			return nil, fmt.Errorf("graph: dangling list not strictly ascending in [0,%d)", n)
+	for u := 0; u < n; u++ {
+		var want float64
+		if d := g.outPtr[u+1] - g.outPtr[u]; d > 0 {
+			want = 1 / float64(d)
 		}
-		prev = u
+		if invdeg[u] != want || invdeg32[u] != float32(want) {
+			return nil, fmt.Errorf("graph: normalization of node %d is %g/%g, want %g for out-degree %d",
+				u, invdeg[u], invdeg32[u], want, g.outPtr[u+1]-g.outPtr[u])
+		}
 	}
-	return &Walk{g: g, policy: policy, invdeg: invdeg, invdeg32: invdeg32, dangling: dangling}, nil
+	return &Walk{g: g, invdeg: invdeg, invdeg32: invdeg32}, nil
 }
 
 // RawNormalization returns the walk's normalization arrays (1/outdeg in
-// both precisions and the ascending dangling list). They alias internal
-// storage and must not be modified.
-func (w *Walk) RawNormalization() (invdeg []float64, invdeg32 []float32, dangling []int32) {
-	return w.invdeg, w.invdeg32, w.dangling
+// both precisions). They alias internal storage and must not be modified.
+func (w *Walk) RawNormalization() (invdeg []float64, invdeg32 []float32) {
+	return w.invdeg, w.invdeg32
 }

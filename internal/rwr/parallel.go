@@ -8,17 +8,14 @@ import (
 )
 
 // BlockOperator is an Operator whose Ãᵀ application can be evaluated on
-// contiguous destination (row) blocks independently: MulTPrep runs once per
-// matvec as a serial prologue (e.g. reducing the dangling mass of x) and its
-// result is handed to every MulTBlock call of that matvec; MulTBlock fills
+// contiguous destination (row) blocks independently: MulTBlock fills
 // exactly y[lo:hi) and touches nothing else, so disjoint blocks can run on
 // separate goroutines with no synchronization. graph.Walk implements it by
 // gathering over the in-adjacency; operators that cannot shard simply don't
 // implement it.
 type BlockOperator interface {
 	Operator
-	MulTPrep(x sparse.Vector) float64
-	MulTBlock(x, y sparse.Vector, lo, hi int, prep float64)
+	MulTBlock(x, y sparse.Vector, lo, hi int)
 }
 
 // blockBounder is an optional refinement of BlockOperator: the operator
@@ -66,11 +63,9 @@ type sharded struct {
 // N returns the node count of the wrapped operator.
 func (s *sharded) N() int { return s.op.N() }
 
-// MulT computes y = Ãᵀ·x with one goroutine per row block, after the
-// operator's serial per-matvec prologue.
+// MulT computes y = Ãᵀ·x with one goroutine per row block.
 func (s *sharded) MulT(x, y sparse.Vector) sparse.Vector {
-	prep := s.op.MulTPrep(x)
-	ForEachBlock(s.bounds, func(lo, hi int) { s.op.MulTBlock(x, y, lo, hi, prep) })
+	ForEachBlock(s.bounds, func(lo, hi int) { s.op.MulTBlock(x, y, lo, hi) })
 	return y
 }
 

@@ -8,34 +8,32 @@ import (
 	"tpa/internal/sparse"
 )
 
-func shardTestWalk(t *testing.T, seed int64, policy graph.DanglingPolicy) *graph.Walk {
+func shardTestWalk(t *testing.T, seed int64) *graph.Walk {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder()
 	for i := 0; i < 900; i++ {
 		b.AddEdge(rng.Intn(150), rng.Intn(150))
 	}
-	return graph.NewWalk(b.Build(), policy)
+	return graph.NewWalk(b.Build(), graph.DanglingSelfLoop)
 }
 
 func TestShardedMatchesSerial(t *testing.T) {
-	for _, policy := range []graph.DanglingPolicy{graph.DanglingSelfLoop, graph.DanglingDrop, graph.DanglingUniform} {
-		w := shardTestWalk(t, 61, policy)
-		rng := rand.New(rand.NewSource(62))
-		for _, workers := range []int{2, 3, 8} {
-			op := Sharded(w, workers)
-			if op == Operator(w) {
-				t.Fatalf("policy %v workers %d: Sharded did not wrap a BlockOperator", policy, workers)
-			}
-			x := sparse.NewVector(w.N())
-			for i := range x {
-				x[i] = rng.Float64()
-			}
-			want := w.MulT(x, sparse.NewVector(w.N()))
-			got := op.MulT(x, sparse.NewVector(w.N()))
-			if d := want.L1Dist(got); d > 1e-12 {
-				t.Errorf("policy %v workers %d: sharded MulT deviates by %g", policy, workers, d)
-			}
+	w := shardTestWalk(t, 61)
+	rng := rand.New(rand.NewSource(62))
+	for _, workers := range []int{2, 3, 8} {
+		op := Sharded(w, workers)
+		if op == Operator(w) {
+			t.Fatalf("workers %d: Sharded did not wrap a BlockOperator", workers)
+		}
+		x := sparse.NewVector(w.N())
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		want := w.MulT(x, sparse.NewVector(w.N()))
+		got := op.MulT(x, sparse.NewVector(w.N()))
+		if d := want.L1Dist(got); d > 1e-12 {
+			t.Errorf("workers %d: sharded MulT deviates by %g", workers, d)
 		}
 	}
 }
@@ -51,7 +49,7 @@ func TestShardedFallsBack(t *testing.T) {
 	if got := Sharded(op, 4); got != Operator(op) {
 		t.Error("non-block operator was wrapped")
 	}
-	w := shardTestWalk(t, 63, graph.DanglingSelfLoop)
+	w := shardTestWalk(t, 63)
 	if got := Sharded(w, 1); got != Operator(w) {
 		t.Error("workers=1 should return the operator unchanged")
 	}

@@ -245,17 +245,15 @@ func (o *Operator) MatvecCounts() (push, pull int64) {
 }
 
 // MulT computes y = Ãᵀ·x: by the serial push kernel while x's out-volume
-// stays under budget, else by scatter-gather — the dangling/uniform
-// prologue runs once, then each shard's destination range is filled
-// concurrently.
+// stays under budget, else by scatter-gather — each shard's destination
+// range is filled concurrently.
 func (o *Operator) MulT(x, y sparse.Vector) sparse.Vector {
 	if o.w.PushUnder(x, y, o.budget) {
 		o.pushes.Add(1)
 		return y
 	}
 	o.pulls.Add(1)
-	prep := o.w.MulTPrep(x)
-	rwr.ForEachBlock(o.bounds, func(lo, hi int) { o.w.MulTBlock(x, y, lo, hi, prep) })
+	rwr.ForEachBlock(o.bounds, func(lo, hi int) { o.w.MulTBlock(x, y, lo, hi) })
 	return y
 }
 
@@ -267,7 +265,6 @@ func (o *Operator) MulT32(x, y sparse.Vector32) sparse.Vector32 {
 		return y
 	}
 	o.pulls.Add(1)
-	prep := o.w.MulTPrep32(x)
-	rwr.ForEachBlock(o.bounds, func(lo, hi int) { o.w.MulTBlock32(x, y, lo, hi, prep) })
+	rwr.ForEachBlock(o.bounds, func(lo, hi int) { o.w.MulTBlock32(x, y, lo, hi) })
 	return y
 }

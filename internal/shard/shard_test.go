@@ -309,25 +309,23 @@ func TestNewOperatorRejectsBadBounds(t *testing.T) {
 // the pull kernel with its prologue, and the scatter-gather fan-out.
 type kernelSet[T sparse.Float] struct {
 	push  func(*graph.Walk, sparse.Vec[T], sparse.Vec[T]) sparse.Vec[T]
-	prep  func(*graph.Walk, sparse.Vec[T]) T
-	block func(*graph.Walk, sparse.Vec[T], sparse.Vec[T], int, int, T)
+	block func(*graph.Walk, sparse.Vec[T], sparse.Vec[T], int, int)
 	fan   func(*Operator, sparse.Vec[T], sparse.Vec[T]) sparse.Vec[T]
 }
 
-// TestKernelsMatchDenseReference checks every kernel, in both widths and
-// under every dangling policy, against y = M·x with M the explicitly
-// materialized n×n column-normalized matrix: {float32, float64} ×
-// {SelfLoop, Uniform, Drop} × {push, pull in 3 uneven blocks, Operator} ×
+// TestKernelsMatchDenseReference checks every kernel, in both widths,
+// against y = M·x with M the explicitly materialized n×n column-normalized
+// matrix: {float32, float64} × {push, pull in 3 uneven blocks, Operator} ×
 // {a dense x, a one-hot x and its next two iterates, a sparse x whose push
 // runs past the point where the kernel measures the rest of x, and a pair
 // of inputs one row apart that straddle the Operator's kernel switch}, so
 // both branches of Operator.MulT/MulT32 meet the reference.
 func TestKernelsMatchDenseReference(t *testing.T) {
 	t.Run("float64", func(t *testing.T) {
-		testKernels(t, 1e-12, kernelSet[float64]{(*graph.Walk).MulT, (*graph.Walk).MulTPrep, (*graph.Walk).MulTBlock, (*Operator).MulT})
+		testKernels(t, 1e-12, kernelSet[float64]{(*graph.Walk).MulT, (*graph.Walk).MulTBlock, (*Operator).MulT})
 	})
 	t.Run("float32", func(t *testing.T) {
-		testKernels(t, 1e-5, kernelSet[float32]{(*graph.Walk).MulT32, (*graph.Walk).MulTPrep32, (*graph.Walk).MulTBlock32, (*Operator).MulT32})
+		testKernels(t, 1e-5, kernelSet[float32]{(*graph.Walk).MulT32, (*graph.Walk).MulTBlock32, (*Operator).MulT32})
 	})
 }
 
@@ -351,103 +349,100 @@ func testKernels[T sparse.Float](t *testing.T, tol float64, k kernelSet[T]) {
 		x      sparse.Vec[T]
 		kernel int
 	}
-	for _, policy := range []graph.DanglingPolicy{graph.DanglingSelfLoop, graph.DanglingUniform, graph.DanglingDrop} {
-		for _, g := range graphs {
-			n := g.NumNodes()
-			w := graph.NewWalk(g, policy)
-			op, err := NewOperator(w, []int{0, n / 3, n / 3, 2 * n / 3, n})
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, g := range graphs {
+		n := g.NumNodes()
+		w := graph.NewWalk(g, graph.DanglingSelfLoop)
+		op, err := NewOperator(w, []int{0, n / 3, n / 3, 2 * n / 3, n})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			dense := make(sparse.Vec[T], n)
-			for i := range dense {
-				if rng.Intn(4) > 0 { // leave zeros for the push kernel to skip
-					dense[i] = T(rng.NormFloat64())
-				}
+		dense := make(sparse.Vec[T], n)
+		for i := range dense {
+			if rng.Intn(4) > 0 { // leave zeros for the push kernel to skip
+				dense[i] = T(rng.NormFloat64())
 			}
-			hop1 := make(sparse.Vec[T], n)
-			hop1[0] = 1
-			hop2 := k.push(w, hop1, make(sparse.Vec[T], n))
-			hop3 := k.push(w, hop2, make(sparse.Vec[T], n))
-			// under fills rows in id order while their out-edges stay below
-			// the switch volume; over is under plus the row that reaches it.
-			under, over := make(sparse.Vec[T], n), make(sparse.Vec[T], n)
-			budget := g.NumEdges() / pushVolumeDiv
-			var volume int64
-			for u := 0; u < n; u++ {
-				over[u] = T(rng.NormFloat64())
-				if volume += int64(g.OutDegree(u)); volume >= budget {
-					break
-				}
-				under[u] = over[u]
+		}
+		hop1 := make(sparse.Vec[T], n)
+		hop1[0] = 1
+		hop2 := k.push(w, hop1, make(sparse.Vec[T], n))
+		hop3 := k.push(w, hop2, make(sparse.Vec[T], n))
+		// under fills rows in id order while their out-edges stay below
+		// the switch volume; over is under plus the row that reaches it.
+		under, over := make(sparse.Vec[T], n), make(sparse.Vec[T], n)
+		budget := g.NumEdges() / pushVolumeDiv
+		var volume int64
+		for u := 0; u < n; u++ {
+			over[u] = T(rng.NormFloat64())
+			if volume += int64(g.OutDegree(u)); volume >= budget {
+				break
 			}
-			// lookahead holds every third row while their out-edges stay
-			// under half the budget: past the share of it the push kernel
-			// spends before it measures the rest of x (budget/16), so the
-			// push stops, looks ahead and finishes.
-			lookahead := make(sparse.Vec[T], n)
-			volume = 0
-			for u := 0; u < n; u += 3 {
-				if volume += int64(g.OutDegree(u)); volume >= budget/2 {
-					break
-				}
-				lookahead[u] = T(rng.NormFloat64())
+			under[u] = over[u]
+		}
+		// lookahead holds every third row while their out-edges stay
+		// under half the budget: past the share of it the push kernel
+		// spends before it measures the rest of x (budget/16), so the
+		// push stops, looks ahead and finishes.
+		lookahead := make(sparse.Vec[T], n)
+		volume = 0
+		for u := 0; u < n; u += 3 {
+			if volume += int64(g.OutDegree(u)); volume >= budget/2 {
+				break
 			}
+			lookahead[u] = T(rng.NormFloat64())
+		}
 
-			denseKernel := wantPull
-			if g.NumEdges() == 0 {
-				denseKernel = anyKernel // the lone node's entry may be a drawn zero
-			}
-			for _, in := range []input{
-				{"dense", dense, denseKernel},
-				{"one-hot", hop1, anyKernel},
-				{"hop 2", hop2, anyKernel},
-				{"hop 3", hop3, anyKernel},
-				{"past the look-ahead", lookahead, wantPush},
-				{"under the switch", under, wantPush},
-				{"over the switch", over, wantPull},
-			} {
-				want := denseMulT(g, policy, in.x)
-				check := func(kernel string, got sparse.Vec[T]) {
-					t.Helper()
-					for i := range want {
-						if d := math.Abs(float64(got[i]) - want[i]); d > tol {
-							t.Fatalf("policy %v n=%d %s x, %s: row %d off by %g", policy, n, in.name, kernel, i, d)
-						}
+		denseKernel := wantPull
+		if g.NumEdges() == 0 {
+			denseKernel = anyKernel // the lone node's entry may be a drawn zero
+		}
+		for _, in := range []input{
+			{"dense", dense, denseKernel},
+			{"one-hot", hop1, anyKernel},
+			{"hop 2", hop2, anyKernel},
+			{"hop 3", hop3, anyKernel},
+			{"past the look-ahead", lookahead, wantPush},
+			{"under the switch", under, wantPush},
+			{"over the switch", over, wantPull},
+		} {
+			want := denseMulT(g, in.x)
+			check := func(kernel string, got sparse.Vec[T]) {
+				t.Helper()
+				for i := range want {
+					if d := math.Abs(float64(got[i]) - want[i]); d > tol {
+						t.Fatalf("n=%d %s x, %s: row %d off by %g", n, in.name, kernel, i, d)
 					}
 				}
-				check("push", k.push(w, in.x, make(sparse.Vec[T], n)))
+			}
+			check("push", k.push(w, in.x, make(sparse.Vec[T], n)))
 
-				pull := make(sparse.Vec[T], n)
-				prep := k.prep(w, in.x)
-				for _, cut := range [][2]int{{0, n / 7}, {n / 7, n / 2}, {n / 2, n}} {
-					k.block(w, in.x, pull, cut[0], cut[1], prep)
-				}
-				check("pull", pull)
+			pull := make(sparse.Vec[T], n)
+			for _, cut := range [][2]int{{0, n / 7}, {n / 7, n / 2}, {n / 2, n}} {
+				k.block(w, in.x, pull, cut[0], cut[1])
+			}
+			check("pull", pull)
 
-				pushes, pulls := op.MatvecCounts()
-				got := k.fan(op, in.x, make(sparse.Vec[T], n))
-				check("operator", got)
-				pushes2, pulls2 := op.MatvecCounts()
-				if pushes2+pulls2 != pushes+pulls+1 {
-					t.Fatalf("policy %v n=%d %s x: one application moved the counters by %d", policy, n, in.name, pushes2+pulls2-pushes-pulls)
-				}
-				pulled := pulls2 > pulls
-				if in.kernel != anyKernel && pulled != (in.kernel == wantPull) {
-					t.Fatalf("policy %v n=%d %s x: operator pulled=%v", policy, n, in.name, pulled)
-				}
-				if !pulled {
-					continue
-				}
-				// The fan-out only schedules the pull kernel: same bits. (A
-				// pushed application sums a dangling self-loop term in id
-				// order rather than last, so it is held to the reference
-				// alone.)
-				for i := range pull {
-					if got[i] != pull[i] {
-						t.Fatalf("policy %v n=%d %s x: fan-out row %d differs from the serial pull: %g vs %g", policy, n, in.name, i, got[i], pull[i])
-					}
+			pushes, pulls := op.MatvecCounts()
+			got := k.fan(op, in.x, make(sparse.Vec[T], n))
+			check("operator", got)
+			pushes2, pulls2 := op.MatvecCounts()
+			if pushes2+pulls2 != pushes+pulls+1 {
+				t.Fatalf("n=%d %s x: one application moved the counters by %d", n, in.name, pushes2+pulls2-pushes-pulls)
+			}
+			pulled := pulls2 > pulls
+			if in.kernel != anyKernel && pulled != (in.kernel == wantPull) {
+				t.Fatalf("n=%d %s x: operator pulled=%v", n, in.name, pulled)
+			}
+			if !pulled {
+				continue
+			}
+			// The fan-out only schedules the pull kernel: same bits. (A
+			// pushed application sums a dangling self-loop term in id
+			// order rather than last, so it is held to the reference
+			// alone.)
+			for i := range pull {
+				if got[i] != pull[i] {
+					t.Fatalf("n=%d %s x: fan-out row %d differs from the serial pull: %g vs %g", n, in.name, i, got[i], pull[i])
 				}
 			}
 		}
@@ -455,8 +450,9 @@ func testKernels[T sparse.Float](t *testing.T, tol float64, k kernelSet[T]) {
 }
 
 // denseMulT is the naive reference: it materializes the dense n×n matrix
-// Ãᵀ under the dangling policy and multiplies it by x in float64.
-func denseMulT[T sparse.Float](g *graph.Graph, policy graph.DanglingPolicy, x sparse.Vec[T]) []float64 {
+// Ãᵀ, a dangling node's column holding its self-loop, and multiplies it by
+// x in float64.
+func denseMulT[T sparse.Float](g *graph.Graph, x sparse.Vec[T]) []float64 {
 	n := g.NumNodes()
 	m := make([][]float64, n) // m[v][u]: share of x[u] that lands on v
 	for v := range m {
@@ -468,14 +464,7 @@ func denseMulT[T sparse.Float](g *graph.Graph, policy graph.DanglingPolicy, x sp
 			m[v][u] = 1 / float64(len(ns))
 		}
 		if len(ns) == 0 {
-			switch policy {
-			case graph.DanglingSelfLoop:
-				m[u][u] = 1
-			case graph.DanglingUniform:
-				for v := range m {
-					m[v][u] = 1 / float64(n)
-				}
-			}
+			m[u][u] = 1
 		}
 	}
 	y := make([]float64, n)

@@ -157,8 +157,7 @@ func shardMulTCases(b *testing.B, prefix string, w *graph.Walk) {
 		}{
 			{"push", func(x sparse.Vector32) { w.MulT32(x, y) }},
 			{"pull", func(x sparse.Vector32) {
-				prep := w.MulTPrep32(x)
-				rwr.ForEachBlock(bounds, func(lo, hi int) { w.MulTBlock32(x, y, lo, hi, prep) })
+				rwr.ForEachBlock(bounds, func(lo, hi int) { w.MulTBlock32(x, y, lo, hi) })
 			}},
 			{"operator", func(x sparse.Vector32) { op.MulT32(x, y) }},
 		} {

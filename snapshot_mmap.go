@@ -24,14 +24,15 @@ import (
 // view reaches a kernel. First it verifies the CRC-32C of each section it
 // binds, which catches accidental corruption anywhere — headers, adjacency,
 // numeric payloads. Then it runs the same Validate on the mapped adjacency
-// (monotone pointers, sorted in-range neighbours) and checks the dangling
-// list, shard bounds and permutation, so a file whose checksums were
-// rewritten to match forged arrays still fails typed instead of making a
-// query index out of range on a worker goroutine. Both passes are
+// (monotone pointers, sorted in-range neighbours), checks each 1/outdeg
+// entry against the row pointers, and checks the shard bounds and
+// permutation, so a file whose checksums were rewritten to match forged
+// arrays still fails typed instead of making a query index out of range on
+// a worker goroutine or leaking the walk's mass. These passes are
 // sequential and read-only, so the load allocates O(1) in graph size on
 // the zero-copy path. Every failure wraps ErrBadSnapshot. What no check
-// here can catch is a forged file with a valid structure and wrong
-// numbers: it loads and answers wrongly, but never reads out of bounds.
+// here can catch is a forged file with a valid structure and a wrong
+// index: it loads and answers wrongly, but never reads out of bounds.
 
 // SaveSnapshotMmap writes the engine as a memory-mappable TPAM snapshot to
 // path, atomically and durably (see mmapio.Writer.WriteFile). The file
@@ -137,8 +138,8 @@ func (e *Engine) StorageBytes() (mapped, heap int64) {
 		}
 		return 0, e.snap.SizeBytes()
 	}
-	invdeg, invdeg32, dangling := e.walk.RawNormalization()
-	heap = e.walk.Graph().Bytes() + int64(len(invdeg))*8 + int64(len(invdeg32))*4 + int64(len(dangling))*4
+	invdeg, invdeg32 := e.walk.RawNormalization()
+	heap = e.walk.Graph().Bytes() + int64(len(invdeg))*8 + int64(len(invdeg32))*4
 	return 0, heap + e.IndexBytes()
 }
 

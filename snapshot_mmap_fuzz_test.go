@@ -69,13 +69,15 @@ func FuzzReadMmapSnapshot(f *testing.F) {
 			f.Add(flip)
 		}
 	}
-	// Valid checksums over an out-of-range neighbour: only the structural
-	// check refuses it.
+	// Valid checksums over a forged section: only the loader's checks of
+	// the values refuse it.
 	natural, err := New(g, Defaults())
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(forgedSnapshot(f, natural))
+	for _, fg := range forgeries {
+		f.Add(forgedSnapshot(f, natural, fg.forge))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := loadSnapshotMmapBytes(data)

@@ -2,6 +2,7 @@ package tpa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -66,6 +67,14 @@ func snapshotRoundTrip(t *testing.T, tag string, eng *Engine, seeds []int) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
+	sameEngine(t, tag, eng, loaded, seeds)
+}
+
+// sameEngine fails unless loaded, an engine bound to a TPAM container, is
+// eng: layout, bounds, and every Query, TopK and TopKBatch answer bit for
+// bit.
+func sameEngine(t *testing.T, tag string, eng, loaded *Engine, seeds []int) {
+	t.Helper()
 	if loaded.snap == nil {
 		t.Fatalf("%s: LoadSnapshotFile did not bind the TPAM container", tag)
 	}
@@ -277,20 +286,24 @@ func TestOrderedSnapshotLoads(t *testing.T) {
 	snapshotRoundTrip(t, "ordered-written", written, seeds)
 }
 
-// forgedSnapshot re-encodes eng's TPAM sections with the last CSR column
-// index pointing past the last node. Every checksum is valid for the forged
-// bytes, so only a structural check can refuse the file.
-func forgedSnapshot(tb testing.TB, eng *Engine) []byte {
+// tpamSections are the TPAM sections of a natural float64 engine, copied
+// out of the file SaveSnapshotMmap writes. encode lays them out again with
+// mmapio.Writer, so every checksum is valid for whatever a test put in them.
+type tpamSections struct {
+	meta          []byte
+	outPtr, inPtr []int64
+	outIdx, inIdx []int32
+	invdeg        []float64
+	invdeg32      []float32
+	dangling      []int32 // section 8, as older builds wrote it; omitted when nil
+	stranger      []float64
+}
+
+func snapshotSections(tb testing.TB, eng *Engine) tpamSections {
 	tb.Helper()
 	if eng.perm != nil || eng.shardOp != nil || eng.Precision() != Float64 {
-		tb.Fatal("forgedSnapshot copies the sections of a natural float64 engine only")
+		tb.Fatal("snapshotSections copies the sections of a natural float64 engine only")
 	}
-	g := eng.walk.Graph()
-	outPtr, outIdx := g.RawCSR()
-	inPtr, inIdx := g.RawCSC()
-	invdeg, invdeg32, dangling := eng.walk.RawNormalization()
-	forged := slices.Clone(outIdx)
-	forged[len(forged)-1] = int32(g.NumNodes())
 	path := filepath.Join(tb.TempDir(), "valid.tpam")
 	if err := eng.SaveSnapshotMmap(path); err != nil {
 		tb.Fatal(err)
@@ -304,16 +317,28 @@ func forgedSnapshot(tb testing.TB, eng *Engine) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	g := eng.walk.Graph()
+	p := tpamSections{meta: slices.Clone(meta), stranger: eng.tpa.StrangerVector()}
+	p.outPtr, p.outIdx = g.RawCSR()
+	p.inPtr, p.inIdx = g.RawCSC()
+	p.invdeg, p.invdeg32 = eng.walk.RawNormalization()
+	return p
+}
+
+func (p tpamSections) encode(tb testing.TB) []byte {
+	tb.Helper()
 	w := mmapio.NewWriter()
-	w.Bytes(core.SecMeta, slices.Clone(meta))
-	w.I64s(core.SecOutPtr, outPtr)
-	w.I32s(core.SecOutIdx, forged)
-	w.I64s(core.SecInPtr, inPtr)
-	w.I32s(core.SecInIdx, inIdx)
-	w.F64s(core.SecInvDeg, invdeg)
-	w.F32s(core.SecInvDeg32, invdeg32)
-	w.I32s(core.SecDangling, dangling)
-	w.F64s(core.SecStranger, eng.tpa.StrangerVector())
+	w.Bytes(core.SecMeta, p.meta)
+	w.I64s(core.SecOutPtr, p.outPtr)
+	w.I32s(core.SecOutIdx, p.outIdx)
+	w.I64s(core.SecInPtr, p.inPtr)
+	w.I32s(core.SecInIdx, p.inIdx)
+	w.F64s(core.SecInvDeg, p.invdeg)
+	w.F32s(core.SecInvDeg32, p.invdeg32)
+	if p.dangling != nil {
+		w.I32s(core.SecDangling, p.dangling)
+	}
+	w.F64s(core.SecStranger, p.stranger)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		tb.Fatal(err)
@@ -321,25 +346,96 @@ func forgedSnapshot(tb testing.TB, eng *Engine) []byte {
 	return buf.Bytes()
 }
 
+// forgeries each rewrite one section of a valid snapshot behind valid
+// checksums, so only the loader's checks of the values can refuse the file:
+// an out-of-range neighbour would make the first query that reaches the
+// row panic, and a wrong 1/outdeg entry would make every answer leak or
+// create mass.
+var forgeries = []struct {
+	name  string
+	forge func(p *tpamSections)
+}{
+	{"out-of-range neighbour", func(p *tpamSections) {
+		p.outIdx = slices.Clone(p.outIdx)
+		p.outIdx[len(p.outIdx)-1] = int32(len(p.outPtr) - 1)
+	}},
+	{"invdeg entry", func(p *tpamSections) {
+		p.invdeg = slices.Clone(p.invdeg)
+		u := slices.IndexFunc(p.invdeg, func(d float64) bool { return d > 0 })
+		p.invdeg[u] = 1 / (1/p.invdeg[u] + 1) // one out-edge too many
+	}},
+}
+
+// forgedSnapshot re-encodes eng's TPAM sections as forge rewrites them.
+func forgedSnapshot(tb testing.TB, eng *Engine, forge func(p *tpamSections)) []byte {
+	tb.Helper()
+	p := snapshotSections(tb, eng)
+	forge(&p)
+	return p.encode(tb)
+}
+
 // TestLoadRejectsForgedStructure: a snapshot whose checksums were rewritten
-// to match an out-of-range neighbour must fail to load with ErrBadSnapshot,
-// not load and panic on the first query that reaches the bad row.
+// to match a forged section must fail to load with ErrBadSnapshot, not load
+// and then panic or answer with the wrong mass.
 func TestLoadRejectsForgedStructure(t *testing.T) {
 	eng, err := New(RandomSBMGraph(100, 2, 4, 0.9, 14), Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := forgedSnapshot(t, eng)
-	if _, err := loadSnapshotMmapBytes(blob); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("in-memory load of a forged snapshot: %v, want ErrBadSnapshot", err)
+	for _, f := range forgeries {
+		blob := forgedSnapshot(t, eng, f.forge)
+		if _, err := loadSnapshotMmapBytes(blob); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: in-memory load of a forged snapshot: %v, want ErrBadSnapshot", f.name, err)
+		}
+		path := filepath.Join(t.TempDir(), "forged.tpam")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshotFile(path); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: file load of a forged snapshot: %v, want ErrBadSnapshot", f.name, err)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "forged.tpam")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+}
+
+// TestLoadsDanglingListLayout: older builds wrote the ascending list of
+// dangling nodes as section 8, with its length in the meta. A file in that
+// layout still loads, and answers bit for bit as the engine it was written
+// from.
+func TestLoadsDanglingListLayout(t *testing.T) {
+	// Every seventh node loses its out-edges, so the list is not empty.
+	src := RandomSBMGraph(400, 4, 5, 0.9, 21)
+	b := graph.NewBuilderN(src.NumNodes())
+	for u := 0; u < src.NumNodes(); u++ {
+		if u%7 != 3 {
+			for _, v := range src.OutNeighbors(u) {
+				b.AddEdge(u, int(v))
+			}
+		}
+	}
+	g := b.Build()
+	var dangling []int32
+	for u := 0; u < g.NumNodes(); u++ {
+		if g.OutDegree(u) == 0 {
+			dangling = append(dangling, int32(u))
+		}
+	}
+	eng, err := New(g, Defaults())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshotFile(path); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("file load of a forged snapshot: %v, want ErrBadSnapshot", err)
+	p := snapshotSections(t, eng)
+	p.dangling = dangling
+	binary.LittleEndian.PutUint64(p.meta[16:], uint64(len(dangling)))
+	path := filepath.Join(t.TempDir(), "older.tpam")
+	if err := os.WriteFile(path, p.encode(t), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	loaded, err := LoadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	sameEngine(t, "dangling-list layout", eng, loaded, []int{0, 3, 10, 199, 399})
 }
 
 // TestMmapEngineRestrictions pins the mmap engine's contract: a write moves

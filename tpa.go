@@ -414,7 +414,7 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 		return e, stats, nil
 	}
 
-	next := &Engine{walk: graph.NewWalk(ng, e.walk.Policy()), workers: e.workers,
+	next := &Engine{walk: graph.NewWalk(ng, graph.DanglingSelfLoop), workers: e.workers,
 		perm: e.perm, inv: e.inv}
 	if e.snap != nil && e.perm != nil {
 		// The receiver's perm is a view into its mapping.
