@@ -10,6 +10,7 @@
 package tpa
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -170,4 +171,8 @@ func BenchmarkPreprocessParallel(b *testing.B) {
 			}
 		})
 	}
+}
+
+func benchName(prefix string, v int) string {
+	return prefix + "=" + strconv.Itoa(v)
 }

@@ -5,8 +5,6 @@
 //	tpad serve -graphs snapshots/ [-addr :8080] [-cache 4096] [-max-inflight 256]
 //	tpad serve -graph edges.tsv|snapshot.tpam [...]
 //	tpad mutate -graph name [-add u,v]... [-remove u,v]... [-file f | -watch f]
-//	tpad arena [-gen sbm:10000] [-methods tpa,exact,fora,...] [-json out.json]
-//	tpad -graph edges.tsv [...]                  (legacy alias for "serve")
 //
 // build runs preprocessing once and writes a memory-mappable TPAM snapshot
 // of the graph and its index (.tpam); serve -graphs loads every snapshot
@@ -45,22 +43,25 @@ import (
 
 func main() {
 	args := os.Args[1:]
+	if len(args) == 0 {
+		usage()
+		os.Exit(2)
+	}
 	var err error
-	switch {
-	case len(args) > 0 && args[0] == "build":
+	switch args[0] {
+	case "build":
 		err = cmdBuild(args[1:])
-	case len(args) > 0 && args[0] == "serve":
+	case "serve":
 		err = cmdServe(args[1:])
-	case len(args) > 0 && args[0] == "mutate":
+	case "mutate":
 		err = cmdMutate(args[1:])
-	case len(args) > 0 && args[0] == "arena":
-		err = cmdArena(args[1:])
-	case len(args) > 0 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help"):
+	case "help", "-h", "--help":
 		usage()
 		return
 	default:
-		// Legacy single-graph invocation: tpad -graph edges.tsv ...
-		err = cmdServe(args)
+		fmt.Fprintf(os.Stderr, "tpad: unknown subcommand %q\n", args[0])
+		usage()
+		os.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tpad: %v\n", err)
@@ -76,13 +77,9 @@ func usage() {
   tpad serve -graph <edges.tsv|snapshot> [-addr :8080] [serving flags]
   tpad mutate -graph <name>     [-server URL] [-add u,v]... [-remove u,v]... [-file f]
   tpad mutate -graph <name>     [-server URL] -watch <file> [-interval 1s]
-  tpad arena [-gen sbm:10000,rmat:5000] [-graphs edges.tsv,...] [-methods tpa,exact,...]
-             [-workloads uniform,hub,tail] [-queries 10] [-k 20] [-c 0.15] [-eps 1e-9]
-             [-seed 1] [-json out.json] [-quiet]
 
 serving flags: -workers N -cache N -max-inflight N -max-batch N -default-deadline D
                -c -eps -s -t -precision
-"tpad -graph ..." without a subcommand is the legacy alias for "tpad serve -graph ...".
 build writes a memory-mappable TPAM snapshot (zero-copy cold start); serve
 -graph loads any file that starts with "TPA" as one, whatever its name. -shards N
 builds a scatter-gather engine over N community-aligned shards, the one node

@@ -7,7 +7,7 @@
 //
 //	H·r = c·q,   H = I − (1-c)Ãᵀ
 //
-// with a hub-and-spoke ordering (internal/reorder) so that the spoke-spoke
+// with a hub-and-spoke ordering (hubspoke.go) so that the spoke-spoke
 // block H11 is block diagonal, then apply block elimination with the Schur
 // complement S = H22 − H21·H11⁻¹·H12 over the hubs:
 //
@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"tpa/internal/graph"
-	"tpa/internal/reorder"
 	"tpa/internal/rwr"
 	"tpa/internal/sparse"
 )
@@ -98,7 +97,7 @@ func buildElimination(w *graph.Walk, cfg rwr.Config, maxBlock int, hubFrac float
 		return nil, err
 	}
 	g := w.Graph()
-	hs, err := reorder.Decompose(g, maxBlock, hubFrac)
+	hs, err := Decompose(g, maxBlock, hubFrac)
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,4 @@
-// Package reorder provides the node-grouping substrates: a SlashBurn-style
-// hub-and-spoke decomposition (used by BEAR-APPROX and BePI) and a
-// label-propagation community partitioner (used by NB-LIN in place of
-// METIS, and by internal/shard, whose shard plan is the one node layout a
-// TPA engine can be built with).
-//
-// The hub-and-spoke decomposition peels high-degree "hub" nodes until the
-// residual graph shatters into small weakly connected components
-// ("spokes"). Ordering spokes first makes H11 of H = I − (1-c)Ãᵀ block
-// diagonal: no edge connects two different spoke blocks, because any such
-// edge would have merged them into one component.
-package reorder
+package bear
 
 import (
 	"fmt"
@@ -18,7 +7,12 @@ import (
 	"tpa/internal/graph"
 )
 
-// HubSpoke is the result of a hub-and-spoke decomposition.
+// HubSpoke is the result of a SlashBurn-style hub-and-spoke decomposition,
+// the ordering BEAR-APPROX and BePI eliminate with. Decompose peels
+// high-degree "hub" nodes until the residual graph shatters into small
+// weakly connected components ("spokes"). Ordering spokes first makes H11 of
+// H = I − (1-c)Ãᵀ block diagonal: no edge connects two different spoke
+// blocks, because any such edge would have merged them into one component.
 type HubSpoke struct {
 	// Blocks lists the spoke blocks: disjoint node sets with no edges
 	// between different blocks (edges to/from hubs are allowed). Each
@@ -56,30 +50,30 @@ func (h *HubSpoke) Validate(g *graph.Graph, maxBlock int) error {
 	owner := make([]int, n) // 0 = unseen, -1 = hub, i+1 = block i
 	for _, u := range h.Hubs {
 		if u < 0 || u >= n {
-			return fmt.Errorf("reorder: hub %d out of range", u)
+			return fmt.Errorf("bear: hub %d out of range", u)
 		}
 		if owner[u] != 0 {
-			return fmt.Errorf("reorder: node %d assigned twice", u)
+			return fmt.Errorf("bear: node %d assigned twice", u)
 		}
 		owner[u] = -1
 	}
 	for bi, b := range h.Blocks {
 		if len(b) > maxBlock {
-			return fmt.Errorf("reorder: block %d has %d nodes, cap %d", bi, len(b), maxBlock)
+			return fmt.Errorf("bear: block %d has %d nodes, cap %d", bi, len(b), maxBlock)
 		}
 		for _, u := range b {
 			if u < 0 || u >= n {
-				return fmt.Errorf("reorder: spoke %d out of range", u)
+				return fmt.Errorf("bear: spoke %d out of range", u)
 			}
 			if owner[u] != 0 {
-				return fmt.Errorf("reorder: node %d assigned twice", u)
+				return fmt.Errorf("bear: node %d assigned twice", u)
 			}
 			owner[u] = bi + 1
 		}
 	}
 	for u := 0; u < n; u++ {
 		if owner[u] == 0 {
-			return fmt.Errorf("reorder: node %d unassigned", u)
+			return fmt.Errorf("bear: node %d unassigned", u)
 		}
 	}
 	for u := 0; u < n; u++ {
@@ -89,7 +83,7 @@ func (h *HubSpoke) Validate(g *graph.Graph, maxBlock int) error {
 		for _, v := range g.OutNeighbors(u) {
 			ov := owner[v]
 			if ov != -1 && ov != owner[u] {
-				return fmt.Errorf("reorder: edge (%d,%d) crosses spoke blocks %d and %d", u, v, owner[u]-1, ov-1)
+				return fmt.Errorf("bear: edge (%d,%d) crosses spoke blocks %d and %d", u, v, owner[u]-1, ov-1)
 			}
 		}
 	}
@@ -105,10 +99,10 @@ func (h *HubSpoke) Validate(g *graph.Graph, maxBlock int) error {
 func Decompose(g *graph.Graph, maxBlock int, hubFrac float64) (*HubSpoke, error) {
 	n := g.NumNodes()
 	if maxBlock < 1 {
-		return nil, fmt.Errorf("reorder: maxBlock %d must be positive", maxBlock)
+		return nil, fmt.Errorf("bear: maxBlock %d must be positive", maxBlock)
 	}
 	if hubFrac <= 0 || hubFrac > 0.5 {
-		return nil, fmt.Errorf("reorder: hubFrac %v outside (0,0.5]", hubFrac)
+		return nil, fmt.Errorf("bear: hubFrac %v outside (0,0.5]", hubFrac)
 	}
 	alive := make([]bool, n)
 	for i := range alive {

@@ -18,7 +18,7 @@ import (
 // The arena sweeps registered methods × graphs × seed workloads and scores
 // every cell against exact RWR, reproducing the shape of the paper's Fig 3
 // (preprocessing time and memory) and Fig 4 (query time vs accuracy) as one
-// self-service benchmark: `tpad arena` on the command line, RunArena here.
+// self-service benchmark: repro/cmd/arena on the command line, RunArena here.
 
 // Workload names: how arena query seeds are drawn from a graph.
 const (

@@ -8,9 +8,10 @@
 //
 //	Preprocess(w, cfg) → Query(seed) / TopK(seed, k) → Stats()
 //
-// so the experiment harness and the benchmark arena (`tpad arena`) can
-// drive any engine interchangeably: the paper's offline comparison of TPA
-// against its competitors. The HTTP server serves TPA only.
+// so the experiment harness and the benchmark arena can drive any engine
+// interchangeably: the paper's offline comparison of TPA against its
+// competitors. Both drivers live in the reproduction module (repro/: its
+// cmd/arena and internal/experiments). The HTTP server serves TPA only.
 //
 // Adapters are deliberately thin: they translate shapes and account
 // preprocessing time/index size, but never reimplement an algorithm. Each

@@ -65,7 +65,7 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// csrOperator exposes a permuted sparse matrix as a sparse.Operator for the
+// csrOperator exposes a permuted sparse matrix as an Operator for the
 // truncated SVD.
 type csrOperator struct {
 	n   int
@@ -203,13 +203,13 @@ func Preprocess(w *graph.Walk, cfg rwr.Config, opts Options) (*NBLin, error) {
 	if rank > n {
 		rank = n
 	}
-	var svd *sparse.SVDResult
+	var svd *SVDResult
 	if a2.ptr[n] == 0 {
 		// No cross edges at all: the Woodbury correction vanishes.
 		nb.rank = 0
 		return nb, nil
 	}
-	svd, err = sparse.TruncatedSVD(a2, rank, opts.SVDIters, rand.New(rand.NewSource(opts.Seed)))
+	svd, err = TruncatedSVD(a2, rank, opts.SVDIters, rand.New(rand.NewSource(opts.Seed)))
 	if err != nil {
 		return nil, err
 	}

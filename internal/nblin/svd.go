@@ -1,9 +1,11 @@
-package sparse
+package nblin
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"tpa/internal/sparse"
 )
 
 // Operator abstracts a linear operator so the truncated SVD can run on a
@@ -11,28 +13,28 @@ import (
 // it densely. Apply computes A·x, ApplyT computes Aᵀ·x.
 type Operator interface {
 	Dims() (rows, cols int)
-	Apply(x Vector) Vector
-	ApplyT(x Vector) Vector
+	Apply(x sparse.Vector) sparse.Vector
+	ApplyT(x sparse.Vector) sparse.Vector
 }
 
 // DenseOperator adapts a Dense matrix to the Operator interface.
-type DenseOperator struct{ M *Dense }
+type DenseOperator struct{ M *sparse.Dense }
 
 // Dims returns the shape of the wrapped matrix.
 func (d DenseOperator) Dims() (int, int) { return d.M.Rows, d.M.Cols }
 
 // Apply computes M·x.
-func (d DenseOperator) Apply(x Vector) Vector { return d.M.MulVec(x) }
+func (d DenseOperator) Apply(x sparse.Vector) sparse.Vector { return d.M.MulVec(x) }
 
 // ApplyT computes Mᵀ·x.
-func (d DenseOperator) ApplyT(x Vector) Vector { return d.M.MulVecT(x) }
+func (d DenseOperator) ApplyT(x sparse.Vector) sparse.Vector { return d.M.MulVecT(x) }
 
 // SVDResult holds a rank-k truncated singular value decomposition
 // A ≈ U·diag(S)·Vᵀ with U (rows×k), V (cols×k) column-orthonormal.
 type SVDResult struct {
-	U *Dense // rows×k, left singular vectors as columns
-	S Vector // k singular values, descending
-	V *Dense // cols×k, right singular vectors as columns
+	U *sparse.Dense // rows×k, left singular vectors as columns
+	S sparse.Vector // k singular values, descending
+	V *sparse.Dense // cols×k, right singular vectors as columns
 }
 
 // Rank returns the number of retained singular triplets.
@@ -40,7 +42,7 @@ func (r *SVDResult) Rank() int { return len(r.S) }
 
 // ApproxMulVec computes (U·diag(S)·Vᵀ)·x, the action of the low-rank
 // approximation on a vector.
-func (r *SVDResult) ApproxMulVec(x Vector) Vector {
+func (r *SVDResult) ApproxMulVec(x sparse.Vector) sparse.Vector {
 	t := r.V.MulVecT(x) // k
 	for i := range t {
 		t[i] *= r.S[i]
@@ -57,7 +59,7 @@ func (r *SVDResult) ApproxMulVec(x Vector) Vector {
 func TruncatedSVD(op Operator, k, iters int, rng *rand.Rand) (*SVDResult, error) {
 	rows, cols := op.Dims()
 	if k <= 0 {
-		return nil, fmt.Errorf("sparse: TruncatedSVD rank %d", k)
+		return nil, fmt.Errorf("nblin: TruncatedSVD rank %d", k)
 	}
 	if k > rows {
 		k = rows
@@ -69,17 +71,17 @@ func TruncatedSVD(op Operator, k, iters int, rng *rand.Rand) (*SVDResult, error)
 		iters = 1
 	}
 	// V: cols×k random orthonormal start.
-	v := NewDense(cols, k)
+	v := sparse.NewDense(cols, k)
 	for i := range v.Data {
 		v.Data[i] = rng.NormFloat64()
 	}
 	if err := orthonormalizeColumns(v); err != nil {
 		return nil, err
 	}
-	col := NewVector(cols)
+	col := sparse.NewVector(cols)
 	for it := 0; it < iters; it++ {
 		// W = AᵀA·V, column by column.
-		w := NewDense(cols, k)
+		w := sparse.NewDense(cols, k)
 		for j := 0; j < k; j++ {
 			for i := 0; i < cols; i++ {
 				col[i] = v.At(i, j)
@@ -95,7 +97,7 @@ func TruncatedSVD(op Operator, k, iters int, rng *rand.Rand) (*SVDResult, error)
 		}
 	}
 	// Rayleigh–Ritz: B = A·V (rows×k); SVD of B via eigen of BᵀB (k×k, Jacobi).
-	b := NewDense(rows, k)
+	b := sparse.NewDense(rows, k)
 	for j := 0; j < k; j++ {
 		for i := 0; i < cols; i++ {
 			col[i] = v.At(i, j)
@@ -105,7 +107,7 @@ func TruncatedSVD(op Operator, k, iters int, rng *rand.Rand) (*SVDResult, error)
 			b.Set(i, j, t[i])
 		}
 	}
-	btb := NewDense(k, k)
+	btb := sparse.NewDense(k, k)
 	for p := 0; p < k; p++ {
 		for q := p; q < k; q++ {
 			var s float64
@@ -129,7 +131,7 @@ func TruncatedSVD(op Operator, k, iters int, rng *rand.Rand) (*SVDResult, error)
 			}
 		}
 	}
-	res := &SVDResult{U: NewDense(rows, k), S: NewVector(k), V: NewDense(cols, k)}
+	res := &SVDResult{U: sparse.NewDense(rows, k), S: sparse.NewVector(k), V: sparse.NewDense(cols, k)}
 	for jj, idx := range order {
 		lam := evals[idx]
 		if lam < 0 {
@@ -161,7 +163,7 @@ func TruncatedSVD(op Operator, k, iters int, rng *rand.Rand) (*SVDResult, error)
 // orthonormalizeColumns runs modified Gram–Schmidt on the columns of m in
 // place. Columns that become numerically zero are re-randomized against a
 // deterministic fallback basis to keep the subspace full-rank.
-func orthonormalizeColumns(m *Dense) error {
+func orthonormalizeColumns(m *sparse.Dense) error {
 	rows, cols := m.Rows, m.Cols
 	for j := 0; j < cols; j++ {
 		for p := 0; p < j; p++ {
@@ -200,10 +202,10 @@ func orthonormalizeColumns(m *Dense) error {
 // and the matrix of eigenvectors (as columns). a is not modified. sweeps
 // bounds the number of full sweeps; convergence is quadratic so 20–200 is
 // plenty for the k≤64 matrices NB-LIN produces.
-func JacobiEigen(a *Dense, sweeps int) (Vector, *Dense) {
+func JacobiEigen(a *sparse.Dense, sweeps int) (sparse.Vector, *sparse.Dense) {
 	n := a.Rows
 	w := a.Clone()
-	q := Eye(n)
+	q := sparse.Eye(n)
 	for s := 0; s < sweeps; s++ {
 		var off float64
 		for i := 0; i < n; i++ {
@@ -249,7 +251,7 @@ func JacobiEigen(a *Dense, sweeps int) (Vector, *Dense) {
 			}
 		}
 	}
-	vals := NewVector(n)
+	vals := sparse.NewVector(n)
 	for i := 0; i < n; i++ {
 		vals[i] = w.At(i, i)
 	}

@@ -1,3 +1,7 @@
+// Package reorder provides the label-propagation community partitioner.
+// internal/shard builds its shard plan, the one node layout a TPA engine
+// can be built with, from it; NB-LIN (internal/nblin) uses it in place of
+// METIS.
 package reorder
 
 import (

@@ -12,9 +12,15 @@ import (
 // invalidation; the bound only caps memory. On skewed real-world traffic
 // (the scale-free seed distributions TPA targets) a small cache absorbs the
 // hot head of the seed popularity curve.
+//
+// The bound is in slots of defaultK ranked entries, not in answers: an
+// answer costs ⌈len/defaultK⌉ slots (at least 1), so a client asking for
+// huge k cannot pin capacity × n entries. An answer costing more than the
+// whole capacity is not cached.
 type topkCache struct {
 	mu    sync.Mutex
-	cap   int
+	cap   int        // in slots
+	used  int        // slots held by the cached answers
 	ll    *list.List // front = most recently used
 	byKey map[cacheKey]*list.Element
 
@@ -47,30 +53,44 @@ func (c *topkCache) Get(seed, k int) ([]sparse.Entry, bool) {
 	return nil, false
 }
 
-// Put stores an answer for (seed, k), evicting the least recently used entry
-// when the cache is full.
+// Put stores an answer for (seed, k), evicting least recently used answers
+// until the cached answers fit the capacity again.
 func (c *topkCache) Put(seed, k int, top []sparse.Entry) {
+	cost := slots(top)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if cost > c.cap {
+		return
+	}
 	key := cacheKey{seed, k}
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheItem).top = top
-		return
+		item := el.Value.(*cacheItem)
+		c.used += cost - slots(item.top)
+		item.top = top
+	} else {
+		c.byKey[key] = c.ll.PushFront(&cacheItem{key: key, top: top})
+		c.used += cost
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheItem{key: key, top: top})
-	if c.ll.Len() > c.cap {
+	for c.used > c.cap {
 		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.byKey, last.Value.(*cacheItem).key)
+		item := c.ll.Remove(last).(*cacheItem)
+		delete(c.byKey, item.key)
+		c.used -= slots(item.top)
 	}
+}
+
+// slots is what an answer costs against the capacity: one slot per
+// defaultK ranked entries, rounded up, and at least one.
+func slots(top []sparse.Entry) int {
+	return max(1, (len(top)+defaultK-1)/defaultK)
 }
 
 // counts returns the raw counters for the /metrics exposition.
 func (c *topkCache) counts() (hits, misses int64, entries, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len(), c.cap
+	return c.hits, c.misses, c.used, c.cap
 }
 
 // snapshot reports cache occupancy and hit-rate counters for /stats.
@@ -84,7 +104,7 @@ func (c *topkCache) snapshot() map[string]interface{} {
 	}
 	return map[string]interface{}{
 		"enabled":  true,
-		"entries":  c.ll.Len(),
+		"entries":  c.used,
 		"capacity": c.cap,
 		"hits":     c.hits,
 		"misses":   c.misses,

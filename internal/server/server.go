@@ -259,12 +259,13 @@ func (h *Handler) handle(pattern, name string, fn func(w http.ResponseWriter, r 
 //
 //   - method: TPA is the only engine served. Any other name is rejected
 //     rather than silently answered by TPA; the paper's comparison with the
-//     other methods runs offline in `tpad arena`.
+//     other methods runs offline in the reproduction module's arena
+//     (`cd repro && go run ./cmd/arena`).
 //   - DeadlineHeader: when present it overrides Options.DefaultDeadline (an
 //     explicit 0 disables the deadline for this request).
 func (h *Handler) queryOptions(r *http.Request) (time.Duration, error) {
 	if m := r.URL.Query().Get("method"); m != "" && !strings.EqualFold(m, "tpa") {
-		return 0, fmt.Errorf("method %q is not served: tpa is the only engine behind this API (compare methods offline with `tpad arena`)", m)
+		return 0, fmt.Errorf("method %q is not served: tpa is the only engine behind this API (compare methods offline with `cd repro && go run ./cmd/arena`)", m)
 	}
 	v := r.Header.Get(DeadlineHeader)
 	if v == "" {
@@ -343,7 +344,7 @@ func (h *Handler) topk(w http.ResponseWriter, r *http.Request, budget time.Durat
 		httpError(w, http.StatusBadRequest, "missing or invalid seed")
 		return
 	}
-	k, err := intParam(r, "k", 10)
+	k, err := intParam(r, "k", defaultK)
 	if err != nil || k < 1 {
 		httpError(w, http.StatusBadRequest, "invalid k")
 		return
@@ -405,15 +406,19 @@ type seedResult struct {
 	ResidualBound float64     `json:"residual_bound,omitempty"`
 }
 
+// defaultK is the k of a request that names none. It is also the unit the
+// top-k cache charges answers in.
+const defaultK = 10
+
 // bodyK applies the k rule of the JSON endpoints: an omitted or 0 k means
-// 10, and a negative one is answered with 400, as /topk answers it.
+// defaultK, and a negative one is answered with 400, as /topk answers it.
 func bodyK(w http.ResponseWriter, k int) (int, bool) {
 	switch {
 	case k < 0:
 		httpError(w, http.StatusBadRequest, "invalid k")
 		return 0, false
 	case k == 0:
-		return 10, true
+		return defaultK, true
 	}
 	return k, true
 }

@@ -381,6 +381,40 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// The cache bound is in ranked entries, not answers: long answers charge
+// ⌈len/10⌉ slots, so capacity C holds at most 10·C entries however large
+// the requested k.
+func TestCacheBoundedInEntries(t *testing.T) {
+	const capacity = 256
+	c := newTopkCache(capacity)
+	long := make([]sparse.Entry, 1000)
+	for seed := 0; seed < 4*capacity; seed++ {
+		c.Put(seed, len(long), long)
+	}
+	held := 0
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		held += len(el.Value.(*cacheItem).top)
+	}
+	if held == 0 || held > 10*capacity {
+		t.Fatalf("cache holds %d ranked entries at capacity %d, want 1..%d", held, capacity, 10*capacity)
+	}
+	if _, ok := c.Get(4*capacity-1, len(long)); !ok {
+		t.Error("most recent long answer was not cached")
+	}
+	// Answers of up to 10 entries cost one slot each.
+	for seed := 0; seed < 2*capacity; seed++ {
+		c.Put(seed, 10, long[:10])
+	}
+	if n := c.ll.Len(); n != capacity {
+		t.Errorf("cache holds %d short answers at capacity %d", n, capacity)
+	}
+	// An answer longer than the whole capacity is not cached at all.
+	c.Put(-1, 1e6, make([]sparse.Entry, 10*capacity+1))
+	if _, ok := c.Get(-1, 1e6); ok {
+		t.Error("answer larger than the capacity was cached")
+	}
+}
+
 // checkMethodParam pins the method parameter on one query request: no
 // parameter, method=tpa and method=TPA get byte-identical answers, and any
 // other name is a 400 pointing at the offline arena, never a TPA answer.
@@ -402,8 +436,10 @@ func checkMethodParam(t *testing.T, h http.Handler, method, path, body string) {
 	}
 	for _, m := range []string{"fora", "exact", "no-such-engine"} {
 		rec := serveQuery(h, method, path+sep+"method="+m, body, "")
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "tpad arena") {
-			t.Errorf("%s method=%s: code %d body %s, want 400 naming tpad arena", path, m, rec.Code, rec.Body.String())
+		var reply struct{ Error string }
+		_ = json.Unmarshal(rec.Body.Bytes(), &reply)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(reply.Error, "cd repro && go run ./cmd/arena") {
+			t.Errorf("%s method=%s: code %d body %s, want 400 naming the arena command", path, m, rec.Code, rec.Body.String())
 		}
 	}
 }

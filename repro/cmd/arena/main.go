@@ -1,3 +1,16 @@
+// Command arena sweeps the registered RWR methods (TPA and the paper's
+// competitors) over one or more graphs and prints the Fig 3/4-style
+// comparison table: preprocessing time and memory, query time, and accuracy
+// against exact RWR per seed workload. It exits non-zero if any cell fails
+// or any method's measured mean L1 error exceeds its declared bound.
+//
+//	go run ./cmd/arena [-gen sbm:10000,rmat:5000] [-graphs edges.tsv,...]
+//	                   [-methods tpa,exact,...] [-workloads uniform,hub,tail]
+//	                   [-queries 10] [-k 20] [-c 0.15] [-eps 1e-9] [-seed 1]
+//	                   [-json out.json] [-quiet]
+//
+// Graphs come from edge lists (-graphs) and/or from generators
+// (-gen kind:nodes); with neither, a 2000-node SBM is generated.
 package main
 
 import (
@@ -14,13 +27,16 @@ import (
 	"tpa/internal/rwr"
 )
 
-// cmdArena sweeps the registered methods over one or more graphs and prints
-// the Fig 3/4-style comparison table (preprocessing time and memory, query
-// time, accuracy against exact RWR per workload). Graphs come from edge
-// lists (-graphs) and/or from generators (-gen sbm:10000,rmat:5000); with
-// neither, a 2000-node SBM is generated so `tpad arena` works out of the
-// box.
-func cmdArena(args []string) error {
+func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "arena: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the flags, runs the sweep and returns an error if any cell
+// failed or any declared bound was violated.
+func run(args []string) error {
 	fs := flag.NewFlagSet("arena", flag.ExitOnError)
 	graphFiles := fs.String("graphs", "", "comma-separated edge-list files to benchmark")
 	genSpecs := fs.String("gen", "", "comma-separated generated graphs, kind:nodes with kind sbm|rmat|er|ba")
@@ -42,7 +58,7 @@ func cmdArena(args []string) error {
 	for _, path := range splitList(*graphFiles) {
 		g, err := graph.LoadFile(path)
 		if err != nil {
-			return fmt.Errorf("arena: loading %s: %w", path, err)
+			return fmt.Errorf("loading %s: %w", path, err)
 		}
 		graphs = append(graphs, method.ArenaGraph{
 			Name: path, Walk: graph.NewWalk(g, graph.DanglingSelfLoop),
@@ -86,14 +102,14 @@ func cmdArena(args []string) error {
 			return err
 		}
 		if err := os.WriteFile(*jsonOut, raw, 0o644); err != nil {
-			return fmt.Errorf("arena: writing %s: %w", *jsonOut, err)
+			return fmt.Errorf("writing %s: %w", *jsonOut, err)
 		}
 		log.Printf("arena: wrote %s", *jsonOut)
 	}
-	// A failed cell is visible in the table, but CI wants a nonzero exit.
+	// A failed cell is visible in the table; the exit status carries it too.
 	for _, cell := range report.Cells {
 		if cell.Err != "" {
-			return fmt.Errorf("arena: %d of %d cells failed (first: %s/%s: %s)",
+			return fmt.Errorf("%d of %d cells failed (first: %s/%s: %s)",
 				countFailed(report), len(report.Cells), cell.Graph, cell.Method, cell.Err)
 		}
 	}
@@ -103,7 +119,7 @@ func cmdArena(args []string) error {
 		for _, line := range v {
 			fmt.Fprintln(os.Stderr, "bound violation:", line)
 		}
-		return fmt.Errorf("arena: %d declared-bound violation(s)", len(v))
+		return fmt.Errorf("%d declared-bound violation(s)", len(v))
 	}
 	return nil
 }
@@ -133,11 +149,11 @@ func splitList(s string) []string {
 func generatedGraph(spec string, seed int64) (method.ArenaGraph, error) {
 	kind, nodesStr, ok := strings.Cut(spec, ":")
 	if !ok {
-		return method.ArenaGraph{}, fmt.Errorf("arena: -gen %q: want kind:nodes", spec)
+		return method.ArenaGraph{}, fmt.Errorf("-gen %q: want kind:nodes", spec)
 	}
 	n, err := strconv.Atoi(nodesStr)
 	if err != nil || n < 10 {
-		return method.ArenaGraph{}, fmt.Errorf("arena: -gen %q: bad node count", spec)
+		return method.ArenaGraph{}, fmt.Errorf("-gen %q: bad node count", spec)
 	}
 	var g *graph.Graph
 	switch kind {
@@ -150,7 +166,7 @@ func generatedGraph(spec string, seed int64) (method.ArenaGraph, error) {
 	case "ba":
 		g = gen.BarabasiAlbert(n, 8, seed)
 	default:
-		return method.ArenaGraph{}, fmt.Errorf("arena: -gen %q: unknown kind (want sbm|rmat|er|ba)", spec)
+		return method.ArenaGraph{}, fmt.Errorf("-gen %q: unknown kind (want sbm|rmat|er|ba)", spec)
 	}
 	return method.ArenaGraph{
 		Name: fmt.Sprintf("%s-%d", kind, g.NumNodes()),

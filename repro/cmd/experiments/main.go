@@ -16,7 +16,7 @@ import (
 	"os"
 	"strings"
 
-	"tpa/internal/experiments"
+	"tpa/repro/internal/experiments"
 )
 
 func main() {

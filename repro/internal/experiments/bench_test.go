@@ -1,13 +1,13 @@
 // Benchmarks regenerating the timed quantities of every table and figure in
-// the paper's evaluation (one benchmark family per exhibit; see DESIGN.md's
-// per-experiment index). Run with:
+// the paper's evaluation (one benchmark family per exhibit). Run from repro/
+// with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem ./internal/experiments
 //
 // The workload graphs are the Table II analogues from internal/datasets;
 // each benchmark times the same code path the corresponding figure
 // measures (preprocessing, online query, matrix powers, ...).
-package tpa
+package experiments_test
 
 import (
 	"strconv"
@@ -17,10 +17,10 @@ import (
 	"tpa/internal/core"
 	"tpa/internal/datasets"
 	"tpa/internal/eval"
-	"tpa/internal/experiments"
 	"tpa/internal/graph"
 	"tpa/internal/rwr"
 	"tpa/internal/sparse"
+	"tpa/repro/internal/experiments"
 )
 
 // benchDataset is the default benchmark graph (the smallest analogue, so
@@ -142,7 +142,7 @@ func BenchmarkFig3MatrixPower(b *testing.B) {
 	b.ResetTimer()
 	var nnz int64
 	for i := 0; i < b.N; i++ {
-		p := m.Power(5, 0)
+		p := experiments.Power(m, 5, 0)
 		nnz = p.NNZ()
 	}
 	b.ReportMetric(float64(nnz), "nnz")

@@ -26,8 +26,8 @@ func Fig3(opt Options, grid int) ([]*Table, error) {
 	m := graph.NormalizedTranspose(w)
 	var tables []*Table
 	for _, i := range []int{1, 3, 5, 7} {
-		p := m.Power(i, 0)
-		counts := p.BlockCounts(grid)
+		p := Power(m, i, 0)
+		counts := BlockCounts(p, grid)
 		t := &Table{Title: fmt.Sprintf("Fig 3: nonzeros of (Ãᵀ)^%d on Slashdot (nnz=%d)", i, p.NNZ())}
 		t.Header = make([]string, grid+1)
 		t.Header[0] = "row\\col"
@@ -77,7 +77,7 @@ func Fig4(opt Options) (*Table, error) {
 		p := m
 		for i := 1; i <= 7; i++ {
 			if i > 1 {
-				p = p.Mul(m, 0)
+				p = SpGEMM(p, m, 0)
 			}
 			s.nnz = append(s.nnz, p.NNZ())
 			var ciSum float64
