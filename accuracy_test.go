@@ -425,3 +425,97 @@ func TestShardedMidQuerySwitch(t *testing.T) {
 		}
 	}
 }
+
+// TestPlainMidQuerySwitch is the dense-hop gate of a plain engine: its walk
+// switches kernels per hop like a sharded one, so on the average-degree-50
+// ER graph of TestShardedMidQuerySwitch and on an R-MAT graph, whose
+// skewed degrees make a query's later hops dense, a plain engine's queries
+// must both push and pull (read off its walk's counters). Its answers must
+// still match the 2-shard engine within 1e-12 in L1, and Exact within
+// ErrorBound, through Query, TopKBatch and TopKDeadline.
+func TestPlainMidQuerySwitch(t *testing.T) {
+	const k = 10
+	for _, c := range []struct {
+		name  string
+		g     *tpa.Graph
+		seeds []int
+	}{
+		{"er", gen.ErdosRenyi(2000, 50*2000, 41), []int{0, 7, 1234, 1999}},
+		{"rmat", gen.DefaultRMAT(13, 12<<13, 1), []int{0, 1, 2, 3, 5}},
+	} {
+		o := tpa.Defaults()
+		plain, err := tpa.New(c.g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := tpa.NewSharded(c.g, 2, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := plain.ErrorBound()
+		want := make([][]float64, len(c.seeds))
+		exact := make([][]float64, len(c.seeds))
+		push0, pull0 := tpa.WalkMatvecs(plain)
+		for i, seed := range c.seeds {
+			if c.g.OutDegree(seed) == 0 {
+				t.Fatalf("%s: seed %d dangles", c.name, seed)
+			}
+			got, err := plain.Query(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[i], err = sharded.Query(seed); err != nil {
+				t.Fatal(err)
+			}
+			if exact[i], err = tpa.Exact(c.g, seed, o); err != nil {
+				t.Fatal(err)
+			}
+			if d := l1dist(got, want[i]); d > 1e-12 {
+				t.Fatalf("%s seed %d: Query is %g from the 2-shard engine in L1", c.name, seed, d)
+			}
+			if d := l1dist(got, exact[i]); d > bound {
+				t.Fatalf("%s seed %d: Query is %g from Exact in L1, bound %g", c.name, seed, d, bound)
+			}
+		}
+		push1, pull1 := tpa.WalkMatvecs(plain)
+		if push1 == push0 || pull1 == pull0 {
+			t.Fatalf("%s: %d pushed and %d pulled applications over %d queries; the plain engine no longer switches kernels mid-query",
+				c.name, push1-push0, pull1-pull0, len(c.seeds))
+		}
+		// checkTop holds a top-k answer to the 2-shard scores within 1e-12
+		// and to the exact ones within the bound, summed over its entries,
+		// without demanding an order between near-ties.
+		checkTop := func(tag string, i int, top []tpa.Entry) {
+			t.Helper()
+			ref := tpa.TopKOf(want[i], k)
+			if len(top) != len(ref) {
+				t.Fatalf("%s %s seed %d: %d entries, want %d", c.name, tag, c.seeds[i], len(top), len(ref))
+			}
+			var toShard, toRank, toExact float64
+			for j, e := range top {
+				toShard += math.Abs(e.Score - want[i][e.Index])
+				toRank += math.Abs(e.Score - ref[j].Score)
+				toExact += math.Abs(e.Score - exact[i][e.Index])
+			}
+			if toShard > 1e-12 || toRank > 1e-12 || toExact > bound {
+				t.Fatalf("%s %s seed %d: L1 %g from the 2-shard scores, %g from its ranking, %g from Exact (bound %g)",
+					c.name, tag, c.seeds[i], toShard, toRank, toExact, bound)
+			}
+		}
+		tops, err := plain.TopKBatch(c.seeds, k, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.seeds {
+			checkTop("TopKBatch", i, tops[i])
+			top, meta, err := plain.TopKDeadline(context.Background(), []int{c.seeds[i]}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Partial {
+				t.Fatalf("%s seed %d: TopKDeadline without a deadline came back partial: %+v", c.name, c.seeds[i], meta)
+			}
+			checkTop("TopKDeadline", i, top)
+		}
+	}
+}

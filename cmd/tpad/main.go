@@ -1,6 +1,6 @@
 // Command tpad builds TPA snapshots and serves queries over HTTP:
 //
-//	tpad build -graph edges.tsv [-o edges.tpam] [-s 5 -t 10 -c 0.15] [-workers 8]
+//	tpad build -graph edges.tsv [-o edges.tpam] [-s 5 -t 10 -c 0.15]
 //	           [-precision 32] [-shards N]
 //	tpad serve -graphs snapshots/ [-addr :8080] [-cache 4096] [-max-inflight 256]
 //	tpad serve -graph edges.tsv|snapshot.tpam [...]
@@ -14,11 +14,12 @@
 // hot-reloadable via POST /graphs/{name}/reload, which rebuilds from the
 // file and atomically swaps the engine with zero dropped queries.
 //
-// -workers shards the preprocessing matvec and sizes the /batch worker pool;
-// -cache bounds each graph's LRU top-k cache partition; -max-inflight sheds
-// load with 503 beyond that many concurrent queries. SIGINT/SIGTERM drain
-// in-flight requests before exiting. See docs/API.md for the endpoint
-// reference and the snapshot format spec.
+// -workers sizes the /batch worker pool (dense matvecs fan out over the
+// walk's row blocks, one per CPU or per shard); -cache bounds each graph's
+// LRU top-k cache partition; -max-inflight sheds load with 503 beyond that
+// many concurrent queries. SIGINT/SIGTERM drain in-flight requests before
+// exiting. See docs/API.md for the endpoint reference and the snapshot
+// format spec.
 package main
 
 import (
@@ -71,7 +72,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  tpad build -graph <edges.tsv> [-o <out.tpam>] [-s 5] [-t 10] [-c 0.15] [-eps 1e-9] [-workers N]
+  tpad build -graph <edges.tsv> [-o <out.tpam>] [-s 5] [-t 10] [-c 0.15] [-eps 1e-9]
              [-precision 64|32] [-shards N]
   tpad serve -graphs <dir>      [-addr :8080] [serving flags]
   tpad serve -graph <edges.tsv|snapshot> [-addr :8080] [serving flags]
@@ -125,7 +126,6 @@ func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "edge-list file (required, .gz supported)")
 	out := fs.String("o", "", "output snapshot file (default: graph path with .tpam extension)")
-	workers := fs.Int("workers", 0, "goroutines for the preprocessing matvec (0 = all CPUs)")
 	shards := fs.Int("shards", 0, "partition into N community-aligned shards and scatter-gather preprocessing and dense query hops across them (0/1 = unsharded)")
 	fs.Bool("mmap", false, "ignored: every snapshot is memory-mappable TPAM (kept so older build scripts still run)")
 	o := tpaOpts(fs)
@@ -135,7 +135,6 @@ func cmdBuild(args []string) error {
 	if *graphPath == "" {
 		return fmt.Errorf("build: -graph is required")
 	}
-	o.Workers = *workers
 	dest := *out
 	if dest == "" {
 		name, _ := stem(*graphPath)
@@ -195,7 +194,7 @@ func cmdServe(args []string) error {
 	graphsDir := fs.String("graphs", "", "directory of snapshots (.tpam) and edge lists to serve as named graphs; on a shared stem the snapshot wins")
 	graphPath := fs.String("graph", "", "single edge-list or snapshot file")
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "goroutines for preprocessing and /batch fan-out (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "goroutines for the /batch fan-out (0 = all CPUs)")
 	cacheSize := fs.Int("cache", 4096, "top-k LRU cache entries per graph (0 disables caching)")
 	maxInflight := fs.Int("max-inflight", 256, "concurrent query requests before shedding 503s (0 = unlimited)")
 	maxBatch := fs.Int("max-batch", 4096, "max seeds per /batch or /queryset request (0 = unlimited)")

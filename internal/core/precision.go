@@ -9,8 +9,8 @@ import (
 
 // Reduced-precision serving. The online phase is bandwidth-bound: S-1
 // applications of Ãᵀ — a scatter along the frontier's out-edges while it is
-// sparse, a gather over the in-adjacency once a sharded operator sees it go
-// dense — each reading x[u] and 1/outdeg(u) per edge, between full passes
+// sparse, a gather over the in-adjacency once the walk sees it go dense —
+// each reading x[u] and 1/outdeg(u) per edge, between full passes
 // over the iterates. Storing the served index (the stranger vector) and
 // the query iterates as float32 halves that working set, which is worth
 // more than the lost mantissa — the approximation error is already
@@ -23,9 +23,9 @@ import (
 // float32 state is re-derived whenever the master changes. Every query
 // entry point, deadline-bounded or not, switches kernels together, and only
 // when the operator natively supports float32 application (rwr.Operator32 —
-// the in-memory graph.Walk and shard.Operator do; an operator without it
-// runs the float64 kernels). Engine.ApplyEdges reindexes onto a compacted
-// graph.Walk (or a shard.Operator over one), so a float32 engine keeps its
+// graph.Walk does, with the same push/pull switch in either width; an
+// operator without it runs the float64 kernels). Engine.ApplyEdges
+// reindexes onto a compacted graph.Walk, so a float32 engine keeps its
 // float32 kernels across writes.
 
 // Precision selects the storage precision of the served index and the

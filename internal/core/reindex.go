@@ -150,14 +150,14 @@ func (t *TPA) WithOperator(w rwr.Operator) (*TPA, error) {
 // returns the new TPA bound to it (t itself is untouched and keeps
 // serving). It recomputes the head, measures the residual ρ against t's
 // stranger vector and corrects it until the staleness bound is within
-// StalenessBudget. workers shards the matvecs as in PreprocessParallel; the
-// node count must be unchanged. maxResidual is unused: it keeps the
-// signature the benchmark trace compiles against (ROADMAP item 2).
+// StalenessBudget. The node count must be unchanged. workers and
+// maxResidual are unused, as in PreprocessParallel: they keep the signature
+// the benchmark trace compiles against (ROADMAP item 2).
 func Reindex(t *TPA, w rwr.Operator, workers int, maxResidual float64) (*TPA, ReindexStats, error) {
 	if w.N() != t.walk.N() {
 		return nil, ReindexStats{}, fmt.Errorf("core: reindex operator has %d nodes but index has %d", w.N(), t.walk.N())
 	}
-	tp, stats := recompute(t, rwr.Sharded(w, workers), w)
+	tp, stats := recompute(t, w)
 	return tp, stats, nil
 }
 
@@ -165,13 +165,12 @@ func Reindex(t *TPA, w rwr.Operator, workers int, maxResidual float64) (*TPA, Re
 // t's graph, w being the written graph's operator. It skips the head when
 // t's head state and the bound allow it and recomputes it otherwise (see the
 // comment at the top of this file).
-func ReindexWrite(t *TPA, w rwr.Operator, workers int, dirty []DirtyRow) (*TPA, ReindexStats, error) {
+func ReindexWrite(t *TPA, w rwr.Operator, dirty []DirtyRow) (*TPA, ReindexStats, error) {
 	if w.N() != t.walk.N() {
 		return nil, ReindexStats{}, fmt.Errorf("core: reindex operator has %d nodes but index has %d", w.N(), t.walk.N())
 	}
-	op := rwr.Sharded(w, workers)
 	if t.tip == nil {
-		tp, stats := recompute(t, op, w)
+		tp, stats := recompute(t, w)
 		return tp, stats, nil
 	}
 	c := t.cfg.C
@@ -183,24 +182,24 @@ func ReindexWrite(t *TPA, w rwr.Operator, workers int, dirty []DirtyRow) (*TPA, 
 	drift := t.drift + (1-c)*(1-c)*shift
 	if drift/c >= beta {
 		// The head bound alone spends the budget: no attempt.
-		tp, stats := recompute(t, op, w)
+		tp, stats := recompute(t, w)
 		return tp, stats, nil
 	}
-	s1, resid := t.residual(op, t.tip, sparse.NewVector(w.N()))
+	s1, resid := t.residual(w, t.tip, sparse.NewVector(w.N()))
 	if bound := drift/c + (1-c)/c*resid; bound < beta {
 		nt := t.written(w, s1, bound)
 		nt.tip, nt.head, nt.drift = t.tip, t.head, drift
 		return nt, ReindexStats{Residual: resid, ResidualIters: 1, StaleBound: bound}, nil
 	}
-	tp, stats := recompute(t, op, w)
+	tp, stats := recompute(t, w)
 	stats.ResidualIters++
 	return tp, stats, nil
 }
 
-// recompute is the incremental reindex with a fresh head on op, the sharded
-// form of w: T−1 head steps, the residual, and the budgeted correction. The
-// new TPA keeps the head state for the next write's skip attempt.
-func recompute(t *TPA, op, w rwr.Operator) (*TPA, ReindexStats) {
+// recompute is the incremental reindex with a fresh head on w: T−1 head
+// steps, the residual, and the budgeted correction. The new TPA keeps the
+// head state for the next write's skip attempt.
+func recompute(t *TPA, w rwr.Operator) (*TPA, ReindexStats) {
 	cfg, params := t.cfg, t.params
 	n := w.N()
 	var stats ReindexStats
@@ -211,7 +210,7 @@ func recompute(t *TPA, op, w rwr.Operator) (*TPA, ReindexStats) {
 	x.Fill(cfg.C / float64(n))
 	h := x.Clone()
 	for j := 1; j < params.T; j++ {
-		op.MulT(x, buf)
+		w.MulT(x, buf)
 		x, buf = buf.Scale(1-cfg.C), x
 		if j < params.T-1 {
 			h.Scale(1 - cfg.C).Add(x)
@@ -220,7 +219,7 @@ func recompute(t *TPA, op, w rwr.Operator) (*TPA, ReindexStats) {
 	tip := x
 	stats.HeadIters = params.T - 1
 
-	s1, resid := t.residual(op, tip, buf)
+	s1, resid := t.residual(w, tip, buf)
 	stats.Residual, stats.ResidualIters = resid, 1
 
 	// Correction: s' = s + ρ + A'ρ + … + A'^kρ for the smallest k whose
@@ -238,7 +237,7 @@ func recompute(t *TPA, op, w rwr.Operator) (*TPA, ReindexStats) {
 			rho[i] = s1[i] - t.stranger[i]
 		}
 		var end sparse.Vector
-		end, _, stats.CorrectionIters, _ = cpiLoop(nil, op.MulT, budget, 1, -1, rho, sparse.NewVector(n), s1)
+		end, _, stats.CorrectionIters, _ = cpiLoop(nil, w.MulT, budget, 1, -1, rho, sparse.NewVector(n), s1)
 		last = end.L1()
 	}
 	stats.StaleBound = (1 - cfg.C) / cfg.C * last
@@ -247,14 +246,14 @@ func recompute(t *TPA, op, w rwr.Operator) (*TPA, ReindexStats) {
 	return nt, stats
 }
 
-// residual returns s1 = s + ρ = A'·(tip + s) for op's operator A', and
+// residual returns s1 = s + ρ = A'·(tip + s) for w's operator A', and
 // ‖ρ‖₁. scratch receives tip + s and is free again on return.
-func (t *TPA) residual(op rwr.Operator, tip, scratch sparse.Vector) (s1 sparse.Vector, resid float64) {
+func (t *TPA) residual(w rwr.Operator, tip, scratch sparse.Vector) (s1 sparse.Vector, resid float64) {
 	s := t.stranger
 	for i := range scratch {
 		scratch[i] = tip[i] + s[i]
 	}
-	s1 = op.MulT(scratch, sparse.NewVector(len(s))).Scale(1 - t.cfg.C)
+	s1 = w.MulT(scratch, sparse.NewVector(len(s))).Scale(1 - t.cfg.C)
 	return s1, s1.L1Dist(s)
 }
 

@@ -199,7 +199,7 @@ func (c *writeChain) write(tag string, adds, removes [][2]int) ReindexStats {
 	c.g = next
 	w := graph.NewWalk(next, graph.DanglingSelfLoop)
 	var stats ReindexStats
-	if c.cur, stats, err = ReindexWrite(c.cur, w, 0, dirty); err != nil {
+	if c.cur, stats, err = ReindexWrite(c.cur, w, dirty); err != nil {
 		t.Fatal(err)
 	}
 	if stats.StaleBound != c.cur.StaleBound() {
@@ -298,7 +298,7 @@ func TestReindexWriteFirstRecomputes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nt, stats, err := ReindexWrite(cur, graph.NewWalk(next, graph.DanglingSelfLoop), 1,
+		nt, stats, err := ReindexWrite(cur, graph.NewWalk(next, graph.DanglingSelfLoop),
 			DirtyRows(added, removed, g.OutDegree, next.OutDegree))
 		if err != nil {
 			t.Fatal(err)

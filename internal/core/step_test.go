@@ -157,16 +157,14 @@ func TestFusedStepMatchesThreePass(t *testing.T) {
 		}
 	})
 	t.Run("PreprocessParallel", func(t *testing.T) {
-		for _, workers := range []int{1, 3} {
-			tp, err := PreprocessParallel(w, c, DefaultParams(), workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, iters := refCPI(rwr.Sharded(w, workers), allSeeds(w.N()), c, DefaultParams().T, -1)
-			checkBits(t, fmt.Sprintf("%d workers", workers), tp.StrangerVector(), want)
-			if tp.PreprocessIters() != iters {
-				t.Errorf("%d workers: %d preprocessing iterations, the three-pass step runs %d", workers, tp.PreprocessIters(), iters)
-			}
+		tp, err := PreprocessParallel(w, c, DefaultParams(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, iters := refCPI(w, allSeeds(w.N()), c, DefaultParams().T, -1)
+		checkBits(t, "stranger vector", tp.StrangerVector(), want)
+		if tp.PreprocessIters() != iters {
+			t.Errorf("%d preprocessing iterations, the three-pass step runs %d", tp.PreprocessIters(), iters)
 		}
 	})
 	t.Run("QuerySet", func(t *testing.T) {
@@ -224,7 +222,7 @@ func TestFusedStepMatchesThreePass(t *testing.T) {
 			w := graph.NewWalk(next, graph.DanglingSelfLoop)
 			prev := cur
 			var stats ReindexStats
-			cur, stats, err = ReindexWrite(prev, w, 1, DirtyRows(added, removed, g.OutDegree, next.OutDegree))
+			cur, stats, err = ReindexWrite(prev, w, DirtyRows(added, removed, g.OutDegree, next.OutDegree))
 			if err != nil {
 				t.Fatal(err)
 			}

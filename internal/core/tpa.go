@@ -80,12 +80,11 @@ func Preprocess(w rwr.Operator, cfg rwr.Config, params Params) (*TPA, error) {
 	return PreprocessParallel(w, cfg, params, 1)
 }
 
-// PreprocessParallel is Preprocess with the CPI sparse-matvec sharded over
-// row blocks across workers goroutines (0 means GOMAXPROCS) when the
-// operator supports it (rwr.BlockOperator); otherwise it falls back to the
-// serial matvec. Only preprocessing fans out: the returned TPA is bound to w
-// itself, so the online phase is unaffected and per-query parallelism stays
-// the caller's choice (see QueryBatch).
+// PreprocessParallel is Preprocess. workers is unused: the operator fans
+// its own dense applications out (graph.Walk pulls over its row blocks), and
+// the parameter keeps the signature the benchmark trace compiles against
+// (ROADMAP item 2). The returned TPA is bound to w, so preprocessing and the
+// online phase apply one operator.
 func PreprocessParallel(w rwr.Operator, cfg rwr.Config, params Params, workers int) (*TPA, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -93,7 +92,7 @@ func PreprocessParallel(w rwr.Operator, cfg rwr.Config, params Params, workers i
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := CPI(rwr.Sharded(w, workers), allSeeds(w.N()), cfg, params.T, -1)
+	res, err := CPI(w, allSeeds(w.N()), cfg, params.T, -1)
 	if err != nil {
 		return nil, err
 	}

@@ -204,18 +204,12 @@ func (d *Delta) Compact() *Graph {
 // DeltaWalk is the row-normalized random-walk operator of a Delta: the
 // dynamic counterpart of Walk, implementing rwr.Operator over the overlaid
 // adjacency so CPI and TPA queries run against the mutated graph without a
-// compaction. It also implements the block interface rwr.Sharded fans out
-// over (MulTBlock), so sharded preprocessing and incremental reindexing
-// keep their -workers parallelism on an uncompacted overlay. It is safe for
-// concurrent MulT calls once mutation stops (copy-on-write discipline).
+// compaction. Its MulT is the serial push. It is safe for concurrent MulT
+// calls once mutation stops (copy-on-write discipline).
 type DeltaWalk struct {
 	d *Delta
 	// invdeg[u] = 1/outdeg(u) under the overlay, 0 for dangling nodes.
 	invdeg []float64
-	// dirty[u] reports that row u has a replacement list; the blockwise
-	// gather skips dirty sources in the base CSC and applies their
-	// replacement lists separately.
-	dirty []bool
 }
 
 // NewDeltaWalk wraps d. policy must be DanglingSelfLoop, the only policy;
@@ -223,14 +217,11 @@ type DeltaWalk struct {
 func NewDeltaWalk(d *Delta, policy DanglingPolicy) *DeltaWalk {
 	mustSelfLoop(policy)
 	n := d.NumNodes()
-	w := &DeltaWalk{d: d, invdeg: make([]float64, n), dirty: make([]bool, n)}
+	w := &DeltaWalk{d: d, invdeg: make([]float64, n)}
 	for u := 0; u < n; u++ {
 		if deg := d.OutDegree(u); deg > 0 {
 			w.invdeg[u] = 1 / float64(deg)
 		}
-	}
-	for u := range d.rows {
-		w.dirty[u] = true
 	}
 	return w
 }
@@ -262,37 +253,4 @@ func (w *DeltaWalk) MulT(x, y sparse.Vector) sparse.Vector {
 		}
 	}
 	return y
-}
-
-// MulTBlock computes the destination rows y[lo:hi) of y = Ãᵀ·x over the
-// overlaid adjacency, touching nothing outside the block, so disjoint
-// blocks run concurrently — the contract rwr.Sharded fans out over. Clean
-// rows gather over the base CSC with dirty sources skipped; each dirty
-// row's replacement list then scatters its share into the block's slice of
-// the destination range (a binary search bounds it to [lo, hi)).
-func (w *DeltaWalk) MulTBlock(x, y sparse.Vector, lo, hi int) {
-	base := w.d.base
-	for v := lo; v < hi; v++ {
-		var s float64
-		for _, u := range base.InNeighbors(v) {
-			if !w.dirty[u] {
-				s += x[u] * w.invdeg[u]
-			}
-		}
-		if w.invdeg[v] == 0 {
-			s += x[v]
-		}
-		y[v] = s
-	}
-	for u, ns := range w.d.rows {
-		xu := x[u]
-		if xu == 0 {
-			continue
-		}
-		share := xu * w.invdeg[u]
-		i := sort.Search(len(ns), func(i int) bool { return int(ns[i]) >= lo })
-		for ; i < len(ns) && int(ns[i]) < hi; i++ {
-			y[ns[i]] += share
-		}
-	}
 }

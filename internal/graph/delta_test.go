@@ -7,7 +7,6 @@ import (
 
 	"tpa/internal/gen"
 	"tpa/internal/graph"
-	"tpa/internal/rwr"
 	"tpa/internal/sparse"
 )
 
@@ -174,17 +173,6 @@ func TestDeltaWalkMatchesCompactedWalk(t *testing.T) {
 		b := cw.MulT(x, sparse.NewVector(n))
 		if dist := a.L1Dist(b); dist > 1e-12 {
 			t.Errorf("trial %d: DeltaWalk deviates from compacted Walk by %g", trial, dist)
-		}
-		// The blockwise path (what rwr.Sharded fans out over) must
-		// agree with the serial overlay scatter up to summation order.
-		// Sharded returns dw itself only when it could not shard.
-		sh := rwr.Sharded(dw, 4)
-		if sh == rwr.Operator(dw) {
-			t.Fatalf("trial %d: DeltaWalk was not sharded (BlockOperator not implemented?)", trial)
-		}
-		c := sh.MulT(x, sparse.NewVector(n))
-		if dist := c.L1Dist(b); dist > 1e-10 {
-			t.Errorf("trial %d: sharded DeltaWalk deviates from compacted Walk by %g", trial, dist)
 		}
 	}
 }

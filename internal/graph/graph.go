@@ -4,7 +4,10 @@
 // walk operator Ãᵀ in which every dangling node keeps its mass through an
 // implicit self-loop, edge-list I/O, and an explicit CSR matrix type with
 // sparse matrix-matrix products for the fill-in experiments (Figs 3 and 4
-// of the paper).
+// of the paper). The walk is the engine's one operator: each application
+// pushes along a sparse input's out-edges on the caller's goroutine, or
+// pulls a dense one over the walk's row blocks in parallel (a sharded
+// engine's blocks are its shards), and counts which kernel answered.
 package graph
 
 import "fmt"

@@ -204,10 +204,13 @@ func TestWalkMassConservationProperty(t *testing.T) {
 	}
 }
 
-// TestWalkMulTAllocationFree pins the kernel's zero-allocation contract in
-// both widths, for MulT and for the budgeted PushUnder on either side of
-// its budget: y is the caller's buffer and nothing else may be allocated
-// per application.
+// TestWalkMulTAllocationFree pins the kernels' zero-allocation contract in
+// both widths: y is the caller's buffer and nothing else may be allocated
+// per application, whether a sparse x is pushed (a query's hops, checked
+// through MatvecCounts), a dense x is pulled on a single-block walk, or
+// pushUnder runs on either side of its budget. A walk with more blocks
+// starts a goroutine per block for a dense x, and may allocate its closure
+// and the WaitGroup they share, and no more.
 func TestWalkMulTAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b := NewBuilderN(500)
@@ -216,24 +219,54 @@ func TestWalkMulTAllocationFree(t *testing.T) {
 	}
 	g := b.Build()
 	n := g.NumNodes()
-	x, y := sparse.NewVector(n), sparse.NewVector(n)
-	x.Fill(1 / float64(n))
-	x32, y32 := sparse.Round32(x, sparse.NewVector32(n)), sparse.NewVector32(n)
-	w := NewWalk(g, DanglingSelfLoop)
-	if allocs := testing.AllocsPerRun(50, func() { w.MulT(x, y) }); allocs != 0 {
-		t.Errorf("MulT allocates %.2f objects/op, want exactly 0", allocs)
+	dense, y := sparse.NewVector(n), sparse.NewVector(n)
+	dense.Fill(1 / float64(n))
+	dense32, y32 := sparse.Round32(dense, sparse.NewVector32(n)), sparse.NewVector32(n)
+	oneHot, oneHot32 := sparse.NewVector(n), sparse.NewVector32(n)
+	oneHot[5], oneHot32[5] = 1, 1
+	one, err := NewWalk(g, DanglingSelfLoop).WithBlocks([]int{0, n})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { w.MulT32(x32, y32) }); allocs != 0 {
-		t.Errorf("MulT32 allocates %.2f objects/op, want exactly 0", allocs)
+	four, err := one.WithBlocks([]int{0, 100, 200, 300, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	for _, c := range []struct {
+		name   string
+		w      *Walk
+		apply  func(w *Walk)
+		pulled bool
+		most   float64
+	}{
+		{"one-hot MulT", four, func(w *Walk) { w.MulT(oneHot, y) }, false, 0},
+		{"one-hot MulT32", four, func(w *Walk) { w.MulT32(oneHot32, y32) }, false, 0},
+		{"dense MulT, one block", one, func(w *Walk) { w.MulT(dense, y) }, true, 0},
+		{"dense MulT32, one block", one, func(w *Walk) { w.MulT32(dense32, y32) }, true, 0},
+		{"dense MulT, four blocks", four, func(w *Walk) { w.MulT(dense, y) }, true, 4 + 1},
+		{"dense MulT32, four blocks", four, func(w *Walk) { w.MulT32(dense32, y32) }, true, 4 + 1},
+	} {
+		push, pull := c.w.MatvecCounts()
+		if allocs := testing.AllocsPerRun(runs, func() { c.apply(c.w) }); allocs > c.most {
+			t.Errorf("%s: allocates %.2f objects/op, want at most %g", c.name, allocs, c.most)
+		}
+		// AllocsPerRun makes one warm-up call before the measured runs.
+		push2, pull2 := c.w.MatvecCounts()
+		if c.pulled && (pull2-pull != runs+1 || push2 != push) || !c.pulled && (push2-push != runs+1 || pull2 != pull) {
+			t.Errorf("%s: counted %d pushed and %d pulled, want %d %s", c.name, push2-push, pull2-pull,
+				runs+1, map[bool]string{false: "pushed", true: "pulled"}[c.pulled])
+		}
 	}
 	// A budget of m stops the push of this dense x; m+1 lets it measure the
 	// rest of x and finish.
+	w := NewWalk(g, DanglingSelfLoop)
 	for _, budget := range []int64{g.NumEdges(), g.NumEdges() + 1} {
-		if allocs := testing.AllocsPerRun(50, func() { w.PushUnder(x, y, budget) }); allocs != 0 {
-			t.Errorf("PushUnder(budget %d) allocates %.2f objects/op, want exactly 0", budget, allocs)
+		if allocs := testing.AllocsPerRun(runs, func() { pushUnder(w, w.invdeg, dense, y, budget) }); allocs != 0 {
+			t.Errorf("pushUnder(budget %d) allocates %.2f objects/op, want exactly 0", budget, allocs)
 		}
-		if allocs := testing.AllocsPerRun(50, func() { w.PushUnder32(x32, y32, budget) }); allocs != 0 {
-			t.Errorf("PushUnder32(budget %d) allocates %.2f objects/op, want exactly 0", budget, allocs)
+		if allocs := testing.AllocsPerRun(runs, func() { pushUnder(w, w.invdeg32, dense32, y32, budget) }); allocs != 0 {
+			t.Errorf("float32 pushUnder(budget %d) allocates %.2f objects/op, want exactly 0", budget, allocs)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,23 +9,21 @@ import (
 )
 
 // TestPushUnder pins the budgeted push kernel against the unbudgeted one,
-// in both widths: PushUnder reports false
-// exactly when the out-edges of x's non-zero rows reach the budget, and
-// when it reports true, y is MulT's answer bit for bit. The inputs are
-// placed around the kernel's two thresholds — budget/inlineDiv, where it
-// stops pushing to measure the rest of x, and the budget itself.
+// in both widths: pushUnder reports false exactly when the out-edges of x's
+// non-zero rows reach the budget, and when it reports true, y is the
+// unbudgeted push's answer bit for bit. The inputs are placed around the
+// kernel's two thresholds — budget/inlineDiv, where it stops pushing to
+// measure the rest of x, and the budget itself.
 func TestPushUnder(t *testing.T) {
 	t.Run("float64", func(t *testing.T) {
-		testPushUnder(t, (*Walk).MulT, (*Walk).PushUnder)
+		testPushUnder(t, func(w *Walk) []float64 { return w.invdeg })
 	})
 	t.Run("float32", func(t *testing.T) {
-		testPushUnder(t, (*Walk).MulT32, (*Walk).PushUnder32)
+		testPushUnder(t, func(w *Walk) []float32 { return w.invdeg32 })
 	})
 }
 
-func testPushUnder[T sparse.Float](t *testing.T,
-	mulT func(*Walk, sparse.Vec[T], sparse.Vec[T]) sparse.Vec[T],
-	pushUnder func(*Walk, sparse.Vec[T], sparse.Vec[T], int64) bool) {
+func testPushUnder[T sparse.Float](t *testing.T, invdeg func(*Walk) []T) {
 	// Every tenth node dangles, so dangling rows sit on both sides of
 	// wherever the kernel stops to look ahead.
 	rng := rand.New(rand.NewSource(8))
@@ -94,14 +93,15 @@ func testPushUnder[T sparse.Float](t *testing.T,
 		{"dense", dense, budget},
 		{"dense, budget m+1", dense, m + 1},
 	} {
-		want := mulT(w, c.x, make(sparse.Vec[T], n))
+		want := make(sparse.Vec[T], n)
+		pushUnder(w, invdeg(w), c.x, want, math.MaxInt64)
 		y := make(sparse.Vec[T], n)
 		for i := range y {
-			y[i] = 42 // PushUnder must zero y itself
+			y[i] = 42 // pushUnder must zero y itself
 		}
-		pushed := pushUnder(w, c.x, y, c.budget)
+		pushed := pushUnder(w, invdeg(w), c.x, y, c.budget)
 		if wantPush := volume(c.x) < c.budget; pushed != wantPush {
-			t.Fatalf("%s: volume %d, budget %d: PushUnder reported %v",
+			t.Fatalf("%s: volume %d, budget %d: pushUnder reported %v",
 				c.name, volume(c.x), c.budget, pushed)
 		}
 		if !pushed {
@@ -109,7 +109,7 @@ func testPushUnder[T sparse.Float](t *testing.T,
 		}
 		for i := range want {
 			if y[i] != want[i] {
-				t.Fatalf("%s: row %d is %g, MulT gives %g", c.name, i, y[i], want[i])
+				t.Fatalf("%s: row %d is %g, the unbudgeted push gives %g", c.name, i, y[i], want[i])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -16,11 +17,12 @@ func TestMulTBlockCoversMulT(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		want := w.MulT(x, sparse.NewVector(90))
+		want := sparse.NewVector(90)
+		pushUnder(w, w.invdeg, x, want, math.MaxInt64)
 		// Assemble the same product from uneven disjoint blocks.
 		got := sparse.NewVector(90)
 		for _, cut := range [][2]int{{0, 17}, {17, 64}, {64, 90}} {
-			w.MulTBlock(x, got, cut[0], cut[1])
+			mulTBlock(w, w.invdeg, x, got, cut[0], cut[1])
 		}
 		if d := want.L1Dist(got); d > 1e-12 {
 			t.Errorf("trial %d: blockwise MulT deviates by %g", trial, d)
@@ -31,9 +33,8 @@ func TestMulTBlockCoversMulT(t *testing.T) {
 func TestBlockBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	g := randomGraph(rng, 200, 2000)
-	w := NewWalk(g, DanglingSelfLoop)
 	for _, workers := range []int{1, 3, 16} {
-		bounds := w.BlockBounds(workers)
+		bounds := blockBounds(g, workers)
 		if len(bounds) != workers+1 {
 			t.Fatalf("workers %d: %d bounds", workers, len(bounds))
 		}
@@ -47,7 +48,7 @@ func TestBlockBounds(t *testing.T) {
 		}
 	}
 	// More workers than nodes must clamp to one block per node.
-	if bounds := NewWalk(diamond(), DanglingSelfLoop).BlockBounds(99); len(bounds) != diamond().NumNodes()+1 {
+	if bounds := blockBounds(diamond(), 99); len(bounds) != diamond().NumNodes()+1 {
 		t.Fatalf("99 workers on %d nodes: bounds %v", diamond().NumNodes(), bounds)
 	}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Zero-copy construction: adopt adjacency and normalization arrays that
 // already exist — typically views into a memory-mapped TPAM snapshot —
@@ -84,7 +87,8 @@ func (g *Graph) RawCSC() (inPtr []int64, inIdx []int32) { return g.inPtr, g.inId
 // walk's mass conservation without failing anything; so one sequential pass
 // checks every entry against what NewWalk would compute from g's row
 // pointers: invdeg[u] = 1/outdeg(u) (0 when u dangles) and invdeg32[u] =
-// float32(invdeg[u]). g's row pointers must be monotone (Validate).
+// float32(invdeg[u]). g's row pointers must be monotone (Validate). The
+// walk gets NewWalk's row blocks.
 func NewWalkFromParts(g *Graph, invdeg []float64, invdeg32 []float32) (*Walk, error) {
 	n := g.NumNodes()
 	if len(invdeg) != n || len(invdeg32) != n {
@@ -101,7 +105,8 @@ func NewWalkFromParts(g *Graph, invdeg []float64, invdeg32 []float32) (*Walk, er
 				u, invdeg[u], invdeg32[u], want, g.outPtr[u+1]-g.outPtr[u])
 		}
 	}
-	return &Walk{g: g, invdeg: invdeg, invdeg32: invdeg32}, nil
+	return &Walk{g: g, invdeg: invdeg, invdeg32: invdeg32,
+		blocks: blockBounds(g, runtime.GOMAXPROCS(0))}, nil
 }
 
 // RawNormalization returns the walk's normalization arrays (1/outdeg in

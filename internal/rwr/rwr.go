@@ -2,7 +2,10 @@
 // ground truth by tests and experiments: plain power iteration on the RWR
 // fixed-point equation and a dense direct solve of (I - (1-c)Ãᵀ)·r = c·q
 // for small graphs. The paper uses BePI for ground truth; internal/bear
-// implements BePI, and these solvers validate it in turn.
+// implements BePI, and these solvers validate it in turn. It also defines
+// Operator, the one interface every solver applies Ãᵀ through. Parallelism
+// is the operator's business: graph.Walk fans its own dense applications
+// over its row blocks, so nothing here wraps an operator to shard it.
 package rwr
 
 import (
@@ -33,8 +36,9 @@ func CheckSeed(pkg string, seed, n int) error {
 
 // Operator is the minimal interface RWR iterations need: the node count
 // and the application of (the column-stochastic) Ãᵀ to a score vector.
-// graph.Walk implements it over an in-memory (or memory-mapped) CSR, and
-// shard.Operator scatter-gathers a Walk across shards.
+// graph.Walk implements it over an in-memory (or memory-mapped) CSR,
+// fanning its own dense applications over its row blocks; graph.DeltaWalk
+// implements it over an uncompacted overlay.
 type Operator interface {
 	N() int
 	MulT(x, y sparse.Vector) sparse.Vector

@@ -2,10 +2,12 @@ package rwr
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"tpa/internal/gen"
 	"tpa/internal/graph"
+	"tpa/internal/sparse"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -149,5 +151,100 @@ func TestIterBoundMonotoneInEps(t *testing.T) {
 	tight := Config{C: 0.15, Eps: 1e-12}
 	if loose.IterBound() >= tight.IterBound() {
 		t.Errorf("IterBound not monotone: %d vs %d", loose.IterBound(), tight.IterBound())
+	}
+}
+
+func shardTestWalk(t *testing.T, seed int64) *graph.Walk {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder()
+	for i := 0; i < 900; i++ {
+		b.AddEdge(rng.Intn(150), rng.Intn(150))
+	}
+	return graph.NewWalk(b.Build(), graph.DanglingSelfLoop)
+}
+
+// equalBlocks splits [0, n) into workers equal row blocks.
+func equalBlocks(n, workers int) []int {
+	b := make([]int, workers+1)
+	for i := range b {
+		b[i] = i * n / workers
+	}
+	return b
+}
+
+// TestShardedMatchesSerial checks that a walk whose pull fans out over
+// several row blocks gives the answer of the single-block walk, both for
+// one dense application and for the power iteration built on it, and that
+// the fan-out actually ran (the dense applications were pulled).
+func TestShardedMatchesSerial(t *testing.T) {
+	w := shardTestWalk(t, 61)
+	n := w.N()
+	serial, err := w.WithBlocks([]int{0, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(62))
+	cfg := DefaultConfig()
+	wantPI, _, err := PowerIteration(serial, []int{3}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		op, err := w.WithBlocks(equalBlocks(n, workers))
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		x := sparse.NewVector(n)
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		want := serial.MulT(x, sparse.NewVector(n))
+		got := op.MulT(x, sparse.NewVector(n))
+		if d := want.L1Dist(got); d > 1e-12 {
+			t.Errorf("workers %d: sharded MulT deviates by %g", workers, d)
+		}
+		if _, pulls := op.MatvecCounts(); pulls != 1 {
+			t.Fatalf("workers %d: a dense x was not pulled over the blocks", workers)
+		}
+		gotPI, _, err := PowerIteration(op, []int{3}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := wantPI.L1Dist(gotPI); d > 1e-12 {
+			t.Errorf("workers %d: sharded power iteration deviates by %g", workers, d)
+		}
+	}
+}
+
+// TestShardedFallsBack checks the no-fan-out case: a walk with a single
+// row block pulls a dense x on the caller's goroutine, so the application
+// allocates nothing, and it answers like a walk with several blocks.
+func TestShardedFallsBack(t *testing.T) {
+	w := shardTestWalk(t, 63)
+	n := w.N()
+	one, err := w.WithBlocks([]int{0, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := w.WithBlocks(equalBlocks(n, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := sparse.NewVector(n), sparse.NewVector(n)
+	x.Fill(1 / float64(n))
+	const runs = 20
+	if allocs := testing.AllocsPerRun(runs, func() { one.MulT(x, y) }); allocs != 0 {
+		t.Errorf("single-block pull allocates %.2f objects/op, want exactly 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	if push, pull := one.MatvecCounts(); push != 0 || pull != runs+1 {
+		t.Errorf("dense x counted as %d pushed, %d pulled; want 0 and %d", push, pull, runs+1)
+	}
+	want := four.MulT(x, sparse.NewVector(n))
+	for i := range want {
+		if y[i] != want[i] {
+			t.Fatalf("row %d: single block %g, four blocks %g", i, y[i], want[i])
+		}
 	}
 }

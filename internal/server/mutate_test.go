@@ -323,3 +323,27 @@ func TestMutateBodyTooLarge(t *testing.T) {
 		}
 	}
 }
+
+func TestBatchAnswerTooLarge(t *testing.T) {
+	// One /batch answer is capped at maxBatchSlots cache slots of ranked
+	// entries, counting min(k, n) per seed, before any engine work: a batch
+	// one entry over the cap answers 413, while a k far beyond n on a
+	// small batch is charged only n per seed.
+	h := testHandler(t) // 200 nodes, no -max-batch
+	const n = 200
+	over := maxBatchSlots*defaultK/n + 1
+	seeds := strings.TrimSuffix(strings.Repeat("1,", over), ",")
+	rec, _ := postJSON(t, h, "/batch", fmt.Sprintf(`{"seeds":[%s],"k":%d}`, seeds, n))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d seeds at k=%d: code = %d, want 413: %.200s", over, n, rec.Code, rec.Body.String())
+	}
+	rec, resp := postJSON(t, h, "/batch", `{"seeds":[1,2],"k":1000000000}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("2 seeds at k=1e9: code = %d: %s", rec.Code, rec.Body.String())
+	}
+	for _, r := range resp["results"].([]interface{}) {
+		if got := len(r.(map[string]interface{})["results"].([]interface{})); got != n {
+			t.Fatalf("2 seeds at k=1e9: %d entries per seed, want all %d nodes", got, n)
+		}
+	}
+}

@@ -410,6 +410,13 @@ type seedResult struct {
 // top-k cache charges answers in.
 const defaultK = 10
 
+// maxBatchSlots caps one /batch answer in the top-k cache's unit, slots of
+// defaultK ranked entries: a batch may ask for len(seeds)·min(k, n) ≤
+// 655,360 entries (4,096 seeds at k = 160), about 26 MB of JSON. Without it
+// one request could ask for -max-batch × n entries, gigabytes on a large
+// graph, and the whole answer is built before it is written.
+const maxBatchSlots = 1 << 16
+
 // bodyK applies the k rule of the JSON endpoints: an omitted or 0 k means
 // defaultK, and a negative one is answered with 400, as /topk answers it.
 func bodyK(w http.ResponseWriter, k int) (int, bool) {
@@ -445,6 +452,15 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Dura
 		return
 	}
 	if req.K, ok = bodyK(w, req.K); !ok {
+		return
+	}
+	perSeed := int64(req.K)
+	if n := int64(st.info.Nodes); n > 0 && n < perSeed {
+		perSeed = n
+	}
+	if entries := int64(len(req.Seeds)) * perSeed; entries > maxBatchSlots*defaultK {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch answer of %d ranked entries exceeds limit %d", entries, maxBatchSlots*defaultK))
 		return
 	}
 	e.queries.Add(1)

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"math"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"tpa/internal/gen"
@@ -161,13 +158,11 @@ func TestMergePartsBalance(t *testing.T) {
 	}
 }
 
-// TestOperatorMatchesWalk pins the numerical crux: on a dense input the
-// scatter-gather MulT is bit-identical for any shard bounds, because each
-// destination row is gathered independently in ascending in-neighbor order.
-// That it also matches the base walk's push kernel bit for bit holds only
-// where no dangling self-loop term reorders a row's sum (the pull kernel
-// adds x[v] last, the push kernel in v's id order) — a property of this
-// graph and input, not of the kernels.
+// TestOperatorMatchesWalk pins what the benchmark trace's NewOperator
+// hands back: on a dense input the operator pulls over the shard bounds,
+// and the pull is bit-identical to the base walk's for any bounds, because
+// each destination row is gathered independently in ascending in-neighbor
+// order.
 func TestOperatorMatchesWalk(t *testing.T) {
 	g := gen.SBM(gen.SBMConfig{Nodes: 150, Communities: 3, AvgOutDeg: 6, PIn: 0.8, Seed: 13})
 	w := graph.NewWalk(g, graph.DanglingSelfLoop)
@@ -193,64 +188,10 @@ func TestOperatorMatchesWalk(t *testing.T) {
 				t.Fatalf("bounds %v: row %d differs: %g vs %g", bounds, i, got[i], want[i])
 			}
 		}
-		// ShardStats must tile the id space and account for every edge.
-		var nodes int
-		var edges int64
-		for _, st := range op.ShardStats() {
-			nodes += st.Nodes
-			edges += st.Edges
+		// The operator counts its own applications, from 0.
+		if push, pull := op.MatvecCounts(); push != 0 || pull != 1 {
+			t.Fatalf("bounds %v: dense input counted as %d pushed, %d pulled; want 0 and 1", bounds, push, pull)
 		}
-		if nodes != n || edges != g.NumEdges() {
-			t.Fatalf("bounds %v: stats cover %d nodes / %d edges, want %d / %d",
-				bounds, nodes, edges, n, g.NumEdges())
-		}
-	}
-}
-
-// TestOperatorConcurrentApplications is the batch worker pool's use of one
-// Operator: several goroutines apply it at once, each to its own vectors,
-// some inputs pushed and some pulled. Every result must equal the serial
-// one bit for bit and the kernel counters must account for every
-// application (run under -race in CI).
-func TestOperatorConcurrentApplications(t *testing.T) {
-	g := gen.SBM(gen.SBMConfig{Nodes: 300, Communities: 3, AvgOutDeg: 6, PIn: 0.8, Seed: 9})
-	n := g.NumNodes()
-	op, err := NewOperator(graph.NewWalk(g, graph.DanglingSelfLoop), []int{0, n / 3, n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparseX, denseX := sparse.NewVector(n), sparse.NewVector(n)
-	sparseX[5] = 1
-	denseX.Fill(1 / float64(n))
-	wantSparse := op.MulT(sparseX, sparse.NewVector(n))
-	wantDense := op.MulT(denseX, sparse.NewVector(n))
-	if push, pull := op.MatvecCounts(); push != 1 || pull != 1 {
-		t.Fatalf("one-hot and uniform inputs counted as %d pushed, %d pulled; want 1 and 1", push, pull)
-	}
-
-	const workers, rounds = 4, 25
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			y := sparse.NewVector(n)
-			for r := 0; r < rounds; r++ {
-				for _, c := range []struct{ x, want sparse.Vector }{{sparseX, wantSparse}, {denseX, wantDense}} {
-					op.MulT(c.x, y)
-					for j := range y {
-						if y[j] != c.want[j] {
-							t.Errorf("concurrent application differs from the serial one at row %d", j)
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if push, pull := op.MatvecCounts(); push != 1+workers*rounds || pull != 1+workers*rounds {
-		t.Fatalf("counters read %d pushed, %d pulled; want %d each", push, pull, 1+workers*rounds)
 	}
 }
 
@@ -286,192 +227,4 @@ func TestOperatorPushAllocationFree(t *testing.T) {
 				c.name, push2-push, pull2-pull, runs+1)
 		}
 	}
-}
-
-func TestNewOperatorRejectsBadBounds(t *testing.T) {
-	g := gen.ErdosRenyi(20, 60, 2)
-	w := graph.NewWalk(g, graph.DanglingSelfLoop)
-	for _, bounds := range [][]int{
-		nil,
-		{0},
-		{1, 20},         // does not start at 0
-		{0, 10},         // does not end at n
-		{0, 15, 10, 20}, // not ascending
-		{0, -1, 20},     // negative
-	} {
-		if _, err := NewOperator(w, bounds); err == nil {
-			t.Errorf("bounds %v accepted", bounds)
-		}
-	}
-}
-
-// kernelSet is the Ãᵀ kernel family in one float width: the push kernel,
-// the pull kernel with its prologue, and the scatter-gather fan-out.
-type kernelSet[T sparse.Float] struct {
-	push  func(*graph.Walk, sparse.Vec[T], sparse.Vec[T]) sparse.Vec[T]
-	block func(*graph.Walk, sparse.Vec[T], sparse.Vec[T], int, int)
-	fan   func(*Operator, sparse.Vec[T], sparse.Vec[T]) sparse.Vec[T]
-}
-
-// TestKernelsMatchDenseReference checks every kernel, in both widths,
-// against y = M·x with M the explicitly materialized n×n column-normalized
-// matrix: {float32, float64} × {push, pull in 3 uneven blocks, Operator} ×
-// {a dense x, a one-hot x and its next two iterates, a sparse x whose push
-// runs past the point where the kernel measures the rest of x, and a pair
-// of inputs one row apart that straddle the Operator's kernel switch}, so
-// both branches of Operator.MulT/MulT32 meet the reference.
-func TestKernelsMatchDenseReference(t *testing.T) {
-	t.Run("float64", func(t *testing.T) {
-		testKernels(t, 1e-12, kernelSet[float64]{(*graph.Walk).MulT, (*graph.Walk).MulTBlock, (*Operator).MulT})
-	})
-	t.Run("float32", func(t *testing.T) {
-		testKernels(t, 1e-5, kernelSet[float32]{(*graph.Walk).MulT32, (*graph.Walk).MulTBlock32, (*Operator).MulT32})
-	})
-}
-
-func testKernels[T sparse.Float](t *testing.T, tol float64, k kernelSet[T]) {
-	rng := rand.New(rand.NewSource(21))
-	// Sources stop short of n, so the last nodes are dangling; the second
-	// graph is a single isolated node.
-	b := graph.NewBuilderN(120)
-	for i := 0; i < 700; i++ {
-		b.AddEdge(rng.Intn(110), rng.Intn(120))
-	}
-	graphs := []*graph.Graph{b.Build(), graph.FromEdges(1, nil)}
-	// wantPush is the branch an input must take; anyKernel leaves it open.
-	const (
-		anyKernel = iota
-		wantPush
-		wantPull
-	)
-	type input struct {
-		name   string
-		x      sparse.Vec[T]
-		kernel int
-	}
-	for _, g := range graphs {
-		n := g.NumNodes()
-		w := graph.NewWalk(g, graph.DanglingSelfLoop)
-		op, err := NewOperator(w, []int{0, n / 3, n / 3, 2 * n / 3, n})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		dense := make(sparse.Vec[T], n)
-		for i := range dense {
-			if rng.Intn(4) > 0 { // leave zeros for the push kernel to skip
-				dense[i] = T(rng.NormFloat64())
-			}
-		}
-		hop1 := make(sparse.Vec[T], n)
-		hop1[0] = 1
-		hop2 := k.push(w, hop1, make(sparse.Vec[T], n))
-		hop3 := k.push(w, hop2, make(sparse.Vec[T], n))
-		// under fills rows in id order while their out-edges stay below
-		// the switch volume; over is under plus the row that reaches it.
-		under, over := make(sparse.Vec[T], n), make(sparse.Vec[T], n)
-		budget := g.NumEdges() / pushVolumeDiv
-		var volume int64
-		for u := 0; u < n; u++ {
-			over[u] = T(rng.NormFloat64())
-			if volume += int64(g.OutDegree(u)); volume >= budget {
-				break
-			}
-			under[u] = over[u]
-		}
-		// lookahead holds every third row while their out-edges stay
-		// under half the budget: past the share of it the push kernel
-		// spends before it measures the rest of x (budget/16), so the
-		// push stops, looks ahead and finishes.
-		lookahead := make(sparse.Vec[T], n)
-		volume = 0
-		for u := 0; u < n; u += 3 {
-			if volume += int64(g.OutDegree(u)); volume >= budget/2 {
-				break
-			}
-			lookahead[u] = T(rng.NormFloat64())
-		}
-
-		denseKernel := wantPull
-		if g.NumEdges() == 0 {
-			denseKernel = anyKernel // the lone node's entry may be a drawn zero
-		}
-		for _, in := range []input{
-			{"dense", dense, denseKernel},
-			{"one-hot", hop1, anyKernel},
-			{"hop 2", hop2, anyKernel},
-			{"hop 3", hop3, anyKernel},
-			{"past the look-ahead", lookahead, wantPush},
-			{"under the switch", under, wantPush},
-			{"over the switch", over, wantPull},
-		} {
-			want := denseMulT(g, in.x)
-			check := func(kernel string, got sparse.Vec[T]) {
-				t.Helper()
-				for i := range want {
-					if d := math.Abs(float64(got[i]) - want[i]); d > tol {
-						t.Fatalf("n=%d %s x, %s: row %d off by %g", n, in.name, kernel, i, d)
-					}
-				}
-			}
-			check("push", k.push(w, in.x, make(sparse.Vec[T], n)))
-
-			pull := make(sparse.Vec[T], n)
-			for _, cut := range [][2]int{{0, n / 7}, {n / 7, n / 2}, {n / 2, n}} {
-				k.block(w, in.x, pull, cut[0], cut[1])
-			}
-			check("pull", pull)
-
-			pushes, pulls := op.MatvecCounts()
-			got := k.fan(op, in.x, make(sparse.Vec[T], n))
-			check("operator", got)
-			pushes2, pulls2 := op.MatvecCounts()
-			if pushes2+pulls2 != pushes+pulls+1 {
-				t.Fatalf("n=%d %s x: one application moved the counters by %d", n, in.name, pushes2+pulls2-pushes-pulls)
-			}
-			pulled := pulls2 > pulls
-			if in.kernel != anyKernel && pulled != (in.kernel == wantPull) {
-				t.Fatalf("n=%d %s x: operator pulled=%v", n, in.name, pulled)
-			}
-			if !pulled {
-				continue
-			}
-			// The fan-out only schedules the pull kernel: same bits. (A
-			// pushed application sums a dangling self-loop term in id
-			// order rather than last, so it is held to the reference
-			// alone.)
-			for i := range pull {
-				if got[i] != pull[i] {
-					t.Fatalf("n=%d %s x: fan-out row %d differs from the serial pull: %g vs %g", n, in.name, i, got[i], pull[i])
-				}
-			}
-		}
-	}
-}
-
-// denseMulT is the naive reference: it materializes the dense n×n matrix
-// Ãᵀ, a dangling node's column holding its self-loop, and multiplies it by
-// x in float64.
-func denseMulT[T sparse.Float](g *graph.Graph, x sparse.Vec[T]) []float64 {
-	n := g.NumNodes()
-	m := make([][]float64, n) // m[v][u]: share of x[u] that lands on v
-	for v := range m {
-		m[v] = make([]float64, n)
-	}
-	for u := 0; u < n; u++ {
-		ns := g.OutNeighbors(u)
-		for _, v := range ns {
-			m[v][u] = 1 / float64(len(ns))
-		}
-		if len(ns) == 0 {
-			m[u][u] = 1
-		}
-	}
-	y := make([]float64, n)
-	for v := range m {
-		for u, a := range m[v] {
-			y[v] += a * float64(x[u])
-		}
-	}
-	return y
 }

@@ -7,8 +7,6 @@ import (
 	"tpa/internal/core"
 	"tpa/internal/graph"
 	"tpa/internal/mmapio"
-	"tpa/internal/rwr"
-	"tpa/internal/shard"
 )
 
 // TPAM: the engine snapshot, and the only one. TPAM lays every engine array
@@ -39,12 +37,8 @@ import (
 // keeps everything the engine serves with: permutation, float32 index,
 // shard plan and StaleBound.
 func (e *Engine) SaveSnapshotMmap(path string) error {
-	var shards []int
-	if e.shardOp != nil {
-		shards = e.shardOp.Bounds()
-	}
 	w := mmapio.NewWriter()
-	if err := core.WriteSnapshot(w, e.tpa, e.walk, e.perm, shards); err != nil {
+	if err := core.WriteSnapshot(w, e.tpa, e.walk, e.perm, e.shards); err != nil {
 		return err
 	}
 	return w.WriteFile(path)
@@ -94,15 +88,13 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var op rwr.Operator = snap.Walk
-	var sop *shard.Operator
+	w := snap.Walk
 	if snap.Shards != nil {
-		if sop, err = shard.NewOperator(snap.Walk, snap.Shards); err != nil {
+		if w, err = w.WithBlocks(snap.Shards); err != nil {
 			return nil, binio.Errf("%v", err)
 		}
-		op = sop
 	}
-	tp, err := core.ReadIndex(s, op)
+	tp, err := core.ReadIndex(s, w)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +102,7 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 	if snap.Perm != nil {
 		inv = graph.InvertPermutation(snap.Perm)
 	}
-	return &Engine{tpa: tp, walk: snap.Walk, shardOp: sop, perm: snap.Perm, inv: inv, snap: s}, nil
+	return &Engine{tpa: tp, walk: w, shards: snap.Shards, perm: snap.Perm, inv: inv, snap: s}, nil
 }
 
 // Close releases resources the engine holds beyond the heap — today the

@@ -301,7 +301,7 @@ type tpamSections struct {
 
 func snapshotSections(tb testing.TB, eng *Engine) tpamSections {
 	tb.Helper()
-	if eng.perm != nil || eng.shardOp != nil || eng.Precision() != Float64 {
+	if eng.perm != nil || eng.shards != nil || eng.Precision() != Float64 {
 		tb.Fatal("snapshotSections copies the sections of a natural float64 engine only")
 	}
 	path := filepath.Join(tb.TempDir(), "valid.tpam")

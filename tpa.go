@@ -38,7 +38,6 @@ import (
 	"tpa/internal/graph"
 	"tpa/internal/mmapio"
 	"tpa/internal/rwr"
-	"tpa/internal/shard"
 	"tpa/internal/sparse"
 )
 
@@ -94,9 +93,11 @@ type Options struct {
 	// T is the first iteration of the stranger part, estimated by
 	// PageRank (default 10). Must exceed S.
 	T int
-	// Workers bounds the goroutines used for parallel work: New shards the
-	// preprocessing matvec over this many row blocks, and QueryBatch/
-	// TopKBatch default to this pool size. 0 means GOMAXPROCS.
+	// Workers is the default pool size of QueryBatch/TopKBatch (0 means
+	// GOMAXPROCS). Dense operator applications — preprocessing, a write's
+	// reindex, a query hop whose frontier has spread — fan out over the
+	// walk's row blocks instead, one per GOMAXPROCS (a sharded engine's are
+	// its shards).
 	Workers int
 	// Precision selects the storage precision of the CPI index: Float64
 	// (the default) or Float32, which halves the index and runs the online
@@ -142,10 +143,9 @@ type Engine struct {
 	// inv[external] = internal), both nil on unpermuted engines. See
 	// remap.go: they are applied only at this API boundary.
 	perm, inv []int32
-	// shardOp is the scatter-gather operator of a sharded engine (nil
-	// otherwise); walk stays the base walk so snapshots and stats keep
-	// working unchanged.
-	shardOp *shard.Operator
+	// shards are a sharded engine's shard bounds, which are also walk's
+	// row blocks; nil on unsharded engines.
+	shards []int
 	// snap pins the memory-mapped snapshot an mmap-loaded engine serves
 	// from (nil for heap engines); Close releases the mapping.
 	snap *mmapio.Snapshot
@@ -169,21 +169,19 @@ func (e *Engine) Permutation() []int32 {
 func (e *Engine) Precision() Precision { return e.tpa.Precision() }
 
 // New runs TPA's preprocessing phase on g and returns a queryable Engine.
-// The preprocessing sparse-matvec is sharded over Options.Workers row-block
-// goroutines (0 = GOMAXPROCS); the online phase stays serial per query, with
-// QueryBatch providing cross-query parallelism.
+// Its dense matvecs fan out over the walk's row blocks (one per
+// GOMAXPROCS); a query's sparse hops push serially, with QueryBatch
+// providing cross-query parallelism.
 func New(g *Graph, o Options) (*Engine, error) {
 	_, params := o.split()
-	w := graph.NewWalk(g, graph.DanglingSelfLoop)
-	return (&Engine{walk: w}).build(w, params, o)
+	return (&Engine{walk: graph.NewWalk(g, graph.DanglingSelfLoop)}).build(params, o)
 }
 
 // build completes an engine under construction: it runs the preprocessing
-// phase through op (the engine's walk, or its shard operator) and sets the
-// index at the requested precision.
-func (e *Engine) build(op rwr.Operator, params core.Params, o Options) (*Engine, error) {
+// phase on the engine's walk and sets the index at the requested precision.
+func (e *Engine) build(params core.Params, o Options) (*Engine, error) {
 	cfg, _ := o.split()
-	tp, err := core.PreprocessParallel(op, cfg, params, o.Workers)
+	tp, err := core.PreprocessParallel(e.walk, cfg, params, o.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("tpa: preprocessing: %w", err)
 	}
@@ -204,7 +202,7 @@ func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine
 	if err != nil {
 		return nil, fmt.Errorf("tpa: tuning: %w", err)
 	}
-	return (&Engine{walk: w}).build(w, params, o)
+	return (&Engine{walk: w}).build(params, o)
 }
 
 // Query returns the approximate RWR score vector for the seed node
@@ -384,8 +382,8 @@ var ErrBadEdge = graph.ErrBadEdge
 // the heap like any other, so the new engine holds no view into the
 // mapping and outlives the receiver's Close. A sharded engine re-splits
 // the compacted CSR along its fixed shard bounds and reindexes on the new
-// shard operator, whose matvec counters (ShardMatvecs) start over with
-// that reindex's applications.
+// walk, whose matvec counters (ShardMatvecs) start over with that
+// reindex's applications.
 //
 // Edges must reference existing nodes — a bad id fails the whole batch
 // with an error wrapping ErrBadEdge; growing the node set requires a
@@ -415,20 +413,18 @@ func (e *Engine) ApplyEdges(adds, removes [][2]int) (*Engine, MutationStats, err
 	}
 
 	next := &Engine{walk: graph.NewWalk(ng, graph.DanglingSelfLoop), workers: e.workers,
-		perm: e.perm, inv: e.inv}
+		perm: e.perm, inv: e.inv, shards: e.shards}
 	if e.snap != nil && e.perm != nil {
 		// The receiver's perm is a view into its mapping.
 		next.perm = append([]int32(nil), e.perm...)
 	}
-	var op rwr.Operator = next.walk
-	if e.shardOp != nil {
-		if next.shardOp, err = shard.NewOperator(next.walk, e.shardOp.Bounds()); err != nil {
+	if e.shards != nil {
+		if next.walk, err = next.walk.WithBlocks(e.shards); err != nil {
 			return nil, stats, fmt.Errorf("tpa: sharding: %w", err)
 		}
-		op = next.shardOp
 	}
 	dirty := core.DirtyRows(added, removed, g.OutDegree, ng.OutDegree)
-	tp, rs, err := core.ReindexWrite(e.tpa, op, e.workers, dirty)
+	tp, rs, err := core.ReindexWrite(e.tpa, next.walk, dirty)
 	if err != nil {
 		return nil, stats, fmt.Errorf("tpa: reindexing: %w", err)
 	}
