@@ -1,6 +1,5 @@
 // Benchmarks for the concurrent query subsystem: batch query throughput
-// against a serial Query loop, and sharded vs serial preprocessing. Run
-// with:
+// against a serial Query loop, and preprocessing per graph. Run with:
 //
 //	go test -bench 'QueryBatch|PreprocessParallel' -benchtime 10x
 //
@@ -155,20 +154,32 @@ func reportQPS(b *testing.B) {
 	}
 }
 
-// BenchmarkPreprocessParallel times TPA's preprocessing phase with the CPI
-// sparse-matvec sharded over row blocks at increasing worker counts.
+// BenchmarkPreprocessParallel times TPA's preprocessing phase, which stops
+// on its tail bound, per graph: sbm (the 100k-node kernel SBM) and rmat
+// (the 131k-node R-MAT, which mixes slower and runs more applications).
+// iters/op reports the applications each build ran; the ε loop ran 116.
 func BenchmarkPreprocessParallel(b *testing.B) {
-	batchBenchEngine(b) // force graph generation outside the timer
-	w := graph.NewWalk(batchBench.g, graph.DanglingSelfLoop)
 	cfg := rwr.DefaultConfig()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(benchName("workers", workers), func(b *testing.B) {
+	for _, row := range []struct {
+		name string
+		walk func() *graph.Walk
+	}{
+		{"sbm", func() *graph.Walk { return kernelWalk(b) }},
+		{"rmat", func() *graph.Walk { return graph.NewWalk(rmatBenchGraph(), graph.DanglingSelfLoop) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			w := row.walk() // generated outside the timer
 			b.ReportAllocs()
+			b.ResetTimer()
+			var iters int
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PreprocessParallel(w, cfg, core.DefaultParams(), workers); err != nil {
+				tp, err := core.PreprocessParallel(w, cfg, core.DefaultParams(), 0)
+				if err != nil {
 					b.Fatal(err)
 				}
+				iters = tp.PreprocessIters()
 			}
+			b.ReportMetric(float64(iters), "iters/op")
 		})
 	}
 }

@@ -174,8 +174,8 @@ func cmdBuild(args []string) error {
 	}
 	fmt.Printf("built %s: %d nodes / %d edges (S=%d T=%d%s), %d bytes\n",
 		dest, g.NumNodes(), g.NumEdges(), s, t, extras, st.Size())
-	fmt.Printf("  parse %v, preprocess %v — serve cold-starts skip both\n",
-		loadT.Round(time.Millisecond), prepT.Round(time.Millisecond))
+	fmt.Printf("  parse %v, preprocess %v (%d iterations, stale bound %.3g) — serve cold-starts skip both\n",
+		loadT.Round(time.Millisecond), prepT.Round(time.Millisecond), eng.PreprocessIters(), eng.StaleBound())
 	return nil
 }
 

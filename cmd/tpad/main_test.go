@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,7 +21,8 @@ import (
 // TestBuildWritesMappedSnapshot: `tpad build -shards 2` needs no -mmap, and
 // the file it writes is a TPAM snapshot whatever its name. Served through
 // the single-graph loader it is mapped, keeps both shards, and answers
-// /topk bit-identically to the engine it was built from. A file in the
+// /topk bit-identically to the engine it was built from. The build's
+// summary names its preprocessing iterations and stale bound. A file in the
 // retired combined-snapshot format fails typed and names the fix.
 func TestBuildWritesMappedSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -29,8 +31,10 @@ func TestBuildWritesMappedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "s.tpas")
-	if err := cmdBuild([]string{"-graph", edges, "-o", out, "-shards", "2"}); err != nil {
-		t.Fatal(err)
+	var buildErr error
+	printed := captureStdout(t, func() { buildErr = cmdBuild([]string{"-graph", edges, "-o", out, "-shards", "2"}) })
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
 	eng, info, err := singleLoader(out, tpa.Defaults())()
 	if err != nil {
@@ -48,6 +52,14 @@ func TestBuildWritesMappedSnapshot(t *testing.T) {
 	want, err := tpa.NewSharded(g, 2, tpa.Defaults())
 	if err != nil {
 		t.Fatal(err)
+	}
+	summary := fmt.Sprintf("(%d iterations, stale bound %.3g)", want.PreprocessIters(), want.StaleBound())
+	if want.StaleBound() <= 0 || !strings.Contains(printed, summary) {
+		t.Errorf("tpad build printed %q, want %q with a positive bound", printed, summary)
+	}
+	if loaded.PreprocessIters() != want.PreprocessIters() || loaded.StaleBound() != want.StaleBound() {
+		t.Errorf("served snapshot: %d iterations, stale bound %g; the build %d, %g",
+			loaded.PreprocessIters(), loaded.StaleBound(), want.PreprocessIters(), want.StaleBound())
 	}
 	top, err := want.TopK(3, 10)
 	if err != nil {
@@ -75,6 +87,24 @@ func TestBuildWritesMappedSnapshot(t *testing.T) {
 	if !errors.Is(err, tpa.ErrBadSnapshot) || !strings.Contains(err.Error(), "tpad build") {
 		t.Fatalf("old snapshot format: %v, want ErrBadSnapshot naming `tpad build`", err)
 	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed (a pipe's buffer worth at most).
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	fn()
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	r.Close()
+	return string(out)
 }
 
 // serveJSON runs one request against h and decodes the JSON answer.

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -112,26 +111,20 @@ func TestPostMutationReportsHead(t *testing.T) {
 	srv := httptest.NewServer(server.NewWith(eng, server.Info{Nodes: 100, Edges: 800}, server.DefaultOptions()))
 	defer srv.Close()
 
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
 	url := srv.URL + "/graphs/default/edges"
-	errs := []error{
-		postMutation(context.Background(), url, mutateRequest{Add: [][2]int{{1, 99}, {2, 98}}}),
-		postMutation(context.Background(), url, mutateRequest{Add: [][2]int{{3, 97}}}),
-	}
-	os.Stdout = stdout
-	w.Close()
-	out, _ := io.ReadAll(r)
+	var errs []error
+	out := captureStdout(t, func() {
+		errs = []error{
+			postMutation(context.Background(), url, mutateRequest{Add: [][2]int{{1, 99}, {2, 98}}}),
+			postMutation(context.Background(), url, mutateRequest{Add: [][2]int{{3, 97}}}),
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 || !strings.Contains(lines[0], "head recomputed (9 steps)") || !strings.Contains(lines[1], "head skipped, 1 iters") {
 		t.Errorf("tpad mutate printed %q, want a recomputed head then a skipped one", out)
 	}

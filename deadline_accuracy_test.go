@@ -17,12 +17,13 @@ import (
 // public API on random graphs: whatever budget a query is given, the answer
 // it returns must honor the bound it claims.
 
-// checkPartialAccuracy asserts the deadline-answer contract for one query:
-// the reported bound is honored against exact RWR, mass is conserved, and
-// the meta is internally consistent.
-func checkPartialAccuracy(t *testing.T, tag string, got []float64, meta tpa.QueryMeta, exact []float64, o tpa.Options) {
+// checkPartialAccuracy asserts the deadline-answer contract for one query
+// of an engine with the given StaleBound: the reported bound is honored
+// against exact RWR, mass is conserved, and the meta is internally
+// consistent (Theorem 2 at effective_s plus the StaleBound).
+func checkPartialAccuracy(t *testing.T, tag string, got []float64, meta tpa.QueryMeta, exact []float64, o tpa.Options, stale float64) {
 	t.Helper()
-	fullBound := 2 * math.Pow(1-o.C, float64(o.S))
+	fullBound := 2*math.Pow(1-o.C, float64(o.S)) + stale
 	if meta.Partial {
 		if meta.EffectiveS < 1 || meta.EffectiveS >= o.S {
 			t.Errorf("%s: partial with effective_s %d outside [1, %d)", tag, meta.EffectiveS, o.S)
@@ -33,7 +34,7 @@ func checkPartialAccuracy(t *testing.T, tag string, got []float64, meta tpa.Quer
 	} else if meta.EffectiveS != o.S {
 		t.Errorf("%s: complete answer reports effective_s %d, want %d", tag, meta.EffectiveS, o.S)
 	}
-	if want := 2 * math.Pow(1-o.C, float64(meta.EffectiveS)); math.Abs(meta.Bound-want) > 1e-12 {
+	if want := 2*math.Pow(1-o.C, float64(meta.EffectiveS)) + stale; math.Abs(meta.Bound-want) > 1e-12 {
 		t.Errorf("%s: bound %g inconsistent with effective_s %d (want %g)", tag, meta.Bound, meta.EffectiveS, want)
 	}
 
@@ -84,7 +85,7 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			if d := l1dist(got, plain); d != 0 {
 				t.Errorf("unbounded deadline query differs from Query by %g", d)
 			}
-			checkPartialAccuracy(t, "unbounded", got, meta, exact, o)
+			checkPartialAccuracy(t, "unbounded", got, meta, exact, o, eng.StaleBound())
 
 			// Already-expired context: the worst case — the engine still
 			// returns the S'=1 head (scaled seed restart + stranger part),
@@ -98,7 +99,7 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			if !meta.Partial || meta.EffectiveS != 1 {
 				t.Errorf("expired ctx: partial %v effective_s %d, want true/1", meta.Partial, meta.EffectiveS)
 			}
-			checkPartialAccuracy(t, "expired", got, meta, exact, o)
+			checkPartialAccuracy(t, "expired", got, meta, exact, o, eng.StaleBound())
 
 			// A budget so small the query may or may not finish: whichever
 			// way the race goes, the answer must honor the bound it reports.
@@ -108,7 +109,7 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkPartialAccuracy(t, "tight", got, meta, exact, o)
+			checkPartialAccuracy(t, "tight", got, meta, exact, o, eng.StaleBound())
 		}
 	}
 }

@@ -118,7 +118,7 @@ func onlinePhase[T sparse.Float](ctx context.Context, t *TPA, mulT func(x, y spa
 	for _, s := range seeds {
 		fam[s] = q[s]
 	}
-	_, _, steps, converged := cpiLoop(ctx, mulT, t.cfg, 1, t.params.S-1, q, buf, fam)
+	_, _, steps, converged, _ := cpiLoop(ctx, mulT, t.cfg, 1, t.params.S-1, 0, q, buf, fam)
 	// Stopping after S' < S accumulated iterations is exactly a TPA
 	// instance with split point S'; a head that converged early is exact
 	// to ε, the same contract as the full S.

@@ -164,33 +164,3 @@ func TestQueryIntoAllocationFree(t *testing.T) {
 		}
 	}
 }
-
-func TestPreprocessParallelMatchesSerial(t *testing.T) {
-	w := testWalk(t, 55)
-	serial, err := Preprocess(w, cfg(), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := PreprocessParallel(w, cfg(), DefaultParams(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sharded gather order differs from the serial scatter order only in
-		// floating-point rounding.
-		if d := serial.StrangerVector().L1Dist(par.StrangerVector()); d > 1e-10 {
-			t.Errorf("workers %d: stranger vector deviates by %g", workers, d)
-		}
-		a, err := serial.Query(12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.Query(12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := a.L1Dist(b); d > 1e-10 {
-			t.Errorf("workers %d: query deviates by %g", workers, d)
-		}
-	}
-}

@@ -20,6 +20,14 @@ func StalenessBudget(c float64, s int) float64 {
 	return TheoremTwoBound(c, s-1) - TheoremTwoBound(c, s)
 }
 
+// TailBudget is τ = 10⁻³·β (β = StalenessBudget), the L1 error
+// preprocessing may leave in the stranger vector when it stops on its tail
+// bound (see Preprocess): three orders below the slack writes spend, so a
+// fresh index serves practically at Theorem 2.
+func TailBudget(c float64, s int) float64 {
+	return 1e-3 * StalenessBudget(c, s)
+}
+
 // NeighborBound is the neighbor-approximation bound of Lemma 3:
 // 2(1-c)^S − 2(1-c)^T.
 func NeighborBound(c float64, s, t int) float64 {

@@ -56,14 +56,14 @@ func CPI(w rwr.Operator, seeds []int, cfg rwr.Config, startIter, termIter int) (
 		return nil, err
 	}
 	r := sparse.NewVector(n)
-	_, _, iters, converged := cpiLoop(nil, w.MulT, cfg, startIter, termIter, q.Scale(cfg.C), sparse.NewVector(n), r)
+	_, _, iters, converged, _ := cpiLoop(nil, w.MulT, cfg, startIter, termIter, 0, q.Scale(cfg.C), sparse.NewVector(n), r)
 	return &CPIResult{Scores: r, Iters: iters, Converged: converged}, nil
 }
 
 // cpiLoop is Algorithm 1 with caller-provided storage, in either float
 // width: the one propagation loop of this package. CPI, the online phase
-// (with and without a deadline, see batch.go) and Reindex's correction are
-// calls of it.
+// (with and without a deadline, see batch.go), preprocessing and Reindex's
+// correction are calls of it.
 //
 // x holds x(0), already scaled by c; it and buf (propagation scratch) are
 // consumed as the ping-pong pair of the iteration x(i) = (1-c)·Ãᵀ·x(i-1),
@@ -74,11 +74,22 @@ func CPI(w rwr.Operator, seeds []int, cfg rwr.Config, startIter, termIter int) (
 // ‖x(i)‖₁ < ε (converged), or — with a non-nil ctx — before the first step
 // that would start after ctx expired. It allocates nothing.
 //
+// tau > 0 (with a non-nil acc) also stops the loop on a proven tail bound,
+// the rule preprocessing builds to. Each accumulated step i measures
+// δ = ‖Ãᵀ·x(i-1) − x(i-1)‖₁. Ãᵀ is an L1 contraction, so
+// ‖(Ãᵀ)ʲ·x(i) − x(i)‖₁ ≤ j·(1-c)·δ, and the rest of the sum,
+// Σ_{j≥1} (1-c)ʲ·(Ãᵀ)ʲ·x(i), is within (1-c)²/c²·δ of x(i)·(1-c)/c (as
+// Σ_j j(1-c)ʲ = (1-c)/c²). At the first i ≥ startIter where that bound is
+// at most tau the loop adds x(i)·(1-c)/c to acc and returns the bound as
+// tail, with converged set. The extension carries exactly the mass of the
+// tail it stands for. Otherwise tail is 0: a loop cut at ε is ε-exact, as
+// without the rule.
+//
 // Each step is one application of mulT and one sweep over its output (see
-// finishStep): the scale by 1-c, the add into acc and the L1 norm share
+// finishStep): the scale by 1-c, the add into acc, the L1 norm and δ share
 // that pass.
 func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) sparse.Vec[T], cfg rwr.Config,
-	startIter, termIter int, x, buf, acc sparse.Vec[T]) (last, spare sparse.Vec[T], iters int, converged bool) {
+	startIter, termIter int, tau float64, x, buf, acc sparse.Vec[T]) (last, spare sparse.Vec[T], iters int, converged bool, tail float64) {
 	if startIter == 0 && acc != nil {
 		acc.Add(x)
 	}
@@ -90,22 +101,34 @@ func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) 
 		}
 	}
 	decay := T(1 - cfg.C)
+	ratio := (1 - cfg.C) / cfg.C
 	for i := 1; i <= limit; i++ {
 		if ctx != nil && ctx.Err() != nil {
 			break
 		}
 		mulT(x, buf)
-		x, buf = buf, x
-		iters = i
-		into := acc
+		into, prev := acc, x
 		if i < startIter {
 			into = nil
 		}
-		if finishStep(x, decay, into) < cfg.Eps {
-			return x, buf, iters, true
+		if into == nil || tau <= 0 {
+			prev = nil
+		}
+		l1, delta := finishStep(buf, decay, into, prev)
+		x, buf = buf, x
+		iters = i
+		if l1 < cfg.Eps {
+			return x, buf, iters, true, 0
+		}
+		if bound := ratio * ratio * delta; prev != nil && bound <= tau {
+			ext := T(ratio)
+			for j, v := range x {
+				acc[j] += T(v * ext)
+			}
+			return x, buf, iters, true, bound
 		}
 	}
-	return x, buf, iters, false
+	return x, buf, iters, false, 0
 }
 
 // finishStep completes a CPI step on the propagated vector x in one sweep:
@@ -114,24 +137,39 @@ func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) 
 // and x.L1() run one after the other, and the norm sums in the same order,
 // so every bit matches the three passes. The conversion T(·) rounds the
 // product before the add, which keeps a compiler from fusing the two.
-func finishStep[T sparse.Float](x sparse.Vec[T], decay T, acc sparse.Vec[T]) float64 {
-	var l1 float64
+//
+// prev, when non-nil (and then acc is too), is the iterate x was propagated
+// from: the sweep also returns delta = Σ|x[i] − prev[i]| taken before the
+// scale, ‖Ãᵀ·prev − prev‖₁, summed in index order. x's entries do not
+// depend on the operator's row blocks, so neither does delta.
+func finishStep[T sparse.Float](x sparse.Vec[T], decay T, acc, prev sparse.Vec[T]) (l1, delta float64) {
 	if acc == nil {
 		for i, v := range x {
 			v = T(v * decay)
 			x[i] = v
 			l1 += math.Abs(float64(v))
 		}
-		return l1
+		return l1, 0
 	}
 	acc = acc[:len(x)]
+	if prev == nil {
+		for i, v := range x {
+			v = T(v * decay)
+			x[i] = v
+			acc[i] += v
+			l1 += math.Abs(float64(v))
+		}
+		return l1, 0
+	}
+	prev = prev[:len(x)]
 	for i, v := range x {
+		delta += math.Abs(float64(v - prev[i]))
 		v = T(v * decay)
 		x[i] = v
 		acc[i] += v
 		l1 += math.Abs(float64(v))
 	}
-	return l1
+	return l1, delta
 }
 
 // ExactRWR computes the full RWR vector by CPI run to convergence. It is

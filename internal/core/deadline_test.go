@@ -39,14 +39,15 @@ func slowTPA(t *testing.T, p Params, delay time.Duration) (*TPA, rwr.Operator) {
 	return slow, w
 }
 
-// checkPartial asserts the anytime contract for one deadline-aware answer:
-// the reported bound is the Theorem-2 bound for the realized split point,
+// checkPartial asserts the anytime contract for one deadline-aware answer
+// of tp: the reported bound is the Theorem-2 bound for the realized split
+// point plus tp's StaleBound (as QueryMeta.Bound documents),
 // the answer carries (ε-truncated) unit mass, and its L1 distance from
 // exact RWR respects the reported bound.
-func checkPartial(t *testing.T, tag string, got sparse.Vector, meta QueryMeta, exact sparse.Vector, c float64) {
+func checkPartial(t *testing.T, tag string, tp *TPA, got sparse.Vector, meta QueryMeta, exact sparse.Vector) {
 	t.Helper()
-	if want := TheoremTwoBound(c, meta.EffectiveS); meta.Bound != want {
-		t.Errorf("%s: Bound = %g, want 2(1-c)^%d = %g", tag, meta.Bound, meta.EffectiveS, want)
+	if want := TheoremTwoBound(tp.cfg.C, meta.EffectiveS) + tp.StaleBound(); meta.Bound != want {
+		t.Errorf("%s: Bound = %g, want 2(1-c)^%d + StaleBound = %g", tag, meta.Bound, meta.EffectiveS, want)
 	}
 	if meta.Steps != meta.EffectiveS-1 {
 		t.Errorf("%s: Steps = %d, want EffectiveS-1 = %d", tag, meta.Steps, meta.EffectiveS-1)
@@ -86,7 +87,7 @@ func TestQueryDeadlineExpiredMidQuery(t *testing.T) {
 	if meta.EffectiveS <= 1 || meta.EffectiveS >= p.S {
 		t.Errorf("EffectiveS = %d, want interior of (1,%d)", meta.EffectiveS, p.S)
 	}
-	checkPartial(t, "mid-query", got, meta, exact, cfg().C)
+	checkPartial(t, "mid-query", tp, got, meta, exact)
 
 	// A partial answer must be strictly looser-bounded than the full one,
 	// and the full one must still be within its tighter bound.
@@ -100,7 +101,7 @@ func TestQueryDeadlineExpiredMidQuery(t *testing.T) {
 	if meta.Bound <= fullMeta.Bound {
 		t.Errorf("partial bound %g not looser than full bound %g", meta.Bound, fullMeta.Bound)
 	}
-	checkPartial(t, "full", full, fullMeta, exact, cfg().C)
+	checkPartial(t, "full", tp, full, fullMeta, exact)
 }
 
 func TestQueryDeadlineAlreadyExpired(t *testing.T) {
@@ -119,7 +120,7 @@ func TestQueryDeadlineAlreadyExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPartial(t, "pre-expired", got, meta, exact, cfg().C)
+	checkPartial(t, "pre-expired", tp, got, meta, exact)
 }
 
 // A background context must reproduce the plain query path bit for bit —

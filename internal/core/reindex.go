@@ -237,7 +237,7 @@ func recompute(t *TPA, w rwr.Operator) (*TPA, ReindexStats) {
 			rho[i] = s1[i] - t.stranger[i]
 		}
 		var end sparse.Vector
-		end, _, stats.CorrectionIters, _ = cpiLoop(nil, w.MulT, budget, 1, -1, rho, sparse.NewVector(n), s1)
+		end, _, stats.CorrectionIters, _, _ = cpiLoop(nil, w.MulT, budget, 1, -1, 0, rho, sparse.NewVector(n), s1)
 		last = end.L1()
 	}
 	stats.StaleBound = (1 - cfg.C) / cfg.C * last

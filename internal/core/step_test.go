@@ -46,6 +46,40 @@ func refCPILoop[T sparse.Float](mulT func(x, y sparse.Vec[T]) sparse.Vec[T], cfg
 	return x, iters
 }
 
+// refPreprocess is the stranger vector under the tail rule with every
+// pass apart: after each application δ = ‖Ãᵀx − x‖₁, then Scale, Add and
+// L1, then the ε test, then the tail test and the extension by x·(1-c)/c.
+func refPreprocess(w rwr.Operator, cfg rwr.Config, p Params) (acc sparse.Vector, iters int, stale float64) {
+	n := w.N()
+	q, err := rwr.SeedVector(n, allSeeds(n))
+	if err != nil {
+		panic(err)
+	}
+	x, buf, acc := q.Scale(cfg.C), sparse.NewVector(n), sparse.NewVector(n)
+	ratio := (1 - cfg.C) / cfg.C
+	tau := TailBudget(cfg.C, p.S)
+	for i := 1; i <= cfg.IterBound()+8; i++ {
+		w.MulT(x, buf)
+		var delta float64
+		for j := range buf {
+			delta += math.Abs(buf[j] - x[j])
+		}
+		buf.Scale(1 - cfg.C)
+		x, buf = buf, x
+		if i >= p.T {
+			acc.Add(x)
+		}
+		if x.L1() < cfg.Eps {
+			return acc, i, 0
+		}
+		if bound := ratio * ratio * delta; i >= p.T && bound <= tau {
+			acc.Add(x.Clone().Scale(ratio))
+			return acc, i, bound
+		}
+	}
+	panic("refPreprocess: no stop")
+}
+
 func refCPI(w rwr.Operator, seeds []int, cfg rwr.Config, startIter, termIter int) (sparse.Vector, int) {
 	n := w.N()
 	q, err := rwr.SeedVector(n, seeds)
@@ -161,10 +195,15 @@ func TestFusedStepMatchesThreePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, iters := refCPI(w, allSeeds(w.N()), c, DefaultParams().T, -1)
+		want, iters, stale := refPreprocess(w, c, DefaultParams())
 		checkBits(t, "stranger vector", tp.StrangerVector(), want)
-		if tp.PreprocessIters() != iters {
-			t.Errorf("%d preprocessing iterations, the three-pass step runs %d", tp.PreprocessIters(), iters)
+		if tp.PreprocessIters() != iters || tp.StaleBound() != stale {
+			t.Errorf("%d preprocessing iterations with StaleBound %g, the three-pass step runs %d with %g",
+				tp.PreprocessIters(), tp.StaleBound(), iters, stale)
+		}
+		exact, _ := refCPI(w, allSeeds(w.N()), c, DefaultParams().T, -1)
+		if d := tp.StrangerVector().L1Dist(exact); d > tp.StaleBound()+truncSlack {
+			t.Errorf("stranger vector is %g from the ε-exact one, StaleBound %g", d, tp.StaleBound())
 		}
 	})
 	t.Run("QuerySet", func(t *testing.T) {

@@ -57,8 +57,9 @@ type TPA struct {
 	// (for reporting).
 	preIters int
 	// stale bounds ‖stranger − s*‖₁, s* the exact stranger vector of the
-	// bound graph: 0 after preprocessing, what Reindex left uncorrected
-	// after a write (see reindex.go).
+	// bound graph: the tail bound preprocessing stopped on (at most
+	// TailBudget), what Reindex left uncorrected after a write (see
+	// reindex.go).
 	stale float64
 	// tip = x(T−1) and the discounted head sum head are the head state of
 	// the graph the last recomputing write ran on, and drift bounds how far
@@ -76,6 +77,12 @@ type TPA struct {
 // PageRank-style CPI accumulating only iterations ≥ T. The result is the
 // only per-graph state TPA stores — an O(n) vector, which is why Fig 1(a)
 // shows TPA's index orders of magnitude below the competitors'.
+//
+// The CPI stops on a proven tail bound instead of running to ε: at the
+// first step i ≥ T whose bound on the extended tail (see cpiLoop) is within
+// TailBudget it adds the extension and records the bound as StaleBound. The
+// index's error bound grows by at most that, and the stranger vector keeps
+// the exact Lemma-2 mass (1-c)^T. The ε loop stays as the cap.
 func Preprocess(w rwr.Operator, cfg rwr.Config, params Params) (*TPA, error) {
 	return PreprocessParallel(w, cfg, params, 1)
 }
@@ -92,16 +99,20 @@ func PreprocessParallel(w rwr.Operator, cfg rwr.Config, params Params, workers i
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := CPI(w, allSeeds(w.N()), cfg, params.T, -1)
-	if err != nil {
-		return nil, err
-	}
+	n := w.N()
+	// x(0) = c·q for the uniform q, rounded as CPI's all-seeds vector is.
+	x := sparse.NewVector(n)
+	x.Fill(1 / float64(n) * cfg.C)
+	stranger := sparse.NewVector(n)
+	_, _, iters, _, stale := cpiLoop(nil, w.MulT, cfg, params.T, -1, TailBudget(cfg.C, params.S),
+		x, sparse.NewVector(n), stranger)
 	return &TPA{
 		walk:     w,
 		cfg:      cfg,
 		params:   params,
-		stranger: res.Scores,
-		preIters: res.Iters,
+		stranger: stranger,
+		preIters: iters,
+		stale:    stale,
 	}, nil
 }
 
@@ -189,8 +200,9 @@ func (p *Parts) Combine() sparse.Vector {
 func (t *TPA) ErrorBound() float64 { return TheoremTwoBound(t.cfg.C, t.params.S) + t.stale }
 
 // StaleBound returns the bound on the L1 distance between the served
-// stranger vector and the exact one of the bound graph: 0 for a freshly
-// preprocessed index, at most StalenessBudget after a Reindex.
+// stranger vector and the exact one of the bound graph: at most TailBudget
+// for a freshly preprocessed index (0 when its loop ran to ε), at most
+// StalenessBudget after a Reindex.
 func (t *TPA) StaleBound() float64 { return t.stale }
 
 // SetStaleBound restores a persisted StaleBound on a loaded index. Like

@@ -36,8 +36,10 @@ import (
 //
 // meta layout (little-endian): u64 n, u64 m, u64 danglingCount, u32 policy,
 // u32 S, u32 T, u32 preIters, u32 precision (0=float64, 1=float32),
-// u32 flags (0), f64 C, f64 Eps; then, only for an index that took writes,
-// f64 StaleBound (> 0). A 64-byte meta loads with StaleBound 0. policy must
+// u32 flags (0), f64 C, f64 Eps; then, only when it is positive, f64
+// StaleBound: every build since preprocessing stops on a tail bound writes
+// it, and so does every index that took writes. A 64-byte meta (an ε-built
+// index) loads with StaleBound 0. policy must
 // be 0 (graph.DanglingSelfLoop, the only policy). danglingCount is 0:
 // older builds wrote the length of section 8 there, and readers ignore it.
 const (

@@ -21,6 +21,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"tpa/internal/binio"
 )
 
 // Segment files are named wal-<16 hex digits>.log; the counter increases
@@ -260,6 +262,14 @@ func (w *WAL) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("ingest: creating WAL segment: %w", err)
 	}
+	// The segment's name is durable only once its directory is synced;
+	// until then a crash may lose the file with every record synced into it.
+	if w.opts.Fsync != FsyncOff {
+		if err := syncDir(w.dir); err != nil {
+			f.Close()
+			return fmt.Errorf("ingest: syncing the WAL directory: %w", err)
+		}
+	}
 	var hdr [walHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], walMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], walVersion)
@@ -432,8 +442,17 @@ func (w *WAL) Reset() error {
 			return err
 		}
 	}
+	if w.opts.Fsync != FsyncOff {
+		if err := syncDir(w.dir); err != nil {
+			return fmt.Errorf("ingest: syncing the WAL directory: %w", err)
+		}
+	}
 	return w.rotateLocked()
 }
+
+// syncDir makes a segment's creation or removal durable (see
+// binio.SyncDir); a variable, so tests can count the calls.
+var syncDir = binio.SyncDir
 
 // Close syncs and closes the log. Append after Close fails.
 func (w *WAL) Close() error {

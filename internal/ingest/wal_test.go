@@ -347,6 +347,66 @@ func TestWALReset(t *testing.T) {
 	}
 }
 
+// TestWALSyncsDirectory: every segment the log creates (at open and on
+// rotation) and Reset's removes are followed by a sync of the WAL
+// directory, so a segment's name is as durable as the records synced into
+// it. Each sync is recorded with the segments present when it ran. Under
+// FsyncOff the log syncs nothing.
+func TestWALSyncsDirectory(t *testing.T) {
+	var synced [][]string
+	syncDir = func(dir string) error {
+		segs, err := segmentFiles(dir)
+		synced = append(synced, segs)
+		return err
+	}
+	t.Cleanup(func() { syncDir = binio.SyncDir })
+
+	dir := t.TempDir()
+	w := testWAL(t, dir, WALOptions{SegmentBytes: 64, Fsync: FsyncBatch}) // tiny: rotates every other append
+	for i := 0; i < 6; i++ {
+		if _, err := w.Append(edges(i, i+1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := segmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 || len(synced) != len(segs) {
+		t.Fatalf("%d segments created, %d directory syncs", len(segs), len(synced))
+	}
+	for i, present := range synced {
+		if !reflect.DeepEqual(present, segs[:i+1]) {
+			t.Fatalf("sync %d ran with segments %v, want %v", i, present, segs[:i+1])
+		}
+	}
+	synced = nil
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := segmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 2 || len(synced[0]) != 0 || !reflect.DeepEqual(synced[1], after) {
+		t.Fatalf("Reset synced the directory with segments %v, want [] after the removes, then %v", synced, after)
+	}
+
+	synced = nil
+	off := testWAL(t, t.TempDir(), WALOptions{SegmentBytes: 64, Fsync: FsyncOff})
+	for i := 0; i < 3; i++ {
+		if _, err := off.Append(edges(i, i+1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := off.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 0 {
+		t.Fatalf("fsync off: %d directory syncs, want 0", len(synced))
+	}
+}
+
 func TestParseFsyncPolicy(t *testing.T) {
 	for in, want := range map[string]FsyncPolicy{
 		"always": FsyncAlways, "batch": FsyncBatch, "": FsyncBatch,

@@ -9,6 +9,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"tpa/internal/binio"
 )
 
 // Writer accumulates sections and lays them out as a TPAM container. Add
@@ -162,12 +164,7 @@ func (w *Writer) WriteFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
+	return binio.SyncDir(filepath.Dir(path))
 }
 
 const chunkBytes = 64 << 10

@@ -302,7 +302,7 @@ func TestTightDeadlineOnLargeGraphReturnsPartial(t *testing.T) {
 	if effS < 1 || effS >= fullS {
 		t.Errorf("effective_s = %d, want in [1, %d)", effS, fullS)
 	}
-	wantBound := core.TheoremTwoBound(cfg.C, effS)
+	wantBound := core.TheoremTwoBound(cfg.C, effS) + eng.StaleBound()
 	if got := body["residual_bound"].(float64); got != wantBound {
 		t.Errorf("residual_bound = %v, want %v", got, wantBound)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tpa"
+	"tpa/internal/core"
 )
 
 func TestMutateAddsAndRemovesEdges(t *testing.T) {
@@ -26,6 +27,14 @@ func TestMutateAddsAndRemovesEdges(t *testing.T) {
 	}
 	// Warm the cache so the swap's partition replacement is observable.
 	get(t, h, "/graphs/live/topk?seed=1&k=3")
+	// A fresh build reports the iterations its preprocessing ran and the
+	// tail bound it stopped on.
+	_, fresh := get(t, h, "/graphs/live/stats")
+	if fresh["preprocess_iters"] != float64(eng.PreprocessIters()) || fresh["stale_bound"] != eng.StaleBound() ||
+		eng.StaleBound() <= 0 {
+		t.Errorf("fresh stats preprocess_iters/stale_bound = %v/%v, want %d/%g > 0",
+			fresh["preprocess_iters"], fresh["stale_bound"], eng.PreprocessIters(), eng.StaleBound())
+	}
 
 	victim := int(g.OutNeighbors(1)[0])
 	rec, body := postJSON(t, h, "/graphs/live/edges",
@@ -72,14 +81,20 @@ func TestMutateAddsAndRemovesEdges(t *testing.T) {
 	if gi["edges"].(float64) != float64(g.NumEdges()+1) {
 		t.Errorf("stats edges = %v", gi["edges"])
 	}
-	// The write's staleness is reported and folded into the served bound.
+	// The write's staleness is reported and folded into the served bound
+	// in place of the build's; the build's iteration count stays.
 	stale, ok := body["stale_bound"].(float64)
 	if !ok || stale <= 0 {
 		t.Errorf("stale_bound = %v, want > 0 after a write", body["stale_bound"])
 	}
-	if stats["stale_bound"] != stale || stats["error_bound"] != eng.ErrorBound()+stale {
+	s, _ := eng.Params()
+	thm2 := core.TheoremTwoBound(tpa.Defaults().C, s)
+	if stats["stale_bound"] != stale || stats["error_bound"] != thm2+stale {
 		t.Errorf("stats stale_bound/error_bound = %v/%v, want %v/%v",
-			stats["stale_bound"], stats["error_bound"], stale, eng.ErrorBound()+stale)
+			stats["stale_bound"], stats["error_bound"], stale, thm2+stale)
+	}
+	if stats["preprocess_iters"] != float64(eng.PreprocessIters()) {
+		t.Errorf("stats preprocess_iters = %v after a write, want the build's %d", stats["preprocess_iters"], eng.PreprocessIters())
 	}
 	if entries := stats["cache"].(map[string]interface{})["entries"].(float64); entries != 0 {
 		t.Errorf("cache entries = %v after mutation, want 0 (partition replaced)", entries)

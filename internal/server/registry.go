@@ -267,6 +267,7 @@ func (h *Handler) graphStats(w http.ResponseWriter, r *http.Request) {
 	if se, ok := st.eng.(staleInfo); ok {
 		// Whichever write path moved the engine, synchronous or ingest.
 		resp["stale_bound"] = se.StaleBound()
+		resp["preprocess_iters"] = se.PreprocessIters()
 	}
 	if se, ok := st.eng.(storageInfo); ok {
 		mapped, heap := se.StorageBytes()

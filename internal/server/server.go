@@ -78,10 +78,12 @@ type storageInfo interface {
 }
 
 // staleInfo is the optional capability interface for engines whose index
-// may lag the graph after writes: StaleBound is the part of ErrorBound the
-// last reindex left uncorrected. *tpa.Engine implements it.
+// may lag the exact one: StaleBound is the part of ErrorBound that the
+// build's tail stop or the last reindex left uncorrected, PreprocessIters
+// the dense applications the build ran. *tpa.Engine implements it.
 type staleInfo interface {
 	StaleBound() float64
+	PreprocessIters() int
 }
 
 // DeadlineHeader is the request header carrying a per-query budget in

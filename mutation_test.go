@@ -230,9 +230,10 @@ func TestApplyEdgesErrors(t *testing.T) {
 
 // checkWrittenEngine asserts the contract of an engine that took writes:
 // ErrorBound is Theorem 2 at S plus a StaleBound within the slack to S-1;
-// a from-scratch engine on the same graph answers within StaleBound of it
-// (the two share the family part, so the answers differ by exactly the
-// stranger vectors, up to the fresh CPI's own ε truncation); and every
+// a from-scratch engine on the same graph answers within the sum of the two
+// StaleBounds of it (the two share the family part, so the answers differ by
+// exactly the stranger vectors, each within its own StaleBound of the exact
+// one, up to CPI's ε truncation); and every
 // probe seed's answer is within ErrorBound of exact RWR.
 func checkWrittenEngine(t *testing.T, tag string, eng *tpa.Engine, seeds []int) {
 	t.Helper()
@@ -258,8 +259,9 @@ func checkWrittenEngine(t *testing.T, tag string, eng *tpa.Engine, seeds []int) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := l1dist(got, want); d > eng.StaleBound()+1e-8 {
-			t.Errorf("%s: seed %d answers %g from a fresh engine, StaleBound %g", tag, seed, d, eng.StaleBound())
+		if d := l1dist(got, want); d > eng.StaleBound()+fresh.StaleBound()+1e-8 {
+			t.Errorf("%s: seed %d answers %g from a fresh engine, StaleBounds %g + %g", tag, seed, d,
+				eng.StaleBound(), fresh.StaleBound())
 		}
 		exact, err := tpa.Exact(eng.Graph(), seed, o)
 		if err != nil {

@@ -531,8 +531,9 @@ func metaBytes(t *testing.T, path string) int {
 // TestWrittenEngineSnapshots pins how an engine that took writes is saved.
 // SaveSnapshotFile keeps its StaleBound in a 72-byte meta, and the reloaded
 // engine's next write recomputes the head the live engine's skips, both
-// within their bounds. A freshly built engine still writes the 64-byte meta
-// older builds read.
+// within their bounds. A freshly built engine writes the 72-byte meta too:
+// its preprocessing stopped on a tail bound, which the meta keeps. (Every
+// reader since that meta exists also reads the 64-byte one.)
 func TestWrittenEngineSnapshots(t *testing.T) {
 	g := RandomSBMGraph(300, 4, 5, 0.9, 19)
 	eng, err := New(g, Defaults())
@@ -544,8 +545,17 @@ func TestWrittenEngineSnapshots(t *testing.T) {
 	if err := eng.SaveSnapshotFile(freshPath); err != nil {
 		t.Fatal(err)
 	}
-	if n := metaBytes(t, freshPath); n != core.MetaSize {
-		t.Errorf("fresh engine wrote a %d-byte meta, want %d", n, core.MetaSize)
+	if n := metaBytes(t, freshPath); n != core.MetaStaleSize {
+		t.Errorf("fresh engine wrote a %d-byte meta, want %d", n, core.MetaStaleSize)
+	}
+	fresh, err := LoadSnapshotFile(freshPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if eng.StaleBound() <= 0 || fresh.StaleBound() != eng.StaleBound() || fresh.PreprocessIters() != eng.PreprocessIters() {
+		t.Errorf("fresh round trip: StaleBound %g after %d iterations, want %g > 0 after %d",
+			fresh.StaleBound(), fresh.PreprocessIters(), eng.StaleBound(), eng.PreprocessIters())
 	}
 
 	written, _, err := eng.ApplyEdges([][2]int{{0, 299}, {17, 4}, {250, 3}}, [][2]int{{5, int(g.OutNeighbors(5)[0])}})

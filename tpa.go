@@ -305,10 +305,16 @@ func (e *Engine) Params() (s, t int) {
 func (e *Engine) ErrorBound() float64 { return e.tpa.ErrorBound() }
 
 // StaleBound returns the L1 bound on how far the engine's stranger vector
-// may sit from the exact one of the graph it serves: 0 for a freshly built
-// engine, at most 2c(1-c)^{S-1} after ApplyEdges, which stops correcting the
-// index there instead of at ε (see core.Reindex).
+// may sit from the exact one of the graph it serves: at most
+// τ = 2c(1-c)^{S-1}/1000 for a freshly built engine, whose preprocessing
+// stops on that proven tail bound instead of at ε (see core.Preprocess), and
+// at most 2c(1-c)^{S-1} after ApplyEdges, which stops correcting the index
+// there (see core.Reindex).
 func (e *Engine) StaleBound() float64 { return e.tpa.StaleBound() }
+
+// PreprocessIters returns how many dense applications the build's
+// preprocessing ran (kept across snapshots and writes).
+func (e *Engine) PreprocessIters() int { return e.tpa.PreprocessIters() }
 
 // IndexBytes returns the size of the preprocessed data as shipped (8 bytes
 // per node, or 4 for Float32 engines).
