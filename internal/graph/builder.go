@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates directed edges and produces an immutable Graph.
@@ -66,52 +66,61 @@ func (b *Builder) NumPendingEdges() int { return len(b.srcs) }
 
 // Build constructs the immutable Graph. The builder may be reused afterwards
 // (its edge buffer is retained).
+//
+// The CSR is a counting sort by source: one pass counts each row's length,
+// a prefix sum turns the counts into row pointers, and a second pass drops
+// every destination into its row through a per-row cursor. A row the input
+// already listed in order is not sorted again; the rest are sorted in
+// place, and duplicates are merged as the rows are compacted to the front.
+// The CSC is filled from the CSR by the same cursor pass over destinations;
+// sources arrive in ascending order, so each in-list ends up sorted.
 func (b *Builder) Build() *Graph {
 	n := b.n
-	type pair struct{ u, v int32 }
-	edges := make([]pair, len(b.srcs))
-	for i := range b.srcs {
-		edges[i] = pair{b.srcs[i], b.dsts[i]}
+	outPtr := make([]int64, n+1)
+	for _, u := range b.srcs {
+		outPtr[u+1]++
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
+	for u := 0; u < n; u++ {
+		outPtr[u+1] += outPtr[u]
+	}
+	outIdx := make([]int32, len(b.srcs))
+	cursor := make([]int64, n)
+	copy(cursor, outPtr[:n])
+	for i, u := range b.srcs {
+		outIdx[cursor[u]] = b.dsts[i]
+		cursor[u]++
+	}
+	var w int64
+	for u := 0; u < n; u++ {
+		row := outIdx[outPtr[u]:outPtr[u+1]]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
 		}
-		return edges[i].v < edges[j].v
-	})
-	w := 0
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			continue
+		outPtr[u] = w
+		for _, v := range row {
+			if w == outPtr[u] || v != outIdx[w-1] {
+				outIdx[w] = v
+				w++
+			}
 		}
-		edges[w] = e
-		w++
 	}
-	edges = edges[:w]
-	g := &Graph{
-		n:      n,
-		outPtr: make([]int64, n+1),
-		outIdx: make([]int32, len(edges)),
-		inPtr:  make([]int64, n+1),
-		inIdx:  make([]int32, len(edges)),
+	outPtr[n] = w
+	if w < int64(len(outIdx)) {
+		outIdx = slices.Clone(outIdx[:w])
 	}
-	for i, e := range edges {
-		g.outIdx[i] = e.v
-		g.outPtr[e.u+1]++
-		g.inPtr[e.v+1]++
+	g := &Graph{n: n, outPtr: outPtr, outIdx: outIdx, inPtr: make([]int64, n+1), inIdx: make([]int32, w)}
+	for _, v := range outIdx {
+		g.inPtr[v+1]++
 	}
 	for i := 0; i < n; i++ {
-		g.outPtr[i+1] += g.outPtr[i]
 		g.inPtr[i+1] += g.inPtr[i]
 	}
-	// Fill CSC using a moving cursor per destination; sources arrive in
-	// ascending order because edges are sorted by (u,v), so each in-list
-	// ends up sorted.
-	cursor := make([]int64, n)
 	copy(cursor, g.inPtr[:n])
-	for _, e := range edges {
-		g.inIdx[cursor[e.v]] = e.u
-		cursor[e.v]++
+	for u := 0; u < n; u++ {
+		for _, v := range outIdx[outPtr[u]:outPtr[u+1]] {
+			g.inIdx[cursor[v]] = int32(u)
+			cursor[v]++
+		}
 	}
 	return g
 }

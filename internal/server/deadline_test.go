@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -268,34 +269,36 @@ func TestNoBudgetWireFormat(t *testing.T) {
 	}
 }
 
-// TestTightDeadlineOnLargeGraphReturnsPartial is the end-to-end guarantee:
-// a 1 ms budget against a graph whose propagation steps each cost well over
-// 1 ms yields HTTP 200 with a truncated (partial) answer and a finite
-// Theorem-2 bound — never a 500 or an empty response.
-func TestTightDeadlineOnLargeGraphReturnsPartial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a ~300k-node graph; skipped in -short")
-	}
-	// S=16 gives the propagation loop many dense steps, so the per-step
-	// context check reliably observes the expired budget mid-flight (with
-	// the default S=5 only the final step is expensive, and a query can
-	// blow the budget inside one uninterruptible step yet finish complete).
+// TestExpiredDeadlineReturnsPartial is the end-to-end guarantee: a budget
+// that runs out mid-query yields HTTP 200 with a truncated (partial) answer
+// and a finite Theorem-2 bound — never a 500 or an empty response. The
+// request arrives with its own context already past its deadline, so the
+// 1 ms budget the header adds is spent before the first propagation step on
+// any machine, and the engine answers with the head it has (S' = 1: the
+// scaled seed plus the stranger tail). A graph of a few thousand nodes is
+// enough for that.
+func TestExpiredDeadlineReturnsPartial(t *testing.T) {
+	g := tpa.RandomCommunityGraph(3000, 30000, 16, 7)
 	cfg := tpa.Defaults()
-	cfg.S = 16
-	cfg.T = 20
-	g := tpa.RandomCommunityGraph(300000, 6000000, 16, 7)
 	eng, err := tpa.New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(eng, Info{Nodes: 300000, Edges: 6000000, Name: "big"})
+	h := New(eng, Info{Nodes: 3000, Edges: 30000, Name: "small"})
 
-	rec, body := deadlineGet(t, h, "/topk?seed=42&k=10", "1")
+	const path = "/topk?seed=42&k=10"
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+	req.Header.Set(DeadlineHeader, "1")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	body := decodeBody(t, rec, path)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d: %s", rec.Code, rec.Body.String())
 	}
 	if body["partial"] != true {
-		t.Fatalf("expected a partial answer under a 1ms budget, got %v", body["partial"])
+		t.Fatalf("expected a partial answer under an expired budget, got %v", body["partial"])
 	}
 	fullS, _ := eng.Params()
 	effS := int(body["effective_s"].(float64))
