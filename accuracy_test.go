@@ -345,7 +345,7 @@ func TestAccuracySharded(t *testing.T) {
 // seed, the first hops push and the rest pull. 2- and 3-shard engines must
 // still match the unsharded engine of the same precision — float64 to
 // 1e-12, float32 within the suite's float32 slack, both in L1 — through
-// Query, TopKBatch on several workers, and TopKDeadline.
+// Query, TopKBatch on several workers, and a top-k request.
 func TestShardedMidQuerySwitch(t *testing.T) {
 	const nodes, k = 2000, 10
 	g := gen.ErdosRenyi(nodes, 50*nodes, 41)
@@ -413,14 +413,11 @@ func TestShardedMidQuerySwitch(t *testing.T) {
 			}
 			for i := range seeds {
 				checkTop(tag+" TopKBatch", i, tops[i])
-				top, meta, err := eng.TopKDeadline(context.Background(), []int{seeds[i]}, k)
-				if err != nil {
-					t.Fatal(err)
+				got := answer(t, eng, context.Background(), tpa.Request{Seeds: seeds[i : i+1], K: k})[0]
+				if got.Meta.Partial {
+					t.Fatalf("%s seed %d: a top-k request without a deadline came back partial: %+v", tag, seeds[i], got.Meta)
 				}
-				if meta.Partial {
-					t.Fatalf("%s seed %d: TopKDeadline without a deadline came back partial: %+v", tag, seeds[i], meta)
-				}
-				checkTop(tag+" TopKDeadline", i, top)
+				checkTop(tag+" top-k request", i, got.Top)
 			}
 		}
 	}
@@ -432,7 +429,7 @@ func TestShardedMidQuerySwitch(t *testing.T) {
 // skewed degrees make a query's later hops dense, a plain engine's queries
 // must both push and pull (read off its walk's counters). Its answers must
 // still match the 2-shard engine within 1e-12 in L1, and Exact within
-// ErrorBound, through Query, TopKBatch and TopKDeadline.
+// ErrorBound, through Query, TopKBatch and a top-k request.
 func TestPlainMidQuerySwitch(t *testing.T) {
 	const k = 10
 	for _, c := range []struct {
@@ -508,14 +505,11 @@ func TestPlainMidQuerySwitch(t *testing.T) {
 		}
 		for i := range c.seeds {
 			checkTop("TopKBatch", i, tops[i])
-			top, meta, err := plain.TopKDeadline(context.Background(), []int{c.seeds[i]}, k)
-			if err != nil {
-				t.Fatal(err)
+			got := answer(t, plain, context.Background(), tpa.Request{Seeds: c.seeds[i : i+1], K: k})[0]
+			if got.Meta.Partial {
+				t.Fatalf("%s seed %d: a top-k request without a deadline came back partial: %+v", c.name, c.seeds[i], got.Meta)
 			}
-			if meta.Partial {
-				t.Fatalf("%s seed %d: TopKDeadline without a deadline came back partial: %+v", c.name, c.seeds[i], meta)
-			}
-			checkTop("TopKDeadline", i, top)
+			checkTop("top-k request", i, got.Top)
 		}
 	}
 }

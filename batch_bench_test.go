@@ -1,14 +1,15 @@
 // Benchmarks for the concurrent query subsystem: batch query throughput
 // against a serial Query loop, and preprocessing per graph. Run with:
 //
-//	go test -bench 'QueryBatch|PreprocessParallel' -benchtime 10x
+//	go test -bench 'Query|AnswerEach|PreprocessParallel' -benchtime 10x
 //
-// On a multi-core machine BenchmarkQueryBatch/workers=8 should show ≥ 2×
-// the throughput of BenchmarkQueryBatchSerial; the pooled scratch vectors
+// On a multi-core machine BenchmarkAnswerEach/workers=8 should show ≥ 2×
+// the throughput of BenchmarkQuerySerial; the pooled scratch vectors
 // also drive per-query allocations to ~zero (visible with -benchmem).
 package tpa
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"testing"
@@ -55,9 +56,9 @@ func batchBenchSeeds() []int {
 	return seeds
 }
 
-// BenchmarkQueryBatchSerial is the baseline: the same seeds answered by a
+// BenchmarkQuerySerial is the baseline: the same seeds answered by a
 // plain serial Query loop.
-func BenchmarkQueryBatchSerial(b *testing.B) {
+func BenchmarkQuerySerial(b *testing.B) {
 	eng := batchBenchEngine(b)
 	seeds := batchBenchSeeds()
 	b.ReportAllocs()
@@ -72,8 +73,9 @@ func BenchmarkQueryBatchSerial(b *testing.B) {
 	reportQPS(b)
 }
 
-// BenchmarkQueryBatch fans the same workload out over the worker pool.
-func BenchmarkQueryBatch(b *testing.B) {
+// BenchmarkAnswerEach fans the same workload out over the worker pool: one
+// score vector per seed.
+func BenchmarkAnswerEach(b *testing.B) {
 	eng := batchBenchEngine(b)
 	seeds := batchBenchSeeds()
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -81,7 +83,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryBatch(seeds, workers); err != nil {
+				if _, err := eng.Answer(context.Background(), Request{Seeds: seeds, Each: true, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -325,16 +325,8 @@ func (s *ingestSetup) wrap(name string, base server.Loader) server.Loader {
 			}
 			info = engineInfo(eng, snapPath)
 			log.Printf("tpad: %s: cold-started from compacted snapshot %s", name, snapPath)
-		} else {
-			bEng, bInfo, err := base()
-			if err != nil {
-				return nil, server.Info{}, err
-			}
-			te, ok := bEng.(*tpa.Engine)
-			if !ok {
-				return nil, server.Info{}, fmt.Errorf("graph %q is served by a %T, which does not support durable ingestion", name, bEng)
-			}
-			eng, info = te, bInfo
+		} else if eng, info, err = base(); err != nil {
+			return nil, server.Info{}, err
 		}
 		replayed, stats, err := eng.ReplayWAL(walDir)
 		if err != nil {

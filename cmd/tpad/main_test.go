@@ -36,11 +36,10 @@ func TestBuildWritesMappedSnapshot(t *testing.T) {
 	if buildErr != nil {
 		t.Fatal(buildErr)
 	}
-	eng, info, err := singleLoader(out, tpa.Defaults())()
+	loaded, info, err := singleLoader(out, tpa.Defaults())()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := eng.(*tpa.Engine)
 	defer loaded.Close()
 	if !loaded.Mapped() || loaded.NumShards() != 2 {
 		t.Fatalf("served snapshot: mapped %v, %d shards; want mapped, 2", loaded.Mapped(), loaded.NumShards())

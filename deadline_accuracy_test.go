@@ -71,10 +71,8 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			}
 
 			// Unbounded context: identical to the plain query, not partial.
-			got, meta, err := eng.QueryDeadline(context.Background(), []int{seed})
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := answer(t, eng, context.Background(), tpa.Request{Seeds: []int{seed}})[0]
+			got, meta := a.Scores, a.Meta
 			if meta.Partial {
 				t.Errorf("unbounded query flagged partial (effective_s %d)", meta.EffectiveS)
 			}
@@ -91,11 +89,9 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			// returns the S'=1 head (scaled seed restart + stranger part),
 			// honest about its loose bound.
 			expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
-			got, meta, err = eng.QueryDeadline(expired, []int{seed})
+			a = answer(t, eng, expired, tpa.Request{Seeds: []int{seed}})[0]
 			cancel()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, meta = a.Scores, a.Meta
 			if !meta.Partial || meta.EffectiveS != 1 {
 				t.Errorf("expired ctx: partial %v effective_s %d, want true/1", meta.Partial, meta.EffectiveS)
 			}
@@ -104,19 +100,17 @@ func TestDeadlineAccuracyProperty(t *testing.T) {
 			// A budget so small the query may or may not finish: whichever
 			// way the race goes, the answer must honor the bound it reports.
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Microsecond)
-			got, meta, err = eng.QueryDeadline(ctx, []int{seed})
+			a = answer(t, eng, ctx, tpa.Request{Seeds: []int{seed}})[0]
 			cancel()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, meta = a.Scores, a.Meta
 			checkPartialAccuracy(t, "tight", got, meta, exact, o, eng.StaleBound())
 		}
 	}
 }
 
-// TestDeadlineTopKMatchesQuery pins TopKDeadline to the head of the score
-// vector QueryDeadline serves under the same (expired) budget, so the two
-// public entry points cannot drift apart on the partial path.
+// TestDeadlineTopKMatchesQuery pins a top-k request to the head of the
+// score vector the same request with K = 0 serves under the same (expired)
+// budget, so the two answer forms cannot drift apart on the partial path.
 func TestDeadlineTopKMatchesQuery(t *testing.T) {
 	g := tpa.RandomCommunityGraph(300, 2400, 4, 17)
 	eng, err := tpa.New(g, tpa.Defaults())
@@ -126,31 +120,25 @@ func TestDeadlineTopKMatchesQuery(t *testing.T) {
 	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
 
-	scores, qMeta, err := eng.QueryDeadline(expired, []int{7})
-	if err != nil {
-		t.Fatal(err)
+	q := answer(t, eng, expired, tpa.Request{Seeds: []int{7}})[0]
+	k := answer(t, eng, expired, tpa.Request{Seeds: []int{7}, K: 10})[0]
+	if q.Meta != k.Meta {
+		t.Errorf("meta drift: query %+v vs topk %+v", q.Meta, k.Meta)
 	}
-	top, kMeta, err := eng.TopKDeadline(expired, []int{7}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qMeta != kMeta {
-		t.Errorf("meta drift: query %+v vs topk %+v", qMeta, kMeta)
-	}
-	want := tpa.TopKOf(scores, 10)
-	if len(top) != len(want) {
-		t.Fatalf("TopKDeadline returned %d entries, want %d", len(top), len(want))
+	want := tpa.TopKOf(q.Scores, 10)
+	if len(k.Top) != len(want) {
+		t.Fatalf("top-k request returned %d entries, want %d", len(k.Top), len(want))
 	}
 	for i := range want {
-		if top[i] != want[i] {
-			t.Errorf("TopKDeadline[%d] = %+v, want %+v", i, top[i], want[i])
+		if k.Top[i] != want[i] {
+			t.Errorf("top-k request [%d] = %+v, want %+v", i, k.Top[i], want[i])
 		}
 	}
 }
 
 // TestDeadlineMatchesPlainAcrossVariants pins precision × deadline: with a
-// budget that never expires, the deadline entry points must return exactly
-// what the plain ones do on the same engine, whatever its layout, serving
+// budget that never expires, a request under a live context must return
+// exactly what the plain entry points do on the same engine, whatever its layout, serving
 // precision and storage — both run the one online phase on the same
 // kernels.
 func TestDeadlineMatchesPlainAcrossVariants(t *testing.T) {
@@ -164,10 +152,8 @@ func TestDeadlineMatchesPlainAcrossVariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, meta, err := eng.QueryDeadline(context.Background(), []int{seed})
-				if err != nil {
-					t.Fatal(err)
-				}
+				a := answer(t, eng, context.Background(), tpa.Request{Seeds: []int{seed}})[0]
+				got, meta := a.Scores, a.Meta
 				if meta.Partial || meta.EffectiveS != o.S {
 					t.Errorf("seed %d: unbounded query reports %+v", seed, meta)
 				}
@@ -178,19 +164,16 @@ func TestDeadlineMatchesPlainAcrossVariants(t *testing.T) {
 					}
 				}
 				if diff > 0 {
-					t.Errorf("seed %d: QueryDeadline differs from Query on %d of %d nodes", seed, diff, len(plain))
+					t.Errorf("seed %d: the request differs from Query on %d of %d nodes", seed, diff, len(plain))
 				}
 				top, err := eng.TopK(seed, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
-				topD, _, err := eng.TopKDeadline(context.Background(), []int{seed}, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
+				topD := answer(t, eng, context.Background(), tpa.Request{Seeds: []int{seed}, K: 10})[0].Top
 				for i := range top {
 					if topD[i] != top[i] {
-						t.Errorf("seed %d: TopKDeadline[%d] = %+v, TopK = %+v", seed, i, topD[i], top[i])
+						t.Errorf("seed %d: top-k request [%d] = %+v, TopK = %+v", seed, i, topD[i], top[i])
 					}
 				}
 			}

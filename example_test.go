@@ -1,6 +1,7 @@
 package tpa_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -44,16 +45,19 @@ func ExampleEngine_TopK() {
 	// scores descend: true
 }
 
-// ExampleEngine_QueryBatch fans a batch of seed queries out over a worker
-// pool; results are identical to serial Query calls, position by position.
-func ExampleEngine_QueryBatch() {
+// ExampleEngine_Answer answers one request per form: each seed on its own
+// over a pool of 4 workers, with results identical to serial Query calls
+// position by position, and a seed set's top 3, where the walk restarts
+// uniformly over the set.
+func ExampleEngine_Answer() {
 	g := tpa.RandomCommunityGraph(1000, 12000, 8, 7)
 	eng, err := tpa.New(g, tpa.Defaults())
 	if err != nil {
 		panic(err)
 	}
+	ctx := context.Background()
 	seeds := []int{11, 42, 11, 900}
-	batch, err := eng.QueryBatch(seeds, 4) // 4 workers
+	batch, err := eng.Answer(ctx, tpa.Request{Seeds: seeds, Each: true, Workers: 4})
 	if err != nil {
 		panic(err)
 	}
@@ -63,15 +67,21 @@ func ExampleEngine_QueryBatch() {
 	}
 	var maxDiff float64
 	for i := range serial {
-		if d := math.Abs(batch[1][i] - serial[i]); d > maxDiff {
+		if d := math.Abs(batch[1].Scores[i] - serial[i]); d > maxDiff {
 			maxDiff = d
 		}
 	}
-	fmt.Printf("%d result vectors of %d scores each\n", len(batch), len(batch[0]))
+	fmt.Printf("%d result vectors of %d scores each\n", len(batch), len(batch[0].Scores))
 	fmt.Printf("batch matches serial Query: %v\n", maxDiff == 0)
+	set, err := eng.Answer(ctx, tpa.Request{Seeds: []int{11, 900}, K: 3})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("one set answer of %d entries, complete: %v\n", len(set[0].Top), !set[0].Meta.Partial)
 	// Output:
 	// 4 result vectors of 1000 scores each
 	// batch matches serial Query: true
+	// one set answer of 3 entries, complete: true
 }
 
 // ExampleExact validates the approximation against the exact solver.

@@ -2,17 +2,24 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"tpa/internal/sparse"
 )
 
+// eachRequest is the request answering every seed on its own over a pool
+// of workers.
+func eachRequest(seeds []int, k, workers int) Request {
+	return Request{Seeds: seeds, K: k, Each: true, Workers: workers}
+}
+
 func TestQueryBatchMatchesSerial(t *testing.T) {
 	tp, _ := preprocessed(t, 50, DefaultParams())
 	seeds := []int{0, 7, 42, 7, 199, 250}
 	for _, parallelism := range []int{1, 3, 8} {
-		batch, err := tp.QueryBatch(seeds, parallelism, nil)
+		batch, err := tp.Answer(context.Background(), eachRequest(seeds, 0, parallelism), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +31,7 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := want.L1Dist(batch[i]); d != 0 {
+			if d := want.L1Dist(batch[i].Scores); d != 0 {
 				t.Errorf("parallelism %d seed %d: batch deviates from serial by %g", parallelism, seed, d)
 			}
 		}
@@ -33,24 +40,27 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 
 func TestQueryBatchErrors(t *testing.T) {
 	tp, _ := preprocessed(t, 51, DefaultParams())
-	if _, err := tp.QueryBatch([]int{1, 2, 9999}, 2, nil); err == nil {
+	ctx := context.Background()
+	if _, err := tp.Answer(ctx, eachRequest([]int{1, 2, 9999}, 0, 2), nil, nil); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	if _, err := tp.QueryBatch([]int{-1}, 2, nil); err == nil {
+	if _, err := tp.Answer(ctx, eachRequest([]int{-1}, 0, 2), nil, nil); err == nil {
 		t.Error("negative seed accepted")
 	}
-	out, err := tp.QueryBatch(nil, 4, nil)
+	out, err := tp.Answer(ctx, eachRequest(nil, 0, 4), nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch: %v, %d results", err, len(out))
 	}
 }
 
-// QueryBatch with an id map writes each answer in ids order: entry ids[j]
-// of the result is internal node j's score, to the bit.
+// A score vector answered with an id map is written in ids order: entry
+// ids[j] of the result is internal node j's score, to the bit, for a seed
+// set and for each seed alike.
 func TestQueryBatchScattersIntoIDs(t *testing.T) {
 	tp, _ := preprocessed(t, 56, DefaultParams())
+	ctx := context.Background()
 	seeds := []int{0, 9, 120, 9, 254}
-	want, err := tp.QueryBatch(seeds, 1, nil)
+	want, err := tp.Answer(ctx, eachRequest(seeds, 0, 1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,20 +69,29 @@ func TestQueryBatchScattersIntoIDs(t *testing.T) {
 	for j := range ids {
 		ids[j] = int32(n - 1 - j)
 	}
+	check := func(name string, got, want sparse.Vector) {
+		t.Helper()
+		for j, v := range want {
+			if math.Float64bits(got[ids[j]]) != math.Float64bits(v) {
+				t.Fatalf("%s: entry %d is %v, want node %d's %v", name, ids[j], got[ids[j]], j, v)
+			}
+		}
+	}
 	for _, parallelism := range []int{1, 4} {
-		got, err := tp.QueryBatch(seeds, parallelism, ids)
+		got, err := tp.Answer(ctx, eachRequest(seeds, 0, parallelism), ids, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range seeds {
-			for j, v := range want[i] {
-				if math.Float64bits(got[i][ids[j]]) != math.Float64bits(v) {
-					t.Fatalf("parallelism %d seed %d: entry %d is %v, want node %d's %v", parallelism, seeds[i], ids[j], got[i][ids[j]], j, v)
-				}
-			}
+			check(fmt.Sprintf("parallelism %d seed %d", parallelism, seeds[i]), got[i].Scores, want[i].Scores)
 		}
 	}
-	if _, err := tp.QueryBatch(seeds, 2, ids[1:]); err == nil {
+	one, err := tp.Answer(ctx, Request{Seeds: seeds[1:2]}, ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("seed set {9}", one[0].Scores, want[1].Scores)
+	if _, err := tp.Answer(ctx, eachRequest(seeds, 0, 2), ids[1:], nil); err == nil {
 		t.Error("short id map accepted")
 	}
 }
@@ -86,10 +105,11 @@ func TestTopKBatchMatchesTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
-		want, _, err := tp.TopKDeadline(context.Background(), []int{seed}, k, nil)
+		as, err := tp.Answer(context.Background(), Request{Seeds: []int{seed}, K: k}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := as[0].Top
 		if len(batch[i]) != len(want) {
 			t.Fatalf("seed %d: %d entries, want %d", seed, len(batch[i]), len(want))
 		}

@@ -5,9 +5,9 @@
 // points.
 //
 // It also provides the concurrent execution layer on top of the
-// algorithms: PreprocessParallel shards the preprocessing matvec over row
-// blocks, and QueryBatch/TopKBatch fan independent seed queries out over a
-// worker pool with sync.Pool-backed scratch vectors (see batch.go).
+// algorithms: Answer, the online phase's one entry point, fans the seeds of
+// an Each request out over a worker pool with sync.Pool-backed scratch
+// vectors (see batch.go).
 package core
 
 import (

@@ -64,6 +64,15 @@ func checkPartial(t *testing.T, tag string, tp *TPA, got sparse.Vector, meta Que
 	}
 }
 
+// answerSet answers the seed set with its score vector through Answer.
+func answerSet(tp *TPA, ctx context.Context, seeds []int) (sparse.Vector, QueryMeta, error) {
+	as, err := tp.Answer(ctx, Request{Seeds: seeds}, nil, nil)
+	if err != nil {
+		return nil, QueryMeta{}, err
+	}
+	return as[0].Scores, as[0].Meta, nil
+}
+
 func TestQueryDeadlineExpiredMidQuery(t *testing.T) {
 	p := Params{S: 6, T: 12}
 	const delay = 20 * time.Millisecond
@@ -77,7 +86,7 @@ func TestQueryDeadlineExpiredMidQuery(t *testing.T) {
 	// Budget for roughly two of the five propagation steps.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*delay+delay/2)
 	defer cancel()
-	got, meta, err := tp.QueryDeadline(ctx, []int{seed})
+	got, meta, err := answerSet(tp, ctx, []int{seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +100,7 @@ func TestQueryDeadlineExpiredMidQuery(t *testing.T) {
 
 	// A partial answer must be strictly looser-bounded than the full one,
 	// and the full one must still be within its tighter bound.
-	full, fullMeta, err := tp.QueryDeadline(context.Background(), []int{seed})
+	full, fullMeta, err := answerSet(tp, context.Background(), []int{seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestQueryDeadlineAlreadyExpired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before the first propagation step
 	const seed = 7
-	got, meta, err := tp.QueryDeadline(ctx, []int{seed})
+	got, meta, err := answerSet(tp, ctx, []int{seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +141,7 @@ func TestQueryDeadlineMatchesQueryWhenUnbounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, meta, err := tp.QueryDeadline(context.Background(), []int{seed})
+		got, meta, err := answerSet(tp, context.Background(), []int{seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +150,7 @@ func TestQueryDeadlineMatchesQueryWhenUnbounded(t *testing.T) {
 		}
 		for i := range plain {
 			if plain[i] != got[i] {
-				t.Fatalf("seed %d: QueryDeadline[%d] = %g, Query = %g", seed, i, got[i], plain[i])
+				t.Fatalf("seed %d: Answer[%d] = %g, Query = %g", seed, i, got[i], plain[i])
 			}
 		}
 	}
@@ -157,20 +166,20 @@ func TestTopKBatchDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, metas, err := tp.TopKBatchDeadline(context.Background(), seeds, k, 2, nil)
+	got, err := tp.Answer(context.Background(), eachRequest(seeds, k, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seeds {
-		if metas[i].Partial {
+		if got[i].Meta.Partial {
 			t.Errorf("seed %d: unbounded batch entry flagged partial", seeds[i])
 		}
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("seed %d: %d entries, want %d", seeds[i], len(got[i]), len(want[i]))
+		if len(got[i].Top) != len(want[i]) {
+			t.Fatalf("seed %d: %d entries, want %d", seeds[i], len(got[i].Top), len(want[i]))
 		}
 		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Errorf("seed %d entry %d: %+v, want %+v", seeds[i], j, got[i][j], want[i][j])
+			if got[i].Top[j] != want[i][j] {
+				t.Errorf("seed %d entry %d: %+v, want %+v", seeds[i], j, got[i].Top[j], want[i][j])
 			}
 		}
 	}
@@ -178,21 +187,21 @@ func TestTopKBatchDeadline(t *testing.T) {
 	// Expired: every seed degrades to the S'=1 answer instead of failing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, metas, err = tp.TopKBatchDeadline(ctx, seeds, k, 2, nil)
+	got, err = tp.Answer(ctx, eachRequest(seeds, k, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seeds {
-		if !metas[i].Partial || metas[i].EffectiveS != 1 {
-			t.Errorf("seed %d: meta %+v, want Partial S'=1", seeds[i], metas[i])
+		if !got[i].Meta.Partial || got[i].Meta.EffectiveS != 1 {
+			t.Errorf("seed %d: meta %+v, want Partial S'=1", seeds[i], got[i].Meta)
 		}
-		if len(got[i]) != k {
-			t.Errorf("seed %d: partial answer has %d entries, want %d", seeds[i], len(got[i]), k)
+		if len(got[i].Top) != k {
+			t.Errorf("seed %d: partial answer has %d entries, want %d", seeds[i], len(got[i].Top), k)
 		}
 	}
 
 	// Bad seeds still fail the whole batch up front.
-	if _, _, err := tp.TopKBatchDeadline(context.Background(), []int{-1}, k, 1, nil); err == nil {
+	if _, err := tp.Answer(context.Background(), eachRequest([]int{-1}, k, 1), nil, nil); err == nil {
 		t.Error("negative seed accepted")
 	}
 }

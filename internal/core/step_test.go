@@ -216,7 +216,7 @@ func TestFusedStepMatchesThreePass(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, seeds := range [][]int{{42}, {4, 9, 4}, {0, 0, 0}, {299, 1, 150, 1}} {
-				got, _, err := tp.QueryDeadline(context.Background(), seeds)
+				got, _, err := answerSet(tp, context.Background(), seeds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -294,7 +294,7 @@ func TestPartialQueryMatchesThreePass(t *testing.T) {
 	tp, _ := preprocessed(t, 84, DefaultParams())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, meta, err := tp.QueryDeadline(ctx, []int{9})
+	got, meta, err := answerSet(tp, ctx, []int{9})
 	if err != nil {
 		t.Fatal(err)
 	}

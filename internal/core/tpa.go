@@ -36,9 +36,9 @@ func DefaultParams() Params { return Params{S: 5, T: 10} }
 // TPA is the preprocessed state of the two-phase approximation for one
 // graph: the walk operator, the configuration, and the precomputed stranger
 // vector r̃_stranger = p_stranger (Algorithm 2). Build it once with
-// Preprocess, then answer any number of seed queries with Query.
+// Preprocess, then answer any number of requests with Answer.
 //
-// A TPA value is safe for concurrent Query calls: queries only read the
+// A TPA value is safe for concurrent Answer calls: queries only read the
 // preprocessed state.
 type TPA struct {
 	walk   rwr.Operator
@@ -148,11 +148,14 @@ func (t *TPA) IndexBytes() int64 {
 // Query runs TPA's online phase (Algorithm 3) for the given seed node:
 // compute r_family with S-1 propagation steps of CPI, scale it by
 // ‖r_neighbor‖₁/‖r_family‖₁ to estimate the neighbor part, and add the
-// precomputed stranger vector. It is QueryDeadline for the seed set {seed}
+// precomputed stranger vector. It answers the request {Seeds: {seed}}
 // under a context that never expires.
 func (t *TPA) Query(seed int) (sparse.Vector, error) {
-	r, _, err := t.QueryDeadline(context.Background(), []int{seed})
-	return r, err
+	as, err := t.Answer(context.Background(), Request{Seeds: []int{seed}}, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return as[0].Scores, nil
 }
 
 // QueryParts is Query exposing the three components separately; the

@@ -160,10 +160,11 @@ func TestTPATopKOverlapsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, _, err := tp.TopKDeadline(context.Background(), []int{seed}, 20, nil)
+	as, err := tp.Answer(context.Background(), Request{Seeds: []int{seed}, K: 20}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	top := as[0].Top
 	exactTop := exact.TopK(20)
 	inExact := make(map[int]bool, 20)
 	for _, e := range exactTop {
@@ -272,7 +273,7 @@ func TestCommunityStructureHelpsTPA(t *testing.T) {
 func TestQuerySetMultiSeed(t *testing.T) {
 	tp, w := preprocessed(t, 35, DefaultParams())
 	seeds := []int{3, 77, 210}
-	approx, _, err := tp.QueryDeadline(context.Background(), seeds)
+	approx, _, err := answerSet(tp, context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,21 +297,21 @@ func TestQuerySetSingleMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := tp.QueryDeadline(context.Background(), []int{42})
+	b, _, err := answerSet(tp, context.Background(), []int{42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.L1Dist(b) != 0 {
-		t.Error("QueryDeadline({s}) differs from Query(s)")
+		t.Error("the set {s} differs from Query(s)")
 	}
 }
 
 func TestQuerySetErrors(t *testing.T) {
 	tp, _ := preprocessed(t, 37, DefaultParams())
-	if _, _, err := tp.QueryDeadline(context.Background(), nil); err == nil {
+	if _, _, err := answerSet(tp, context.Background(), nil); err == nil {
 		t.Error("empty seed set accepted")
 	}
-	if _, _, err := tp.QueryDeadline(context.Background(), []int{-3}); err == nil {
+	if _, _, err := answerSet(tp, context.Background(), []int{-3}); err == nil {
 		t.Error("negative seed accepted")
 	}
 }

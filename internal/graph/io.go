@@ -30,6 +30,12 @@ import (
 // any length. Ids are used as-is, so the node count is 1 + the largest id
 // seen. An error names the line it was found on, counting from 1.
 //
+// A list may name at most max(2²⁰, 16 × its edge lines) nodes: the graph
+// costs 24 bytes of pointer arrays per node however few edges name it, so
+// without the cap the 10-byte line "99999999 9" would allocate 2.4 GB. A
+// list past the cap fails, naming its largest id, before anything is built;
+// renumber its ids densely.
+//
 // This is the language of strings.Fields and strconv.Atoi applied to each
 // line, but the parser works on the bytes of a bufio.Reader and allocates
 // nothing per line: a line in WriteEdgeList's form is summed in one pass,
@@ -60,8 +66,18 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: reading edge list: %w", err)
 		}
 	}
+	if limit := max(nodeFloor, nodesPerEdge*len(b.srcs)); b.n > limit {
+		return nil, fmt.Errorf("graph: node id %d makes %d nodes, more than the %d an edge list of %d edges may name (max(%d, %d per edge)): renumber the ids densely",
+			b.n-1, b.n, limit, len(b.srcs), nodeFloor, nodesPerEdge)
+	}
 	return b.Build(), nil
 }
+
+// nodeFloor and nodesPerEdge set ReadEdgeList's node cap.
+const (
+	nodeFloor    = 1 << 20
+	nodesPerEdge = 16
+)
 
 // addLine parses one line of ReadEdgeList's grammar (its \n included, if
 // any) and records its edge. A line in WriteEdgeList's form, two ids of at

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -323,5 +324,49 @@ func referenceBuild(b *Builder) *Graph {
 func TestReadEdgeListRejectsHugeIDs(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("2147483647 1\n")); err == nil {
 		t.Error("id above MaxNodeID accepted")
+	}
+}
+
+// TestReadEdgeListNodeCap: a list naming more than max(2²⁰, 16 × its edge
+// lines) nodes fails with its largest id named, before the pointer arrays
+// of a few billion nodes are allocated; a list at the cap parses.
+func TestReadEdgeListNodeCap(t *testing.T) {
+	for _, tc := range []struct{ in, id string }{
+		{"99999999 9", "99999999"},
+		{"# sparse\n0 1\n2000000000 0\n", "2000000000"},
+		{"1048576 0\n", "1048576"},
+	} {
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = ReadEdgeList(strings.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "node id "+tc.id+" ") {
+			t.Errorf("input %q: error %v, want one naming id %s", tc.in, err, tc.id)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("input %q: allocated %d B before failing, want under 1 MiB", tc.in, alloc)
+		}
+	}
+	// At the floor, and at 16 nodes per edge line above it.
+	var many strings.Builder
+	const m = 70_000
+	for i := 0; i < m-1; i++ {
+		fmt.Fprintf(&many, "%d %d\n", i, i+1)
+	}
+	for _, tc := range []struct {
+		in    string
+		nodes int
+	}{
+		{"1048575 0\n", 1 << 20},
+		{many.String() + fmt.Sprintf("%d 0\n", 16*m-1), 16 * m},
+	} {
+		g, err := ReadEdgeList(strings.NewReader(tc.in))
+		if err != nil || g.NumNodes() != tc.nodes {
+			t.Errorf("list at the cap of %d nodes: %v", tc.nodes, err)
+		}
+	}
+	if _, err := ReadEdgeList(strings.NewReader(many.String() + fmt.Sprintf("%d 0\n", 16*m))); err == nil {
+		t.Errorf("list one node past the cap of %d parsed", 16*m)
 	}
 }

@@ -81,25 +81,25 @@ func (m *TPAMethod) Preprocess(w *graph.Walk, cfg rwr.Config) error {
 }
 
 func (m *TPAMethod) Query(seed int) (sparse.Vector, QueryMeta, error) {
-	if m.tp == nil {
-		return nil, QueryMeta{}, notPrepared(TPA)
-	}
-	r, err := m.tp.Query(seed)
-	if err != nil {
-		return nil, QueryMeta{}, err
-	}
-	return r, QueryMeta{Work: m.tp.Params().S - 1}, nil
+	a, err := m.answer(core.Request{Seeds: []int{seed}})
+	return a.Scores, QueryMeta{Work: a.Meta.Steps}, err
 }
 
 func (m *TPAMethod) TopK(seed, k int) ([]sparse.Entry, QueryMeta, error) {
+	a, err := m.answer(core.Request{Seeds: []int{seed}, K: k})
+	return a.Top, QueryMeta{Work: a.Meta.Steps}, err
+}
+
+// answer runs one request of a single answer on the engine.
+func (m *TPAMethod) answer(req core.Request) (core.Answer, error) {
 	if m.tp == nil {
-		return nil, QueryMeta{}, notPrepared(TPA)
+		return core.Answer{}, notPrepared(TPA)
 	}
-	top, _, err := m.tp.TopKDeadline(context.Background(), []int{seed}, k, nil)
+	as, err := m.tp.Answer(context.Background(), req, nil, nil)
 	if err != nil {
-		return nil, QueryMeta{}, err
+		return core.Answer{}, err
 	}
-	return top, QueryMeta{Work: m.tp.Params().S - 1}, nil
+	return as[0], nil
 }
 
 func (m *TPAMethod) Stats() Stats { return m.stats }

@@ -42,6 +42,8 @@ func decodeBody(t *testing.T, rec *httptest.ResponseRecorder, path string) map[s
 // negative) one.
 func TestDeadlineHeaderInvalid(t *testing.T) {
 	const century = 100 * 365 * 24 * time.Hour
+	eng := watchEngine(t, &engineCalls{})
+	h := NewWith(testEngine(t), Info{Name: "test"}, Options{})
 	for _, tc := range []struct {
 		header string
 		code   int
@@ -53,8 +55,7 @@ func TestDeadlineHeaderInvalid(t *testing.T) {
 		{"18446744073709", http.StatusBadRequest}, // would wrap negative: no deadline
 		{"9223372036854", http.StatusOK},          // math.MaxInt64 ns, in ms
 	} {
-		eng := &fakeEngine{}
-		h := NewWith(eng, Info{Name: "test"}, Options{})
+		eng.calls.Store(0)
 		rec, body := deadlineGet(t, h, "/topk?seed=1&k=1", tc.header)
 		if rec.Code != tc.code {
 			t.Errorf("header %q: code %d, want %d", tc.header, rec.Code, tc.code)
@@ -76,8 +77,9 @@ func TestDeadlineHeaderInvalid(t *testing.T) {
 }
 
 func TestDeadlineHeaderRoutesAndAnnotates(t *testing.T) {
-	eng := &fakeEngine{partial: true}
-	h := NewWith(eng, Info{Name: "test"}, Options{CacheSize: 16})
+	eng := watchEngine(t, &engineCalls{expire: true})
+	served := testEngine(t)
+	h := NewWith(served, Info{Name: "test"}, Options{CacheSize: 16})
 
 	rec, body := deadlineGet(t, h, "/topk?seed=1&k=1", "50")
 	if rec.Code != http.StatusOK {
@@ -92,11 +94,11 @@ func TestDeadlineHeaderRoutesAndAnnotates(t *testing.T) {
 	if body["partial"] != true {
 		t.Errorf("partial = %v, want true", body["partial"])
 	}
-	if body["effective_s"].(float64) != 2 {
-		t.Errorf("effective_s = %v, want 2", body["effective_s"])
+	if body["effective_s"].(float64) != 1 {
+		t.Errorf("effective_s = %v, want 1", body["effective_s"])
 	}
-	if body["residual_bound"].(float64) != 0.5 {
-		t.Errorf("residual_bound = %v, want 0.5", body["residual_bound"])
+	if want := partialBound(served); body["residual_bound"].(float64) != want {
+		t.Errorf("residual_bound = %v, want %v", body["residual_bound"], want)
 	}
 
 	// The partial answer must not have been cached: a second identical
@@ -116,15 +118,16 @@ func TestDeadlineHeaderRoutesAndAnnotates(t *testing.T) {
 }
 
 func TestDeadlineCompleteAnswerIsCached(t *testing.T) {
-	eng := &fakeEngine{}
-	h := NewWith(eng, Info{Name: "test"}, Options{CacheSize: 16})
+	eng := watchEngine(t, &engineCalls{})
+	served := testEngine(t)
+	h := NewWith(served, Info{Name: "test"}, Options{CacheSize: 16})
 
 	rec, body := deadlineGet(t, h, "/topk?seed=3&k=2", "50")
 	if rec.Code != http.StatusOK || body["partial"] != false {
 		t.Fatalf("code %d partial %v", rec.Code, body["partial"])
 	}
 	// Cache hit: engine not consulted again, response still annotated as a
-	// complete answer at the engine's own S and bound (see fakeEngine).
+	// complete answer at the engine's own S and bound.
 	rec, body = deadlineGet(t, h, "/topk?seed=3&k=2", "50")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d", rec.Code)
@@ -132,15 +135,15 @@ func TestDeadlineCompleteAnswerIsCached(t *testing.T) {
 	if eng.calls.Load() != 1 {
 		t.Errorf("cache not consulted before the engine (calls=%d)", eng.calls.Load())
 	}
-	if body["partial"] != false || body["effective_s"].(float64) != 5 || body["residual_bound"].(float64) != 0.44 {
-		t.Errorf("cache-hit meta = partial %v effective_s %v residual_bound %v, want false/5/0.44 (the engine's own S and bound)",
-			body["partial"], body["effective_s"], body["residual_bound"])
+	if body["partial"] != false || body["effective_s"].(float64) != 5 || body["residual_bound"].(float64) != served.ErrorBound() {
+		t.Errorf("cache-hit meta = partial %v effective_s %v residual_bound %v, want false/5/%v (the engine's own S and bound)",
+			body["partial"], body["effective_s"], body["residual_bound"], served.ErrorBound())
 	}
 }
 
 func TestDeadlineDefaultAndOptOut(t *testing.T) {
-	eng := &fakeEngine{}
-	h := NewWith(eng, Info{Name: "test"}, Options{DefaultDeadline: 100 * time.Millisecond})
+	eng := watchEngine(t, &engineCalls{})
+	h := NewWith(testEngine(t), Info{Name: "test"}, Options{DefaultDeadline: 100 * time.Millisecond})
 
 	// No header: the server default applies.
 	deadlineGet(t, h, "/topk?seed=1&k=1", "")
@@ -161,7 +164,8 @@ func TestDeadlineDefaultAndOptOut(t *testing.T) {
 }
 
 func TestDeadlineAllEndpoints(t *testing.T) {
-	eng := &fakeEngine{partial: true}
+	watchEngine(t, &engineCalls{expire: true})
+	eng := testEngine(t)
 	h := NewWith(eng, Info{Name: "test"}, Options{})
 
 	if _, body := deadlineGet(t, h, "/score?seed=0&node=1", "50"); body["partial"] != true {
@@ -184,7 +188,7 @@ func TestDeadlineAllEndpoints(t *testing.T) {
 		if res["partial"] != true {
 			t.Errorf("/batch result %d not flagged partial: %v", i, res)
 		}
-		if res["residual_bound"].(float64) != 0.5 {
+		if res["residual_bound"].(float64) != partialBound(eng) {
 			t.Errorf("/batch result %d residual_bound = %v", i, res["residual_bound"])
 		}
 	}
@@ -227,10 +231,11 @@ func serveQuery(h http.Handler, method, path, body, headerMS string) *httptest.R
 // deadline when neither the header nor Options.DefaultDeadline sets one,
 // and the request's budget when one does.
 func TestOneEngineCallPerRequest(t *testing.T) {
+	eng := watchEngine(t, &engineCalls{})
+	h := NewWith(testEngine(t), Info{Name: "test"}, Options{})
 	for _, q := range queryRequests {
 		for _, header := range []string{"", "50"} {
-			eng := &fakeEngine{}
-			h := NewWith(eng, Info{Name: "test"}, Options{})
+			eng.calls.Store(0)
 			rec := serveQuery(h, q.method, q.path, q.body, header)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("%s header %q: code %d (%s)", q.path, header, rec.Code, rec.Body.String())
@@ -250,16 +255,33 @@ func TestOneEngineCallPerRequest(t *testing.T) {
 }
 
 // TestNoBudgetWireFormat pins the exact response of every query endpoint
-// for a request without a budget: no partial, effective_s, residual_bound
-// or partial_count keys.
+// for a request without a budget: the engine's answer and no partial,
+// effective_s, residual_bound or partial_count keys.
 func TestNoBudgetWireFormat(t *testing.T) {
-	want := map[string]string{
-		"topk":     `{"results":[{"node":1,"score":1}],"seed":1}`,
-		"score":    `{"node":1,"score":0.75,"seed":1}`,
-		"batch":    `{"k":1,"results":[{"seed":1,"results":[{"node":1,"score":1}]},{"seed":0,"results":[{"node":0,"score":1}]}]}`,
-		"queryset": `{"results":[{"node":1,"score":1}],"seeds":[1,0]}`,
+	eng := testEngine(t)
+	one := func(req tpa.Request) tpa.Answer {
+		as, err := eng.Answer(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return as[0]
 	}
-	h := NewWith(&fakeEngine{}, Info{Name: "test"}, Options{})
+	encode := func(v interface{}) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	entries := func(top []tpa.Entry) string { return encode(toJSON(top)) }
+	top1, top0 := one(tpa.Request{Seeds: []int{1}, K: 1}).Top, one(tpa.Request{Seeds: []int{0}, K: 1}).Top
+	want := map[string]string{
+		"topk":     `{"results":` + entries(top1) + `,"seed":1}`,
+		"score":    `{"node":1,"score":` + encode(one(tpa.Request{Seeds: []int{1}}).Scores[1]) + `,"seed":1}`,
+		"batch":    `{"k":1,"results":[{"seed":1,"results":` + entries(top1) + `},{"seed":0,"results":` + entries(top0) + `}]}`,
+		"queryset": `{"results":` + entries(one(tpa.Request{Seeds: []int{1, 0}, K: 1}).Top) + `,"seeds":[1,0]}`,
+	}
+	h := NewWith(eng, Info{Name: "test"}, Options{})
 	for _, q := range queryRequests {
 		endpoint, _, _ := strings.Cut(q.path[strings.LastIndex(q.path, "/")+1:], "?")
 		rec := serveQuery(h, q.method, q.path, q.body, "")
@@ -267,6 +289,11 @@ func TestNoBudgetWireFormat(t *testing.T) {
 			t.Errorf("%s: body\n  %s\nwant\n  %s", q.path, got, want[endpoint])
 		}
 	}
+}
+
+// partialBound is the residual bound of eng's S' = 1 answer.
+func partialBound(eng Engine) float64 {
+	return core.TheoremTwoBound(tpa.Defaults().C, 1) + eng.StaleBound()
 }
 
 // TestExpiredDeadlineReturnsPartial is the end-to-end guarantee: a budget

@@ -46,7 +46,7 @@ type IngestConfig struct {
 const swapTimeout = 30 * time.Second
 
 // EnableIngest switches the named graph's write path to a durable ingest
-// pipeline. The graph must be registered and served by a *tpa.Engine.
+// pipeline. The graph must be registered.
 // Call it during startup wiring, after Register/RegisterLoader (and after
 // replaying any existing WAL into the engine — see tpa.Engine.ReplayWAL);
 // once traffic is flowing the write path must not be switched. The
@@ -60,9 +60,6 @@ func (h *Handler) EnableIngest(name string, cfg IngestConfig) error {
 	}
 	if e.ingest.Load() != nil {
 		return fmt.Errorf("server: ingest already enabled for %q", name)
-	}
-	if _, err := tpaEngine(name, e.state.Load()); err != nil {
-		return fmt.Errorf("server: %w", err)
 	}
 	if cfg.Dir == "" {
 		return fmt.Errorf("server: ingest for %q needs a WAL directory", name)
@@ -120,11 +117,7 @@ func (h *Handler) Close() error {
 // bad edge fails the request with 422 instead of being durably logged (a
 // logged batch must replay cleanly forever).
 func validateEdges(e *graphEntry, adds, removes [][2]int) error {
-	eng, err := tpaEngine(e.name, e.state.Load())
-	if err != nil {
-		return err
-	}
-	n := eng.NumNodes()
+	n := e.state.Load().eng.NumNodes()
 	for _, set := range [][][2]int{adds, removes} {
 		for _, edge := range set {
 			if edge[0] < 0 || edge[0] >= n || edge[1] < 0 || edge[1] >= n {
@@ -151,11 +144,7 @@ func (h *Handler) compactForIngest(e *graphEntry, snapshotPath string) error {
 		return err
 	}
 	defer e.releaseSwap()
-	eng, err := tpaEngine(e.name, e.state.Load())
-	if err != nil {
-		return err
-	}
-	return eng.SaveSnapshotMmap(snapshotPath)
+	return e.state.Load().eng.SaveSnapshotMmap(snapshotPath)
 }
 
 // ingestMutate serves POST /graphs/{name}/edges for an ingest-enabled

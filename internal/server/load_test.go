@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -13,25 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"tpa/internal/core"
-	"tpa/internal/sparse"
+	"tpa"
 )
-
-// paceEngine answers real-shaped top-k results after a fixed delay, giving
-// the soak test a server with a known capacity: MaxInFlight / delay QPS.
-type paceEngine struct {
-	fakeEngine
-	delay time.Duration
-}
-
-func (p *paceEngine) TopKDeadline(ctx context.Context, seeds []int, k int) ([]sparse.Entry, core.QueryMeta, error) {
-	time.Sleep(p.delay)
-	out := make([]sparse.Entry, k)
-	for i := range out {
-		out[i] = sparse.Entry{Index: (seeds[0] + i) % 1000, Score: 1 / float64(i+1)}
-	}
-	return out, p.meta(), nil
-}
 
 // soakRun is the client's account of an open-loop run. requests counts the
 // arrivals that were sent; dropped ones never left the client.
@@ -134,7 +116,13 @@ func TestServeUnderLoad(t *testing.T) {
 		qps      = 1600.0
 		duration = 2 * time.Second
 	)
-	eng := &paceEngine{delay: delay}
+	// Every answer waits out delay first, giving the server a known
+	// capacity: MaxInFlight / delay QPS.
+	watchEngine(t, &engineCalls{delay: delay})
+	eng, err := tpa.New(tpa.RandomCommunityGraph(1000, 5000, 8, 3), tpa.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := NewWith(eng, Info{Nodes: 1000, Edges: 5000, Name: "soak"}, Options{
 		MaxInFlight: maxInFlight,
 		CacheSize:   0, // cache hits would dodge the paced engine

@@ -33,10 +33,6 @@ type mutateRequest struct {
 // 409; the ingest batcher retries it.
 var errConflict = errors.New("conflict")
 
-// errNoWrites marks a write to a graph whose served engine takes none. HTTP
-// answers it 409 as well, but it is permanent: the batcher does not retry it.
-var errNoWrites = errors.New("no writes")
-
 // mutateGraph serves POST /graphs/{name}/edges.
 func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
@@ -65,7 +61,7 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 	stats, mutations, err := h.applyWrite(e, 0, req.Add, req.Remove)
 	switch {
 	case err == nil:
-	case errors.Is(err, errConflict), errors.Is(err, errNoWrites):
+	case errors.Is(err, errConflict):
 		httpError(w, http.StatusConflict, err.Error())
 		return
 	case errors.Is(err, tpa.ErrBadEdge):
@@ -107,17 +103,13 @@ func (h *Handler) applyWrite(e *graphEntry, wait time.Duration, adds, removes []
 	// Load the state under the swap slot: a concurrent reload cannot slip
 	// between this read and the Store below.
 	st := e.state.Load()
-	eng, err := tpaEngine(e.name, st)
-	if err != nil {
-		return tpa.MutationStats{}, 0, err
-	}
-	next, stats, err := eng.ApplyEdges(adds, removes)
+	next, stats, err := st.eng.ApplyEdges(adds, removes)
 	if err != nil {
 		return stats, 0, err
 	}
 	// An all-no-op batch returns the receiver unchanged: nothing to swap,
 	// and the warm cache partition stays valid.
-	if next != eng {
+	if next != st.eng {
 		info := st.info
 		info.Nodes = stats.Nodes
 		info.Edges = stats.Edges
@@ -128,14 +120,4 @@ func (h *Handler) applyWrite(e *graphEntry, wait time.Duration, adds, removes []
 		e.headSkips.Add(1)
 	}
 	return stats, e.mutations.Add(1), nil
-}
-
-// tpaEngine returns the engine st serves, or an errNoWrites when it is not
-// a *tpa.Engine (only a test fake registered in its place), which takes no
-// writes.
-func tpaEngine(name string, st *engineState) (*tpa.Engine, error) {
-	if eng, ok := st.eng.(*tpa.Engine); ok {
-		return eng, nil
-	}
-	return nil, fmt.Errorf("%w: graph %q is served by a %T, which takes no writes", errNoWrites, name, st.eng)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -149,9 +148,6 @@ func TestMutateErrors(t *testing.T) {
 	if err := h.Register("live", eng, Info{Nodes: 50, Edges: g.NumEdges()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Register("fake", &fakeEngine{}, Info{Nodes: 1, Edges: 0}); err != nil {
-		t.Fatal(err)
-	}
 
 	rec, _ := postJSON(t, h, "/graphs/nope/edges", `{"add":[[0,1]]}`)
 	if rec.Code != http.StatusNotFound {
@@ -173,19 +169,6 @@ func TestMutateErrors(t *testing.T) {
 	rec, _ = get(t, h, "/graphs/live/topk?seed=1&k=2")
 	if rec.Code != http.StatusOK {
 		t.Errorf("graph dead after failed mutation: %d", rec.Code)
-	}
-	// Engines that are not *tpa.Engine cannot mutate.
-	rec, _ = postJSON(t, h, "/graphs/fake/edges", `{"add":[[0,0]]}`)
-	if rec.Code != http.StatusConflict {
-		t.Errorf("non-mutable engine: %d, want 409", rec.Code)
-	}
-	// That refusal is permanent, not a held swap slot, so the -wal
-	// batcher must not retry it as one.
-	h.mu.RLock()
-	fake := h.graphs["fake"]
-	h.mu.RUnlock()
-	if _, _, err := h.applyWrite(fake, 0, [][2]int{{0, 1}}, nil); !errors.Is(err, errNoWrites) || errors.Is(err, errConflict) {
-		t.Errorf("non-mutable engine write: %v, want errNoWrites and no errConflict", err)
 	}
 }
 

@@ -152,28 +152,23 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		func(st *engineState) float64 { return st.eng.ErrorBound() })
 
 	// Shard and storage layout (sharded / memory-mapped engines). Shard
-	// count and storage split are reported for every graph (1 shard / all
-	// heap when the engine has no layout to speak of); the per-shard and
+	// count and storage split are reported for every graph (1 shard, all
+	// heap, for a plain engine built in memory); the per-shard and
 	// per-kernel series carry a shard or kernel label and appear only for
 	// actually sharded engines, under always-present family headers.
 	graphGauge("tpa_shard_count", "Scatter-gather shards the graph's engine fans queries across (1 = unsharded).",
-		func(st *engineState) float64 {
-			if se, ok := st.eng.(shardInfo); ok {
-				return float64(se.NumShards())
-			}
-			return 1
-		})
-	eachSharded := func(fn func(graphLabel string, se shardInfo)) {
+		func(st *engineState) float64 { return float64(st.eng.NumShards()) })
+	eachSharded := func(fn func(graphLabel string, eng Engine)) {
 		for _, e := range entries {
-			if se, ok := e.state.Load().eng.(shardInfo); ok && se.NumShards() > 1 {
-				fn(promLabel("graph", e.name), se)
+			if eng := e.state.Load().eng; eng.NumShards() > 1 {
+				fn(promLabel("graph", e.name), eng)
 			}
 		}
 	}
 	shardSeries := func(name, help string, get func(nodes int, edges int64) float64) {
 		p.header(name, help, "gauge")
-		eachSharded(func(gl string, se shardInfo) {
-			nodes, edges := se.ShardLayout()
+		eachSharded(func(gl string, eng Engine) {
+			nodes, edges := eng.ShardLayout()
 			for i := range nodes {
 				p.sample(name, gl+","+promLabel("shard", strconv.Itoa(i)), get(nodes[i], edges[i]))
 			}
@@ -188,18 +183,15 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	// count that rises with query traffic marks a graph whose queries go
 	// dense. Preprocessing's (dense) applications are included.
 	p.header("tpa_shard_matvec_total", "Operator applications of each sharded graph by the kernel that answered: push (sparse input, serial) or pull (dense input, fanned out across shards).", "counter")
-	eachSharded(func(gl string, se shardInfo) {
-		push, pull := se.ShardMatvecs()
+	eachSharded(func(gl string, eng Engine) {
+		push, pull := eng.ShardMatvecs()
 		p.sample("tpa_shard_matvec_total", gl+","+promLabel("kernel", "push"), float64(push))
 		p.sample("tpa_shard_matvec_total", gl+","+promLabel("kernel", "pull"), float64(pull))
 	})
 	storageGauge := func(name, help string, get func(mapped, heap int64) float64) {
 		p.header(name, help, "gauge")
 		for _, e := range entries {
-			var mapped, heap int64
-			if se, ok := e.state.Load().eng.(storageInfo); ok {
-				mapped, heap = se.StorageBytes()
-			}
+			mapped, heap := e.state.Load().eng.StorageBytes()
 			p.sample(name, promLabel("graph", e.name), get(mapped, heap))
 		}
 	}

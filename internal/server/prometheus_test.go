@@ -298,8 +298,8 @@ func TestMetricsHistogramInvariants(t *testing.T) {
 // Shed requests must tick the shed counter but stay out of the latency
 // histogram.
 func TestMetricsShedAccounting(t *testing.T) {
-	eng := &fakeEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	h := NewWith(eng, Info{Name: "test"}, Options{MaxInFlight: 1, CacheSize: 0})
+	eng := watchEngine(t, &engineCalls{entered: make(chan struct{}, 1), release: make(chan struct{})})
+	h := NewWith(testEngine(t), Info{Name: "test"}, Options{MaxInFlight: 1, CacheSize: 0})
 	done := make(chan struct{})
 	go func() {
 		rec := httptest.NewRecorder()

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tpa/internal/core"
+	"tpa"
 	"tpa/internal/ingest"
 	"tpa/internal/sparse"
 )
@@ -35,17 +35,20 @@ type engineState struct {
 // hit is a complete answer at the engine's own S. A miss runs the engine
 // under ctx, and only complete answers enter the cache: the next request
 // may have a healthier budget and deserves the full answer.
-func (st *engineState) cachedTopK(ctx context.Context, seed, k int) ([]sparse.Entry, core.QueryMeta, error) {
+func (st *engineState) cachedTopK(ctx context.Context, seed, k int) ([]sparse.Entry, tpa.QueryMeta, error) {
 	if st.cache != nil {
 		if top, ok := st.cache.Get(seed, k); ok {
 			return top, fullMeta(st.eng), nil
 		}
 	}
-	top, meta, err := st.eng.TopKDeadline(ctx, []int{seed}, k)
-	if err == nil && !meta.Partial && st.cache != nil {
-		st.cache.Put(seed, k, top)
+	as, err := answer(st.eng, ctx, tpa.Request{Seeds: []int{seed}, K: k})
+	if err != nil {
+		return nil, tpa.QueryMeta{}, err
 	}
-	return top, meta, err
+	if !as[0].Meta.Partial && st.cache != nil {
+		st.cache.Put(seed, k, as[0].Top)
+	}
+	return as[0].Top, as[0].Meta, nil
 }
 
 // graphEntry is one named graph in the registry. The entry itself is
@@ -264,29 +267,23 @@ func (h *Handler) graphStats(w http.ResponseWriter, r *http.Request) {
 		"loaded_at":   st.loadedAt.UTC().Format(time.RFC3339),
 		"cache":       cache,
 	}
-	if se, ok := st.eng.(staleInfo); ok {
-		// Whichever write path moved the engine, synchronous or ingest.
-		resp["stale_bound"] = se.StaleBound()
-		resp["preprocess_iters"] = se.PreprocessIters()
+	// Whichever write path moved the engine, synchronous or ingest.
+	resp["stale_bound"] = st.eng.StaleBound()
+	resp["preprocess_iters"] = st.eng.PreprocessIters()
+	mapped, heap := st.eng.StorageBytes()
+	resp["storage"] = map[string]interface{}{
+		"mmap_bytes": mapped,
+		"heap_bytes": heap,
+		"mapped":     st.eng.Mapped(),
 	}
-	if se, ok := st.eng.(storageInfo); ok {
-		mapped, heap := se.StorageBytes()
-		resp["storage"] = map[string]interface{}{
-			"mmap_bytes": mapped,
-			"heap_bytes": heap,
-			"mapped":     se.Mapped(),
-		}
+	shards := map[string]interface{}{"count": st.eng.NumShards()}
+	if nodes, edges := st.eng.ShardLayout(); nodes != nil {
+		shards["nodes"] = nodes
+		shards["edges"] = edges
+		push, pull := st.eng.ShardMatvecs()
+		shards["matvecs"] = map[string]int64{"push": push, "pull": pull}
 	}
-	if se, ok := st.eng.(shardInfo); ok {
-		shards := map[string]interface{}{"count": se.NumShards()}
-		if nodes, edges := se.ShardLayout(); nodes != nil {
-			shards["nodes"] = nodes
-			shards["edges"] = edges
-			push, pull := se.ShardMatvecs()
-			shards["matvecs"] = map[string]int64{"push": push, "pull": pull}
-		}
-		resp["shards"] = shards
-	}
+	resp["shards"] = shards
 	if in := e.ingest.Load(); in != nil {
 		resp["ingest"] = ingestJSON(in)
 	}

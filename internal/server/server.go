@@ -34,57 +34,22 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tpa/internal/core"
+	"tpa"
 	"tpa/internal/sparse"
 )
 
-// Engine is the query interface the server fronts. *tpa.Engine satisfies
-// it. Every query runs under a context: one that never expires for a
-// request without a budget (the answer is then always complete), one cut
-// off at the request's deadline otherwise. A context that expires
-// mid-query yields the head computed so far as a valid reduced-S
-// approximation with its own Theorem-2 bound, flagged Partial in the
-// returned core.QueryMeta; it degrades accuracy, never availability. A
-// query takes a seed set, restarting uniformly over it; /topk and /score
-// pass the set of one seed.
-type Engine interface {
-	QueryDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error)
-	TopKDeadline(ctx context.Context, seeds []int, k int) ([]sparse.Entry, core.QueryMeta, error)
-	TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int) ([][]sparse.Entry, []core.QueryMeta, error)
-	Params() (s, t int)
-	IndexBytes() int64
-	ErrorBound() float64
-}
+// Engine is the engine a graph serves. Every query endpoint makes one
+// Answer call under a context: one that never expires for a request
+// without a budget (the answer is then always complete), one cut off at
+// the request's deadline otherwise. A context that expires mid-query yields
+// the head computed so far as a valid reduced-S approximation with its own
+// Theorem-2 bound, flagged Partial in the answer's meta; it degrades
+// accuracy, never availability.
+type Engine = *tpa.Engine
 
-// shardInfo is the optional capability interface for scatter-gather
-// engines: how many shards dense operator applications fan out across, the
-// node/edge split between them, and how many applications went to the
-// serial push kernel (sparse input) and to the pull fan-out (dense input).
-// *tpa.Engine implements it (reporting one shard when built unsharded);
-// engines without it are treated as single-shard.
-type shardInfo interface {
-	NumShards() int
-	ShardLayout() (nodes []int, edges []int64)
-	ShardMatvecs() (push, pull int64)
-}
-
-// storageInfo is the optional capability interface for engines that know
-// where their bytes live: mapped is storage served zero-copy from a file
-// mapping (shared page cache), heap is private allocations. *tpa.Engine
-// implements it.
-type storageInfo interface {
-	StorageBytes() (mapped, heap int64)
-	Mapped() bool
-}
-
-// staleInfo is the optional capability interface for engines whose index
-// may lag the exact one: StaleBound is the part of ErrorBound that the
-// build's tail stop or the last reindex left uncorrected, PreprocessIters
-// the dense applications the build ran. *tpa.Engine implements it.
-type staleInfo interface {
-	StaleBound() float64
-	PreprocessIters() int
-}
+// answer is the one engine call behind every query endpoint. It is a
+// variable so tests can observe or hold the call.
+var answer = Engine.Answer
 
 // DeadlineHeader is the request header carrying a per-query budget in
 // milliseconds. It overrides Options.DefaultDeadline; an explicit 0
@@ -301,16 +266,16 @@ func markPartial(w http.ResponseWriter) {
 
 // fullMeta is the QueryMeta of a complete answer at the engine's own S (a
 // cache hit, say).
-func fullMeta(eng Engine) core.QueryMeta {
+func fullMeta(eng Engine) tpa.QueryMeta {
 	s, _ := eng.Params()
-	return core.QueryMeta{EffectiveS: s, Steps: s - 1, Bound: eng.ErrorBound()}
+	return tpa.QueryMeta{EffectiveS: s, Steps: s - 1, Bound: eng.ErrorBound()}
 }
 
 // writeAnswer writes a single-answer response. Under a budget it carries
 // the deadline fields of meta; without one the answer is always complete
 // and the response has none. A partial answer ticks the endpoint's partial
 // counter.
-func writeAnswer(w http.ResponseWriter, resp map[string]interface{}, budget time.Duration, meta core.QueryMeta) {
+func writeAnswer(w http.ResponseWriter, resp map[string]interface{}, budget time.Duration, meta tpa.QueryMeta) {
 	if meta.Partial {
 		markPartial(w)
 	}
@@ -378,18 +343,18 @@ func (h *Handler) score(w http.ResponseWriter, r *http.Request, budget time.Dura
 		return
 	}
 	e.queries.Add(1)
+	if node >= st.eng.NumNodes() {
+		httpError(w, http.StatusUnprocessableEntity, "node out of range")
+		return
+	}
 	ctx, cancel := queryContext(r, budget)
 	defer cancel()
-	scores, meta, err := st.eng.QueryDeadline(ctx, []int{seed})
+	as, err := answer(st.eng, ctx, tpa.Request{Seeds: []int{seed}})
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	if node >= len(scores) {
-		httpError(w, http.StatusUnprocessableEntity, "node out of range")
-		return
-	}
-	writeAnswer(w, map[string]interface{}{"seed": seed, "node": node, "score": scores[node]}, budget, meta)
+	writeAnswer(w, map[string]interface{}{"seed": seed, "node": node, "score": as[0].Scores[node]}, budget, as[0].Meta)
 }
 
 // batchRequest is the POST /batch body.
@@ -434,7 +399,7 @@ func bodyK(w http.ResponseWriter, k int) (int, bool) {
 
 // batch answers one top-k query per seed, checking the graph's cache
 // partition per seed and fanning the misses out over the engine's worker
-// pool in a single TopKBatch call.
+// pool in a single request.
 func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Duration) {
 	e, st, ok := h.resolve(w, r)
 	if !ok {
@@ -481,23 +446,23 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Dura
 	partialCount := 0
 	if len(missSeeds) > 0 {
 		// The whole batch shares one budget; each seed degrades
-		// independently as it runs out (see TPA.TopKBatchDeadline).
+		// independently as it runs out (see tpa.Engine.Answer).
 		ctx, cancel := queryContext(r, budget)
 		defer cancel()
-		tops, metas, err := st.eng.TopKBatchDeadline(ctx, missSeeds, req.K, h.opts.Workers)
+		as, err := answer(st.eng, ctx, tpa.Request{Seeds: missSeeds, K: req.K, Each: true, Workers: h.opts.Workers})
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		}
-		for j, top := range tops {
-			res := seedResult{Seed: missSeeds[j], Results: toJSON(top)}
-			if metas[j].Partial {
+		for j, a := range as {
+			res := seedResult{Seed: missSeeds[j], Results: toJSON(a.Top)}
+			if a.Meta.Partial {
 				res.Partial = true
-				res.EffectiveS = metas[j].EffectiveS
-				res.ResidualBound = metas[j].Bound
+				res.EffectiveS = a.Meta.EffectiveS
+				res.ResidualBound = a.Meta.Bound
 				partialCount++
 			} else if st.cache != nil {
-				st.cache.Put(missSeeds[j], req.K, top)
+				st.cache.Put(missSeeds[j], req.K, a.Top)
 			}
 			out[missPos[j]] = res
 		}
@@ -542,12 +507,12 @@ func (h *Handler) querySet(w http.ResponseWriter, r *http.Request, budget time.D
 	e.queries.Add(1)
 	ctx, cancel := queryContext(r, budget)
 	defer cancel()
-	top, meta, err := st.eng.TopKDeadline(ctx, req.Seeds, req.K)
+	as, err := answer(st.eng, ctx, tpa.Request{Seeds: req.Seeds, K: req.K})
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeAnswer(w, map[string]interface{}{"seeds": req.Seeds, "results": toJSON(top)}, budget, meta)
+	writeAnswer(w, map[string]interface{}{"seeds": req.Seeds, "results": toJSON(as[0].Top)}, budget, as[0].Meta)
 }
 
 // stats serves the global counters. When a default graph is set its

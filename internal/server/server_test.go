@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"tpa"
-	"tpa/internal/core"
 	"tpa/internal/graph"
 	"tpa/internal/sparse"
 )
@@ -123,9 +122,14 @@ func TestScore(t *testing.T) {
 	if body["score"].(float64) <= 0 {
 		t.Error("self score not positive")
 	}
-	rec, _ = get(t, h, "/score?seed=5&node=99999")
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Errorf("out-of-range node: code %d", rec.Code)
+	// An out-of-range node is answered before any engine work.
+	calls := watchEngine(t, &engineCalls{})
+	rec, body = get(t, h, "/score?seed=5&node=99999")
+	if rec.Code != http.StatusUnprocessableEntity || body["error"] != "node out of range" {
+		t.Errorf("out-of-range node: code %d body %v", rec.Code, body)
+	}
+	if n := calls.calls.Load(); n != 0 {
+		t.Errorf("out-of-range node made %d engine calls, want 0", n)
 	}
 	rec, _ = get(t, h, "/score?seed=5")
 	if rec.Code != http.StatusBadRequest {
@@ -156,11 +160,11 @@ func TestQuerySet(t *testing.T) {
 	}
 	h := New(eng, Info{Nodes: 200, Edges: 1800, Name: "test"})
 	seeds := []int{1, 2, 3, 2}
-	scores, _, err := eng.QueryDeadline(context.Background(), seeds)
+	as, err := eng.Answer(context.Background(), tpa.Request{Seeds: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tpa.TopKOf(scores, 5)
+	want := tpa.TopKOf(as[0].Scores, 5)
 	rec, resp := postJSON(t, h, "/queryset", `{"seeds":[1,2,3,2],"k":5}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d: %s", rec.Code, rec.Body.String())
@@ -463,8 +467,8 @@ func TestMethodScoreAndBatch(t *testing.T) {
 // TestMethodErrors: a rejected method never reaches the engine, whatever
 // budget the request carries, and counts as an endpoint error.
 func TestMethodErrors(t *testing.T) {
-	eng := &fakeEngine{}
-	h := NewWith(eng, Info{Name: "test"}, Options{DefaultDeadline: time.Second})
+	eng := watchEngine(t, &engineCalls{})
+	h := NewWith(testEngine(t), Info{Name: "test"}, Options{DefaultDeadline: time.Second})
 	for _, header := range []string{"", "0", "50"} {
 		if rec := serveQuery(h, http.MethodGet, "/topk?seed=1&method=fora", "", header); rec.Code != http.StatusBadRequest {
 			t.Errorf("header %q: code %d, want 400", header, rec.Code)
@@ -480,66 +484,52 @@ func TestMethodErrors(t *testing.T) {
 	}
 }
 
-// fakeEngine is the server tests' engine double. Every query records the
-// call and the context it ran under, so tests can see which engine calls a
-// request made and with what budget. When entered is set, TopKDeadline
+// engineCalls is what watchEngine records of the engine calls the server
+// makes: their count, and how far the context of the last one was from its
+// deadline in ns (-1 when it had none). When entered is set, each call
 // signals it and then blocks until release is closed, pinning a request in
-// flight. Answers report a partial meta when partial is set.
-type fakeEngine struct {
+// flight; delay is slept before each answer; and with expire set the
+// engine answers under an already-cancelled context, which gives the
+// deterministic S' = 1 partial answer.
+type engineCalls struct {
 	entered, release chan struct{}
-	partial          bool
-	calls            atomic.Int64 // query calls of every shape
-	lastBudget       atomic.Int64 // ns from the last call to its ctx deadline; -1 when it had none
+	delay            time.Duration
+	expire           bool
+	calls            atomic.Int64
+	lastBudget       atomic.Int64
 }
 
-func (f *fakeEngine) record(ctx context.Context) {
-	f.calls.Add(1)
-	budget := int64(-1)
-	if dl, ok := ctx.Deadline(); ok {
-		budget = int64(time.Until(dl))
+// watchEngine routes the server's engine call through c until the test
+// ends. The answers still come from the real engine.
+func watchEngine(t *testing.T, c *engineCalls) *engineCalls {
+	t.Helper()
+	call := answer
+	t.Cleanup(func() { answer = call })
+	answer = func(eng Engine, ctx context.Context, req tpa.Request) ([]tpa.Answer, error) {
+		c.calls.Add(1)
+		budget := int64(-1)
+		if dl, ok := ctx.Deadline(); ok {
+			budget = int64(time.Until(dl))
+		}
+		c.lastBudget.Store(budget)
+		if c.entered != nil {
+			c.entered <- struct{}{}
+			<-c.release
+		}
+		time.Sleep(c.delay)
+		if c.expire {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithCancel(ctx)
+			cancel()
+		}
+		return call(eng, ctx, req)
 	}
-	f.lastBudget.Store(budget)
+	return c
 }
-
-func (f *fakeEngine) meta() core.QueryMeta {
-	if f.partial {
-		return core.QueryMeta{Partial: true, EffectiveS: 2, Steps: 1, Bound: 0.5}
-	}
-	return core.QueryMeta{EffectiveS: 5, Steps: 4, Bound: 0.01}
-}
-
-func (f *fakeEngine) QueryDeadline(ctx context.Context, seeds []int) ([]float64, core.QueryMeta, error) {
-	f.record(ctx)
-	return []float64{0.25, 0.75}, f.meta(), nil
-}
-
-func (f *fakeEngine) TopKDeadline(ctx context.Context, seeds []int, k int) ([]sparse.Entry, core.QueryMeta, error) {
-	f.record(ctx)
-	if f.entered != nil {
-		f.entered <- struct{}{}
-		<-f.release
-	}
-	return []sparse.Entry{{Index: seeds[0], Score: 1}}, f.meta(), nil
-}
-
-func (f *fakeEngine) TopKBatchDeadline(ctx context.Context, seeds []int, k, p int) ([][]sparse.Entry, []core.QueryMeta, error) {
-	f.record(ctx)
-	tops := make([][]sparse.Entry, len(seeds))
-	metas := make([]core.QueryMeta, len(seeds))
-	for i, s := range seeds {
-		tops[i] = []sparse.Entry{{Index: s, Score: 1}}
-		metas[i] = f.meta()
-	}
-	return tops, metas, nil
-}
-
-func (f *fakeEngine) Params() (int, int)  { return 5, 10 }
-func (f *fakeEngine) IndexBytes() int64   { return 8 }
-func (f *fakeEngine) ErrorBound() float64 { return 0.44 }
 
 func TestConcurrencyLimitSheds503(t *testing.T) {
-	eng := &fakeEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	h := NewWith(eng, Info{Name: "test"}, Options{MaxInFlight: 1, CacheSize: 0})
+	eng := watchEngine(t, &engineCalls{entered: make(chan struct{}, 1), release: make(chan struct{})})
+	h := NewWith(testEngine(t), Info{Name: "test"}, Options{MaxInFlight: 1, CacheSize: 0})
 	done := make(chan int, 1)
 	go func() {
 		rec := httptest.NewRecorder()

@@ -1,8 +1,8 @@
 // Microbenchmarks for the precision-aware kernels: one Ãᵀ·x application
-// (the unit of all CPI work) per kernel variant, plus end-to-end QueryBatch
+// (the unit of all CPI work) per kernel variant, plus end-to-end batch
 // on float32 and sharded engines. Run with:
 //
-//	go test -bench 'MulT|QueryBatchOrdered' -benchtime 200ms
+//	go test -bench 'MulT|AnswerEachOrdered' -benchtime 200ms
 //
 // The float32 kernel halves the bytes per gathered element. The kernels'
 // zero-allocation contract is a unit test (graph.TestWalkMulTAllocationFree);
@@ -10,6 +10,7 @@
 package tpa
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -87,7 +88,7 @@ var orderedBench struct {
 	engs map[string]*Engine
 }
 
-// orderedBenchEngines builds the QueryBatch acceptance matrix on the kernel
+// orderedBenchEngines builds the batch acceptance matrix on the kernel
 // SBM graph: the unsharded float64 baseline against a 2-shard float32
 // engine (the shape the batch-f32-mmap serving workload runs). Both engines
 // answer in external ids, so the workload is identical by construction.
@@ -116,11 +117,11 @@ func orderedBenchEngines(b *testing.B) map[string]*Engine {
 	return orderedBench.engs
 }
 
-// BenchmarkQueryBatchOrdered compares batch throughput on the 100k-node
+// BenchmarkAnswerEachOrdered compares batch throughput on the 100k-node
 // SBM workload: the sharded float32 engine — whose sparse hops push like a
 // plain engine's — must stay beside the unsharded float64 baseline rather
 // than pay a dense pull per hop.
-func BenchmarkQueryBatchOrdered(b *testing.B) {
+func BenchmarkAnswerEachOrdered(b *testing.B) {
 	engs := orderedBenchEngines(b)
 	seeds := make([]int, batchBenchSize)
 	for i := range seeds {
@@ -132,7 +133,7 @@ func BenchmarkQueryBatchOrdered(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryBatch(seeds, 8); err != nil {
+				if _, err := eng.Answer(context.Background(), Request{Seeds: seeds, Each: true, Workers: 8}); err != nil {
 					b.Fatal(err)
 				}
 			}

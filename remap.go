@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"tpa/internal/graph"
-	"tpa/internal/sparse"
 )
 
 // ID remapping for permuted engines. A shard plan (NewSharded) permutes the
 // CSR so each shard is a contiguous node range, but node ids are the public
 // contract of every query API, so the permutation must never leak: seeds are
-// mapped external→internal on the way in, and score vectors
-// internal→external on the way out. This file is where the two id spaces meet; everything below
-// the Engine boundary runs internal, except that the top-k paths hand perm
-// down so the selector reports external ids and breaks score ties on them
-// (an answer then equals TopKOf of the external score vector, boundary ties
-// included), and QueryBatch hands it down so each answer is scattered from
-// pooled scratch straight into its external-order result.
+// mapped external→internal on the way in, and answers come out in external
+// ids. This file is where the two id spaces meet; everything below the
+// Engine boundary runs internal, except that Answer hands perm down: the
+// top-k selector reports external ids and breaks score ties on them (an
+// answer then equals TopKOf of the external score vector, boundary ties
+// included), and a score vector is scattered from pooled scratch straight
+// into its external-order result.
 //
 // Conventions (matching graph.Permute): perm[internal] = external,
 // inv[external] = internal. Both are nil on unpermuted engines, and every
@@ -45,19 +44,6 @@ func (e *Engine) toInternalSeeds(seeds, buf []int) []int {
 	}
 	for _, s := range seeds {
 		out = append(out, e.toInternal(s))
-	}
-	return out
-}
-
-// toExternalVec scatters an internal score vector into external id order.
-// On unpermuted engines the vector is returned as-is (no copy).
-func (e *Engine) toExternalVec(r sparse.Vector) []float64 {
-	if e.perm == nil {
-		return r
-	}
-	out := make([]float64, len(r))
-	for i, v := range r {
-		out[e.perm[i]] = v
 	}
 	return out
 }

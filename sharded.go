@@ -18,8 +18,8 @@ const shardLPRounds = 10
 // edges fan out one goroutine per shard, each filling only its own
 // destination range. The sparse hops of a query — normally all of them —
 // push serially on the calling goroutine, touching only the frontier's
-// out-edges, so query parallelism comes from the batch worker pool
-// (QueryBatch, TopKBatch), not from the shards. Shard boundaries follow
+// out-edges, so query parallelism comes from the worker pool of an Each
+// request (see Engine.Answer), not from the shards. Shard boundaries follow
 // community structure (label propagation, merged into exactly shards
 // balanced groups), so each shard's working set stays dense — node ids
 // remain the caller's, remapped at the API boundary (see remap.go).

@@ -2,6 +2,7 @@ package tpa
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -663,7 +664,7 @@ func TestShardedEngineEquivalence(t *testing.T) {
 		if len(top) != 10 {
 			t.Fatalf("TopK returned %d entries", len(top))
 		}
-		batch, err := eng.QueryBatch(seeds, 2)
+		batch, err := eng.Answer(context.Background(), Request{Seeds: seeds, Each: true, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -673,7 +674,7 @@ func TestShardedEngineEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for j := range single {
-				if batch[i][j] != single[j] {
+				if batch[i].Scores[j] != single[j] {
 					t.Fatalf("batch result differs from single query at seed %d node %d", seed, j)
 				}
 			}

@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"tpa"
+	"tpa/internal/gen"
 )
 
 // Differential tests of the top-k paths: every engine configuration's TopK,
-// TopKBatch and their deadline forms must return exactly the entries
-// TopKOf picks from the same engine's Query answer, in index and score bits
+// TopKBatch and top-k requests, under a live context and a cancelled one,
+// must return exactly the entries TopKOf picks from the same engine's
+// score answer, in index and score bits
 // — ties at the k-th score included, whatever internal order the engine
 // runs in.
 
@@ -30,44 +32,44 @@ func checkEntries(t *testing.T, tag string, got, want []tpa.Entry) {
 	}
 }
 
+// answer runs req through Engine.Answer, failing the test on an error.
+func answer(t *testing.T, eng *tpa.Engine, ctx context.Context, req tpa.Request) []tpa.Answer {
+	t.Helper()
+	as, err := eng.Answer(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return as
+}
+
 // checkTopKPaths holds every top-k path of eng to TopKOf of its Query
 // answers for seeds, at each k, under a live context and under one that is
 // already cancelled. The seed set {seeds[0], seeds[1], seeds[0]} (needs
-// two seeds; one listed twice) holds TopKDeadline to TopKOf of
-// QueryDeadline for that set the same way.
+// two seeds; one listed twice) holds the set's top-k answer to TopKOf of
+// its score answer the same way.
 func checkTopKPaths(t *testing.T, tag string, eng *tpa.Engine, seeds, ks []int) {
 	t.Helper()
 	live := context.Background()
 	dead, cancel := context.WithCancel(live)
 	cancel()
 	full := make([][]float64, len(seeds))
-	partial := make([][]float64, len(seeds))
-	partialMeta := make([]tpa.QueryMeta, len(seeds))
 	for i, seed := range seeds {
 		var err error
 		if full[i], err = eng.Query(seed); err != nil {
 			t.Fatal(err)
 		}
-		if partial[i], partialMeta[i], err = eng.QueryDeadline(dead, []int{seed}); err != nil {
-			t.Fatal(err)
-		}
 	}
+	partial := answer(t, eng, dead, tpa.Request{Seeds: seeds, Each: true})
 	set := []int{seeds[0], seeds[1], seeds[0]}
 	for _, ctx := range []context.Context{live, dead} {
-		scores, want, err := eng.QueryDeadline(ctx, set)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := answer(t, eng, ctx, tpa.Request{Seeds: set})[0]
 		for _, k := range ks {
 			at := fmt.Sprintf("%s set %v k %d cancelled=%v", tag, set, k, ctx == dead)
-			top, meta, err := eng.TopKDeadline(ctx, set, k)
-			if err != nil {
-				t.Fatal(err)
+			got := answer(t, eng, ctx, tpa.Request{Seeds: set, K: k})[0]
+			if got.Meta != want.Meta {
+				t.Fatalf("%s: top-k meta %+v, the score answer's %+v", at, got.Meta, want.Meta)
 			}
-			if meta != want {
-				t.Fatalf("%s: TopKDeadline meta %+v, QueryDeadline's %+v", at, meta, want)
-			}
-			checkEntries(t, at+" TopKDeadline", top, tpa.TopKOf(scores, k))
+			checkEntries(t, at+" set top-k", got.Top, tpa.TopKOf(want.Scores, k))
 		}
 	}
 	for _, k := range ks {
@@ -79,23 +81,17 @@ func checkTopKPaths(t *testing.T, tag string, eng *tpa.Engine, seeds, ks []int) 
 				t.Fatal(err)
 			}
 			checkEntries(t, at+" TopK", top, want)
-			top, meta, err := eng.TopKDeadline(live, []int{seed}, k)
-			if err != nil {
-				t.Fatal(err)
+			got := answer(t, eng, live, tpa.Request{Seeds: []int{seed}, K: k})[0]
+			if got.Meta.Partial {
+				t.Fatalf("%s: top-k under a live context came back partial: %+v", at, got.Meta)
 			}
-			if meta.Partial {
-				t.Fatalf("%s: TopKDeadline under a live context came back partial: %+v", at, meta)
+			checkEntries(t, at+" top-k", got.Top, want)
+			// An expired context: the same reduced-S answer as the scores'.
+			got = answer(t, eng, dead, tpa.Request{Seeds: []int{seed}, K: k})[0]
+			if got.Meta != partial[i].Meta {
+				t.Fatalf("%s: cancelled top-k meta %+v, the score answer's %+v", at, got.Meta, partial[i].Meta)
 			}
-			checkEntries(t, at+" TopKDeadline", top, want)
-			// An expired context: the same reduced-S answer as QueryDeadline.
-			top, meta, err = eng.TopKDeadline(dead, []int{seed}, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if meta != partialMeta[i] {
-				t.Fatalf("%s: cancelled TopKDeadline meta %+v, QueryDeadline's %+v", at, meta, partialMeta[i])
-			}
-			checkEntries(t, at+" cancelled TopKDeadline", top, tpa.TopKOf(partial[i], k))
+			checkEntries(t, at+" cancelled top-k", got.Top, tpa.TopKOf(partial[i].Scores, k))
 		}
 		for _, workers := range []int{1, 3} {
 			at := fmt.Sprintf("%s k %d workers %d", tag, k, workers)
@@ -106,25 +102,18 @@ func checkTopKPaths(t *testing.T, tag string, eng *tpa.Engine, seeds, ks []int) 
 			for i := range seeds {
 				checkEntries(t, fmt.Sprintf("%s seed %d TopKBatch", at, seeds[i]), tops[i], tpa.TopKOf(full[i], k))
 			}
-			tops, metas, err := eng.TopKBatchDeadline(live, seeds, k, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range seeds {
-				if metas[i].Partial {
-					t.Fatalf("%s seed %d: TopKBatchDeadline under a live context came back partial", at, seeds[i])
+			each := tpa.Request{Seeds: seeds, K: k, Each: true, Workers: workers}
+			for i, got := range answer(t, eng, live, each) {
+				if got.Meta.Partial {
+					t.Fatalf("%s seed %d: each-seed top-k under a live context came back partial", at, seeds[i])
 				}
-				checkEntries(t, fmt.Sprintf("%s seed %d TopKBatchDeadline", at, seeds[i]), tops[i], tpa.TopKOf(full[i], k))
+				checkEntries(t, fmt.Sprintf("%s seed %d each", at, seeds[i]), got.Top, tpa.TopKOf(full[i], k))
 			}
-			tops, metas, err = eng.TopKBatchDeadline(dead, seeds, k, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range seeds {
-				if metas[i] != partialMeta[i] {
-					t.Fatalf("%s seed %d: cancelled TopKBatchDeadline meta %+v, QueryDeadline's %+v", at, seeds[i], metas[i], partialMeta[i])
+			for i, got := range answer(t, eng, dead, each) {
+				if got.Meta != partial[i].Meta {
+					t.Fatalf("%s seed %d: cancelled each-seed top-k meta %+v, the score answer's %+v", at, seeds[i], got.Meta, partial[i].Meta)
 				}
-				checkEntries(t, fmt.Sprintf("%s seed %d cancelled TopKBatchDeadline", at, seeds[i]), tops[i], tpa.TopKOf(partial[i], k))
+				checkEntries(t, fmt.Sprintf("%s seed %d cancelled each", at, seeds[i]), got.Top, tpa.TopKOf(partial[i].Scores, k))
 			}
 		}
 	}
@@ -206,5 +195,68 @@ func TestTopKBoundaryTiesReordered(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			checkTopKPaths(t, v.name, v.build(t, g), []int{0, 7}, []int{3, 5, 10})
 		})
+	}
+}
+
+// TestSetAnswerIsMeanOfEach is the first metamorphic identity of the
+// request form. RWR is linear in the restart vector and the stranger part
+// is shared, so the answer to a seed set is the mean of its seeds' own
+// answers: within 1e-12 in L1 in float64 and within the float32 slack in
+// float32, on plain and 2-shard engines over a randomly relabeled SBM and
+// an R-MAT graph with dangling rows (one of them a seed). The set's top k
+// is TopKOf of its score vector, to the bit.
+func TestSetAnswerIsMeanOfEach(t *testing.T) {
+	rmat := gen.DefaultRMAT(13, 4<<13, 3)
+	dangling := -1
+	for u := 0; u < rmat.NumNodes() && dangling < 0; u++ {
+		if rmat.OutDegree(u) == 0 {
+			dangling = u
+		}
+	}
+	if dangling < 0 {
+		t.Fatal("the R-MAT graph has no dangling row")
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name  string
+		g     *tpa.Graph
+		seeds []int
+	}{
+		{"sbm", tpa.ShuffledGraph(t, tpa.RandomSBMGraph(600, 4, 6, 0.85, 5), 2), []int{3, 141, 599, 141}},
+		{"rmat", rmat, []int{0, 1, dangling, 77, 0}},
+	} {
+		for _, v := range []struct {
+			name   string
+			prec   tpa.Precision
+			shards int
+			tol    float64
+		}{
+			{"f64", tpa.Float64, 0, 1e-12},
+			{"f32", tpa.Float32, 0, f32Slack},
+			{"2shard-f64", tpa.Float64, 2, 1e-12},
+			{"2shard-f32", tpa.Float32, 2, f32Slack},
+		} {
+			tag := c.name + "/" + v.name
+			o := tpa.Defaults()
+			o.Precision = v.prec
+			eng, err := tpa.NewSharded(c.g, v.shards, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := answer(t, eng, ctx, tpa.Request{Seeds: c.seeds})[0]
+			mean := make([]float64, len(set.Scores))
+			for _, a := range answer(t, eng, ctx, tpa.Request{Seeds: c.seeds, Each: true, Workers: 2}) {
+				for j, x := range a.Scores {
+					mean[j] += x / float64(len(c.seeds))
+				}
+			}
+			if d := l1dist(set.Scores, mean); d > v.tol {
+				t.Errorf("%s: the set's answer is %g from the mean of its seeds' answers in L1, tolerance %g", tag, d, v.tol)
+			}
+			for _, k := range []int{1, 10, 100} {
+				top := answer(t, eng, ctx, tpa.Request{Seeds: c.seeds, K: k})[0].Top
+				checkEntries(t, fmt.Sprintf("%s k %d", tag, k), top, tpa.TopKOf(set.Scores, k))
+			}
+		}
 	}
 }

@@ -9,7 +9,8 @@
 //	eng, _ := tpa.New(g, tpa.Defaults())      // preprocessing phase (once)
 //	scores, _ := eng.Query(seed)              // online phase (per seed)
 //	top, _ := eng.TopK(seed, 100)
-//	batch, _ := eng.QueryBatch(seeds, 8)      // fan out over 8 workers
+//	tops, _ := eng.Answer(ctx, tpa.Request{   // a top 10 per seed,
+//		Seeds: seeds, K: 10, Each: true})     // fanned out over the pool
 //	eng2, _, _ := eng.ApplyEdges(adds, dels)  // evolve the graph in place
 //
 // Preprocessing runs a single PageRank-style cumulative power iteration and
@@ -19,9 +20,11 @@
 // paper) and is far more accurate in practice on graphs with community
 // structure.
 //
-// The context-taking forms, QueryDeadline and TopKDeadline, take a seed
-// set: the walk restarts uniformly over it, and a single seed is the set
-// {seed}.
+// Every query is one Request answered by Engine.Answer: a seed set (a
+// single seed is the set {seed}), the score vector or its top k, the whole
+// set or each seed on its own, under a context whose expiry degrades the
+// answer instead of failing it. Query, TopK and TopKBatch are its
+// shorthands.
 //
 // For validation, Exact computes the true RWR vector by cumulative power
 // iteration run to convergence.
@@ -93,7 +96,7 @@ type Options struct {
 	// T is the first iteration of the stranger part, estimated by
 	// PageRank (default 10). Must exceed S.
 	T int
-	// Workers is the default pool size of QueryBatch/TopKBatch (0 means
+	// Workers is the default pool size of a Request with Each (0 means
 	// GOMAXPROCS). Dense operator applications — preprocessing, a write's
 	// reindex, a query hop whose frontier has spread — fan out over the
 	// walk's row blocks instead, one per GOMAXPROCS (a sharded engine's are
@@ -170,7 +173,7 @@ func (e *Engine) Precision() Precision { return e.tpa.Precision() }
 
 // New runs TPA's preprocessing phase on g and returns a queryable Engine.
 // Its dense matvecs fan out over the walk's row blocks (one per
-// GOMAXPROCS); a query's sparse hops push serially, with QueryBatch
+// GOMAXPROCS); a query's sparse hops push serially, with an Each request
 // providing cross-query parallelism.
 func New(g *Graph, o Options) (*Engine, error) {
 	_, params := o.split()
@@ -205,92 +208,93 @@ func AutoTune(g *Graph, o Options, maxBound float64, sampleSeeds []int) (*Engine
 	return (&Engine{walk: w}).build(params, o)
 }
 
-// Query returns the approximate RWR score vector for the seed node
-// (length = number of nodes, sums to ≈1). It is QueryDeadline for the set
-// {seed} under a context that never expires.
-func (e *Engine) Query(seed int) ([]float64, error) {
-	r, _, err := e.QueryDeadline(context.Background(), []int{seed})
-	return r, err
+// Request is one call of the online phase: the walk restarts uniformly
+// over Seeds (a seed listed twice gets twice the share), K = 0 asks for the
+// score vector and K > 0 for the top K, and Each answers every seed on its
+// own over a pool of Workers goroutines (≤ 0 means Options.Workers, or
+// GOMAXPROCS if that was 0 too). Seeds are the caller's node ids.
+type Request = core.Request
+
+// Answer is one answer of a Request: Scores (K = 0) or Top (K > 0), and
+// the QueryMeta of how it completed.
+type Answer = core.Answer
+
+// QueryMeta describes how an answer completed: whether the context expired
+// mid-computation (Partial), the split point actually realized (EffectiveS
+// ≤ S), and the bound the returned answer is guaranteed to meet:
+// 2(1-c)^EffectiveS (Theorem 2) plus the engine's StaleBound.
+type QueryMeta = core.QueryMeta
+
+// Answer runs TPA's online phase for req: one answer for the seed set, or
+// with Each one per seed in Seeds order. Every seed is validated up front,
+// so a bad one fails the whole request before any work runs; a set without
+// Each must be non-empty. A top-k answer ranks the scores as they are
+// computed and never writes them to a vector, so it allocates only its k
+// entries; it is exactly TopKOf of the K = 0 answer, equal scores ranked by
+// ascending node id.
+//
+// TPA's online phase accumulates the answer one propagation step at a
+// time, so an answer cut short after S' < S steps is not a failure — it is
+// a valid TPA approximation with split point S', within 2(1-c)^S' of exact
+// RWR (Theorem 2). When ctx expires mid-computation the head computed so
+// far is rescaled by the Lemma-2 masses for S' and returned flagged
+// Partial; an unexpired ctx reproduces the full answer exactly. The seeds
+// of an Each request share ctx and degrade independently: early seeds
+// complete at full S, late ones come back Partial. This is the engine half
+// of SLO-driven serving: a deadline degrades accuracy, never availability.
+func (e *Engine) Answer(ctx context.Context, req Request) ([]Answer, error) {
+	return e.answer(ctx, req, nil)
 }
 
-// QueryBatch answers one query per seed, fanned out over a pool of
-// parallelism worker goroutines with pooled scratch vectors, so the
-// per-query allocation is just the returned vector. parallelism ≤ 0 uses
-// Options.Workers (or GOMAXPROCS if that was 0 too). Results[i] corresponds
-// to seeds[i]; a single out-of-range seed fails the whole batch up front.
-func (e *Engine) QueryBatch(seeds []int, parallelism int) ([][]float64, error) {
-	return e.tpa.QueryBatch(e.toInternalSeeds(seeds, nil), e.batchWorkers(parallelism), e.perm)
-}
-
-// TopKBatch answers a top-k query per seed with the same worker pool as
-// QueryBatch, returning only the k best entries per seed, each ranked as
-// TopK ranks it. It is TopKBatchDeadline under a context that never
-// expires.
-func (e *Engine) TopKBatch(seeds []int, k, parallelism int) ([][]Entry, error) {
-	tops, _, err := e.TopKBatchDeadline(context.Background(), seeds, k, parallelism)
-	return tops, err
-}
-
-func (e *Engine) batchWorkers(parallelism int) int {
-	if parallelism <= 0 {
-		parallelism = e.workers
+// answer is Answer appending to dst, so a caller holding a one-answer
+// array answers a seed set without allocating the answer list.
+func (e *Engine) answer(ctx context.Context, req Request, dst []Answer) ([]Answer, error) {
+	var one [1]int
+	req.Seeds = e.toInternalSeeds(req.Seeds, one[:])
+	if req.Workers <= 0 {
+		req.Workers = e.workers
 	}
-	return parallelism
+	return e.tpa.Answer(ctx, req, e.perm, dst)
+}
+
+// one answers a request without Each under a context that never expires.
+func (e *Engine) one(req Request) (Answer, error) {
+	var buf [1]Answer
+	as, err := e.answer(context.Background(), req, buf[:0])
+	if err != nil {
+		return Answer{}, err
+	}
+	return as[0], nil
+}
+
+// Query returns the approximate RWR score vector for the seed node
+// (length = number of nodes, sums to ≈1): the request {Seeds: {seed}}.
+func (e *Engine) Query(seed int) ([]float64, error) {
+	a, err := e.one(Request{Seeds: []int{seed}})
+	return a.Scores, err
 }
 
 // TopK returns the k nodes most relevant to the seed, highest score first
-// and equal scores by ascending node id: exactly TopKOf(Query(seed), k).
-// The scores are ranked as they are computed and never written to a
-// vector, so a call allocates only its k entries. It is TopKDeadline for
-// the set {seed} under a context that never expires.
+// and equal scores by ascending node id: the request {Seeds: {seed}, K: k},
+// exactly TopKOf(Query(seed), k). A call allocates only its k entries.
 func (e *Engine) TopK(seed, k int) ([]Entry, error) {
-	top, _, err := e.TopKDeadline(context.Background(), []int{seed}, k)
-	return top, err
+	a, err := e.one(Request{Seeds: []int{seed}, K: k})
+	return a.Top, err
 }
 
-// QueryMeta describes how a deadline-aware query completed: whether the
-// context expired mid-computation (Partial), the split point actually
-// realized (EffectiveS ≤ S), and the bound the returned answer is
-// guaranteed to meet: 2(1-c)^EffectiveS (Theorem 2) plus the engine's
-// StaleBound. See QueryDeadline.
-type QueryMeta = core.QueryMeta
-
-// QueryDeadline returns approximate personalized PageRank for a set of
-// seed nodes, honoring ctx: the walk restarts uniformly over the set (a
-// seed listed twice gets twice the share) — e.g. a user's whole reading
-// history rather than a single item; Query is the set {seed}. An empty set
-// is an error.
-//
-// TPA's online phase accumulates the answer one propagation step at a
-// time, so a query cut short after S' < S steps is not a failure — it is a
-// valid TPA approximation with split point S', within 2(1-c)^S' of exact
-// RWR (Theorem 2). When ctx expires mid-computation the head computed so
-// far is rescaled by the Lemma-2 masses for S' and returned flagged
-// Partial; an unexpired ctx reproduces the full answer exactly. This is the
-// engine half of SLO-driven serving: a deadline degrades accuracy, never
-// availability.
-func (e *Engine) QueryDeadline(ctx context.Context, seeds []int) ([]float64, QueryMeta, error) {
-	r, meta, err := e.tpa.QueryDeadline(ctx, e.toInternalSeeds(seeds, nil))
+// TopKBatch answers a top-k query per seed over a pool of parallelism
+// workers: the request {Seeds: seeds, K: k, Each: true, Workers:
+// parallelism}, returning only the k best entries per seed.
+func (e *Engine) TopKBatch(seeds []int, k, parallelism int) ([][]Entry, error) {
+	as, err := e.Answer(context.Background(), Request{Seeds: seeds, K: k, Each: true, Workers: parallelism})
 	if err != nil {
-		return nil, meta, err
+		return nil, err
 	}
-	return e.toExternalVec(r), meta, nil
-}
-
-// TopKDeadline is TopKOf(QueryDeadline(ctx, seeds), k) without writing the
-// score vector, with the partial-answer contract of QueryDeadline. A set of
-// one allocates only its k entries.
-func (e *Engine) TopKDeadline(ctx context.Context, seeds []int, k int) ([]Entry, QueryMeta, error) {
-	var one [1]int
-	return e.tpa.TopKDeadline(ctx, e.toInternalSeeds(seeds, one[:]), k, e.perm)
-}
-
-// TopKBatchDeadline is TopKBatch honoring ctx: all seeds share the budget,
-// and each seed degrades independently when it expires — early seeds
-// complete at full S, late seeds come back Partial. Metas[i] describes
-// seeds[i].
-func (e *Engine) TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int) ([][]Entry, []QueryMeta, error) {
-	return e.tpa.TopKBatchDeadline(ctx, e.toInternalSeeds(seeds, nil), k, e.batchWorkers(parallelism), e.perm)
+	tops := make([][]Entry, len(as))
+	for i, a := range as {
+		tops[i] = a.Top
+	}
+	return tops, nil
 }
 
 // Params returns the S and T split points in effect.
