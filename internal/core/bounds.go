@@ -14,16 +14,15 @@ func TheoremTwoBound(c float64, s int) float64 {
 }
 
 // StalenessBudget is β = 2(1-c)^{S-1} − 2(1-c)^S = 2c(1-c)^{S-1}, the slack
-// between Theorem 2 at S and at S-1 that Reindex may leave uncorrected in the
-// stranger vector (see reindex.go).
+// between Theorem 2 at S and at S-1 that a write's recompute may leave
+// uncorrected in the stranger vector (see reindex.go).
 func StalenessBudget(c float64, s int) float64 {
 	return TheoremTwoBound(c, s-1) - TheoremTwoBound(c, s)
 }
 
-// TailBudget is τ = 10⁻³·β (β = StalenessBudget), the L1 error
-// preprocessing may leave in the stranger vector when it stops on its tail
-// bound (see Preprocess): three orders below the slack writes spend, so a
-// fresh index serves practically at Theorem 2.
+// TailBudget is τ = 10⁻³·β (β = StalenessBudget), the L1 error a build's
+// recompute may leave in the stranger vector (see Preprocess): three orders
+// below the slack writes spend, so a fresh index serves at Theorem 2.
 func TailBudget(c float64, s int) float64 {
 	return 1e-3 * StalenessBudget(c, s)
 }

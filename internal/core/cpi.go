@@ -62,43 +62,40 @@ func CPI(w rwr.Operator, seeds []int, cfg rwr.Config, startIter, termIter int) (
 
 // cpiLoop is Algorithm 1 with caller-provided storage, in either float
 // width: the one propagation loop of this package. CPI, the online phase
-// (with and without a deadline, see batch.go), preprocessing and Reindex's
-// correction are calls of it.
+// (with and without a deadline, see batch.go) and every stranger vector,
+// built or written (see recompute), are calls of it.
 //
 // x holds x(0), already scaled by c; it and buf (propagation scratch) are
 // consumed as the ping-pong pair of the iteration x(i) = (1-c)·Ãᵀ·x(i-1),
 // and come back as last (the final iterate) and spare (the other buffer).
 // acc, when non-nil, has x(i) added for every executed startIter ≤ i; the
 // caller zeroes or pre-loads it. The loop stops after iteration termIter
-// (termIter < 0: the analytic bound, or cfg.MaxIter), as soon as
+// (termIter < 0: the analytic bound IterBound()+8), as soon as
 // ‖x(i)‖₁ < ε (converged), or — with a non-nil ctx — before the first step
 // that would start after ctx expired. It allocates nothing.
 //
-// tau > 0 (with a non-nil acc) also stops the loop on a proven tail bound,
-// the rule preprocessing builds to. Each accumulated step i measures
-// δ = ‖Ãᵀ·x(i-1) − x(i-1)‖₁. Ãᵀ is an L1 contraction, so
-// ‖(Ãᵀ)ʲ·x(i) − x(i)‖₁ ≤ j·(1-c)·δ, and the rest of the sum,
-// Σ_{j≥1} (1-c)ʲ·(Ãᵀ)ʲ·x(i), is within (1-c)²/c²·δ of x(i)·(1-c)/c (as
-// Σ_j j(1-c)ʲ = (1-c)/c²). At the first i ≥ startIter where that bound is
-// at most tau the loop adds x(i)·(1-c)/c to acc and returns the bound as
-// tail, with converged set. The extension carries exactly the mass of the
-// tail it stands for. Otherwise tail is 0: a loop cut at ε is ε-exact, as
-// without the rule.
+// budget > 0 (with a non-nil acc) makes the loop the one stopping rule of
+// every stranger vector (see recompute): in place of the ε test, each
+// accumulated step i tries two proven bounds on the rest of the sum,
+// Σ_{j>i} x(j), and stops at the first that fits the budget, returning it
+// as tail. First the plain bound (1-c)/c·‖x(i)‖₁ (see plainTail), which adds
+// nothing. Then the extended one: with δ = ‖Ãᵀ·x(i-1) − x(i-1)‖₁, Ãᵀ an L1
+// contraction gives ‖(Ãᵀ)ʲ·x(i) − x(i)‖₁ ≤ j·(1-c)·δ, so the rest of the sum
+// is within (1-c)²/c²·δ of x(i)·(1-c)/c (as Σ_j j(1-c)ʲ = (1-c)/c²), which
+// the loop then adds to acc. At the cap a budgeted loop returns its last
+// plain bound; an unbudgeted loop returns tail 0.
 //
 // Each step is one application of mulT and one sweep over its output (see
 // finishStep): the scale by 1-c, the add into acc, the L1 norm and δ share
 // that pass.
 func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) sparse.Vec[T], cfg rwr.Config,
-	startIter, termIter int, tau float64, x, buf, acc sparse.Vec[T]) (last, spare sparse.Vec[T], iters int, converged bool, tail float64) {
+	startIter, termIter int, budget float64, x, buf, acc sparse.Vec[T]) (last, spare sparse.Vec[T], iters int, converged bool, tail float64) {
 	if startIter == 0 && acc != nil {
 		acc.Add(x)
 	}
 	limit := termIter
 	if limit < 0 {
 		limit = cfg.IterBound() + 8
-		if cfg.MaxIter > 0 {
-			limit = cfg.MaxIter
-		}
 	}
 	decay := T(1 - cfg.C)
 	ratio := (1 - cfg.C) / cfg.C
@@ -111,16 +108,23 @@ func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) 
 		if i < startIter {
 			into = nil
 		}
-		if into == nil || tau <= 0 {
+		if into == nil || budget <= 0 {
 			prev = nil
 		}
 		l1, delta := finishStep(buf, decay, into, prev)
 		x, buf = buf, x
 		iters = i
-		if l1 < cfg.Eps {
-			return x, buf, iters, true, 0
+		if prev == nil {
+			if l1 < cfg.Eps {
+				return x, buf, iters, true, 0
+			}
+			continue
 		}
-		if bound := ratio * ratio * delta; prev != nil && bound <= tau {
+		var fits bool
+		if tail, fits = plainTail(cfg.C, l1, budget); fits {
+			return x, buf, iters, true, tail
+		}
+		if bound := ratio * ratio * delta; bound <= budget {
 			ext := T(ratio)
 			for j, v := range x {
 				acc[j] += T(v * ext)
@@ -128,7 +132,13 @@ func cpiLoop[T sparse.Float](ctx context.Context, mulT func(x, y sparse.Vec[T]) 
 			return x, buf, iters, true, bound
 		}
 	}
-	return x, buf, iters, false, 0
+	return x, buf, iters, false, tail
+}
+
+// plainTail returns the bound (1-c)/c·l1 on ‖Σ_{k≥1} ((1-c)·Ãᵀ)ᵏ·x‖₁ for
+// ‖x‖₁ = l1, and whether it fits budget, tested as an ε test would be.
+func plainTail(c, l1, budget float64) (bound float64, fits bool) {
+	return (1 - c) / c * l1, l1 < c*budget/(1-c)
 }
 
 // finishStep completes a CPI step on the propagated vector x in one sweep:

@@ -22,13 +22,16 @@ import (
 // residual ρ. Fusing x'(T) = A'·x'(T−1) into the residual, a write costs T−1
 // dense head steps to x'(T−1) (the tip) and one application for ρ.
 //
+// From s = 0, ρ = x'(T) and the correction is the tail itself: a build is
+// the same computation, so Preprocess calls recompute too.
+//
 // The correction does not run to ε. TPA only promises 2(1-c)^S (Theorem 2),
 // and a reduced-S answer is already served under 2(1-c)^{S-1} (deadline.go),
 // so the slack between the two, β = 2c(1-c)^{S-1}, is spent on staleness:
 // the written vector s_k = s + Σ_{j≤k} A'^j·ρ stops at the first k whose tail
-// Σ_{j>k} A'^j·ρ provably has L1 norm within β. A' shrinks L1 norms by 1-c,
-// so that tail is at most (1-c)/c·‖A'^k·ρ‖₁; the bound is stored on the new
-// TPA as its StaleBound and added to every error bound it reports, keeping a
+// Σ_{j>k} A'^j·ρ provably has L1 norm within β, by cpiLoop's rule (a build
+// runs it with budget τ = TailBudget). The bound is stored on the new TPA
+// as its StaleBound and added to every error bound it reports, keeping a
 // written index within 2(1-c)^{S-1} of exact RWR. ρ is always measured
 // against the served vector, so the next write corrects leftover staleness
 // instead of stacking it.
@@ -64,7 +67,9 @@ import (
 // Every decision depends only on the operator, the served vector and the
 // head state, so replaying the same writes from the same engine reproduces
 // the same index bit for bit. Engines from Preprocess or a snapshot carry no
-// head state: their first write recomputes.
+// head state: their first write recomputes. Preprocess drops the head
+// state its recompute made because a snapshot does not persist it, so a
+// fresh engine and one loaded from its snapshot take writes alike.
 
 // ReindexStats reports what a Reindex call did.
 type ReindexStats struct {
@@ -157,7 +162,7 @@ func Reindex(t *TPA, w rwr.Operator, workers int, maxResidual float64) (*TPA, Re
 	if w.N() != t.walk.N() {
 		return nil, ReindexStats{}, fmt.Errorf("core: reindex operator has %d nodes but index has %d", w.N(), t.walk.N())
 	}
-	tp, stats := recompute(t, w)
+	tp, stats := recompute(t, w, StalenessBudget(t.cfg.C, t.params.S))
 	return tp, stats, nil
 }
 
@@ -169,12 +174,12 @@ func ReindexWrite(t *TPA, w rwr.Operator, dirty []DirtyRow) (*TPA, ReindexStats,
 	if w.N() != t.walk.N() {
 		return nil, ReindexStats{}, fmt.Errorf("core: reindex operator has %d nodes but index has %d", w.N(), t.walk.N())
 	}
-	if t.tip == nil {
-		tp, stats := recompute(t, w)
-		return tp, stats, nil
-	}
 	c := t.cfg.C
 	beta := StalenessBudget(c, t.params.S)
+	if t.tip == nil {
+		tp, stats := recompute(t, w, beta)
+		return tp, stats, nil
+	}
 	var shift float64
 	for _, r := range dirty {
 		shift += r.Shift * t.head[r.Node]
@@ -182,7 +187,7 @@ func ReindexWrite(t *TPA, w rwr.Operator, dirty []DirtyRow) (*TPA, ReindexStats,
 	drift := t.drift + (1-c)*(1-c)*shift
 	if drift/c >= beta {
 		// The head bound alone spends the budget: no attempt.
-		tp, stats := recompute(t, w)
+		tp, stats := recompute(t, w, beta)
 		return tp, stats, nil
 	}
 	s1, resid := t.residual(w, t.tip, sparse.NewVector(w.N()))
@@ -191,23 +196,26 @@ func ReindexWrite(t *TPA, w rwr.Operator, dirty []DirtyRow) (*TPA, ReindexStats,
 		nt.tip, nt.head, nt.drift = t.tip, t.head, drift
 		return nt, ReindexStats{Residual: resid, ResidualIters: 1, StaleBound: bound}, nil
 	}
-	tp, stats := recompute(t, w)
+	tp, stats := recompute(t, w, beta)
 	stats.ResidualIters++
 	return tp, stats, nil
 }
 
-// recompute is the incremental reindex with a fresh head on w: T−1 head
-// steps, the residual, and the budgeted correction. The new TPA keeps the
-// head state for the next write's skip attempt.
-func recompute(t *TPA, w rwr.Operator) (*TPA, ReindexStats) {
+// recompute is the one routine that makes a stranger vector: T−1 head
+// steps on w, the residual ρ against t's stranger vector, and the
+// correction under cpiLoop's rule with the given budget (β =
+// StalenessBudget for a write, τ = TailBudget for a build from a zero
+// stranger vector). The new TPA keeps the head state for the next write.
+func recompute(t *TPA, w rwr.Operator, budget float64) (*TPA, ReindexStats) {
 	cfg, params := t.cfg, t.params
 	n := w.N()
 	var stats ReindexStats
 
-	// Head: x(0) = c/n uniform and T−1 steps to the tip x(T−1), folding the
-	// iterates before it into h = Σ_{j≤T−2} (1-c)^{T−2−j}·x(j) Horner-style.
+	// Head: x(0) = c/n uniform, rounded as CPI's all-seeds vector is, and
+	// T−1 steps to the tip x(T−1), folding the iterates before it into
+	// h = Σ_{j≤T−2} (1-c)^{T−2−j}·x(j) Horner-style.
 	x, buf := sparse.NewVector(n), sparse.NewVector(n)
-	x.Fill(cfg.C / float64(n))
+	x.Fill(1 / float64(n) * cfg.C)
 	h := x.Clone()
 	for j := 1; j < params.T; j++ {
 		w.MulT(x, buf)
@@ -222,25 +230,15 @@ func recompute(t *TPA, w rwr.Operator) (*TPA, ReindexStats) {
 	s1, resid := t.residual(w, tip, buf)
 	stats.Residual, stats.ResidualIters = resid, 1
 
-	// Correction: s' = s + ρ + A'ρ + … + A'^kρ for the smallest k whose
-	// tail bound (1-c)/c·‖A'^kρ‖₁ is within β, i.e. ‖A'^kρ‖₁ < cβ/(1-c).
-	// The loop never runs longer than the ε-truncated correction would.
-	budget := cfg
-	budget.Eps = cfg.C * StalenessBudget(cfg.C, params.S) / (1 - cfg.C)
-	if budget.MaxIter == 0 {
-		budget.MaxIter = cfg.IterBound() + 8
-	}
-	last := resid
-	if resid >= budget.Eps {
+	// Correction: s' = s + ρ + A'ρ + … + A'^kρ, unless ρ's bound fits.
+	var fits bool
+	if stats.StaleBound, fits = plainTail(cfg.C, resid, budget); !fits {
 		rho := buf
 		for i := range rho {
 			rho[i] = s1[i] - t.stranger[i]
 		}
-		var end sparse.Vector
-		end, _, stats.CorrectionIters, _, _ = cpiLoop(nil, w.MulT, budget, 1, -1, 0, rho, sparse.NewVector(n), s1)
-		last = end.L1()
+		_, _, stats.CorrectionIters, _, stats.StaleBound = cpiLoop(nil, w.MulT, cfg, 1, -1, budget, rho, sparse.NewVector(n), s1)
 	}
-	stats.StaleBound = (1 - cfg.C) / cfg.C * last
 	nt := t.written(w, s1, stats.StaleBound)
 	nt.tip, nt.head = tip, h
 	return nt, stats

@@ -26,9 +26,6 @@ func refCPILoop[T sparse.Float](mulT func(x, y sparse.Vec[T]) sparse.Vec[T], cfg
 	limit := termIter
 	if limit < 0 {
 		limit = cfg.IterBound() + 8
-		if cfg.MaxIter > 0 {
-			limit = cfg.MaxIter
-		}
 	}
 	decay := T(1 - cfg.C)
 	for i := 1; i <= limit; i++ {
@@ -110,32 +107,57 @@ func refQuery[T sparse.Float](t *TPA, s int, mulT func(x, y sparse.Vec[T]) spars
 	return dst
 }
 
-// refRecompute is recompute's stranger vector and correction count with the
-// reference loop.
-func refRecompute(t *TPA, op rwr.Operator) (sparse.Vector, int) {
+// Which bound stopped a budgeted correction (see refRecompute).
+const (
+	stopNone     = "none"     // the residual fit the budget: no correction step
+	stopPlain    = "plain"    // (1-c)/c·‖x(k)‖₁ fit it
+	stopExtended = "extended" // (1-c)²/c²·δ fit it, and the extension was added
+	stopCap      = "cap"      // neither did before IterBound()+8
+)
+
+// refRecompute is recompute's stranger vector, correction count and stale
+// bound with every pass apart: the head from x(0) = (1/n)·c, the residual,
+// and a correction loop that after each application measures δ, then
+// scales, adds and takes the L1 norm, then tries the plain bound and the
+// extended one. It also names the bound that stopped the correction.
+func refRecompute(t *TPA, op rwr.Operator, budget float64) (acc sparse.Vector, iters int, stale float64, stop string) {
 	cfg, params := t.cfg, t.params
 	n := op.N()
 	x, buf := sparse.NewVector(n), sparse.NewVector(n)
-	x.Fill(cfg.C / float64(n))
+	x.Fill(1 / float64(n) * cfg.C)
 	for j := 1; j < params.T; j++ {
 		op.MulT(x, buf)
 		x, buf = buf.Scale(1-cfg.C), x
 	}
 	s1, resid := t.residual(op, x, buf)
-	budget := cfg
-	budget.Eps = cfg.C * StalenessBudget(cfg.C, params.S) / (1 - cfg.C)
-	if budget.MaxIter == 0 {
-		budget.MaxIter = cfg.IterBound() + 8
+	ratio := (1 - cfg.C) / cfg.C
+	if resid < cfg.C*budget/(1-cfg.C) {
+		return s1, 0, ratio * resid, stopNone
 	}
-	if resid < budget.Eps {
-		return s1, 0
+	x, buf = buf, sparse.NewVector(n)
+	for i := range x {
+		x[i] = s1[i] - t.stranger[i]
 	}
-	rho := buf
-	for i := range rho {
-		rho[i] = s1[i] - t.stranger[i]
+	for i := 1; i <= cfg.IterBound()+8; i++ {
+		op.MulT(x, buf)
+		var delta float64
+		for j := range buf {
+			delta += math.Abs(buf[j] - x[j])
+		}
+		buf.Scale(1 - cfg.C)
+		x, buf = buf, x
+		s1.Add(x)
+		l1 := x.L1()
+		stale = ratio * l1
+		if l1 < cfg.C*budget/(1-cfg.C) {
+			return s1, i, stale, stopPlain
+		}
+		if bound := ratio * ratio * delta; bound <= budget {
+			s1.Add(x.Clone().Scale(ratio))
+			return s1, i, bound, stopExtended
+		}
 	}
-	_, iters := refCPILoop(op.MulT, budget, 1, -1, rho, sparse.NewVector(n), s1)
-	return s1, iters
+	return s1, cfg.IterBound() + 8, stale, stopCap
 }
 
 // sameBits reports the first index where a and b differ in bits, or -1.
@@ -191,19 +213,62 @@ func TestFusedStepMatchesThreePass(t *testing.T) {
 		}
 	})
 	t.Run("PreprocessParallel", func(t *testing.T) {
-		tp, err := PreprocessParallel(w, c, DefaultParams(), 0)
+		// A build is recompute from the zero vector; it must stop where the
+		// build's own loop stops, on graphs of three shapes, whatever the
+		// walk's row blocks.
+		rmat := gen.RMAT(13, 8<<13, 0.57, 0.19, 0.19, 85)
+		dangling := 0
+		for u := 0; u < rmat.NumNodes(); u++ {
+			if rmat.OutDegree(u) == 0 {
+				dangling++
+			}
+		}
+		if dangling == 0 {
+			t.Fatal("the R-MAT case has no dangling rows")
+		}
+		sbm := gen.SBM(gen.SBMConfig{Nodes: 3000, Communities: 6, AvgOutDeg: 8, PIn: 0.9, Seed: 86})
+		perm := make([]int32, sbm.NumNodes())
+		for i, p := range rand.New(rand.NewSource(87)).Perm(len(perm)) {
+			perm[i] = int32(p)
+		}
+		relabeled, err := graph.Permute(sbm, perm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, iters, stale := refPreprocess(w, c, DefaultParams())
-		checkBits(t, "stranger vector", tp.StrangerVector(), want)
-		if tp.PreprocessIters() != iters || tp.StaleBound() != stale {
-			t.Errorf("%d preprocessing iterations with StaleBound %g, the three-pass step runs %d with %g",
-				tp.PreprocessIters(), tp.StaleBound(), iters, stale)
-		}
-		exact, _ := refCPI(w, allSeeds(w.N()), c, DefaultParams().T, -1)
-		if d := tp.StrangerVector().L1Dist(exact); d > tp.StaleBound()+truncSlack {
-			t.Errorf("stranger vector is %g from the ε-exact one, StaleBound %g", d, tp.StaleBound())
+		for _, tc := range []struct {
+			name string
+			w    *graph.Walk
+		}{
+			{"testWalk(81)", w},
+			{"rmat-2^13", graph.NewWalk(rmat, graph.DanglingSelfLoop)},
+			{"relabeled sbm", graph.NewWalk(relabeled, graph.DanglingSelfLoop)},
+		} {
+			want, iters, stale := refPreprocess(tc.w, c, DefaultParams())
+			n := tc.w.N()
+			exact, _ := refCPI(tc.w, allSeeds(n), c, DefaultParams().T, -1)
+			for _, blocks := range []int{1, 3} {
+				tag := fmt.Sprintf("%s on %d row blocks", tc.name, blocks)
+				bounds := make([]int, blocks+1)
+				for i := range bounds {
+					bounds[i] = i * n / blocks
+				}
+				op, err := tc.w.WithBlocks(bounds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tp, err := PreprocessParallel(op, c, DefaultParams(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBits(t, tag, tp.StrangerVector(), want)
+				if tp.PreprocessIters() != iters || tp.StaleBound() != stale {
+					t.Errorf("%s: %d preprocessing iterations with StaleBound %g, the three-pass step runs %d with %g",
+						tag, tp.PreprocessIters(), tp.StaleBound(), iters, stale)
+				}
+				if d := tp.StrangerVector().L1Dist(exact); d > tp.StaleBound()+truncSlack {
+					t.Errorf("%s: stranger vector is %g from the ε-exact one, StaleBound %g", tag, d, tp.StaleBound())
+				}
+			}
 		}
 	})
 	t.Run("QuerySet", func(t *testing.T) {
@@ -238,7 +303,8 @@ func TestFusedStepMatchesThreePass(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(83))
-		var skipped, corrected int
+		var skipped int
+		stops := map[string]int{}
 		for i := 0; i < 24; i++ {
 			// Small batches skip the head; every sixth write rewires a
 			// tenth of the edges, which forces correction steps.
@@ -273,16 +339,17 @@ func TestFusedStepMatchesThreePass(t *testing.T) {
 				checkBits(t, tag+" (head skipped)", cur.StrangerVector(), s1)
 				continue
 			}
-			want, iters := refRecompute(prev, w)
+			want, iters, stale, stop := refRecompute(prev, w, StalenessBudget(c.C, DefaultParams().S))
+			stops[stop]++
+			tag += fmt.Sprintf(" (stopped by the %s bound)", stop)
 			checkBits(t, tag, cur.StrangerVector(), want)
-			if stats.CorrectionIters != iters {
-				t.Errorf("%s: %d correction steps, the three-pass step runs %d", tag, stats.CorrectionIters, iters)
-			}
-			if iters > 0 {
-				corrected++
+			if stats.CorrectionIters != iters || stats.StaleBound != stale {
+				t.Errorf("%s: %d correction steps with StaleBound %g, the three-pass step runs %d with %g",
+					tag, stats.CorrectionIters, stats.StaleBound, iters, stale)
 			}
 		}
-		if skipped == 0 || corrected == 0 {
+		t.Logf("%d heads skipped; recomputed writes stopped by bound: %v", skipped, stops)
+		if corrected := stops[stopPlain] + stops[stopExtended]; skipped == 0 || corrected == 0 {
 			t.Fatalf("the chain skipped %d heads and corrected %d times; it must do both to cover the loop", skipped, corrected)
 		}
 	})

@@ -190,3 +190,36 @@ func TestOldIndexLoadsUnchanged(t *testing.T) {
 		checkBits(t, fmt.Sprintf("seed %d", seed), b, a)
 	}
 }
+
+// TestBuildStationaryStart: on a directed n-cycle the uniform restart is
+// already stationary, so δ = 0 from the first step. The build's own loop
+// (refPreprocess) stops on the extended bound at i = T. A build is
+// recompute from the zero vector, whose residual application computes x(T)
+// without measuring δ, so it stops one step later, at T+1, on the same
+// bound 0: the vector matches to rounding, and StaleBound is exactly 0.
+func TestBuildStationaryStart(t *testing.T) {
+	const n = 1000
+	b := graph.NewBuilderN(n)
+	for u := 0; u < n; u++ {
+		b.AddEdge(u, (u+1)%n)
+	}
+	w := graph.NewWalk(b.Build(), graph.DanglingSelfLoop)
+	p := DefaultParams()
+	tp, err := Preprocess(w, cfg(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, iters, stale := refPreprocess(w, cfg(), p)
+	if iters != p.T || stale != 0 {
+		t.Fatalf("the reference stopped at %d with bound %g, want T = %d with 0", iters, stale, p.T)
+	}
+	if d := tp.StrangerVector().L1Dist(want); d > 1e-15 {
+		t.Errorf("stranger vector is %g from the reference", d)
+	}
+	if tp.StaleBound() != 0 {
+		t.Errorf("StaleBound %g, want exactly 0", tp.StaleBound())
+	}
+	if tp.PreprocessIters() > p.T+1 {
+		t.Errorf("the build ran %d applications, want at most T+1 = %d", tp.PreprocessIters(), p.T+1)
+	}
+}

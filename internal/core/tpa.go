@@ -57,9 +57,9 @@ type TPA struct {
 	// (for reporting).
 	preIters int
 	// stale bounds ‖stranger − s*‖₁, s* the exact stranger vector of the
-	// bound graph: the tail bound preprocessing stopped on (at most
-	// TailBudget), what Reindex left uncorrected after a write (see
-	// reindex.go).
+	// bound graph: the tail bound recompute stopped on, within TailBudget
+	// for a build and StalenessBudget for a write, or a skipped write's
+	// bound (see reindex.go).
 	stale float64
 	// tip = x(T−1) and the discounted head sum head are the head state of
 	// the graph the last recomputing write ran on, and drift bounds how far
@@ -78,42 +78,31 @@ type TPA struct {
 // only per-graph state TPA stores — an O(n) vector, which is why Fig 1(a)
 // shows TPA's index orders of magnitude below the competitors'.
 //
-// The CPI stops on a proven tail bound instead of running to ε: at the
-// first step i ≥ T whose bound on the extended tail (see cpiLoop) is within
-// TailBudget it adds the extension and records the bound as StaleBound. The
-// index's error bound grows by at most that, and the stranger vector keeps
-// the exact Lemma-2 mass (1-c)^T. The ε loop stays as the cap.
+// A build is a write from the zero vector (see recompute), stopped by
+// cpiLoop's rule with budget TailBudget instead of at ε, which only sets
+// the cap; the bound it stops on is its StaleBound. The returned TPA is
+// bound to w, so preprocessing and the online phase apply one operator. It
+// drops the head state the build computed, so it takes writes as the
+// engine loaded from its snapshot does.
 func Preprocess(w rwr.Operator, cfg rwr.Config, params Params) (*TPA, error) {
-	return PreprocessParallel(w, cfg, params, 1)
-}
-
-// PreprocessParallel is Preprocess. workers is unused: the operator fans
-// its own dense applications out (graph.Walk pulls over its row blocks), and
-// the parameter keeps the signature the benchmark trace compiles against
-// (ROADMAP item 2). The returned TPA is bound to w, so preprocessing and the
-// online phase apply one operator.
-func PreprocessParallel(w rwr.Operator, cfg rwr.Config, params Params, workers int) (*TPA, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	n := w.N()
-	// x(0) = c·q for the uniform q, rounded as CPI's all-seeds vector is.
-	x := sparse.NewVector(n)
-	x.Fill(1 / float64(n) * cfg.C)
-	stranger := sparse.NewVector(n)
-	_, _, iters, _, stale := cpiLoop(nil, w.MulT, cfg, params.T, -1, TailBudget(cfg.C, params.S),
-		x, sparse.NewVector(n), stranger)
-	return &TPA{
-		walk:     w,
-		cfg:      cfg,
-		params:   params,
-		stranger: stranger,
-		preIters: iters,
-		stale:    stale,
-	}, nil
+	zero := &TPA{walk: w, cfg: cfg, params: params, stranger: sparse.NewVector(w.N())}
+	t, stats := recompute(zero, w, TailBudget(cfg.C, params.S))
+	t.preIters, t.tip, t.head = stats.Iters(), nil, nil
+	return t, nil
+}
+
+// PreprocessParallel is Preprocess. workers is unused: the operator fans
+// its own dense applications out (graph.Walk pulls over its row blocks), and
+// the parameter keeps the signature the benchmark trace compiles against
+// (ROADMAP item 2).
+func PreprocessParallel(w rwr.Operator, cfg rwr.Config, params Params, workers int) (*TPA, error) {
+	return Preprocess(w, cfg, params)
 }
 
 // Walk returns the underlying walk operator.
@@ -204,8 +193,8 @@ func (t *TPA) ErrorBound() float64 { return TheoremTwoBound(t.cfg.C, t.params.S)
 
 // StaleBound returns the bound on the L1 distance between the served
 // stranger vector and the exact one of the bound graph: at most TailBudget
-// for a freshly preprocessed index (0 when its loop ran to ε), at most
-// StalenessBudget after a Reindex.
+// for a freshly preprocessed index (0 for an index an older build ran to
+// ε), at most StalenessBudget after a Reindex.
 func (t *TPA) StaleBound() float64 { return t.stale }
 
 // SetStaleBound restores a persisted StaleBound on a loaded index. Like

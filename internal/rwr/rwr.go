@@ -46,13 +46,10 @@ type Operator interface {
 
 // Config bundles the RWR problem parameters shared by every solver in this
 // repository: the restart probability c (paper default 0.15) and the
-// convergence tolerance ε (paper default 1e-9).
+// convergence tolerance ε (paper default 1e-9), which also caps every loop.
 type Config struct {
 	C   float64 // restart probability, 0 < C < 1
 	Eps float64 // convergence tolerance on the L1 residual
-	// MaxIter caps power-style iterations as a safety net; 0 means the
-	// analytic bound log_{1-c}(ε/c) + slack.
-	MaxIter int
 }
 
 // DefaultConfig returns the paper's experiment settings: c = 0.15, ε = 1e-9.
@@ -65,9 +62,6 @@ func (c Config) Validate() error {
 	}
 	if c.Eps <= 0 {
 		return fmt.Errorf("rwr: tolerance %v must be positive", c.Eps)
-	}
-	if c.MaxIter < 0 {
-		return fmt.Errorf("rwr: negative MaxIter %d", c.MaxIter)
 	}
 	return nil
 }
@@ -82,13 +76,6 @@ func (c Config) IterBound() int {
 		i++
 	}
 	return i
-}
-
-func (c Config) maxIter() int {
-	if c.MaxIter > 0 {
-		return c.MaxIter
-	}
-	return c.IterBound() + 8
 }
 
 // SeedVector builds the seed distribution q for the given seeds:
@@ -123,7 +110,7 @@ func PowerIteration(w *graph.Walk, seeds []int, cfg Config) (sparse.Vector, int,
 	r := q.Clone().Scale(cfg.C)
 	buf := sparse.NewVector(n)
 	next := sparse.NewVector(n)
-	maxIter := cfg.maxIter()
+	maxIter := cfg.IterBound() + 8
 	for it := 1; it <= maxIter; it++ {
 		w.MulT(r, buf)
 		for i := 0; i < n; i++ {

@@ -18,7 +18,6 @@ func TestConfigValidate(t *testing.T) {
 		{C: 0, Eps: 1e-9},
 		{C: 1, Eps: 1e-9},
 		{C: 0.15, Eps: 0},
-		{C: 0.15, Eps: 1e-9, MaxIter: -1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -398,8 +398,8 @@ func bodyK(w http.ResponseWriter, k int) (int, bool) {
 }
 
 // batch answers one top-k query per seed, checking the graph's cache
-// partition per seed and fanning the misses out over the engine's worker
-// pool in a single request.
+// partition per seed and fanning the distinct missed seeds out over the
+// engine's worker pool in a single request.
 func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Duration) {
 	e, st, ok := h.resolve(w, r)
 	if !ok {
@@ -432,7 +432,10 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Dura
 	}
 	e.queries.Add(1)
 	out := make([]seedResult, len(req.Seeds))
-	var missSeeds, missPos []int
+	// Misses fold to distinct seeds: position missPos[j] gets the answer
+	// to missSeeds[missAt[j]].
+	var missSeeds, missPos, missAt []int
+	slot := make(map[int]int, len(req.Seeds))
 	for i, s := range req.Seeds {
 		if st.cache != nil {
 			if top, ok := st.cache.Get(s, req.K); ok {
@@ -440,8 +443,14 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Dura
 				continue
 			}
 		}
-		missSeeds = append(missSeeds, s)
+		at, ok := slot[s]
+		if !ok {
+			at = len(missSeeds)
+			slot[s] = at
+			missSeeds = append(missSeeds, s)
+		}
 		missPos = append(missPos, i)
+		missAt = append(missAt, at)
 	}
 	partialCount := 0
 	if len(missSeeds) > 0 {
@@ -454,17 +463,22 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request, budget time.Dura
 			httpError(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		}
+		res := make([]seedResult, len(as))
 		for j, a := range as {
-			res := seedResult{Seed: missSeeds[j], Results: toJSON(a.Top)}
+			res[j] = seedResult{Seed: missSeeds[j], Results: toJSON(a.Top)}
 			if a.Meta.Partial {
-				res.Partial = true
-				res.EffectiveS = a.Meta.EffectiveS
-				res.ResidualBound = a.Meta.Bound
-				partialCount++
+				res[j].Partial = true
+				res[j].EffectiveS = a.Meta.EffectiveS
+				res[j].ResidualBound = a.Meta.Bound
 			} else if st.cache != nil {
 				st.cache.Put(missSeeds[j], req.K, a.Top)
 			}
-			out[missPos[j]] = res
+		}
+		for j, i := range missPos {
+			out[i] = res[missAt[j]]
+			if out[i].Partial {
+				partialCount++
+			}
 		}
 	}
 	if partialCount > 0 {

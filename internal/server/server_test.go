@@ -245,6 +245,52 @@ func TestBatch(t *testing.T) {
 	}
 }
 
+// TestBatchFoldsRepeatedSeeds: a /batch that names a seed more than once
+// sends each distinct missed seed to the engine once, in the order first
+// named, with the cache on and off, and every position gets the body a
+// batch of that seed alone gets.
+func TestBatchFoldsRepeatedSeeds(t *testing.T) {
+	eng := testEngine(t)
+	alone := map[int]json.RawMessage{}
+	for _, s := range []int{5, 7} {
+		rec := serveQuery(NewWith(eng, Info{Name: "test"}, Options{}), http.MethodPost, "/batch",
+			fmt.Sprintf(`{"seeds":[%d],"k":4}`, s), "")
+		var body struct{ Results []json.RawMessage }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || len(body.Results) != 1 {
+			t.Fatalf("seed %d alone: %v (%s)", s, err, rec.Body.String())
+		}
+		alone[s] = body.Results[0]
+	}
+	for _, cache := range []int{0, 64} {
+		for _, tc := range []struct{ seeds, engine []int }{
+			{[]int{5, 5, 5, 5}, []int{5}},
+			{[]int{5, 7, 5}, []int{5, 7}},
+		} {
+			t.Run(fmt.Sprintf("cache %d, seeds %v", cache, tc.seeds), func(t *testing.T) {
+				calls := watchEngine(t, &engineCalls{})
+				h := NewWith(eng, Info{Name: "test"}, Options{CacheSize: cache})
+				body, _ := json.Marshal(map[string]interface{}{"seeds": tc.seeds, "k": 4})
+				rec := serveQuery(h, http.MethodPost, "/batch", string(body), "")
+				if rec.Code != http.StatusOK {
+					t.Fatalf("code %d: %s", rec.Code, rec.Body.String())
+				}
+				if n, got := calls.calls.Load(), calls.lastSeeds.Load(); n != 1 || !slices.Equal(*got, tc.engine) {
+					t.Errorf("%d engine calls, the last for seeds %v; want one for %v", n, *got, tc.engine)
+				}
+				results := make([]json.RawMessage, len(tc.seeds))
+				for i, s := range tc.seeds {
+					results[i] = alone[s]
+				}
+				want := httptest.NewRecorder()
+				writeJSON(want, map[string]interface{}{"k": 4, "results": results})
+				if rec.Body.String() != want.Body.String() {
+					t.Errorf("body\n%s\nwant\n%s", rec.Body.String(), want.Body.String())
+				}
+			})
+		}
+	}
+}
+
 func TestBatchBadRequests(t *testing.T) {
 	h := testHandler(t)
 	cases := []string{`not json`, `{"seeds":[]}`, `{"seeds":[1,999999]}`}
@@ -497,6 +543,7 @@ type engineCalls struct {
 	expire           bool
 	calls            atomic.Int64
 	lastBudget       atomic.Int64
+	lastSeeds        atomic.Pointer[[]int]
 }
 
 // watchEngine routes the server's engine call through c until the test
@@ -507,6 +554,8 @@ func watchEngine(t *testing.T, c *engineCalls) *engineCalls {
 	t.Cleanup(func() { answer = call })
 	answer = func(eng Engine, ctx context.Context, req tpa.Request) ([]tpa.Answer, error) {
 		c.calls.Add(1)
+		seeds := slices.Clone(req.Seeds)
+		c.lastSeeds.Store(&seeds)
 		budget := int64(-1)
 		if dl, ok := ctx.Deadline(); ok {
 			budget = int64(time.Until(dl))
