@@ -54,7 +54,8 @@ type Answer struct {
 // propagation buffer (q, buf — or q32, buf32 plus the family accumulator
 // fam32 on the float32 kernels), and a float64 vector out that holds the
 // family part of a float64 top-k and a score vector before its scatter
-// into reported-id order.
+// into reported-id order. A float32 scratch allocates out on its first
+// scattered score vector only: a float32 top-k never touches it.
 // Scratches are pooled on the TPA (see TPA.scratch).
 type queryScratch struct {
 	out               sparse.Vector
@@ -65,18 +66,14 @@ type queryScratch struct {
 // getScratch returns a scratch sized for the current graph (and its serving
 // precision), reusing a pooled one when available.
 func (t *TPA) getScratch() *queryScratch {
-	f32 := t.useF32()
-	if sc, ok := t.scratch.Get().(*queryScratch); ok && len(sc.out) == t.walk.N() && (sc.q32 != nil) == f32 {
+	f32, n := t.useF32(), t.walk.N()
+	if sc, ok := t.scratch.Get().(*queryScratch); ok && (f32 && len(sc.q32) == n || !f32 && len(sc.q) == n) {
 		return sc
 	}
-	n := t.walk.N()
-	sc := &queryScratch{out: sparse.NewVector(n)}
 	if f32 {
-		sc.q32, sc.buf32, sc.fam32 = sparse.NewVector32(n), sparse.NewVector32(n), sparse.NewVector32(n)
-	} else {
-		sc.q, sc.buf = sparse.NewVector(n), sparse.NewVector(n)
+		return &queryScratch{q32: sparse.NewVector32(n), buf32: sparse.NewVector32(n), fam32: sparse.NewVector32(n)}
 	}
-	return sc
+	return &queryScratch{out: sparse.NewVector(n), q: sparse.NewVector(n), buf: sparse.NewVector(n)}
 }
 
 func (t *TPA) putScratch(sc *queryScratch) { t.scratch.Put(sc) }
@@ -151,6 +148,9 @@ func (t *TPA) answer(ctx context.Context, seeds []int, k int, ids []int32, score
 	}
 	if ids == nil {
 		return Answer{Scores: scores, Meta: t.queryInto(ctx, seeds, scores, sc)}
+	}
+	if len(sc.out) != len(scores) {
+		sc.out = sparse.NewVector(len(scores))
 	}
 	meta := t.queryInto(ctx, seeds, sc.out, sc)
 	for j, v := range sc.out {

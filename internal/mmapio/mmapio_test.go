@@ -121,6 +121,39 @@ func TestRoundTripOpen(t *testing.T) {
 	}
 }
 
+// TestRawBytesAreTheEncoding: on a little-endian host the writer emits a
+// section's own memory, which must be byte for byte the chunked
+// little-endian encoding other hosts write, across chunk boundaries and for
+// an empty section.
+func TestRawBytesAreTheEncoding(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("raw section bytes are written on little-endian hosts only")
+	}
+	const n = 3*chunkBytes/8 + 5
+	i64s, i32s, f64s, f32s := make([]int64, n), make([]int32, n), make([]float64, n), make([]float32, n)
+	for i := range i64s {
+		i64s[i] = int64(i)*0x0102030405 - 7
+		i32s[i] = int32(i)*0x010203 - 7
+		f64s[i] = float64(i) / 3
+		f32s[i] = float32(i) / 7
+	}
+	for _, p := range []pending{
+		{kind: KindI64, n: n, i64s: i64s},
+		{kind: KindI32, n: n, i32s: i32s},
+		{kind: KindF64, n: n, f64s: f64s},
+		{kind: KindF32, n: n, f32s: f32s},
+		{kind: KindF64},
+	} {
+		var enc bytes.Buffer
+		if err := p.encodeChunks(func(b []byte) error { enc.Write(b); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if raw := p.raw(); !bytes.Equal(raw, enc.Bytes()) || uint64(len(raw)) != p.length() {
+			t.Fatalf("kind %v, %d elements: raw bytes (%d) differ from the encoding (%d)", p.kind, p.n, len(raw), enc.Len())
+		}
+	}
+}
+
 func TestWriteFileAtomic(t *testing.T) {
 	data, want := buildTestContainer(t)
 	_ = data

@@ -9,15 +9,17 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"tpa/internal/binio"
 )
 
 // Writer accumulates sections and lays them out as a TPAM container. Add
 // sections with the typed appenders, then WriteTo or WriteFile once. Section
-// payloads are encoded little-endian in 64 KiB chunks, so multi-GB arrays
-// stream through a fixed buffer; the slices handed to the appenders are
-// retained (not copied) until the write, and must not be mutated before it.
+// payloads are written from the slices' own memory on little-endian hosts
+// and encoded in 64 KiB chunks elsewhere, so multi-GB arrays never take a
+// second copy; the slices handed to the appenders are retained (not
+// copied) until the write, and must not be mutated before it.
 type Writer struct {
 	sections []pending
 }
@@ -188,12 +190,22 @@ func (p *pending) encode(out io.Writer) error {
 	})
 }
 
-// chunks encodes the payload little-endian and feeds it to emit in bounded
-// chunks.
+// chunks feeds the payload's little-endian bytes to emit: on a
+// little-endian host the slice's own memory in one piece, elsewhere encoded
+// in bounded chunks.
 func (p *pending) chunks(emit func([]byte) error) error {
-	if p.kind == KindBytes {
+	switch {
+	case p.kind == KindBytes:
 		return emit(p.bytes)
+	case hostLittleEndian:
+		return emit(p.raw())
 	}
+	return p.encodeChunks(emit)
+}
+
+// encodeChunks encodes the typed payload little-endian through a 64 KiB
+// buffer and feeds it to emit chunk by chunk.
+func (p *pending) encodeChunks(emit func([]byte) error) error {
 	le := binary.LittleEndian
 	size := p.kind.Size()
 	buf := make([]byte, chunkBytes)
@@ -222,4 +234,26 @@ func (p *pending) chunks(emit func([]byte) error) error {
 		}
 	}
 	return nil
+}
+
+// raw returns the typed payload's own memory as bytes, the inverse of view:
+// on a little-endian host they are its little-endian encoding.
+func (p *pending) raw() []byte {
+	switch p.kind {
+	case KindI32:
+		return asBytes(p.i32s)
+	case KindI64:
+		return asBytes(p.i64s)
+	case KindF32:
+		return asBytes(p.f32s)
+	default:
+		return asBytes(p.f64s)
+	}
+}
+
+func asBytes[T int32 | int64 | float32 | float64](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }

@@ -44,7 +44,7 @@ func (h *Handler) mutateGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mutateRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeEdges(w, r, &req) {
 		return
 	}
 	if len(req.Add) == 0 && len(req.Remove) == 0 {

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -593,7 +594,13 @@ var maxBody = int64(64 << 20)
 // It answers 413 past the cap and 400 on bad JSON, and reports whether v
 // holds the request.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBody), v)
+}
+
+// decodeJSON decodes the first JSON value of body into v, answering as
+// decodeRequest does.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v interface{}) bool {
+	err := json.NewDecoder(body).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
